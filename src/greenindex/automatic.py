@@ -7,11 +7,16 @@ component relations in lockstep, nondeterministically guessing the shared
 middle track; when the middle word outlives both outer words the remaining
 steps consume no output symbol, and a configurable delay bound caps how far
 that silent tail may run.
+
+A pair alphabet is never listed: ``PairAlphabet`` holds the two track
+alphabets and answers iteration, length, membership and rank from them.
+In a transferred structure every letter with one evaluation shares one
+multiplier, composed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .core import FiniteSemigroup, SubSemigroup, closure, shortlex_forms
@@ -30,9 +35,10 @@ PAD = "$"
 @dataclass(frozen=True)
 class Nfa:
     """A nondeterministic finite automaton; symbol None marks an epsilon
-    transition and is never part of the alphabet."""
+    transition and is never part of the alphabet.  The alphabet is a tuple
+    of symbols or, for relations, a PairAlphabet."""
 
-    alphabet: tuple
+    alphabet: tuple | PairAlphabet
     n_states: int
     transitions: tuple  # ((src, symbol, dst), ...)
     initial: frozenset
@@ -105,21 +111,18 @@ class Nfa:
         return bool(cur & self.accepting)
 
     def is_empty(self) -> bool:
-        cur = self.eps_closure(self.initial)
-        seen = set(cur)
-        stack = list(cur)
-        delta = self._delta()
-        while stack:
-            q = stack.pop()
-            if q in self.accepting:
-                return False
-            for (src, sym), dsts in delta.items():
-                if src == q and sym is not None:
-                    for d in self.eps_closure(dsts):
-                        if d not in seen:
-                            seen.add(d)
-                            stack.append(d)
-        return True
+        return self.initial.isdisjoint(self._coaccessible())
+
+    def _rank(self):
+        """Key giving each symbol's position in the alphabet."""
+        cache = self.__dict__.get("_rank_cache")
+        if cache is None:
+            if isinstance(self.alphabet, PairAlphabet):
+                cache = self.alphabet.rank
+            else:
+                cache = {sym: i for i, sym in enumerate(self.alphabet)}.get
+            self.__dict__["_rank_cache"] = cache
+        return cache
 
     def iter_words(self) -> Iterator[tuple]:
         """Accepted words in shortlex order (alphabet order as given);
@@ -127,7 +130,7 @@ class Nfa:
         pruned, so the iterator terminates on finite languages."""
         useful = self._coaccessible()
         out = self._outgoing()
-        pos = {sym: i for i, sym in enumerate(self.alphabet)}
+        rank = self._rank()
         cur = frozenset(self.eps_closure(self.initial) & useful)
         level = [((), cur)]
         while level:
@@ -138,7 +141,7 @@ class Nfa:
                 symbols = set()
                 for q in states:
                     symbols.update(out[q])
-                for sym in sorted(symbols, key=pos.get):
+                for sym in sorted(symbols, key=rank):
                     t = frozenset(self.step(states, sym) & useful)
                     if t:
                         nxt.append((word + (sym,), t))
@@ -155,7 +158,8 @@ class Nfa:
 
 def nfa_from_words(alphabet, words: Iterable[tuple]) -> Nfa:
     """Trie acceptor for a finite set of words."""
-    alphabet = tuple(alphabet)
+    if not isinstance(alphabet, PairAlphabet):
+        alphabet = tuple(alphabet)
     nodes = {(): 0}
     accepting = set()
     trans = []
@@ -288,14 +292,66 @@ def concatenate(a: Nfa, b: Nfa) -> Nfa:
     )
 
 
-def pair_alphabet(left: Sequence[str], right: Sequence[str]) -> tuple:
-    syms = [
-        (x, y)
-        for x in tuple(left) + (PAD,)
-        for y in tuple(right) + (PAD,)
-        if not (x == PAD and y == PAD)
-    ]
-    return tuple(syms)
+@dataclass(frozen=True)
+class PairAlphabet:
+    """The padded pair alphabet of two track alphabets, held as the tracks.
+
+    It iterates over (x, y) for x in left + ($,), then y in right + ($,),
+    skipping ($, $); ``rank`` is a symbol's position in that order.  Length,
+    membership and rank take constant time.  Track letters must be distinct
+    and differ from the pad symbol, or the encoding would be ambiguous.
+    """
+
+    left: tuple
+    right: tuple
+    _left_pos: dict = field(init=False, repr=False, compare=False)
+    _right_pos: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("left", "right"):
+            track = tuple(getattr(self, name))
+            pos = {x: i for i, x in enumerate(track + (PAD,))}
+            if len(pos) != len(track) + 1:
+                raise InputError(
+                    "track letters must be distinct and differ from the pad"
+                    f" symbol {PAD!r}"
+                )
+            object.__setattr__(self, name, track)
+            object.__setattr__(self, f"_{name}_pos", pos)
+
+    def __iter__(self) -> Iterator[tuple]:
+        right = self.right + (PAD,)
+        for x in self.left:
+            for y in right:
+                yield (x, y)
+        for y in self.right:
+            yield (PAD, y)
+
+    def __len__(self) -> int:
+        return (len(self.left) + 1) * (len(self.right) + 1) - 1
+
+    def __contains__(self, sym) -> bool:
+        try:
+            self.rank(sym)
+        except ValueError:
+            return False
+        return True
+
+    def rank(self, sym) -> int:
+        """Position of ``sym`` in iteration order; ValueError if absent."""
+        if isinstance(sym, tuple) and len(sym) == 2 and sym != (PAD, PAD):
+            try:
+                i = self._left_pos[sym[0]]
+                j = self._right_pos[sym[1]]
+            except (KeyError, TypeError):
+                pass
+            else:
+                return i * (len(self.right) + 1) + j
+        raise ValueError(f"{sym!r} is not in the pair alphabet")
+
+
+def pair_alphabet(left: Sequence[str], right: Sequence[str]) -> PairAlphabet:
+    return PairAlphabet(left, right)
 
 
 def convolve(u: Sequence[str], v: Sequence[str]) -> tuple:
@@ -399,51 +455,30 @@ def project(rel: PaddedRelationNfa, track: int) -> Nfa:
 def is_padding_valid(rel: PaddedRelationNfa) -> bool:
     """True iff every accepted string is a well-formed convolution."""
     nfa = rel.nfa
-    start = [(q, 0, 0) for q in nfa.eps_closure(nfa.initial)]
+    delta, out = nfa._delta(), nfa._outgoing()
+    useful = nfa._coaccessible()
+    start = [(q, False, False) for q in nfa.eps_closure(nfa.initial)]
     seen = set(start)
     stack = list(start)
-    delta = nfa._delta()
+
+    def push(dsts, u_done, v_done):
+        for d in nfa.eps_closure(dsts):
+            if (d, u_done, v_done) not in seen:
+                seen.add((d, u_done, v_done))
+                stack.append((d, u_done, v_done))
+
     while stack:
         q, u_done, v_done = stack.pop()
-        for (src, sym), dsts in delta.items():
-            if src != q:
-                continue
-            if sym is None:
-                nu, nv, ok = u_done, v_done, True
-            else:
-                x, y = sym
-                ok = not (x == PAD and y == PAD)
-                ok &= not (u_done and x != PAD)
-                ok &= not (v_done and y != PAD)
-                nu = u_done or x == PAD
-                nv = v_done or y == PAD
-            if not ok:
+        push(delta.get((q, None), ()), u_done, v_done)
+        for (x, y), dsts in out[q].items():
+            if ((x == PAD and y == PAD) or (u_done and x != PAD)
+                    or (v_done and y != PAD)):
                 # a violating prefix: invalid only if it extends to acceptance
-                if _reaches_accepting(nfa, dsts):
+                if not useful.isdisjoint(dsts):
                     return False
                 continue
-            for d in nfa.eps_closure(dsts):
-                if (d, nu, nv) not in seen:
-                    seen.add((d, nu, nv))
-                    stack.append((d, nu, nv))
+            push(dsts, u_done or x == PAD, v_done or y == PAD)
     return True
-
-
-def _reaches_accepting(nfa: Nfa, states) -> bool:
-    seen = set(nfa.eps_closure(states))
-    stack = list(seen)
-    delta = nfa._delta()
-    while stack:
-        q = stack.pop()
-        if q in nfa.accepting:
-            return True
-        for (src, sym), dsts in delta.items():
-            if src == q:
-                for d in dsts:
-                    if d not in seen:
-                        seen.add(d)
-                        stack.append(d)
-    return False
 
 
 def compose_relations(
@@ -661,7 +696,11 @@ def verify_structure_report(
     if set(evals.values()) != elem_set:
         missing = sorted(elem_set - set(evals.values()))
         return False, f"acceptor is not onto; missing elements {missing}"
-    word_set = set(words)
+    position = {w: i for i, w in enumerate(words)}
+    by_eval: dict[int, list] = {}
+    for w in words:
+        by_eval.setdefault(evals[w], []).append(w)
+    strings: dict[int, list] = {}  # by id(nfa): letters may share one
     for key, rel in sorted(st.multipliers.items()):
         if key == "":
             factor = sem.order
@@ -669,26 +708,38 @@ def verify_structure_report(
             factor = st.letter_eval[key]
         else:
             return False, f"multiplier key {key!r} is not a letter"
-        for u in words:
-            for v in words:
-                semantic = sem.mul1(evals[u], factor) == evals[v]
-                accepted = rel.accepts_pair(u, v)
-                if semantic != accepted:
-                    return False, (
-                        f"multiplier {key!r} disagrees on pair ({u}, {v}):"
-                        f" semantic={semantic} accepted={accepted}"
-                    )
-        for s in rel.nfa.enumerate_words(max_len):
+        semantic = {
+            (u, v) for u in words
+            for v in by_eval.get(sem.mul1(evals[u], factor), ())
+        }
+        # one enumeration gives the accepted pairs and the first stray string
+        accepted = set()
+        stray = None
+        if id(rel.nfa) not in strings:
+            strings[id(rel.nfa)] = rel.nfa.enumerate_words(max_len)
+        for s in strings[id(rel.nfa)]:
             try:
                 u, v = deconvolve(s)
             except InputError:
-                return False, f"multiplier {key!r} accepts malformed string {s}"
-            if len(u) <= max_len and len(v) <= max_len:
-                if u not in word_set or v not in word_set:
-                    return False, (
-                        f"multiplier {key!r} accepts pair outside the acceptor"
-                        f" ({u}, {v})"
-                    )
+                if stray is None:
+                    stray = f"multiplier {key!r} accepts malformed string {s}"
+                continue
+            if u in position and v in position:
+                accepted.add((u, v))
+            elif stray is None:
+                stray = (
+                    f"multiplier {key!r} accepts pair outside the acceptor"
+                    f" ({u}, {v})"
+                )
+        wrong = semantic ^ accepted
+        if wrong:
+            u, v = min(wrong, key=lambda p: (position[p[0]], position[p[1]]))
+            return False, (
+                f"multiplier {key!r} disagrees on pair ({u}, {v}):"
+                f" semantic={(u, v) in semantic} accepted={(u, v) in accepted}"
+            )
+        if stray is not None:
+            return False, stray
     return True, "ok"
 
 
@@ -851,25 +902,25 @@ def transfer_details(
         inv, compose_relations(st.multipliers[""], restricted, delay_bound),
         delay_bound,
     )
+    # Letters with one evaluation share the multiplier of its first word.
+    first_word = _first_words(st, sem, set(evals.values()), word_search_cap)
+    by_eval: dict[int, PaddedRelationNfa] = {}
     for b in kept:
         target = evals[b]
-        w = None
-        for cand in st.acceptor.iter_words():
-            if word_search_cap is not None and len(cand) > word_search_cap:
-                break
-            if st.eval_word(sem, cand) == target:
-                w = cand
-                break
-        if w is None:
-            raise InternalInconsistency(
-                f"no acceptor word evaluates to {target}"
+        if target not in by_eval:
+            w = first_word.get(target)
+            if w is None:
+                raise InternalInconsistency(
+                    f"no acceptor word evaluates to {target}"
+                )
+            rel = st.multipliers[w[0]]
+            for a in w[1:]:
+                rel = compose_relations(rel, st.multipliers[a], delay_bound)
+            by_eval[target] = compose_relations(
+                inv, compose_relations(rel, restricted, delay_bound),
+                delay_bound,
             )
-        rel = st.multipliers[w[0]]
-        for a in w[1:]:
-            rel = compose_relations(rel, st.multipliers[a], delay_bound)
-        multipliers[b] = compose_relations(
-            inv, compose_relations(rel, restricted, delay_bound), delay_bound
-        )
+        multipliers[b] = by_eval[target]
     structure = AutomaticStructure(
         alphabet=kept,
         letter_eval=evals,
@@ -892,6 +943,23 @@ def transfer(
     delay_bound: int | None = None,
 ) -> AutomaticStructure:
     return transfer_details(st, sub, green, conn, delay_bound).structure
+
+
+def _first_words(st, sem, targets, cap) -> dict[int, tuple]:
+    """The shortlex-first acceptor word of each target element, from one
+    scan that stops once all are found or words grow longer than ``cap``."""
+    found: dict[int, tuple] = {}
+    if not targets:
+        return found
+    for cand in st.acceptor.iter_words():
+        if cap is not None and len(cand) > cap:
+            break
+        val = st.eval_word(sem, cand)
+        if val in targets and val not in found:
+            found[val] = cand
+            if len(found) == len(targets):
+                break
+    return found
 
 
 def _rewrite_pair(st, green, conn, letters, u):
@@ -967,10 +1035,11 @@ def nfa_from_json(data: dict) -> Nfa:
         accepting = frozenset(int(q) for q in data["accepting"])
     except (KeyError, TypeError, ValueError):
         raise InputError("malformed automaton JSON")
+    known = set(alphabet)
     for s, sym, d in trans:
         if not (0 <= s < n and 0 <= d < n):
             raise InputError("transition references unknown state")
-        if sym is not None and sym not in set(alphabet):
+        if sym is not None and sym not in known:
             raise InputError(f"transition uses unknown symbol {sym!r}")
     return Nfa(
         alphabet=alphabet,

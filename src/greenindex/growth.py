@@ -7,8 +7,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import BlackBoxSemigroup, FiniteSemigroup, SubSemigroup, factorize_element
-from .errors import BudgetExceeded, HypothesisFails, InputError
+from .core import (
+    BlackBoxSemigroup,
+    FiniteSemigroup,
+    SubSemigroup,
+    closure,
+    factorize_element,
+)
+from .errors import BudgetExceeded, HypothesisFails, InputError, NotGenerating
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -118,8 +124,12 @@ def domination_check(
     Requires the adjoined identity in R and every S^1 element to factor as
     r * t with r in R and t in T^1.  The constants are k1 = |R| and k2 = the
     longest generator-length of the T^1 parts mu(a1, a2) in the chosen
-    decompositions of products of generators from A = B u R.
+    decompositions of products of generators from A = B u R.  B must lie in
+    T and generate it (NotGenerating otherwise).
     """
+    if not set(b_gens) <= sub.members or \
+            closure(sem, b_gens).members != sub.members:
+        raise NotGenerating("the given set does not generate T")
     n = sem.order
     r_sorted = sorted(set(r_set))
     if n not in r_sorted:

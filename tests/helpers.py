@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from greenindex import core, factories
+from greenindex import automatic, core, factories
+from greenindex.automatic import PAD
+from greenindex.errors import InputError
 
 
 def fixed_instances():
@@ -131,3 +133,60 @@ def semigroup_tables(n: int):
         table[i][j] = None
 
     yield from fill(0)
+
+
+def tuple_pair_alphabet(left, right) -> tuple:
+    """The padded pair alphabet listed symbol by symbol: the reference for
+    ``automatic.PairAlphabet``."""
+    return tuple(
+        (x, y)
+        for x in tuple(left) + (PAD,)
+        for y in tuple(right) + (PAD,)
+        if not (x == PAD and y == PAD)
+    )
+
+
+def reference_verify_structure_report(st, target, max_len):
+    """``automatic.verify_structure_report`` by its definition: every word
+    pair is tested against every multiplier, one acceptance run each."""
+    sem, elems = automatic._target_domain(target)
+    elem_set = set(elems)
+    words = st.acceptor.enumerate_words(max_len)
+    evals = {}
+    for w in words:
+        e = st.eval_word(sem, w)
+        if e not in elem_set:
+            return False, f"acceptor word {w} evaluates outside the target"
+        evals[w] = e
+    if set(evals.values()) != elem_set:
+        missing = sorted(elem_set - set(evals.values()))
+        return False, f"acceptor is not onto; missing elements {missing}"
+    word_set = set(words)
+    for key, rel in sorted(st.multipliers.items()):
+        if key == "":
+            factor = sem.order
+        elif key in st.letter_eval:
+            factor = st.letter_eval[key]
+        else:
+            return False, f"multiplier key {key!r} is not a letter"
+        for u in words:
+            for v in words:
+                semantic = sem.mul1(evals[u], factor) == evals[v]
+                accepted = rel.accepts_pair(u, v)
+                if semantic != accepted:
+                    return False, (
+                        f"multiplier {key!r} disagrees on pair ({u}, {v}):"
+                        f" semantic={semantic} accepted={accepted}"
+                    )
+        for s in rel.nfa.enumerate_words(max_len):
+            try:
+                u, v = automatic.deconvolve(s)
+            except InputError:
+                return False, f"multiplier {key!r} accepts malformed string {s}"
+            if len(u) <= max_len and len(v) <= max_len:
+                if u not in word_set or v not in word_set:
+                    return False, (
+                        f"multiplier {key!r} accepts pair outside the"
+                        f" acceptor ({u}, {v})"
+                    )
+    return True, "ok"

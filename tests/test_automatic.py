@@ -1,6 +1,9 @@
+import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
+from helpers import reference_verify_structure_report, tuple_pair_alphabet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -262,13 +265,151 @@ def test_full_relation_restricted_to_acceptor_matches(z6, t03):
     assert full_on_l == sorted(res.restricted_relation.pairs(8))
 
 
-def test_transfer_structure_round_trip_json(z6, t03):
+@pytest.fixture(scope="module")
+def t3_transfer():
+    """T3 over its ideal of non-permutations (Green index 7), transferred
+    from the structure on three generators."""
+    t3 = factories.full_transformation_monoid(3)
+    ideal = core.SubSemigroup(
+        parent=t3,
+        members=frozenset(i for i, m in enumerate(t3.names) if len(set(m)) < 3),
+    )
+    gens = [t3.names.index(m) for m in ("021", "102", "122")]
+    st, green, conn = transfer_setup(t3, ideal, gens)
+    return st, ideal, green, au.transfer_details(st, ideal, green, conn)
+
+
+def test_transfer_t3_ideal(t3_transfer):
+    _st, ideal, green, res = t3_transfer
+    assert green.green_index == 7
+    assert len(res.letters.names) == 7 * 3 * 7
+    assert au.verify_structure_report(res.structure, ideal, 3) == (True, "ok")
+    # letters with one evaluation share one multiplier
+    mults = res.structure.multipliers
+    evals = res.structure.letter_eval
+    assert len({id(m) for m in mults.values()}) == 1 + len(set(evals.values()))
+    for a in res.structure.alphabet:
+        for b in res.structure.alphabet:
+            assert (mults[a] is mults[b]) == (evals[a] == evals[b])
+
+
+def test_shared_multiplier_is_composed_from_first_word(t3_transfer):
+    st, _ideal, green, res = t3_transfer
+    sem = green.sem
+    restricted = res.restricted_relation
+    inv = au.invert(restricted)
+    delay = sem.order + 1
+    for b in res.structure.alphabet:
+        target = res.structure.letter_eval[b]
+        w = next(c for c in st.acceptor.iter_words()
+                 if st.eval_word(sem, c) == target)
+        rel = st.multipliers[w[0]]
+        for a in w[1:]:
+            rel = au.compose_relations(rel, st.multipliers[a], delay)
+        want = au.compose_relations(
+            inv, au.compose_relations(rel, restricted, delay), delay)
+        got = res.structure.multipliers[b]
+        assert au.nfa_to_json(got.nfa) == au.nfa_to_json(want.nfa), b
+
+
+def test_transferred_multipliers_are_padding_valid(t3_transfer):
+    res = t3_transfer[-1]
+    for rel in res.structure.multipliers.values():
+        assert au.is_padding_valid(rel)
+
+
+def test_transfer_structure_round_trip_json(z6, t03, t3_transfer):
     st, green, conn = transfer_setup(z6, t03, [1])
     res = au.transfer_details(st, t03, green, conn)
     data = au.structure_to_json(res.structure)
     again = au.structure_from_json(data)
     assert set(again.alphabet) == set(res.structure.alphabet)
     assert au.verify_structure(again, t03, 6)
+    _st, ideal, _green, res3 = t3_transfer
+    text = json.dumps(au.structure_to_json(res3.structure))
+    again3 = au.structure_from_json(json.loads(text))
+    assert again3.alphabet == res3.structure.alphabet
+    assert au.verify_structure_report(again3, ideal, 3) == (True, "ok")
+
+
+def broken_variants(st, key, max_len):
+    """Copies of a structure whose multiplier ``key`` drops two pairs, gains
+    two wrong pairs, gains a pair outside the acceptor, accepts a malformed
+    string, or both drops a pair and accepts a malformed string."""
+    alpha = st.alphabet
+    pairs = st.multipliers[key].pairs(max_len)
+    words = st.acceptor.enumerate_words(max_len)
+    wrong = [(u, v) for u in words for v in words if (u, v) not in set(pairs)]
+    outside = next(w for w in words_upto(alpha, max_len)
+                   if w and w not in set(words))
+    malformed = ((au.PAD, alpha[0]), (alpha[0], alpha[0]))
+    strings = {
+        "dropped": [au.convolve(u, v) for u, v in pairs[1:-1]],
+        "extra": [au.convolve(u, v) for u, v in pairs + wrong[::len(wrong) - 1]],
+        "outside": [au.convolve(u, v) for u, v in pairs + [(outside, words[0])]],
+        "malformed": [au.convolve(u, v) for u, v in pairs] + [malformed],
+        "dropped_malformed": [au.convolve(u, v) for u, v in pairs[1:]]
+        + [malformed],
+    }
+    out = {}
+    for name, accepted in strings.items():
+        nfa = au.nfa_from_words(au.pair_alphabet(alpha, alpha), accepted)
+        rel = au.PaddedRelationNfa(alpha, alpha, nfa)
+        out[name] = replace(st, multipliers={**st.multipliers, key: rel})
+    return out
+
+
+def test_verifier_matches_double_loop_reference(z6, t03, t3_transfer):
+    st_z6 = au.structure_for_finite(z6, [1])
+    st, green, conn = transfer_setup(z6, t03, [1])
+    tr_z6 = au.transfer_details(st, t03, green, conn).structure
+    _st, ideal, _green, res3 = t3_transfer
+    cases = [(st_z6, z6, 8), (tr_z6, t03, 6), (res3.structure, ideal, 3)]
+    for structure, target, max_len in cases:
+        assert au.verify_structure_report(structure, target, max_len) == \
+            reference_verify_structure_report(structure, target, max_len) == \
+            (True, "ok")
+        keys = sorted(structure.multipliers)
+        for key in (keys[0], keys[-1]):
+            variants = broken_variants(structure, key, max_len)
+            for name, broken in variants.items():
+                got = au.verify_structure_report(broken, target, max_len)
+                want = reference_verify_structure_report(broken, target, max_len)
+                assert got == want, (key, name)
+                assert not got[0] and repr(key) in got[1], (key, name)
+
+
+track_letters = st.lists(
+    st.sampled_from(["a", "b", "c", "a1", "b0_a1_2", "$$"]),
+    unique=True, max_size=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(track_letters, track_letters)
+def test_pair_alphabet_matches_listed_symbols(left, right):
+    alpha = au.pair_alphabet(left, right)
+    listed = tuple_pair_alphabet(left, right)
+    assert tuple(alpha) == listed
+    assert len(alpha) == len(listed)
+    for i, sym in enumerate(listed):
+        assert alpha.rank(sym) == i
+    names = left + right + [au.PAD, "zz"]
+    probes = [(x, y) for x in names for y in names]
+    probes += [(au.PAD,), ("a",), ("a", "a", "a"), "aa", ["a", "a"], None,
+               (["a"], "a")]
+    for probe in probes:
+        assert (probe in alpha) == (probe in listed), probe
+        if probe not in listed:
+            with pytest.raises(ValueError):
+                alpha.rank(probe)
+
+
+def test_pair_alphabet_rejects_ambiguous_tracks():
+    with pytest.raises(InputError):
+        au.pair_alphabet(("a", au.PAD), ("b",))
+    with pytest.raises(InputError):
+        au.pair_alphabet(("a",), ("b", "b"))
 
 
 @settings(max_examples=60, deadline=None)

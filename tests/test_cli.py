@@ -198,3 +198,11 @@ def test_exit_codes(files, capsys, tmp_path):
     assert cli.main(["schreier", "--semigroup", sem_path, "--sub", sub_path,
                      "--gens", "2"]) == 2
     capsys.readouterr()
+
+
+def test_growth_dominate_rejects_generators_outside_t(files, capsys):
+    sem_path, sub_path, _ = files
+    code, out = run(capsys, "growth", "dominate", "--semigroup", sem_path,
+                    "--sub", sub_path, "--r", "0,1,2,6", "--sub-gens", "1",
+                    "--max", "6")
+    assert code == 2 and out == ""

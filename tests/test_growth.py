@@ -3,7 +3,12 @@ import operator
 import pytest
 
 from greenindex import core, factories, growth
-from greenindex.errors import BudgetExceeded, HypothesisFails, InputError
+from greenindex.errors import (
+    BudgetExceeded,
+    HypothesisFails,
+    InputError,
+    NotGenerating,
+)
 
 
 def test_ball_radius_zero(z6):
@@ -82,3 +87,12 @@ def test_domination_hypothesis_failure(z6, t03):
         growth.domination_check(z6, t03, [6], [3], 5)
     with pytest.raises(HypothesisFails):
         growth.domination_check(z6, t03, [1, 2], [3], 5)  # missing identity
+
+
+def test_domination_rejects_generators_not_generating_t(z6, t03):
+    # 1 lies outside T = {0, 3}; it used to pass and report "holds"
+    with pytest.raises(NotGenerating):
+        growth.domination_check(z6, t03, [0, 1, 2, 6], [1], 6)
+    # 0 lies in T but generates only {0}
+    with pytest.raises(NotGenerating):
+        growth.domination_check(z6, t03, [0, 1, 2, 6], [0], 6)
