@@ -16,9 +16,11 @@ from .core import (
     SubSemigroup,
     closure,
     factorize_element,
+    generates,
     is_cancellative,
     is_group,
     monoid_completion,
+    shortlex_factorizer,
     shortlex_forms,
     strong_semilattice,
     validate_table,

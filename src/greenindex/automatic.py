@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .core import FiniteSemigroup, SubSemigroup, closure, shortlex_forms
+from .core import FiniteSemigroup, SubSemigroup, generates, shortlex_forms
 from .errors import (
     AlphabetMismatch,
     DelayExceeded,
@@ -646,7 +646,7 @@ def structure_for_finite(sem: FiniteSemigroup, gens: Sequence[int]) -> Automatic
     normal forms as the word acceptor, multiplier relations listed pair by
     pair."""
     gens = sorted(set(gens))
-    if closure(sem, gens).members != frozenset(sem.elements):
+    if not generates(sem, gens, sem.elements):
         raise NotGenerating("the given set does not generate the semigroup")
     letters = {g: f"a{g}" for g in gens}
     alphabet = tuple(letters[g] for g in gens)
@@ -1067,12 +1067,18 @@ def structure_from_json(data: dict) -> AutomaticStructure:
         letter_eval = {str(k): int(v) for k, v in data["letter_eval"].items()}
         acceptor = nfa_from_json(data["acceptor"])
         multipliers = {}
+        # multipliers with equal JSON share one relation, as after transfer
+        loaded: list[tuple[dict, PaddedRelationNfa]] = []
         for key, sub in data["multipliers"].items():
-            multipliers[str(key)] = PaddedRelationNfa(
-                left_alphabet=alphabet,
-                right_alphabet=alphabet,
-                nfa=nfa_from_json(sub),
-            )
+            rel = next((r for seen, r in loaded if seen == sub), None)
+            if rel is None:
+                rel = PaddedRelationNfa(
+                    left_alphabet=alphabet,
+                    right_alphabet=alphabet,
+                    nfa=nfa_from_json(sub),
+                )
+                loaded.append((sub, rel))
+            multipliers[str(key)] = rel
     except (KeyError, TypeError):
         raise InputError("malformed structure JSON")
     return AutomaticStructure(

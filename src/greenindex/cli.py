@@ -22,7 +22,7 @@ from .core import (
     BlackBoxSemigroup,
     FiniteSemigroup,
     SubSemigroup,
-    closure,
+    generates,
     is_cancellative,
     is_group,
 )
@@ -82,6 +82,13 @@ def _ints(text: str) -> list[int]:
         return [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise InputError(f"expected comma-separated integers, got {text!r}")
+
+
+def _index(value: int, limit: int, what: str) -> int:
+    """An element index in [0, limit); a negative one would silently wrap."""
+    if not 0 <= value < limit:
+        raise OutOfRange(f"{what} {value} not in [0, {limit})")
+    return value
 
 
 def _letters(text: str) -> tuple[str, ...]:
@@ -179,7 +186,7 @@ def cmd_connectors(args) -> int:
 def cmd_rewrite(args) -> int:
     sem, sub, green = _green(args)
     conn = rg.connectors(green)
-    word = _ints(args.word)
+    word = [_index(s, sem.order + 1, "--word letter") for s in _ints(args.word)]
     if not 0 <= args.class_index < green.class_count:
         raise InputError("class index out of range")
     push = rw.push_right if args.direction == "right" else rw.push_left
@@ -208,7 +215,7 @@ def cmd_schreier(args) -> int:
     conn = rg.connectors(green)
     gens = _ints(args.gens)
     bset, factorizer = rw.schreier_generators(sem, gens, sub, green, conn)
-    closed = closure(sem, bset).members == sub.members if bset else False
+    closed = generates(sem, bset, sub.members) if bset else False
     samples = {
         str(t): list(factorizer(t)) for t in sub.sorted_members()
     }
@@ -225,7 +232,7 @@ def cmd_schreier(args) -> int:
 
 def cmd_schutz(args) -> int:
     sem, sub, green = _green(args)
-    h_class = green.h_class_of(args.class_of)
+    h_class = green.h_class_of(_index(args.class_of, sem.order, "--class-of"))
     grp = sc.schutz_group(sem, sub, h_class, min(h_class), green=green)
     fam = sc.lambda_data(sem, sub, green, h_class, min(h_class))
     b_gens = _ints(args.sub_gens) if args.sub_gens else list(sub.sorted_members())
@@ -331,7 +338,8 @@ def cmd_growth_series(args) -> int:
         if not args.semigroup:
             raise InputError("need --semigroup or --blackbox")
         sem = _load_semigroup(args.semigroup)
-        series = gr.growth_function(sem, _ints(args.gens), args.max)
+        gens = [_index(g, sem.order + 1, "--gens element") for g in _ints(args.gens)]
+        series = gr.growth_function(sem, gens, args.max)
         disclaimer = None
     out = {"series": list(series)}
     if disclaimer:

@@ -345,15 +345,43 @@ def shortlex_forms(
     return forms
 
 
+def shortlex_factorizer(
+    sem: FiniteSemigroup, gens: Sequence[int]
+) -> Callable[[int], tuple[int, ...]]:
+    """Lookup of shortest-then-lexicographic words over ``gens``.
+
+    The forms are computed by one :func:`shortlex_forms` pass on the first
+    lookup and read by every later one.  A lookup raises
+    ``NotInSubsemigroup`` for an element the generators do not reach.
+    """
+    gens = list(gens)
+    forms: dict[int, tuple[int, ...]] | None = None
+
+    def factor(target: int) -> tuple[int, ...]:
+        nonlocal forms
+        if forms is None:
+            forms = shortlex_forms(sem, gens)
+        word = forms.get(target)
+        if word is None:
+            raise NotInSubsemigroup(f"{target} is not generated by {gens}")
+        return word
+
+    return factor
+
+
 def factorize_element(
     sem: FiniteSemigroup, gens: Sequence[int], target: int
 ) -> tuple[int, ...]:
     """Shortest-then-lexicographic word over ``gens`` evaluating to
     ``target``; raises ``NotInSubsemigroup`` when unreachable."""
-    forms = shortlex_forms(sem, gens)
-    if target not in forms:
-        raise NotInSubsemigroup(f"{target} is not generated by {list(gens)}")
-    return forms[target]
+    return shortlex_factorizer(sem, gens)(target)
+
+
+def generates(sem: FiniteSemigroup, gens: Iterable[int],
+              members: Iterable[int]) -> bool:
+    """True iff ``gens`` generates exactly the subsemigroup ``members``.
+    Raises like :func:`closure` for an empty or out-of-range ``gens``."""
+    return closure(sem, gens).members == frozenset(members)
 
 
 @dataclass(frozen=True)

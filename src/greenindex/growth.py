@@ -5,14 +5,15 @@ explicit constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .core import (
     BlackBoxSemigroup,
     FiniteSemigroup,
     SubSemigroup,
-    closure,
-    factorize_element,
+    generates,
+    shortlex_factorizer,
 )
 from .errors import BudgetExceeded, HypothesisFails, InputError, NotGenerating
 
@@ -29,6 +30,47 @@ class _Identity:
 IDENTITY = _Identity()
 
 
+def _balls(sem, gens, start, budget: int):
+    """Yield the ball around ``start`` for radii 0, 1, 2, ... from one BFS,
+    each level extending the previous ball in place: a set of S^1 indices
+    for a FiniteSemigroup, a dict from canonical key to element (in
+    discovery order) for a BlackBoxSemigroup."""
+    if isinstance(sem, FiniteSemigroup):
+        ball = {start}
+        frontier = [start]
+        while True:
+            yield ball
+            new = []
+            for x in frontier:
+                for g in gens:
+                    p = sem.mul1(x, g)
+                    if p not in ball:
+                        ball.add(p)
+                        new.append(p)
+            frontier = new
+    elif isinstance(sem, BlackBoxSemigroup):
+        enc = sem.encode
+        seen = {("id",) if start is IDENTITY else ("elt", enc(start)): start}
+        frontier = [start]
+        while True:
+            yield seen
+            new = []
+            for x in frontier:
+                for g in gens:
+                    p = g if x is IDENTITY else sem.multiply(x, g)
+                    key = ("elt", enc(p))
+                    if key not in seen:
+                        if len(seen) >= budget:
+                            raise BudgetExceeded(
+                                f"more than {budget} distinct elements explored"
+                            )
+                        seen[key] = p
+                        new.append(p)
+            frontier = new
+    else:
+        raise InputError("unsupported semigroup kind")
+
+
 def out_ball(sem, gens, start, radius: int, budget: int = DEFAULT_BUDGET):
     """Elements reachable from ``start`` by right-multiplying at most
     ``radius`` factors from the generating set (identity factors allowed, so
@@ -42,62 +84,24 @@ def out_ball(sem, gens, start, radius: int, budget: int = DEFAULT_BUDGET):
     """
     if radius < 0:
         raise InputError("radius must be nonnegative")
-    if isinstance(sem, FiniteSemigroup):
-        ball = {start}
-        frontier = [start]
-        for _ in range(radius):
-            new = []
-            for x in frontier:
-                for g in gens:
-                    p = sem.mul1(x, g)
-                    if p not in ball:
-                        ball.add(p)
-                        new.append(p)
-            if not new:
-                break
-            frontier = new
-        return frozenset(ball)
-    if isinstance(sem, BlackBoxSemigroup):
-        enc = sem.encode
-        seen = {("id",) if start is IDENTITY else ("elt", enc(start)): start}
-        frontier = [start]
-        for _ in range(radius):
-            new = []
-            for x in frontier:
-                for g in gens:
-                    p = g if x is IDENTITY else sem.multiply(x, g)
-                    key = ("elt", enc(p))
-                    if key not in seen:
-                        if len(seen) >= budget:
-                            raise BudgetExceeded(
-                                f"more than {budget} distinct elements explored"
-                            )
-                        seen[key] = p
-                        new.append(p)
-            if not new:
-                break
-            frontier = new
-        return tuple(seen.values())
-    raise InputError("unsupported semigroup kind")
+    ball = next(islice(_balls(sem, gens, start, budget), radius, None))
+    if isinstance(ball, dict):
+        return tuple(ball.values())
+    return frozenset(ball)
 
 
 GrowthSeries = tuple[int, ...]
 
 
 def growth_function(sem, gens, m_max: int, budget: int = DEFAULT_BUDGET) -> GrowthSeries:
-    """Ball sizes around the adjoined identity for radii 0..m_max."""
+    """Ball sizes around the adjoined identity for radii 0..m_max, read off
+    one BFS level by level."""
     if m_max < 0:
         raise InputError("m_max must be nonnegative")
-    if isinstance(sem, FiniteSemigroup):
-        start = sem.order
-    elif isinstance(sem, BlackBoxSemigroup):
-        start = IDENTITY
-    else:
-        raise InputError("unsupported semigroup kind")
-    series = []
-    for m in range(m_max + 1):
-        series.append(len(out_ball(sem, gens, start, m, budget=budget)))
-    return tuple(series)
+    start = sem.order if isinstance(sem, FiniteSemigroup) else IDENTITY
+    return tuple(
+        len(ball) for ball in islice(_balls(sem, gens, start, budget), m_max + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,7 @@ def domination_check(
     T and generate it (NotGenerating otherwise).
     """
     if not set(b_gens) <= sub.members or \
-            closure(sem, b_gens).members != sub.members:
+            not generates(sem, b_gens, sub.members):
         raise NotGenerating("the given set does not generate T")
     n = sem.order
     r_sorted = sorted(set(r_set))
@@ -138,32 +142,26 @@ def domination_check(
         if not 0 <= r <= n:
             raise InputError(f"R element {r} is not an S^1 index")
     t_one = list(sub.sorted_members()) + [n]
-
-    def decompose(s):
-        for r in r_sorted:
-            for t in t_one:
-                if sem.mul1(r, t) == s:
-                    return r, t
-        return None
-
+    # the first (r, t) in R x T^1 order for each product r * t
+    decomposition: dict[int, tuple[int, int]] = {}
+    for r in r_sorted:
+        for t in t_one:
+            decomposition.setdefault(sem.mul1(r, t), (r, t))
     for s in range(n + 1):
-        if decompose(s) is None:
+        if s not in decomposition:
             raise HypothesisFails(f"element {s} has no decomposition r * t")
 
     a_gens = sorted(set(b_gens) | set(r_sorted))
     b_sorted = sorted(set(b_gens))
-
-    def length_b(t):
-        if t == n:
-            return 0
-        return len(factorize_element(sem, b_sorted, t))
+    factor_b = shortlex_factorizer(sem, b_sorted)
 
     k1 = len(r_sorted)
     k2 = 1
     for a1 in a_gens:
         for a2 in a_gens:
-            _, mu = decompose(sem.mul1(a1, a2))
-            k2 = max(k2, length_b(mu))
+            _, mu = decomposition[sem.mul1(a1, a2)]
+            if mu != n:
+                k2 = max(k2, len(factor_b(mu)))
 
     g_s = growth_function(sem, [g for g in a_gens if g != n], m_max)
     g_t = growth_function(sem, b_sorted, k2 * m_max)

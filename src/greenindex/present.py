@@ -12,9 +12,15 @@ closed finite quotient or reports that a bound was hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .core import FiniteSemigroup, SubSemigroup, closure, factorize_element
+from .core import (
+    FiniteSemigroup,
+    SubSemigroup,
+    factorize_element,
+    generates,
+    shortlex_factorizer,
+)
 from .errors import (
     BadInputPresentation,
     BoundExceeded,
@@ -419,7 +425,7 @@ def verify_presentation(
         if evaluate_word(sem, assignment, u) != evaluate_word(sem, assignment, v):
             return False
     images = {assignment[a] for a in pres.alphabet}
-    if closure(sem, images).members != frozenset(sem.elements):
+    if not generates(sem, images, sem.elements):
         return False
     if max_classes is None:
         max_classes = max(4 * sem.order, 64)
@@ -448,6 +454,25 @@ def verify_sub_presentation(
             return False
     local = {a: fwd[assignment[a]] for a in pres.alphabet}
     return verify_presentation(pres, sem, local, **bounds)
+
+
+def _letter_factorizer(
+    sem: FiniteSemigroup, q_pres: Presentation, q_assign: Mapping[str, int]
+) -> Callable[[int], Word]:
+    """Shortlex words over the base letters, from one set of shortlex forms:
+    each element is spelled by its least letter, and the adjoined identity
+    by the empty word."""
+    letter_of: dict[int, str] = {}
+    for a in sorted(q_pres.alphabet):
+        letter_of.setdefault(q_assign[a], a)
+    factor = shortlex_factorizer(sem, sorted(letter_of))
+
+    def word(elt: int) -> Word:
+        if elt == sem.order:
+            return ()
+        return tuple(letter_of[e] for e in factor(elt))
+
+    return word
 
 
 @dataclass(frozen=True)
@@ -486,16 +511,7 @@ def build_schutz_packs(
     class, or the empty word when only the adjoined identity remains.
     """
     n = sem.order
-    b_elems = sorted({q_assign[a] for a in q_pres.alphabet})
-    letter_of = {}
-    for a in sorted(q_pres.alphabet):
-        letter_of.setdefault(q_assign[a], a)
-
-    def lift_word(elt: int) -> Word:
-        if elt == n:
-            return ()
-        return tuple(letter_of[e] for e in factorize_element(sem, b_elems, elt))
-
+    lift_word = _letter_factorizer(sem, q_pres, q_assign)
     groups = {
         i: schutz_group(
             sem, sub, green.complement_classes[i - 1], green.rep_of(i), green=green
@@ -616,15 +632,7 @@ def synthesize_presentation(
     for i in range(1, k + 1):
         assignment[d_letter[i]] = green.rep_of(i)
 
-    b_elems = sorted({q_assign[a] for a in q_pres.alphabet})
-    letter_of = {}
-    for a in sorted(q_pres.alphabet):
-        letter_of.setdefault(q_assign[a], a)
-
-    def factor_word(elt: int) -> Word:
-        if elt == sem.order:
-            return ()
-        return tuple(letter_of[e] for e in factorize_element(sem, b_elems, elt))
+    factor_word = _letter_factorizer(sem, q_pres, q_assign)
 
     def d_word(i: int) -> Word:
         return (d_letter[i],) if i else ()

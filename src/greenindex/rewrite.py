@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .core import FiniteSemigroup, closure, factorize_element
+from .core import FiniteSemigroup, generates, shortlex_factorizer
 from .errors import (
     InternalInconsistency,
     InvalidLetter,
@@ -92,7 +92,7 @@ def schreier_generators(
     right to left, then the resulting representative left to right).
     """
     n = sem.order
-    if closure(sem, gens).members != frozenset(sem.elements):
+    if not generates(sem, gens, sem.elements):
         raise NotGenerating("the given set does not generate S")
     k1 = green.class_count
     bset = set()
@@ -103,13 +103,12 @@ def schreier_generators(
                 b = conn.right_factor[i][t]
                 if b != n:
                     bset.add(b)
-    gens_sorted = sorted(set(gens))
+    factor = shortlex_factorizer(sem, sorted(set(gens)))
 
     def factorizer(t: int) -> tuple[int, ...]:
         if t not in sub.members:
             raise NotInSubsemigroup(f"{t} is not in the subsemigroup")
-        word = factorize_element(sem, gens_sorted, t)
-        first = push_left(IDENTITY_CLASS, word, conn)
+        first = push_left(IDENTITY_CLASS, factor(t), conn)
         second = push_right(first.output_class, first.output_word, conn)
         if second.output_class != IDENTITY_CLASS:
             raise InternalInconsistency(
@@ -126,7 +125,7 @@ def extended_generators(
     """Generators of S from generators of T: adjoin the complement class
     representatives."""
     sub = green.sub
-    if closure(green.sem, b_gens).members != sub.members:
+    if not generates(green.sem, b_gens, sub.members):
         raise NotGenerating("the given set does not generate T")
     return frozenset(b_gens) | set(green.reps)
 

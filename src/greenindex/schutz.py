@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FiniteSemigroup, SubSemigroup, closure, is_group, validate_table
+from .core import (
+    FiniteSemigroup,
+    SubSemigroup,
+    closure,
+    generates,
+    is_group,
+    validate_table,
+)
 from .errors import (
     InternalInconsistency,
     NotAnHClass,
@@ -194,7 +201,7 @@ def schutz_generators(
     generator's translation through the class-connecting witnesses.  Returns
     group element indices."""
     sem = family.sem
-    if closure(sem, b_gens).members != family.sub.members:
+    if not generates(sem, b_gens, family.sub.members):
         raise NotGenerating("the given set does not generate T")
     out = set()
     for p in range(len(family.classes)):

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import random
 
-from greenindex import automatic, core, factories
+from greenindex import automatic, core, factories, growth
 from greenindex.automatic import PAD
-from greenindex.errors import InputError
+from greenindex.errors import (
+    GreenIndexError,
+    HypothesisFails,
+    InputError,
+    NotGenerating,
+    NotInSubsemigroup,
+)
 
 
 def fixed_instances():
@@ -190,3 +196,83 @@ def reference_verify_structure_report(st, target, max_len):
                         f" acceptor ({u}, {v})"
                     )
     return True, "ok"
+
+
+def reference_factorize_element(sem, gens, target):
+    """``core.factorize_element`` by its definition: a fresh shortlex BFS
+    for every target."""
+    forms = core.shortlex_forms(sem, gens)
+    if target not in forms:
+        raise NotInSubsemigroup(f"{target} is not generated by {list(gens)}")
+    return forms[target]
+
+
+def reference_domination_check(sem, sub, r_set, b_gens, m_max):
+    """``growth.domination_check`` by its definition: each element's
+    decomposition is a fresh scan of R x T^1, each generator length a fresh
+    factorization, and each growth series entry a fresh out-ball."""
+    if not set(b_gens) <= sub.members or \
+            core.closure(sem, b_gens).members != sub.members:
+        raise NotGenerating("the given set does not generate T")
+    n = sem.order
+    r_sorted = sorted(set(r_set))
+    if n not in r_sorted:
+        raise HypothesisFails("the adjoined identity must belong to R")
+    for r in r_sorted:
+        if not 0 <= r <= n:
+            raise InputError(f"R element {r} is not an S^1 index")
+    t_one = list(sub.sorted_members()) + [n]
+
+    def decompose(s):
+        for r in r_sorted:
+            for t in t_one:
+                if sem.mul1(r, t) == s:
+                    return r, t
+        return None
+
+    for s in range(n + 1):
+        if decompose(s) is None:
+            raise HypothesisFails(f"element {s} has no decomposition r * t")
+
+    a_gens = sorted(set(b_gens) | set(r_sorted))
+    b_sorted = sorted(set(b_gens))
+
+    def length_b(t):
+        if t == n:
+            return 0
+        return len(reference_factorize_element(sem, b_sorted, t))
+
+    k1 = len(r_sorted)
+    k2 = 1
+    for a1 in a_gens:
+        for a2 in a_gens:
+            _, mu = decompose(sem.mul1(a1, a2))
+            k2 = max(k2, length_b(mu))
+
+    def series(gens, m):
+        return [len(growth.out_ball(sem, gens, n, r)) for r in range(m + 1)]
+
+    g_s = series([g for g in a_gens if g != n], m_max)
+    g_t = series(b_sorted, k2 * m_max)
+    rows = []
+    holds = True
+    for m in range(m_max + 1):
+        bound = k1 * g_t[k2 * m]
+        rows.append((m, g_s[m], bound))
+        holds &= g_s[m] <= bound
+    return growth.DominationReport(
+        k1=k1,
+        k2=k2,
+        r_set=tuple(r_sorted),
+        rows=tuple(rows),
+        holds=holds,
+    )
+
+
+def outcome(fn, *args):
+    """The value of a call, or the type and message of the library error it
+    raised."""
+    try:
+        return fn(*args)
+    except GreenIndexError as exc:
+        return type(exc), str(exc)

@@ -332,6 +332,31 @@ def test_transfer_structure_round_trip_json(z6, t03, t3_transfer):
     assert au.verify_structure_report(again3, ideal, 3) == (True, "ok")
 
 
+def test_loaded_structure_shares_equal_multipliers(t3_transfer, monkeypatch):
+    _st, ideal, _green, res = t3_transfer
+    text = json.dumps(au.structure_to_json(res.structure))
+    loaded = au.structure_from_json(json.loads(text))
+    mults = loaded.multipliers
+    # one relation per distinct multiplier JSON, as in the transferred copy
+    assert len({id(m) for m in mults.values()}) == 19 == len(
+        {id(m) for m in res.structure.multipliers.values()})
+    as_json = {key: au.nfa_to_json(rel.nfa) for key, rel in mults.items()}
+    for a in mults:
+        for b in mults:
+            assert (mults[a] is mults[b]) == (as_json[a] == as_json[b])
+    assert json.dumps(au.structure_to_json(loaded)) == text
+    enumerated = []
+    real = au.Nfa.enumerate_words
+
+    def counted(nfa, max_len):
+        enumerated.append(id(nfa))
+        return real(nfa, max_len)
+
+    monkeypatch.setattr(au.Nfa, "enumerate_words", counted)
+    assert au.verify_structure_report(loaded, ideal, 3) == (True, "ok")
+    assert len(enumerated) == 1 + 19  # the acceptor, then each multiplier
+
+
 def broken_variants(st, key, max_len):
     """Copies of a structure whose multiplier ``key`` drops two pairs, gains
     two wrong pairs, gains a pair outside the acceptor, accepts a malformed

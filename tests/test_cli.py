@@ -206,3 +206,38 @@ def test_growth_dominate_rejects_generators_outside_t(files, capsys):
                     "--sub", sub_path, "--r", "0,1,2,6", "--sub-gens", "1",
                     "--max", "6")
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["schutz", "--class-of", "9"], "--class-of 9 not in [0, 6)"),
+    (["schutz", "--class-of", "-1"], "--class-of -1 not in [0, 6)"),
+    (["rewrite", "--class-index", "0", "--word", "3,99"],
+     "--word letter 99 not in [0, 7)"),
+    (["rewrite", "--class-index", "0", "--word", "3,-2"],
+     "--word letter -2 not in [0, 7)"),
+], ids=["class-of-too-big", "class-of-negative", "word-too-big", "word-negative"])
+def test_element_indices_out_of_range(files, capsys, argv, message):
+    # too big used to end in an IndexError; negative silently wrapped
+    sem_path, sub_path, _ = files
+    code = cli.main([*argv, "--semigroup", sem_path, "--sub", sub_path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_growth_series_rejects_generators_out_of_range(files, capsys):
+    sem_path, _, _ = files
+    for gens in ("9", "-1"):
+        code = cli.main(["growth", "series", "--semigroup", sem_path,
+                         "--gens", gens, "--max", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: --gens element")
+    # the adjoined identity (index 6) is an S^1 element and stays accepted
+    code, out = run(capsys, "growth", "series", "--semigroup", sem_path,
+                    "--gens", "1,6", "--max", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["series"] == [1, 2, 3, 4]
+    code, out = run(capsys, "rewrite", "--semigroup", sem_path, "--sub",
+                    files[1], "--class-index", "1", "--word", "3,6",
+                    "--format", "json")
+    assert code == 0 and json.loads(out)["word"] == [3, 6]

@@ -1,13 +1,21 @@
 import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greenindex import core, factories, growth
+from greenindex import core, factories, growth, relgreen
 from greenindex.errors import (
     BudgetExceeded,
     HypothesisFails,
     InputError,
     NotGenerating,
+)
+from helpers import (
+    outcome,
+    random_pairs,
+    reference_domination_check,
+    semigroup_tables,
 )
 
 
@@ -96,3 +104,94 @@ def test_domination_rejects_generators_not_generating_t(z6, t03):
     # 0 lies in T but generates only {0}
     with pytest.raises(NotGenerating):
         growth.domination_check(z6, t03, [0, 1, 2, 6], [0], 6)
+
+
+def test_growth_series_is_ball_sizes(instances):
+    # one BFS gives the same series as one out-ball per radius
+    cases = [(sem, list(a)) for _n, sem, _t, a, _b in instances]
+    cases += [(sem, sorted(sub.members)) for sem, sub in random_pairs(12)]
+    for sem, gens in cases:
+        m_max = sem.order + 2
+        want = [len(growth.out_ball(sem, gens, sem.order, m))
+                for m in range(m_max + 1)]
+        assert list(growth.growth_function(sem, gens, m_max)) == want
+    for gens in ([1], [2, 3], [1, -1]):
+        nat = core.BlackBoxSemigroup(multiply=operator.add, generators=(1,))
+        want = [len(growth.out_ball(nat, gens, growth.IDENTITY, m))
+                for m in range(9)]
+        assert list(growth.growth_function(nat, gens, 8)) == want
+
+
+def test_growth_series_budget():
+    nat = core.BlackBoxSemigroup(multiply=operator.add, generators=(1,))
+    # the ball of radius 10 is the identity and 1..10: exactly the budget
+    assert growth.growth_function(nat, [1], 10, budget=11)[-1] == 11
+    with pytest.raises(BudgetExceeded):
+        growth.growth_function(nat, [1], 11, budget=11)
+    with pytest.raises(BudgetExceeded):
+        growth.out_ball(nat, [1], growth.IDENTITY, 11, budget=11)
+    with pytest.raises(InputError):
+        growth.growth_function(nat, [1], -1)
+    with pytest.raises(InputError):
+        growth.growth_function(object(), [1], 3)
+
+
+def _domination_cases(sem, sub, rng_r, rng_b):
+    green = relgreen.relative_green(sem, sub)
+    n = sem.order
+    r_set = sorted(set(green.reps) | {n})
+    members = sub.sorted_members()
+    yield r_set, members
+    yield r_set, [members[0]]
+    yield r_set, list(rng_b)
+    yield r_set[:-1], members            # identity missing
+    yield [n], members                   # too few representatives
+    yield r_set + [n + 2], members       # not an S^1 index
+    yield list(rng_r) + [n], members
+
+
+def test_domination_matches_reference_on_fixed_instances(instances):
+    for _name, sem, sub, a_gens, b_gens in instances:
+        n = sem.order
+        for r_set, gens in _domination_cases(sem, sub, range(n), a_gens):
+            for m_max in (0, 3, 8):
+                got = outcome(growth.domination_check, sem, sub, r_set, gens, m_max)
+                want = outcome(reference_domination_check, sem, sub, r_set, gens, m_max)
+                assert got == want, (_name, r_set, gens, m_max)
+        got = outcome(growth.domination_check, sem, sub, [n, *a_gens], b_gens, 6)
+        assert got == outcome(reference_domination_check, sem, sub,
+                              [n, *a_gens], b_gens, 6)
+
+
+_TABLES = None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10 ** 9), st.data())
+def test_domination_matches_reference_on_small_tables(n, pick, data):
+    global _TABLES
+    if _TABLES is None:
+        _TABLES = {k: list(semigroup_tables(k)) for k in (1, 2, 3)}
+    sem = core.validate_table(_TABLES[n][pick % len(_TABLES[n])])
+    elems = st.integers(0, n - 1)
+    sub = core.closure(sem, data.draw(st.lists(elems, min_size=1, max_size=2)))
+    r_set = data.draw(st.lists(st.integers(-1, n + 1), max_size=n + 2))
+    b_gens = data.draw(st.lists(elems, min_size=0, max_size=3))
+    m_max = data.draw(st.integers(0, 5))
+    for r, b in ((r_set, b_gens), (r_set, sorted(sub.members)),
+                 (r_set + [n], sorted(sub.members))):
+        assert outcome(growth.domination_check, sem, sub, r, b, m_max) == \
+            outcome(reference_domination_check, sem, sub, r, b, m_max)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.data())
+def test_domination_matches_reference_on_random_pairs(seed, data):
+    sem, sub = random_pairs(1, seed=seed)[0]
+    n = sem.order
+    extra = data.draw(st.lists(st.integers(0, n), max_size=4))
+    b_gens = data.draw(st.lists(st.sampled_from(sub.sorted_members()),
+                                min_size=1, max_size=3))
+    for r_set, gens in _domination_cases(sem, sub, extra, b_gens):
+        assert outcome(growth.domination_check, sem, sub, r_set, gens, 4) == \
+            outcome(reference_domination_check, sem, sub, r_set, gens, 4)
