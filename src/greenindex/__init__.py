@@ -47,6 +47,7 @@ from .schutz import (
     HClassFamily,
     SchutzGroup,
     check_L_R_transport,
+    class_group,
     groups_isomorphic,
     lambda_data,
     schutz_generators,
@@ -57,7 +58,6 @@ from .present import (
     SchutzPresentationPack,
     build_schutz_packs,
     enumerate_presentation,
-    factorize,
     presentation_from_table,
     sub_table_presentation,
     synthesize_presentation,
@@ -75,7 +75,6 @@ from .automatic import (
     invert,
     project,
     structure_for_finite,
-    transfer,
     transfer_details,
     verify_structure,
 )

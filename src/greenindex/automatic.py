@@ -210,88 +210,6 @@ def determinize(nfa: Nfa) -> Nfa:
     )
 
 
-def _require_same_alphabet(a: Nfa, b: Nfa):
-    if set(a.alphabet) != set(b.alphabet):
-        raise AlphabetMismatch("operands use different alphabets")
-
-
-def complement(nfa: Nfa) -> Nfa:
-    dfa = determinize(nfa)
-    return Nfa(
-        alphabet=dfa.alphabet,
-        n_states=dfa.n_states,
-        transitions=dfa.transitions,
-        initial=dfa.initial,
-        accepting=frozenset(range(dfa.n_states)) - dfa.accepting,
-    )
-
-
-def intersect(a: Nfa, b: Nfa) -> Nfa:
-    _require_same_alphabet(a, b)
-    da, db = determinize(a), determinize(b)
-    alphabet = da.alphabet
-    delta_a = {(s, x): d for s, x, d in da.transitions}
-    delta_b = {(s, x): d for s, x, d in db.transitions}
-    start = (next(iter(da.initial)), next(iter(db.initial)))
-    index = {start: 0}
-    order = [start]
-    trans = []
-    pos = 0
-    while pos < len(order):
-        qa, qb = order[pos]
-        for sym in alphabet:
-            tgt = (delta_a[(qa, sym)], delta_b[(qb, sym)])
-            if tgt not in index:
-                index[tgt] = len(order)
-                order.append(tgt)
-            trans.append((pos, sym, index[tgt]))
-        pos += 1
-    accepting = frozenset(
-        i for (qa, qb), i in index.items()
-        if qa in da.accepting and qb in db.accepting
-    )
-    return Nfa(
-        alphabet=alphabet,
-        n_states=len(order),
-        transitions=tuple(trans),
-        initial=frozenset({0}),
-        accepting=accepting,
-    )
-
-
-def union(a: Nfa, b: Nfa) -> Nfa:
-    _require_same_alphabet(a, b)
-    shift = a.n_states
-    trans = list(a.transitions) + [
-        (s + shift, x, d + shift) for s, x, d in b.transitions
-    ]
-    return Nfa(
-        alphabet=a.alphabet,
-        n_states=a.n_states + b.n_states,
-        transitions=tuple(trans),
-        initial=a.initial | frozenset(q + shift for q in b.initial),
-        accepting=a.accepting | frozenset(q + shift for q in b.accepting),
-    )
-
-
-def concatenate(a: Nfa, b: Nfa) -> Nfa:
-    _require_same_alphabet(a, b)
-    shift = a.n_states
-    trans = list(a.transitions) + [
-        (s + shift, x, d + shift) for s, x, d in b.transitions
-    ]
-    for q in a.accepting:
-        for r in b.initial:
-            trans.append((q, None, r + shift))
-    return Nfa(
-        alphabet=a.alphabet,
-        n_states=a.n_states + b.n_states,
-        transitions=tuple(trans),
-        initial=a.initial,
-        accepting=frozenset(q + shift for q in b.accepting),
-    )
-
-
 @dataclass(frozen=True)
 class PairAlphabet:
     """The padded pair alphabet of two track alphabets, held as the tracks.
@@ -350,10 +268,6 @@ class PairAlphabet:
         raise ValueError(f"{sym!r} is not in the pair alphabet")
 
 
-def pair_alphabet(left: Sequence[str], right: Sequence[str]) -> PairAlphabet:
-    return PairAlphabet(left, right)
-
-
 def convolve(u: Sequence[str], v: Sequence[str]) -> tuple:
     """Synchronous padded encoding of a word pair."""
     m, n = len(u), len(v)
@@ -396,7 +310,7 @@ class PaddedRelationNfa:
 
     @staticmethod
     def from_pairs(left_alphabet, right_alphabet, pairs) -> "PaddedRelationNfa":
-        alpha = pair_alphabet(left_alphabet, right_alphabet)
+        alpha = PairAlphabet(left_alphabet, right_alphabet)
         words = [convolve(u, v) for u, v in pairs]
         return PaddedRelationNfa(
             left_alphabet=tuple(left_alphabet),
@@ -422,7 +336,7 @@ def invert(rel: PaddedRelationNfa) -> PaddedRelationNfa:
         left_alphabet=rel.right_alphabet,
         right_alphabet=rel.left_alphabet,
         nfa=Nfa(
-            alphabet=pair_alphabet(rel.right_alphabet, rel.left_alphabet),
+            alphabet=PairAlphabet(rel.right_alphabet, rel.left_alphabet),
             n_states=rel.nfa.n_states,
             transitions=swapped,
             initial=rel.nfa.initial,
@@ -507,7 +421,7 @@ def compose_relations(
         for (y, z), dsts in out2[q].items():
             grouped.setdefault(y, []).append((z, dsts))
         by_mid.append(grouped)
-    out_alpha = pair_alphabet(r1.left_alphabet, r2.right_alphabet)
+    out_alpha = PairAlphabet(r1.left_alphabet, r2.right_alphabet)
 
     index: dict = {}
     order: list = []
@@ -805,8 +719,7 @@ def transfer_relation(st, green: GreenData, conn: ConnectorTables,
     if letters is None:
         letters = _transfer_letters(st, green, conn)
     ev = {a: st.letter_eval[a] for a in st.alphabet}
-    k1 = green.class_count
-    alpha = pair_alphabet(st.alphabet, letters.names)
+    alpha = PairAlphabet(st.alphabet, letters.names)
 
     states: dict = {"start": 0}
     trans = []
@@ -935,16 +848,6 @@ def transfer_details(
     )
 
 
-def transfer(
-    st: AutomaticStructure,
-    sub: SubSemigroup,
-    green: GreenData,
-    conn: ConnectorTables,
-    delay_bound: int | None = None,
-) -> AutomaticStructure:
-    return transfer_details(st, sub, green, conn, delay_bound).structure
-
-
 def _first_words(st, sem, targets, cap) -> dict[int, tuple]:
     """The shortlex-first acceptor word of each target element, from one
     scan that stops once all are found or words grow longer than ``cap``."""
@@ -967,7 +870,7 @@ def _rewrite_pair(st, green, conn, letters, u):
     or None when the word evaluates outside the subsemigroup."""
     sem = green.sem
     elems = [st.letter_eval[a] for a in u]
-    if green.class_of(sem.prod1(elems)) != 0 or sem.prod1(elems) == sem.order:
+    if sem.prod1(elems) not in green.sub.members:
         return None
     m = len(u)
     i_chain = [0] * (m + 1)  # i_chain[k] is the subscript of letter k (1-based)
@@ -990,7 +893,6 @@ def _finite_language(nfa: Nfa) -> list[tuple]:
     """All words of a finite language, shortlex; raises InputError if the
     language is infinite."""
     out = []
-    cap = nfa.n_states + 1
     for w in nfa.iter_words():
         if len(w) > nfa.n_states:
             raise InputError("word acceptor language is not finite")
@@ -1064,7 +966,10 @@ def structure_to_json(st: AutomaticStructure) -> dict:
 def structure_from_json(data: dict) -> AutomaticStructure:
     try:
         alphabet = tuple(str(a) for a in data["alphabet"])
-        letter_eval = {str(k): int(v) for k, v in data["letter_eval"].items()}
+        letter_eval = {str(k): v for k, v in data["letter_eval"].items()}
+        if any(isinstance(v, bool) or not isinstance(v, int)
+               for v in letter_eval.values()):
+            raise InputError("letter_eval values must be integers")
         acceptor = nfa_from_json(data["acceptor"])
         multipliers = {}
         # multipliers with equal JSON share one relation, as after transfer

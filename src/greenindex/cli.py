@@ -70,11 +70,11 @@ def _load_semigroup(path: str) -> FiniteSemigroup:
 
 def _load_sub(sem: FiniteSemigroup, path: str) -> SubSemigroup:
     data = _load_json(path)
-    try:
-        members = frozenset(int(x) for x in data["members"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError("subsemigroup JSON needs a 'members' list")
-    return SubSemigroup(parent=sem, members=members)
+    members = data.get("members") if isinstance(data, dict) else None
+    if not isinstance(members, list) or any(
+            isinstance(x, bool) or not isinstance(x, int) for x in members):
+        raise InputError("subsemigroup JSON needs a 'members' list of integers")
+    return SubSemigroup(parent=sem, members=frozenset(members))
 
 
 def _ints(text: str) -> list[int]:
@@ -384,6 +384,8 @@ def cmd_auto_build(args) -> int:
 def cmd_auto_verify(args) -> int:
     sem = _load_semigroup(args.semigroup)
     st = au.structure_from_json(_load_json(args.structure))
+    for v in st.letter_eval.values():
+        _index(v, sem.order, "letter_eval entry")
     target = _load_sub(sem, args.sub) if args.sub else sem
     ok, reason = au.verify_structure_report(st, target, args.max_len)
     print(_dump({"verified": ok, "reason": reason}))
@@ -394,6 +396,8 @@ def cmd_auto_transfer(args) -> int:
     sem = _load_semigroup(args.semigroup)
     sub = _load_sub(sem, args.sub)
     st = au.structure_from_json(_load_json(args.structure))
+    for v in st.letter_eval.values():
+        _index(v, sem.order, "letter_eval entry")
     green = rg.relative_green(sem, sub)
     conn = rg.connectors(green)
     res = au.transfer_details(st, sub, green, conn,

@@ -98,20 +98,29 @@ def validate_table(
 ) -> FiniteSemigroup:
     """Check a square integer table for associativity and wrap it.
 
-    Detects a two-sided identity if one exists.  Raises ``OutOfRange`` for a
-    bad entry and ``NotAssociative`` with a witness triple.
+    Detects a two-sided identity if one exists.  Raises ``InputError``
+    unless the table is a square list (or tuple) of lists of ints, so a
+    bool, float or string entry is refused rather than converted;
+    ``OutOfRange`` for an entry outside [0, n); and ``NotAssociative`` with
+    a witness triple.
     """
-    rows = tuple(tuple(int(v) for v in row) for row in table)
-    n = len(rows)
+    if not isinstance(table, (list, tuple)):
+        raise InputError("table is not a list of rows")
+    n = len(table)
     if n == 0:
         raise InputError("empty table")
-    for row in rows:
+    for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            raise InputError(f"table row {i} is not a list")
         if len(row) != n:
             raise InputError("table is not square")
-    for i, row in enumerate(rows):
+    for i, row in enumerate(table):
         for j, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise InputError(f"entry table[{i}][{j}] = {v!r} is not an integer")
             if not 0 <= v < n:
                 raise OutOfRange(f"entry table[{i}][{j}] = {v} not in [0, {n})")
+    rows = tuple(tuple(row) for row in table)
     if names is not None and len(names) != n:
         raise InputError("names length != order")
     for x in range(n):
@@ -183,6 +192,10 @@ class SubSemigroup:
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
+
+    def t_one(self) -> tuple[int, ...]:
+        """T^1: the sorted members followed by the adjoined identity n."""
+        return self.sorted_members() + (self.parent.order,)
 
     def complement(self) -> frozenset[int]:
         return frozenset(self.parent.elements) - self.members

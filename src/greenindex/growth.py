@@ -141,11 +141,10 @@ def domination_check(
     for r in r_sorted:
         if not 0 <= r <= n:
             raise InputError(f"R element {r} is not an S^1 index")
-    t_one = list(sub.sorted_members()) + [n]
     # the first (r, t) in R x T^1 order for each product r * t
     decomposition: dict[int, tuple[int, int]] = {}
     for r in r_sorted:
-        for t in t_one:
+        for t in sub.t_one():
             decomposition.setdefault(sem.mul1(r, t), (r, t))
     for s in range(n + 1):
         if s not in decomposition:

@@ -17,7 +17,6 @@ from typing import Callable, Mapping, Sequence
 from .core import (
     FiniteSemigroup,
     SubSemigroup,
-    factorize_element,
     generates,
     shortlex_factorizer,
 )
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .relgreen import ConnectorTables, GreenData, connectors, relative_green
 from .rewrite import WordProblemContext
-from .schutz import SchutzGroup, schutz_group
+from .schutz import SchutzGroup, class_group
 
 Word = tuple[str, ...]
 Assignment = dict[str, int]
@@ -152,11 +151,6 @@ def sub_table_presentation(
     return Presentation(
         alphabet=tuple(letters[m] for m in members), relations=rels
     ), {letters[m]: m for m in members}
-
-
-def factorize(t: int, b_gens: Sequence[int], sem: FiniteSemigroup) -> tuple[int, ...]:
-    """Shortest-then-lexicographic word over ``b_gens`` evaluating to t."""
-    return factorize_element(sem, sorted(set(b_gens)), t)
 
 
 @dataclass(frozen=True)
@@ -512,12 +506,6 @@ def build_schutz_packs(
     """
     n = sem.order
     lift_word = _letter_factorizer(sem, q_pres, q_assign)
-    groups = {
-        i: schutz_group(
-            sem, sub, green.complement_classes[i - 1], green.rep_of(i), green=green
-        )
-        for i in range(1, green.class_count)
-    }
     by_l: dict[int, list[int]] = {}
     for i in range(1, green.class_count):
         by_l.setdefault(green.l_id[green.rep_of(i)], []).append(i)
@@ -525,7 +513,7 @@ def build_schutz_packs(
     packs: dict[int, ClassPack] = {}
     for members in by_l.values():
         leader = min(members)
-        lead_grp = groups[leader]
+        lead_grp = class_group(green, leader)
         letters = tuple(
             f"c{leader}_{g}" for g in range(lead_grp.order)
         )
@@ -543,7 +531,7 @@ def build_schutz_packs(
             ]
             lifts[letters[g]] = lift_word(min(cands) if cands else n)
         for i in members:
-            grp = groups[i]
+            grp = class_group(green, i)
             letter_to_group = {}
             for a in letters:
                 elt = sem.prod1(q_assign[x] for x in lifts[a])
@@ -697,15 +685,9 @@ def word_problem_context(
     letter_eval: dict[str, int] = {a: q_assign[a] for a in q_pres.alphabet}
     for i in range(1, green.class_count):
         letter_eval[f"d{i}"] = green.rep_of(i)
-    groups = {
-        i: schutz_group(
-            sem, sub, green.complement_classes[i - 1], green.rep_of(i), green=green
-        )
-        for i in range(1, green.class_count)
-    }
 
     def stab_equal(k: int, x: int, y: int) -> bool:
-        grp = groups[k]
+        grp = class_group(green, k)
         return grp.quotient_index(x) == grp.quotient_index(y)
 
     return WordProblemContext(

@@ -69,8 +69,15 @@ class GreenData:
         return idx
 
     def h_class_of(self, x: int) -> frozenset[int]:
-        hid = self.h_id[x]
-        return frozenset(u for u in self.sem.elements if self.h_id[u] == hid)
+        """The relative H-class of an element of S."""
+        by_id = self.__dict__.get("_h_cache")
+        if by_id is None:
+            members: dict[int, set[int]] = {}
+            for u in self.sem.elements:
+                members.setdefault(self.h_id[u], set()).add(u)
+            by_id = {hid: frozenset(c) for hid, c in members.items()}
+            self.__dict__["_h_cache"] = by_id
+        return by_id[self.h_id[x]]
 
 
 def relative_green(sem: FiniteSemigroup, sub: SubSemigroup) -> GreenData:
@@ -149,7 +156,7 @@ def connectors(green: GreenData) -> ConnectorTables:
     sem = green.sem
     n = sem.order
     k = len(green.complement_classes)
-    t_one = list(green.sub.sorted_members()) + [n]
+    t_one = green.sub.t_one()
 
     lc = [[0] * (k + 1) for _ in range(n + 1)]
     lf = [[0] * (k + 1) for _ in range(n + 1)]

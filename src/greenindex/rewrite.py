@@ -77,6 +77,14 @@ def push_left(i: int, word: Sequence[int], conn: ConnectorTables) -> RewriteTrac
     )
 
 
+def _two_pass(word: Sequence[int], conn: ConnectorTables) -> RewriteTrace:
+    """Push the adjoined identity through ``word`` right to left, then the
+    resulting representative through that output left to right, so that
+    word = output_word * rep(output_class)."""
+    first = push_left(IDENTITY_CLASS, word, conn)
+    return push_right(first.output_class, first.output_word, conn)
+
+
 def schreier_generators(
     sem: FiniteSemigroup,
     gens: Sequence[int],
@@ -88,8 +96,8 @@ def schreier_generators(
 
     Returns the set B = { right_factor(i, left_factor(a, j)) } with the
     adjoined identity dropped, together with a factorizer that writes any
-    t in T as a word over B by a two-pass push (the adjoined representative
-    right to left, then the resulting representative left to right).
+    t in T as a word over B by the two-pass push of its shortlex word over
+    the generators of S.
     """
     n = sem.order
     if not generates(sem, gens, sem.elements):
@@ -108,13 +116,12 @@ def schreier_generators(
     def factorizer(t: int) -> tuple[int, ...]:
         if t not in sub.members:
             raise NotInSubsemigroup(f"{t} is not in the subsemigroup")
-        first = push_left(IDENTITY_CLASS, factor(t), conn)
-        second = push_right(first.output_class, first.output_word, conn)
-        if second.output_class != IDENTITY_CLASS:
+        pushed = _two_pass(factor(t), conn)
+        if pushed.output_class != IDENTITY_CLASS:
             raise InternalInconsistency(
                 "two-pass rewrite of a T element did not land back in T"
             )
-        return tuple(b for b in second.output_word if b != n)
+        return tuple(b for b in pushed.output_word if b != n)
 
     return frozenset(bset), factorizer
 
@@ -167,14 +174,13 @@ def _signature(word: tuple[str, ...], ctx: WordProblemContext):
     if not elems:
         sig = ("empty", sem.order)
     else:
-        first = push_left(IDENTITY_CLASS, elems, ctx.conn)
-        second = push_right(first.output_class, first.output_word, ctx.conn)
-        if second.output_class == IDENTITY_CLASS:
-            sig = ("sub", sem.prod1(second.output_word))
+        pushed = _two_pass(elems, ctx.conn)
+        if pushed.output_class == IDENTITY_CLASS:
+            sig = ("sub", sem.prod1(pushed.output_word))
         else:
-            third = push_left(second.output_class, second.output_word, ctx.conn)
-            residual = sem.prod1(third.output_word)
-            sig = ("class", third.output_class, residual)
+            back = push_left(pushed.output_class, pushed.output_word, ctx.conn)
+            residual = sem.prod1(back.output_word)
+            sig = ("class", back.output_class, residual)
     ctx._sig_cache[word] = sig
     return sig
 
@@ -215,12 +221,5 @@ def word_equality_report(
 def decide_word_equality(
     w1: Sequence[str], w2: Sequence[str], ctx: WordProblemContext
 ) -> bool:
-    s1 = _signature(tuple(w1), ctx)
-    s2 = _signature(tuple(w2), ctx)
-    if s1[0] != s2[0]:
-        return False
-    if s1[0] == "empty":
-        return True
-    if s1[0] == "sub":
-        return ctx.t_equal(s1[1], s2[1])
-    return s1[1] == s2[1] and ctx.stab_equal(s1[1], s1[2], s2[2])
+    """The verdict of :func:`word_equality_report` without its detail."""
+    return word_equality_report(w1, w2, ctx).equal

@@ -25,6 +25,7 @@ from .errors import (
     NotAnHClass,
     NotComparable,
     NotGenerating,
+    OutOfRange,
 )
 from .relgreen import GreenData, relative_green
 
@@ -76,14 +77,12 @@ def schutz_group(
     if h_class != green.h_class_of(basepoint):
         raise NotAnHClass("the given set is not a single relative H-class")
 
-    n = sem.order
-    t_one = list(sub.sorted_members()) + [n]
     carrier = tuple(sorted(h_class))
     pos = {h: p for p, h in enumerate(carrier)}
 
     stab = []
     perm_of: dict[int, tuple[int, ...]] = {}
-    for t in t_one:
+    for t in sub.t_one():
         if sem.mul1(basepoint, t) in h_class:
             stab.append(t)
             perm_of[t] = tuple(pos[sem.mul1(h, t)] for h in carrier)
@@ -113,6 +112,20 @@ def schutz_group(
         perms=tuple(perms),
         quotient=quotient,
     )
+
+
+def class_group(green: GreenData, i: int) -> SchutzGroup:
+    """The Schutzenberger group of complement class i, based at the class
+    representative; built on first use and kept with ``green``."""
+    if not 1 <= i < green.class_count:
+        raise OutOfRange(f"complement class {i} not in [1, {green.class_count})")
+    groups = green.__dict__.setdefault("_group_cache", {})
+    if i not in groups:
+        groups[i] = schutz_group(
+            green.sem, green.sub, green.complement_classes[i - 1],
+            green.rep_of(i), green=green,
+        )
+    return groups[i]
 
 
 @dataclass(frozen=True)
@@ -158,7 +171,7 @@ def lambda_data(
     classes = tuple(frozenset(c) for c in sorted(by_h.values(), key=min))
     base_pos = classes.index(h_class)
 
-    t_one = list(sub.sorted_members()) + [n]
+    t_one = sub.t_one()
     to_w, back_w = [], []
     for p, cls in enumerate(classes):
         if p == base_pos:
@@ -334,16 +347,12 @@ def check_L_R_transport(green: GreenData, i: int, j: int,
     partition; R-related classes must have isomorphic groups (brute force,
     skipped above ``iso_cap``).
     """
-    sem, sub = green.sem, green.sub
-    ci = green.complement_classes[i - 1]
-    cj = green.complement_classes[j - 1]
     ri, rj = green.rep_of(i), green.rep_of(j)
     l_related = green.l_id[ri] == green.l_id[rj]
     r_related = green.r_id[ri] == green.r_id[rj]
     if not l_related and not r_related:
         raise NotComparable("classes are neither L-related nor R-related")
-    gi = schutz_group(sem, sub, ci, ri, green=green)
-    gj = schutz_group(sem, sub, cj, rj, green=green)
+    gi, gj = class_group(green, i), class_group(green, j)
 
     stab_eq = gamma_eq = iso = None
     checked = True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 from greenindex import automatic, core, factories, growth
@@ -141,6 +142,12 @@ def semigroup_tables(n: int):
     yield from fill(0)
 
 
+@functools.lru_cache(maxsize=None)
+def small_tables(n: int) -> tuple:
+    """``semigroup_tables(n)`` listed once per test session."""
+    return tuple(semigroup_tables(n))
+
+
 def tuple_pair_alphabet(left, right) -> tuple:
     """The padded pair alphabet listed symbol by symbol: the reference for
     ``automatic.PairAlphabet``."""
@@ -276,3 +283,10 @@ def outcome(fn, *args):
         return fn(*args)
     except GreenIndexError as exc:
         return type(exc), str(exc)
+
+
+def reference_h_class_of(green, x):
+    """``GreenData.h_class_of`` by its definition: a scan of S for the
+    elements sharing x's H-class id."""
+    hid = green.h_id[x]
+    return frozenset(u for u in green.sem.elements if green.h_id[u] == hid)

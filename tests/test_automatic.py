@@ -44,28 +44,25 @@ def test_nfa_from_words_and_enumeration():
     assert not nfa.is_empty()
 
 
-def test_complement_is_involution_on_enumeration():
-    words = [("a", "b"), ("b",)]
-    nfa = au.nfa_from_words(("a", "b"), words)
-    double = au.complement(au.complement(nfa))
-    for w in words_upto(("a", "b"), 6):
-        assert double.accepts(w) == nfa.accepts(w)
-
-
-def test_boolean_operations():
-    a = au.nfa_from_words(("a", "b"), [("a",), ("a", "b")])
-    b = au.nfa_from_words(("a", "b"), [("a", "b"), ("b",)])
-    both = au.intersect(a, b)
-    either = au.union(a, b)
-    cat = au.concatenate(a, b)
-    for w in words_upto(("a", "b"), 5):
-        assert both.accepts(w) == (a.accepts(w) and b.accepts(w))
-        assert either.accepts(w) == (a.accepts(w) or b.accepts(w))
-    assert cat.accepts(("a", "a", "b"))
-    assert cat.accepts(("a", "b", "b"))
-    assert not cat.accepts(("a",))
-    with pytest.raises(AlphabetMismatch):
-        au.intersect(a, au.nfa_from_words(("a", "c"), [("a",)]))
+def test_determinize_accepts_same_words_and_is_deterministic():
+    words = au.nfa_from_words(("a", "b"), [("a", "b"), ("b",), ("a", "a", "b")])
+    # a or b loops on 0, an epsilon into 1, and "a" from 1 to either 2 or 0
+    branching = au.Nfa(
+        alphabet=("a", "b"),
+        n_states=3,
+        transitions=((0, "a", 0), (0, "b", 0), (0, None, 1), (1, "a", 2),
+                     (1, "a", 0), (2, "b", 1)),
+        initial=frozenset({0}),
+        accepting=frozenset({2}),
+    )
+    for nfa in (words, branching):
+        dfa = au.determinize(nfa)
+        for w in words_upto(("a", "b"), 6):
+            assert dfa.accepts(w) == nfa.accepts(w), w
+        assert len(dfa.initial) == 1
+        moves = [(src, sym) for src, sym, _dst in dfa.transitions]
+        assert sorted(moves) == [(q, sym) for q in range(dfa.n_states)
+                                 for sym in ("a", "b")]
 
 
 def test_invert_is_involution():
@@ -86,7 +83,7 @@ def test_padding_validity():
         left_alphabet=("a",),
         right_alphabet=("b",),
         nfa=au.nfa_from_words(
-            au.pair_alphabet(("a",), ("b",)),
+            au.PairAlphabet(("a",), ("b",)),
             [(("$", "b"), ("a", "b"))],  # left track resumes after padding
         ),
     )
@@ -378,7 +375,7 @@ def broken_variants(st, key, max_len):
     }
     out = {}
     for name, accepted in strings.items():
-        nfa = au.nfa_from_words(au.pair_alphabet(alpha, alpha), accepted)
+        nfa = au.nfa_from_words(au.PairAlphabet(alpha, alpha), accepted)
         rel = au.PaddedRelationNfa(alpha, alpha, nfa)
         out[name] = replace(st, multipliers={**st.multipliers, key: rel})
     return out
@@ -413,7 +410,7 @@ track_letters = st.lists(
 @settings(max_examples=80, deadline=None)
 @given(track_letters, track_letters)
 def test_pair_alphabet_matches_listed_symbols(left, right):
-    alpha = au.pair_alphabet(left, right)
+    alpha = au.PairAlphabet(left, right)
     listed = tuple_pair_alphabet(left, right)
     assert tuple(alpha) == listed
     assert len(alpha) == len(listed)
@@ -432,9 +429,9 @@ def test_pair_alphabet_matches_listed_symbols(left, right):
 
 def test_pair_alphabet_rejects_ambiguous_tracks():
     with pytest.raises(InputError):
-        au.pair_alphabet(("a", au.PAD), ("b",))
+        au.PairAlphabet(("a", au.PAD), ("b",))
     with pytest.raises(InputError):
-        au.pair_alphabet(("a",), ("b", "b"))
+        au.PairAlphabet(("a",), ("b", "b"))
 
 
 @settings(max_examples=60, deadline=None)

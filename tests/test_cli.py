@@ -241,3 +241,66 @@ def test_growth_series_rejects_generators_out_of_range(files, capsys):
                     files[1], "--class-index", "1", "--word", "3,6",
                     "--format", "json")
     assert code == 0 and json.loads(out)["word"] == [3, 6]
+
+
+@pytest.mark.parametrize("entry", ["a", 1.7, True], ids=["string", "float", "bool"])
+def test_table_entries_must_be_integers(tmp_path, capsys, entry):
+    # "a" used to end in a ValueError traceback; 1.7 and true were read as 1
+    table = [[0, 1], [1, entry]]
+    sem_path = tmp_path / "s.json"
+    sem_path.write_text(json.dumps({"table": table}))
+    code, out = run(capsys, "validate", "--semigroup", str(sem_path),
+                    "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["valid"] is False
+    assert data["error"] == f"entry table[1][1] = {entry!r} is not an integer"
+    sub_path = tmp_path / "t.json"
+    sub_path.write_text(json.dumps({"members": [0]}))
+    code = cli.main(["green-index", "--semigroup", str(sem_path),
+                     "--sub", str(sub_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: entry table[1][1]")
+
+
+def test_table_rows_must_be_lists(tmp_path, capsys):
+    sem_path = tmp_path / "s.json"
+    sem_path.write_text(json.dumps({"table": ["01", "10"]}))
+    code, out = run(capsys, "validate", "--semigroup", str(sem_path),
+                    "--format", "json")
+    assert code == 1 and json.loads(out)["error"] == "table row 0 is not a list"
+
+
+@pytest.mark.parametrize("members", ["03", [0, "3"], [0, 3.0], [True]],
+                         ids=["string", "string-entry", "float", "bool"])
+def test_sub_members_must_be_a_list_of_integers(files, capsys, members):
+    # "03" used to be read as {0, 3}
+    sem_path, _, tmp_path = files
+    sub_path = tmp_path / "bad_sub.json"
+    sub_path.write_text(json.dumps({"members": members}))
+    code = cli.main(["green-index", "--semigroup", sem_path,
+                     "--sub", str(sub_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("input error: subsemigroup JSON needs a"
+                            " 'members' list of integers\n")
+
+
+@pytest.mark.parametrize("command", ["transfer", "verify"])
+@pytest.mark.parametrize("value", [99, -1, 1.0], ids=["too-big", "negative", "float"])
+def test_auto_rejects_letter_evaluations_outside_s(files, capsys, command, value):
+    # 99 used to end in an IndexError traceback
+    sem_path, sub_path, tmp_path = files
+    code, out = run(capsys, "auto", "build", "--semigroup", sem_path,
+                    "--gens", "1")
+    assert code == 0
+    data = json.loads(out)
+    data["letter_eval"]["1"] = value
+    st_path = tmp_path / "st_bad.json"
+    st_path.write_text(json.dumps(data))
+    code = cli.main(["auto", command, "--structure", str(st_path),
+                     "--semigroup", sem_path, "--sub", sub_path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: ")

@@ -16,7 +16,7 @@ from greenindex.errors import (
     OutOfRange,
 )
 
-from helpers import random_pairs, semigroup_tables
+from helpers import random_pairs, small_tables
 
 
 def test_validate_right_zero():
@@ -154,29 +154,25 @@ def test_is_group_is_cancellative():
 
 def test_cancellative_implies_group_order_up_to_3():
     for n in (1, 2, 3):
-        for table in semigroup_tables(n):
+        for table in small_tables(n):
             sem = core.validate_table(table)
             if core.is_cancellative(sem):
                 assert core.is_group(sem)
-
-
-_TABLES3 = None
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 10 ** 9))
 def test_cancellative_implies_group_random_tables(n, pick):
     # random associative tables, sampled from the exhaustive enumeration
-    global _TABLES3
-    if _TABLES3 is None:
-        _TABLES3 = {k: list(semigroup_tables(k)) for k in (1, 2, 3)}
-    table = _TABLES3[n][pick % len(_TABLES3[n])]
+    tables = small_tables(n)
+    table = tables[pick % len(tables)]
     sem = core.validate_table(table)
     if core.is_cancellative(sem):
         assert core.is_group(sem)
 
 
 def test_shortlex_factorize(z6):
+    assert core.factorize_element(z6, [3], 3) == (3,)
     assert core.factorize_element(z6, [3], 0) == (3, 3)
     assert core.factorize_element(z6, [1], 4) == (1, 1, 1, 1)
     assert core.factorize_element(z6, [2, 3], 2) == (2,)

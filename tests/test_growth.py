@@ -15,7 +15,7 @@ from helpers import (
     outcome,
     random_pairs,
     reference_domination_check,
-    semigroup_tables,
+    small_tables,
 )
 
 
@@ -163,16 +163,11 @@ def test_domination_matches_reference_on_fixed_instances(instances):
                               [n, *a_gens], b_gens, 6)
 
 
-_TABLES = None
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 10 ** 9), st.data())
 def test_domination_matches_reference_on_small_tables(n, pick, data):
-    global _TABLES
-    if _TABLES is None:
-        _TABLES = {k: list(semigroup_tables(k)) for k in (1, 2, 3)}
-    sem = core.validate_table(_TABLES[n][pick % len(_TABLES[n])])
+    tables = small_tables(n)
+    sem = core.validate_table(tables[pick % len(tables)])
     elems = st.integers(0, n - 1)
     sub = core.closure(sem, data.draw(st.lists(elems, min_size=1, max_size=2)))
     r_set = data.draw(st.lists(st.integers(-1, n + 1), max_size=n + 2))

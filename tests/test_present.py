@@ -7,7 +7,6 @@ from greenindex.errors import (
     DaggerViolation,
     InputError,
     InvalidLetter,
-    NotInSubsemigroup,
 )
 
 
@@ -138,14 +137,6 @@ def test_compact_subsemigroup_presentation(z6, t03):
     compact = present.Presentation(("b",), ((("b", "b", "b"), ("b",)),))
     assert present.verify_sub_presentation(compact, {"b": 3}, t03)
     assert not present.verify_sub_presentation(compact, {"b": 0}, t03)
-
-
-def test_factorize(z6):
-    assert present.factorize(3, [3], z6) == (3,)
-    assert present.factorize(0, [3], z6) == (3, 3)
-    assert present.factorize(4, [1], z6) == (1, 1, 1, 1)
-    with pytest.raises(NotInSubsemigroup):
-        present.factorize(1, [3], z6)
 
 
 def synth(sem, sub, q=None, qa=None, **kw):

@@ -1,6 +1,13 @@
 from greenindex import core, factories, relgreen
 
-from helpers import random_pairs
+from helpers import (
+    fixed_instances,
+    random_pairs,
+    reference_h_class_of,
+    small_tables,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def principal_right(sem, sub, u):
@@ -160,3 +167,21 @@ def test_eggbox_dot_deterministic(z6, t03):
     assert "digraph eggbox" in dot
     assert 'BGCOLOR="lightgrey"' in dot
     assert "0 3" in dot
+
+
+def test_h_class_of_matches_scan_on_fixed_instances():
+    for _name, sem, sub, _a, _b in fixed_instances():
+        g = relgreen.relative_green(sem, sub)
+        for x in sem.elements:
+            assert g.h_class_of(x) == reference_h_class_of(g, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10 ** 9), st.data())
+def test_h_class_of_matches_scan_on_small_tables(n, pick, data):
+    tables = small_tables(n)
+    sem = core.validate_table(tables[pick % len(tables)])
+    gens = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+    g = relgreen.relative_green(sem, core.closure(sem, gens))
+    for x in sem.elements:
+        assert g.h_class_of(x) == reference_h_class_of(g, x)

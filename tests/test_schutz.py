@@ -1,7 +1,14 @@
+from collections import Counter
+
 import pytest
 
-from greenindex import core, factories, relgreen, schutz
-from greenindex.errors import NotAnHClass, NotComparable, NotGenerating
+from greenindex import core, factories, present, relgreen, rewrite, schutz
+from greenindex.errors import (
+    NotAnHClass,
+    NotComparable,
+    NotGenerating,
+    OutOfRange,
+)
 
 
 def green_of(sem, sub):
@@ -254,3 +261,47 @@ def test_groups_isomorphic():
     assert not schutz.groups_isomorphic(s3, factories.zmod(6))
     with pytest.raises(NotComparable):
         schutz.groups_isomorphic(factories.right_zero(2), factories.zmod(2))
+
+
+def test_class_group_is_built_once_and_kept(instances):
+    for _name, sem, sub, _a, _b in instances:
+        g = green_of(sem, sub)
+        for i in range(1, g.class_count):
+            grp = schutz.class_group(g, i)
+            assert schutz.class_group(g, i) is grp
+            fresh = schutz.schutz_group(
+                sem, sub, g.complement_classes[i - 1], g.rep_of(i), green=g
+            )
+            assert grp == fresh
+        for i in (0, g.class_count, -1):
+            with pytest.raises(OutOfRange):
+                schutz.class_group(g, i)
+
+
+def test_each_class_group_built_once_per_green_data(instances, monkeypatch):
+    built = Counter()
+    real = schutz.schutz_group
+
+    def counting(sem, sub, h_class, basepoint, green=None):
+        built[basepoint] += 1
+        return real(sem, sub, h_class, basepoint, green=green)
+
+    monkeypatch.setattr(schutz, "schutz_group", counting)
+    for _name, sem, sub, _a, _b in instances:
+        built.clear()
+        g = green_of(sem, sub)
+        conn = relgreen.connectors(g)
+        q_pres, q_assign = present.sub_table_presentation(sem, sub)
+        present.build_schutz_packs(sem, sub, g, q_pres, q_assign)
+        ctx = present.word_problem_context(sem, sub, green=g, conn=conn)
+        d_letters = [f"d{i}" for i in range(1, g.class_count)]
+        for w1 in d_letters:
+            for w2 in d_letters:
+                rewrite.word_equality_report((w1, w1), (w2,), ctx)
+        for i in range(1, g.class_count):
+            for j in range(1, g.class_count):
+                try:
+                    schutz.check_L_R_transport(g, i, j)
+                except NotComparable:
+                    pass
+        assert built == Counter(g.reps)
