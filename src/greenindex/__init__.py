@@ -55,14 +55,12 @@ from .schutz import (
 )
 from .present import (
     Presentation,
-    SchutzPresentationPack,
     build_schutz_packs,
     enumerate_presentation,
     presentation_from_table,
     sub_table_presentation,
     synthesize_presentation,
     verify_presentation,
-    verify_sub_presentation,
     word_problem_context,
 )
 from .automatic import (

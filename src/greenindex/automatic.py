@@ -19,7 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .core import FiniteSemigroup, SubSemigroup, generates, shortlex_forms
+from .core import (
+    FiniteSemigroup,
+    SubSemigroup,
+    _target_domain,
+    generates,
+    shortlex_forms,
+)
 from .errors import (
     AlphabetMismatch,
     DelayExceeded,
@@ -586,12 +592,6 @@ def structure_for_finite(sem: FiniteSemigroup, gens: Sequence[int]) -> Automatic
     )
 
 
-def _target_domain(target):
-    if isinstance(target, SubSemigroup):
-        return target.parent, sorted(target.members)
-    return target, list(target.elements)
-
-
 def verify_structure_report(
     st: AutomaticStructure, target, max_len: int
 ) -> tuple[bool, str]:
@@ -778,7 +778,6 @@ def transfer_details(
     green: GreenData,
     conn: ConnectorTables,
     delay_bound: int | None = None,
-    word_search_cap: int | None = None,
 ) -> TransferResult:
     """Build an automatic structure for the subsemigroup from one for S.
 
@@ -797,10 +796,12 @@ def transfer_details(
     letters = _transfer_letters(st, green, conn)
     full = transfer_relation(st, green, conn, letters)
 
-    # Pair every acceptor word with its transferred word.
-    l_words = _finite_language(st.acceptor)
+    # Pair every acceptor word with its transferred word, and note the
+    # shortlex-first word of each evaluation.
     pairs = []
-    for u in l_words:
+    first_word: dict[int, tuple] = {}
+    for u in _finite_language(st.acceptor):
+        first_word.setdefault(st.eval_word(sem, u), u)
         pair = _rewrite_pair(st, green, conn, letters, u)
         if pair is not None:
             pairs.append(pair)
@@ -816,7 +817,6 @@ def transfer_details(
         delay_bound,
     )
     # Letters with one evaluation share the multiplier of its first word.
-    first_word = _first_words(st, sem, set(evals.values()), word_search_cap)
     by_eval: dict[int, PaddedRelationNfa] = {}
     for b in kept:
         target = evals[b]
@@ -846,23 +846,6 @@ def transfer_details(
         restricted_relation=restricted,
         structure=structure,
     )
-
-
-def _first_words(st, sem, targets, cap) -> dict[int, tuple]:
-    """The shortlex-first acceptor word of each target element, from one
-    scan that stops once all are found or words grow longer than ``cap``."""
-    found: dict[int, tuple] = {}
-    if not targets:
-        return found
-    for cand in st.acceptor.iter_words():
-        if cap is not None and len(cand) > cap:
-            break
-        val = st.eval_word(sem, cand)
-        if val in targets and val not in found:
-            found[val] = cand
-            if len(found) == len(targets):
-                break
-    return found
 
 
 def _rewrite_pair(st, green, conn, letters, u):

@@ -84,6 +84,8 @@ class FiniteSemigroup:
             raise InputError("semigroup JSON needs a 'table' field")
         names = data.get("names")
         if names is not None:
+            if not isinstance(names, list):
+                raise InputError("semigroup 'names' must be a list")
             names = tuple(str(s) for s in names)
         sem = validate_table(table, names=names)
         if "order" in data and data["order"] != sem.order:
@@ -200,22 +202,18 @@ class SubSemigroup:
     def complement(self) -> frozenset[int]:
         return frozenset(self.parent.elements) - self.members
 
-    def as_semigroup(self) -> tuple[FiniteSemigroup, tuple[int, ...]]:
-        """Reindex the subsemigroup as a standalone semigroup.
-
-        Returns the new semigroup and the tuple mapping new indices back to
-        parent indices.
-        """
-        order = self.sorted_members()
-        back = {p: i for i, p in enumerate(order)}
-        tab = [[back[self.parent.mul(x, y)] for y in order] for x in order]
-        names = None
-        if self.parent.names is not None:
-            names = tuple(self.parent.names[p] for p in order)
-        return validate_table(tab, names=names), order
-
     def to_json_dict(self) -> dict:
         return {"members": sorted(self.members)}
+
+
+def _target_domain(
+    target: FiniteSemigroup | SubSemigroup,
+) -> tuple[FiniteSemigroup, list[int]]:
+    """The semigroup to multiply in and the sorted elements of a target
+    that is either a whole semigroup or a subsemigroup of its parent."""
+    if isinstance(target, SubSemigroup):
+        return target.parent, sorted(target.members)
+    return target, list(target.elements)
 
 
 def closure(sem: FiniteSemigroup, gens: Iterable[int]) -> SubSemigroup:

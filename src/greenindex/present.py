@@ -17,6 +17,7 @@ from typing import Callable, Mapping, Sequence
 from .core import (
     FiniteSemigroup,
     SubSemigroup,
+    _target_domain,
     generates,
     shortlex_factorizer,
 )
@@ -72,21 +73,33 @@ class Presentation:
 
     @staticmethod
     def from_json_dict(data: dict) -> tuple["Presentation", Assignment | None]:
-        try:
-            alphabet = tuple(str(a) for a in data["alphabet"])
-            raw = data["relations"]
-        except (KeyError, TypeError):
-            raise InputError("presentation JSON needs 'alphabet' and 'relations'")
+        """Read a presentation and its optional assignment.  Raises
+        ``InputError`` unless the alphabet is a list of nonempty strings,
+        the relations a list of pairs of words, and the assignment an
+        object whose values are integers (a bool or float is refused, not
+        converted)."""
+        if not isinstance(data, dict) or not isinstance(
+                data.get("alphabet"), list) or not isinstance(
+                data.get("relations"), list):
+            raise InputError(
+                "presentation JSON needs 'alphabet' and 'relations' lists")
+        alphabet = tuple(data["alphabet"])
+        if not all(isinstance(a, str) and a for a in alphabet):
+            raise InputError("presentation letters must be nonempty strings")
         rels = []
-        for pair in raw:
-            if len(pair) != 2:
+        for pair in data["relations"]:
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise InputError("each relation must be a pair of words")
             rels.append(
                 (parse_word(pair[0], alphabet), parse_word(pair[1], alphabet))
             )
         assignment = data.get("assignment")
         if assignment is not None:
-            assignment = {str(k): int(v) for k, v in assignment.items()}
+            if not isinstance(assignment, dict) or any(
+                    isinstance(v, bool) or not isinstance(v, int)
+                    for v in assignment.values()):
+                raise InputError(
+                    "presentation 'assignment' must map letters to integers")
         return Presentation(alphabet=alphabet, relations=tuple(rels)), assignment
 
 
@@ -94,63 +107,71 @@ def parse_word(raw, alphabet: Sequence[str]) -> Word:
     """Read a word given as a list of letters or as a joined string.
 
     Joined strings are tokenized greedily, longest letter first, with
-    backtracking, so multi-character letters like "d1" are handled.
+    backtracking, so multi-character letters like "d1" are handled.  The
+    search keeps an explicit stack, so a long word cannot overflow the
+    interpreter's recursion limit, and it never retries a position from
+    which no tokenization exists.
     """
     if isinstance(raw, (list, tuple)):
         word = tuple(str(a) for a in raw)
+        known = set(alphabet)
         for a in word:
-            if a not in set(alphabet):
+            if a not in known:
                 raise InvalidLetter(f"unknown letter {a!r}")
         return word
-    s = str(raw)
-    letters = sorted(set(alphabet), key=len, reverse=True)
+    if not isinstance(raw, str):
+        raise InputError(f"a word must be a string or a list of letters,"
+                         f" not {raw!r}")
+    letters = sorted({a for a in alphabet if a}, key=len, reverse=True)
     out: list[str] = []
-
-    def go(i: int) -> bool:
-        if i == len(s):
-            return True
-        for a in letters:
-            if s.startswith(a, i):
-                out.append(a)
-                if go(i + len(a)):
-                    return True
-                out.pop()
-        return False
-
-    if not go(0):
-        raise InvalidLetter(f"cannot tokenize {s!r} over {list(alphabet)}")
+    chosen: list[int] = []  # the index in letters of each token of out
+    dead: set[int] = set()
+    i = k = 0
+    while i < len(raw):
+        while k < len(letters) and not (
+                raw.startswith(letters[k], i)
+                and i + len(letters[k]) not in dead):
+            k += 1
+        if k < len(letters):
+            out.append(letters[k])
+            chosen.append(k)
+            i, k = i + len(letters[k]), 0
+        elif out:
+            dead.add(i)
+            i, k = i - len(out.pop()), chosen.pop() + 1
+        else:
+            raise InvalidLetter(f"cannot tokenize {raw!r} over {list(alphabet)}")
     return tuple(out)
 
 
-def presentation_from_table(
-    sem: FiniteSemigroup, prefix: str = "x"
+def _table_presentation(
+    sem: FiniteSemigroup, elems: Sequence[int], prefix: str
 ) -> tuple[Presentation, Assignment]:
-    """One letter per element, one relation per table cell."""
-    letters = tuple(f"{prefix}{i}" for i in sem.elements)
+    """One letter ``<prefix><e>`` per element e of the closed set ``elems``,
+    one relation per cell of their table in row-major order, and the
+    assignment of each letter to its element."""
+    letters = {e: f"{prefix}{e}" for e in elems}
     rels = tuple(
-        ((letters[i], letters[j]), (letters[sem.mul(i, j)],))
-        for i in sem.elements
-        for j in sem.elements
+        ((letters[a], letters[b]), (letters[sem.mul(a, b)],))
+        for a in elems
+        for b in elems
     )
-    return Presentation(alphabet=letters, relations=rels), {
-        a: i for i, a in enumerate(letters)
+    return Presentation(alphabet=tuple(letters.values()), relations=rels), {
+        a: e for e, a in letters.items()
     }
+
+
+def presentation_from_table(sem: FiniteSemigroup) -> tuple[Presentation, Assignment]:
+    """One letter ``x<e>`` per element, one relation per table cell."""
+    return _table_presentation(sem, sem.elements, "x")
 
 
 def sub_table_presentation(
     sem: FiniteSemigroup, sub: SubSemigroup
 ) -> tuple[Presentation, Assignment]:
-    """Table presentation of a subsemigroup, assigned into parent indices."""
-    members = sub.sorted_members()
-    letters = {m: f"t{m}" for m in members}
-    rels = tuple(
-        ((letters[a], letters[b]), (letters[sem.mul(a, b)],))
-        for a in members
-        for b in members
-    )
-    return Presentation(
-        alphabet=tuple(letters[m] for m in members), relations=rels
-    ), {letters[m]: m for m in members}
+    """Table presentation of a subsemigroup, letters ``t<m>`` assigned into
+    parent indices."""
+    return _table_presentation(sem, sub.sorted_members(), "t")
 
 
 @dataclass(frozen=True)
@@ -396,58 +417,58 @@ def evaluate_word(sem: FiniteSemigroup, assignment: Mapping[str, int], word: Wor
     return sem.prod1([assignment[a] for a in word])
 
 
+def _check_assignment(
+    pres: Presentation, assignment: Mapping[str, int], n: int
+) -> None:
+    """Every letter must be assigned an element index in [0, n)."""
+    for a in pres.alphabet:
+        if a not in assignment:
+            raise InvalidLetter(f"letter {a!r} has no assigned element")
+        if not 0 <= assignment[a] < n:
+            raise InputError(f"assignment of {a!r} is out of range")
+
+
 def verify_presentation(
     pres: Presentation,
-    sem: FiniteSemigroup,
+    target: FiniteSemigroup | SubSemigroup,
     assignment: Mapping[str, int],
     max_classes: int | None = None,
     max_len: int | None = None,
 ) -> bool:
-    """Certify that a presentation presents the given semigroup.
+    """Certify that a presentation presents the target: a semigroup, or a
+    subsemigroup T given with its assignment in parent indices.
 
-    True iff every relation holds under the assignment, the assigned letters
-    generate the whole semigroup, and the enumerated quotient has exactly as
-    many classes as the semigroup has elements with a bijective induced map.
-    Raises BoundExceeded when the enumeration cannot close within bounds.
+    True iff every letter is assigned an element of the target, every
+    relation holds under the assignment, the assigned letters generate the
+    whole target, and the enumerated quotient has exactly as many classes as
+    the target has elements with a bijective induced map.  The default
+    bounds grow with the target's size.  Raises ``InvalidLetter`` for an
+    unassigned letter, ``InputError`` for an index outside the (parent)
+    semigroup, and ``BoundExceeded`` when the enumeration cannot close
+    within bounds.
     """
-    for a in pres.alphabet:
-        if a not in assignment:
-            raise InvalidLetter(f"letter {a!r} has no assigned element")
-        if not 0 <= assignment[a] < sem.order:
-            raise InputError(f"assignment of {a!r} is out of range")
+    sem, elems = _target_domain(target)
+    size = len(elems)
+    _check_assignment(pres, assignment, sem.order)
+    images = {assignment[a] for a in pres.alphabet}
+    if not images <= set(elems):
+        return False
     for u, v in pres.relations:
         if evaluate_word(sem, assignment, u) != evaluate_word(sem, assignment, v):
             return False
-    images = {assignment[a] for a in pres.alphabet}
-    if not generates(sem, images, sem.elements):
+    if not generates(sem, images, elems):
         return False
     if max_classes is None:
-        max_classes = max(4 * sem.order, 64)
+        max_classes = max(4 * size, 64)
     if max_len is None:
-        max_len = max(sem.order + 1, 16)
+        max_len = max(size + 1, 16)
     result = enumerate_presentation(pres, max_classes, max_len)
     if not result.complete:
         raise BoundExceeded(result.reason or "enumeration incomplete")
-    if result.size != sem.order:
+    if result.size != size:
         return False
     evals = [evaluate_word(sem, assignment, w) for w in result.reps]
-    return len(set(evals)) == sem.order
-
-
-def verify_sub_presentation(
-    pres: Presentation,
-    assignment: Mapping[str, int],
-    sub: SubSemigroup,
-    **bounds,
-) -> bool:
-    """Verify a presentation of a subsemigroup given in parent indices."""
-    sem, back = sub.as_semigroup()
-    fwd = {p: i for i, p in enumerate(back)}
-    for a in pres.alphabet:
-        if assignment.get(a) not in fwd:
-            return False
-    local = {a: fwd[assignment[a]] for a in pres.alphabet}
-    return verify_presentation(pres, sem, local, **bounds)
+    return len(set(evals)) == size
 
 
 def _letter_factorizer(
@@ -455,7 +476,9 @@ def _letter_factorizer(
 ) -> Callable[[int], Word]:
     """Shortlex words over the base letters, from one set of shortlex forms:
     each element is spelled by its least letter, and the adjoined identity
-    by the empty word."""
+    by the empty word.  Every base letter must be assigned an element of
+    S."""
+    _check_assignment(q_pres, q_assign, sem.order)
     letter_of: dict[int, str] = {}
     for a in sorted(q_pres.alphabet):
         letter_of.setdefault(q_assign[a], a)
@@ -484,19 +507,15 @@ class ClassPack:
     lift: dict[str, Word]
 
 
-@dataclass(frozen=True)
-class SchutzPresentationPack:
-    packs: dict[int, ClassPack]
-
-
 def build_schutz_packs(
     sem: FiniteSemigroup,
     sub: SubSemigroup,
     green: GreenData,
     q_pres: Presentation,
     q_assign: Mapping[str, int],
-) -> SchutzPresentationPack:
-    """Table presentations for every complement Schutzenberger group.
+) -> dict[int, ClassPack]:
+    """Table presentations for every complement Schutzenberger group, by
+    class index.
 
     L-related classes share one alphabet and relation set (built from the
     smallest class in the family); unrelated classes get disjoint alphabets.
@@ -514,15 +533,10 @@ def build_schutz_packs(
     for members in by_l.values():
         leader = min(members)
         lead_grp = class_group(green, leader)
-        letters = tuple(
-            f"c{leader}_{g}" for g in range(lead_grp.order)
+        pres, _ = _table_presentation(
+            lead_grp.group, range(lead_grp.order), f"c{leader}_"
         )
-        rels = tuple(
-            ((letters[g1], letters[g2]), (letters[lead_grp.group.mul(g1, g2)],))
-            for g1 in range(lead_grp.order)
-            for g2 in range(lead_grp.order)
-        )
-        pres = Presentation(alphabet=letters, relations=rels)
+        letters = pres.alphabet
         lifts: dict[str, Word] = {}
         for g in range(lead_grp.order):
             cands = [
@@ -544,19 +558,19 @@ def build_schutz_packs(
                 letter_to_group=letter_to_group,
                 lift=dict(lifts),
             )
-    return SchutzPresentationPack(packs=packs)
+    return packs
 
 
-def _check_dagger(green: GreenData, packs: SchutzPresentationPack) -> None:
+def _check_dagger(green: GreenData, packs: Mapping[int, ClassPack]) -> None:
     idx = range(1, green.class_count)
     for i in idx:
-        if i not in packs.packs:
+        if i not in packs:
             raise BadInputPresentation(f"missing pack for class {i}")
     for i in idx:
         for j in idx:
             if i >= j:
                 continue
-            pi, pj = packs.packs[i], packs.packs[j]
+            pi, pj = packs[i], packs[j]
             related = green.l_id[green.rep_of(i)] == green.l_id[green.rep_of(j)]
             if related:
                 if (pi.presentation.alphabet != pj.presentation.alphabet
@@ -578,7 +592,7 @@ def _check_dagger(green: GreenData, packs: SchutzPresentationPack) -> None:
 def synthesize_presentation(
     q_pres: Presentation,
     q_assign: Mapping[str, int],
-    packs: SchutzPresentationPack,
+    packs: Mapping[int, ClassPack],
     green: GreenData,
     conn: ConnectorTables,
     verify_inputs: bool = True,
@@ -593,11 +607,12 @@ def synthesize_presentation(
     index 0 denotes the empty word and is elided at emission time.
     """
     sem = green.sem
+    factor_word = _letter_factorizer(sem, q_pres, q_assign)
     if verify_inputs:
-        if not verify_sub_presentation(q_pres, q_assign, green.sub,
-                                       max_classes=max_classes, max_len=max_len):
+        if not verify_presentation(q_pres, green.sub, q_assign,
+                                   max_classes=max_classes, max_len=max_len):
             raise BadInputPresentation("the base presentation does not present T")
-        for i, pack in packs.packs.items():
+        for i, pack in packs.items():
             if not verify_presentation(pack.presentation, pack.schutz.group,
                                        pack.letter_to_group):
                 raise BadInputPresentation(
@@ -620,8 +635,6 @@ def synthesize_presentation(
     for i in range(1, k + 1):
         assignment[d_letter[i]] = green.rep_of(i)
 
-    factor_word = _letter_factorizer(sem, q_pres, q_assign)
-
     def d_word(i: int) -> Word:
         return (d_letter[i],) if i else ()
 
@@ -643,7 +656,7 @@ def synthesize_presentation(
             if lhs != rhs:
                 rels.append((lhs, rhs))
     for i in range(1, k + 1):
-        pack = packs.packs[i]
+        pack = packs[i]
 
         def lifted(w: Word) -> Word:
             out: list[str] = []
@@ -666,23 +679,19 @@ def word_problem_context(
     sub: SubSemigroup,
     green: GreenData | None = None,
     conn: ConnectorTables | None = None,
-    q_pres: Presentation | None = None,
-    q_assign: Mapping[str, int] | None = None,
 ) -> WordProblemContext:
     """Assemble the finite-semigroup context for the word-equality decider.
 
-    Defaults to the table presentation of T (letters ``t<element>``) plus
-    class letters ``d<i>``.  Equality callbacks compare elements of T
-    directly and stabilizer elements through the class's translation
-    quotient.
+    The letters are those of T's table presentation, ``t<element>`` for the
+    sorted members, then one class letter ``d<i>`` per complement class.
+    Equality callbacks compare elements of T directly and stabilizer
+    elements through the class's translation quotient.
     """
     if green is None:
         green = relative_green(sem, sub)
     if conn is None:
         conn = connectors(green)
-    if q_pres is None or q_assign is None:
-        q_pres, q_assign = sub_table_presentation(sem, sub)
-    letter_eval: dict[str, int] = {a: q_assign[a] for a in q_pres.alphabet}
+    letter_eval = {f"t{m}": m for m in sub.sorted_members()}
     for i in range(1, green.class_count):
         letter_eval[f"d{i}"] = green.rep_of(i)
 

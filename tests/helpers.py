@@ -5,12 +5,13 @@ from __future__ import annotations
 import functools
 import random
 
-from greenindex import automatic, core, factories, growth
+from greenindex import automatic, core, factories, growth, present
 from greenindex.automatic import PAD
 from greenindex.errors import (
     GreenIndexError,
     HypothesisFails,
     InputError,
+    InvalidLetter,
     NotGenerating,
     NotInSubsemigroup,
 )
@@ -162,7 +163,7 @@ def tuple_pair_alphabet(left, right) -> tuple:
 def reference_verify_structure_report(st, target, max_len):
     """``automatic.verify_structure_report`` by its definition: every word
     pair is tested against every multiplier, one acceptance run each."""
-    sem, elems = automatic._target_domain(target)
+    sem, elems = core._target_domain(target)
     elem_set = set(elems)
     words = st.acceptor.enumerate_words(max_len)
     evals = {}
@@ -290,3 +291,41 @@ def reference_h_class_of(green, x):
     elements sharing x's H-class id."""
     hid = green.h_id[x]
     return frozenset(u for u in green.sem.elements if green.h_id[u] == hid)
+
+
+def reference_verify_sub_presentation(pres, assignment, sub, **bounds):
+    """Verification of a presentation of T by re-indexing: T becomes a
+    standalone semigroup (its table validated again), a letter not assigned
+    an element of T gives False, and ``present.verify_presentation`` runs
+    on the copy."""
+    order = sub.sorted_members()
+    back = {p: i for i, p in enumerate(order)}
+    sem = core.validate_table(
+        [[back[sub.parent.mul(x, y)] for y in order] for x in order])
+    if any(assignment.get(a) not in back for a in pres.alphabet):
+        return False
+    local = {a: back[assignment[a]] for a in pres.alphabet}
+    return present.verify_presentation(pres, sem, local, **bounds)
+
+
+def reference_parse_word(raw: str, alphabet):
+    """``present.parse_word`` on a joined string by its definition: a
+    recursive search, longest letter first, that returns the first
+    tokenization it finds."""
+    letters = sorted(set(alphabet), key=len, reverse=True)
+    out = []
+
+    def go(i):
+        if i == len(raw):
+            return True
+        for a in letters:
+            if raw.startswith(a, i):
+                out.append(a)
+                if go(i + len(a)):
+                    return True
+                out.pop()
+        return False
+
+    if not go(0):
+        raise InvalidLetter(f"cannot tokenize {raw!r} over {list(alphabet)}")
+    return tuple(out)

@@ -205,6 +205,22 @@ def test_transfer_z6(z6, t03):
     assert sem_vals == {0, 3}
 
 
+def test_transfer_walks_the_acceptor_once(z6, t03, monkeypatch):
+    # the first word of each letter's evaluation is read off the listed
+    # language, not found by a second walk of the acceptor
+    st, green, conn = transfer_setup(z6, t03, [1])
+    walks = []
+    real = au.Nfa.iter_words
+
+    def counting(self, *args, **kwargs):
+        walks.append(self is st.acceptor)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(au.Nfa, "iter_words", counting)
+    au.transfer_details(st, t03, green, conn)
+    assert walks.count(True) == 1
+
+
 def test_transfer_semilattice():
     z4, z2 = factories.zmod(4), factories.zmod(2)
     s, t = core.strong_semilattice(z4, z2, factories.mod_reduction(z4, z2))

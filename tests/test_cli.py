@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenindex import cli
 
@@ -304,3 +309,170 @@ def test_auto_rejects_letter_evaluations_outside_s(files, capsys, command, value
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("input error: ")
+
+
+def _write_presentation(tmp_path, **fields):
+    data = {"alphabet": ["b"], "relations": [["bbbbbbb", "b"]],
+            "assignment": {"b": 1}}
+    data.update(fields)
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _present_argv(command, files, pres_path):
+    sem_path, sub_path, _ = files
+    if command == "verify":
+        return ["present", "verify", "--presentation", pres_path,
+                "--semigroup", sem_path]
+    return ["present", "synth", "--semigroup", sem_path, "--sub", sub_path,
+            "--presentation", pres_path]
+
+
+@pytest.mark.parametrize("command", ["verify", "synth"])
+@pytest.mark.parametrize("field, value, message", [
+    ("relations", 5, "presentation JSON needs 'alphabet' and 'relations' lists"),
+    ("relations", [5], "each relation must be a pair of words"),
+    ("relations", [["bbb", 5]], "a word must be a string or a list of letters, not 5"),
+    ("alphabet", ["b", ""], "presentation letters must be nonempty strings"),
+    ("assignment", [3], "presentation 'assignment' must map letters to integers"),
+    ("assignment", {"b": "x"}, "presentation 'assignment' must map letters to integers"),
+    ("assignment", {"b": 1.9}, "presentation 'assignment' must map letters to integers"),
+    ("assignment", {"b": True}, "presentation 'assignment' must map letters to integers"),
+], ids=["relations-int", "relation-int", "word-int", "empty-letter",
+        "assignment-list", "value-string", "value-float", "value-bool"])
+def test_present_rejects_malformed_presentations(files, capsys, command,
+                                                 field, value, message):
+    # 5 and [5] used to end in TypeError tracebacks, [3] in an
+    # AttributeError and "x" in a ValueError; 1.9 was read as 1, so
+    # b^7 = b over Z6 printed verified: true
+    pres_path = _write_presentation(files[2], **{field: value})
+    code = cli.main(_present_argv(command, files, pres_path))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ({}, "letter 'b' has no assigned element"),
+    ({"b": 99}, "assignment of 'b' is out of range"),
+    ({"b": 6}, "assignment of 'b' is out of range"),
+    ({"b": -1}, "assignment of 'b' is out of range"),
+], ids=["missing", "too-big", "identity", "negative"])
+def test_present_synth_requires_assigned_letters(files, capsys, assignment,
+                                                 message):
+    # a missing letter used to be a KeyError traceback and 99 or 6 an
+    # IndexError; -1 was used as a Python index, the last element
+    pres_path = _write_presentation(files[2], assignment=assignment)
+    code = cli.main(_present_argv("synth", files, pres_path))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_present_reads_integer_assignments(files, capsys):
+    # b -> 1 presents Z6 but not T = {0, 3}
+    pres_path = _write_presentation(files[2])
+    code, out = run(capsys, *_present_argv("verify", files, pres_path))
+    assert code == 0 and json.loads(out)["verified"] is True
+    code = cli.main(_present_argv("synth", files, pres_path))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: the base presentation does not present T\n"
+
+
+def test_semigroup_names_must_be_a_list(files, capsys, z6):
+    # used to end in a TypeError traceback in every command
+    sem_path, sub_path, tmp_path = files
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps({**z6.to_json_dict(), "names": 5}))
+    code, out = run(capsys, "validate", "--semigroup", str(named),
+                    "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "witness": None,
+                               "error": "semigroup 'names' must be a list"}
+    code = cli.main(["green-index", "--semigroup", str(named), "--sub", sub_path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: semigroup 'names' must be a list\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text("bd1t0 ", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("abt", max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, prefix + (i,))
+
+
+def _mutated(doc, data):
+    """The document with one position replaced by a drawn JSON value, or
+    (below the root) deleted."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(json_values)
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+FUZZ_DOCS = {
+    "semigroup": {"order": 6, "table": [[(x + y) % 6 for y in range(6)]
+                                        for x in range(6)],
+                  "names": ["e", "a", "a2", "a3", "a4", "a5"]},
+    "sub": {"members": [0, 3]},
+    "presentation": {"alphabet": ["b", "t0"],
+                     "relations": [["bbb", "b"], [["b", "t0"], "b"], ["t0t0", "t0"]],
+                     "assignment": {"b": 3, "t0": 0}},
+}
+FUZZ_COMMANDS = {
+    "validate": ("semigroup",),
+    "present verify": ("presentation", "semigroup"),
+    "present synth": ("presentation", "semigroup", "sub"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_COMMANDS)), st.data())
+def test_fuzzed_json_exits_with_a_documented_code(fuzz_dir, command, data):
+    inputs = FUZZ_COMMANDS[command]
+    target = data.draw(st.sampled_from(inputs))
+    paths = {}
+    for name in inputs:
+        doc = FUZZ_DOCS[name]
+        if name == target:
+            doc = _mutated(doc, data)
+        paths[name] = fuzz_dir / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = command.split() + [
+        arg for name in inputs
+        for arg in (f"--{name}", str(paths[name]))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

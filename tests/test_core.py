@@ -81,10 +81,8 @@ def test_subsemigroup_validation(z6):
     with pytest.raises(NotClosed):
         core.SubSemigroup(parent=z6, members=frozenset())
     sub = core.SubSemigroup(parent=z6, members=frozenset({0, 3}))
-    reind, back = sub.as_semigroup()
-    assert reind.order == 2
-    assert back == (0, 3)
-    assert core.is_group(reind)
+    assert core._target_domain(sub) == (z6, [0, 3])
+    assert core._target_domain(z6) == (z6, list(range(6)))
 
 
 def test_monoid_completion_is_always_fresh():

@@ -1,4 +1,14 @@
+import functools
+
 import pytest
+from helpers import (
+    outcome,
+    reference_parse_word,
+    reference_verify_sub_presentation,
+    small_tables,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenindex import core, factories, present, relgreen
 from greenindex.errors import (
@@ -16,6 +26,18 @@ def test_parse_word_tokenizes_multichar_letters():
     assert present.parse_word(["d1", "b"], ("b", "d1")) == ("d1", "b")
     with pytest.raises(InvalidLetter):
         present.parse_word("c", ("b",))
+    # far past the recursion limit, and a dead end retried only once
+    assert present.parse_word("ab" * 3000, ("a", "b", "ab")) == ("ab",) * 3000
+    with pytest.raises(InvalidLetter):
+        present.parse_word("a" * 200 + "b", ("a", "aa", "aaa"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text("ab1", min_size=1, max_size=3), min_size=1, max_size=4),
+       st.text("ab1", max_size=10))
+def test_parse_word_matches_recursive_reference(alphabet, raw):
+    assert outcome(present.parse_word, raw, alphabet) == \
+        outcome(reference_parse_word, raw, alphabet)
 
 
 def test_presentation_validation():
@@ -135,8 +157,13 @@ def test_verify_presentation_raises_on_tight_bounds(z6):
 
 def test_compact_subsemigroup_presentation(z6, t03):
     compact = present.Presentation(("b",), ((("b", "b", "b"), ("b",)),))
-    assert present.verify_sub_presentation(compact, {"b": 3}, t03)
-    assert not present.verify_sub_presentation(compact, {"b": 0}, t03)
+    assert present.verify_presentation(compact, t03, {"b": 3})
+    assert not present.verify_presentation(compact, t03, {"b": 0})
+    # the old subsemigroup verifier returned False for these two
+    with pytest.raises(InvalidLetter):
+        present.verify_presentation(compact, t03, {})
+    with pytest.raises(InputError):
+        present.verify_presentation(compact, t03, {"b": 6})
 
 
 def synth(sem, sub, q=None, qa=None, **kw):
@@ -191,11 +218,11 @@ def test_dagger_violation_detected():
     # forge a pack that breaks the shared-alphabet convention for one of the
     # L-related pairs
     l_groups = {}
-    for i, pack in packs.packs.items():
+    for i, pack in packs.items():
         l_groups.setdefault(pack.leader, []).append(i)
     shared = next(m for m in l_groups.values() if len(m) > 1)
     i = shared[1]
-    old = packs.packs[i]
+    old = packs[i]
     rogue = present.Presentation(
         tuple(a + "_rogue" for a in old.presentation.alphabet),
         tuple(
@@ -203,7 +230,7 @@ def test_dagger_violation_detected():
             for u, v in old.presentation.relations
         ),
     )
-    forged = dict(packs.packs)
+    forged = dict(packs)
     forged[i] = present.ClassPack(
         class_index=old.class_index,
         leader=old.leader,
@@ -214,7 +241,7 @@ def test_dagger_violation_detected():
     )
     with pytest.raises(DaggerViolation):
         present.synthesize_presentation(
-            q, qa, present.SchutzPresentationPack(packs=forged), green, conn
+            q, qa, forged, green, conn
         )
 
 
@@ -223,7 +250,7 @@ def test_pack_lifts_are_congruent(instances):
         green = relgreen.relative_green(sem, sub)
         q, qa = present.sub_table_presentation(sem, sub)
         packs = present.build_schutz_packs(sem, sub, green, q, qa)
-        for i, pack in packs.packs.items():
+        for i, pack in packs.items():
             assert present.verify_presentation(
                 pack.presentation, pack.schutz.group, pack.letter_to_group
             )
@@ -238,3 +265,80 @@ def test_synthesized_relations_hold(z6, t03):
         assert present.evaluate_word(z6, assign, u) == present.evaluate_word(
             z6, assign, v
         )
+
+
+def _sub_presentation_cases(sem, sub):
+    """Presentations of T assigned into parent indices: the table
+    presentation as assigned, with its values rotated, with one value moved
+    outside T, with its first or its last relation dropped, and the
+    one-letter presentation b^(k+1) = b^i of each member's powers."""
+    q, qa = present.sub_table_presentation(sem, sub)
+    letters = q.alphabet
+    yield q, qa
+    yield q, dict(zip(letters, [qa[a] for a in letters[1:] + letters[:1]]))
+    outside = sorted(sub.complement())
+    if outside:
+        yield q, {**qa, letters[-1]: outside[0]}
+    yield present.Presentation(letters, q.relations[1:]), qa
+    yield present.Presentation(letters, q.relations[:-1]), qa
+    for m in sub.sorted_members():
+        powers = [m]
+        while (p := sem.mul(powers[-1], m)) not in powers:
+            powers.append(p)
+        rel = (("b",) * (len(powers) + 1), ("b",) * (powers.index(p) + 1))
+        yield present.Presentation(("b",), (rel,)), {"b": m}
+
+
+def _sub_verdicts(sem, sub):
+    """``verify_presentation`` on T next to the re-indexing reference, for
+    every case under default and tight bounds."""
+    for pres, assign in _sub_presentation_cases(sem, sub):
+        for bounds in ({}, {"max_classes": 1}, {"max_len": 1},
+                       {"max_classes": 3, "max_len": 2}):
+            got = outcome(functools.partial(
+                present.verify_presentation, pres, sub, assign, **bounds))
+            want = outcome(functools.partial(
+                reference_verify_sub_presentation, pres, assign, sub, **bounds))
+            yield got, want
+
+
+def test_subsemigroup_verification_matches_reindexing_reference(instances):
+    seen = set()
+    for _name, sem, sub, _a, _b in instances:
+        for got, want in _sub_verdicts(sem, sub):
+            assert got == want
+            seen.add(got if isinstance(got, bool) else got[1])
+    assert seen == {True, False, "class bound exceeded",
+                    "representative length bound exceeded"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10 ** 9), st.data())
+def test_subsemigroup_verification_matches_reference_on_small_tables(n, pick, data):
+    tables = small_tables(n)
+    sem = core.validate_table(tables[pick % len(tables)])
+    gens = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+    sub = core.closure(sem, gens)
+    for got, want in _sub_verdicts(sem, sub):
+        assert got == want
+
+
+def test_word_problem_context_builds_no_presentation(instances, monkeypatch):
+    built = []
+    real = present.Presentation.__post_init__
+
+    def counting(self):
+        built.append(self.alphabet)
+        real(self)
+
+    monkeypatch.setattr(present.Presentation, "__post_init__", counting)
+    for _name, sem, sub, _a, _b in instances:
+        green = relgreen.relative_green(sem, sub)
+        ctx = present.word_problem_context(sem, sub, green=green)
+        assert built == []
+        _q, qa = present.sub_table_presentation(sem, sub)
+        assert len(built) == 1
+        built.clear()
+        d_letters = [(f"d{i}", green.rep_of(i))
+                     for i in range(1, green.class_count)]
+        assert list(ctx.letter_eval.items()) == list(qa.items()) + d_letters
