@@ -11,17 +11,13 @@ decision procedure, growth comparison, and transfer of automatic structures.
 from .core import (
     BlackBoxSemigroup,
     FiniteSemigroup,
+    Generated,
     Homomorphism,
-    MonoidCompletion,
     SubSemigroup,
     closure,
-    factorize_element,
-    generates,
+    generated,
     is_cancellative,
     is_group,
-    monoid_completion,
-    shortlex_factorizer,
-    shortlex_forms,
     strong_semilattice,
     validate_table,
 )

@@ -23,8 +23,7 @@ from .core import (
     FiniteSemigroup,
     SubSemigroup,
     _target_domain,
-    generates,
-    shortlex_forms,
+    generated,
 )
 from .errors import (
     AlphabetMismatch,
@@ -566,11 +565,11 @@ def structure_for_finite(sem: FiniteSemigroup, gens: Sequence[int]) -> Automatic
     normal forms as the word acceptor, multiplier relations listed pair by
     pair."""
     gens = sorted(set(gens))
-    if not generates(sem, gens, sem.elements):
+    forms = generated(sem, gens).words
+    if len(forms) != sem.order:
         raise NotGenerating("the given set does not generate the semigroup")
     letters = {g: f"a{g}" for g in gens}
     alphabet = tuple(letters[g] for g in gens)
-    forms = shortlex_forms(sem, gens)
     rep = {
         elt: tuple(letters[g] for g in word) for elt, word in forms.items()
     }

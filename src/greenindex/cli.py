@@ -22,7 +22,8 @@ from .core import (
     BlackBoxSemigroup,
     FiniteSemigroup,
     SubSemigroup,
-    generates,
+    _check_index,
+    generated,
     is_cancellative,
     is_group,
 )
@@ -82,13 +83,6 @@ def _ints(text: str) -> list[int]:
         return [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise InputError(f"expected comma-separated integers, got {text!r}")
-
-
-def _index(value: int, limit: int, what: str) -> int:
-    """An element index in [0, limit); a negative one would silently wrap."""
-    if not 0 <= value < limit:
-        raise OutOfRange(f"{what} {value} not in [0, {limit})")
-    return value
 
 
 def _letters(text: str) -> tuple[str, ...]:
@@ -186,7 +180,7 @@ def cmd_connectors(args) -> int:
 def cmd_rewrite(args) -> int:
     sem, sub, green = _green(args)
     conn = rg.connectors(green)
-    word = [_index(s, sem.order + 1, "--word letter") for s in _ints(args.word)]
+    word = [_check_index(s, sem.order + 1, "--word letter") for s in _ints(args.word)]
     if not 0 <= args.class_index < green.class_count:
         raise InputError("class index out of range")
     push = rw.push_right if args.direction == "right" else rw.push_left
@@ -215,7 +209,7 @@ def cmd_schreier(args) -> int:
     conn = rg.connectors(green)
     gens = _ints(args.gens)
     bset, factorizer = rw.schreier_generators(sem, gens, sub, green, conn)
-    closed = generates(sem, bset, sub.members) if bset else False
+    closed = bool(bset) and generated(sem, bset).members == sub.members
     samples = {
         str(t): list(factorizer(t)) for t in sub.sorted_members()
     }
@@ -232,7 +226,7 @@ def cmd_schreier(args) -> int:
 
 def cmd_schutz(args) -> int:
     sem, sub, green = _green(args)
-    h_class = green.h_class_of(_index(args.class_of, sem.order, "--class-of"))
+    h_class = green.h_class_of(_check_index(args.class_of, sem.order, "--class-of"))
     grp = sc.schutz_group(sem, sub, h_class, min(h_class), green=green)
     fam = sc.lambda_data(sem, sub, green, h_class, min(h_class))
     b_gens = _ints(args.sub_gens) if args.sub_gens else list(sub.sorted_members())
@@ -338,7 +332,7 @@ def cmd_growth_series(args) -> int:
         if not args.semigroup:
             raise InputError("need --semigroup or --blackbox")
         sem = _load_semigroup(args.semigroup)
-        gens = [_index(g, sem.order + 1, "--gens element") for g in _ints(args.gens)]
+        gens = [_check_index(g, sem.order + 1, "--gens element") for g in _ints(args.gens)]
         series = gr.growth_function(sem, gens, args.max)
         disclaimer = None
     out = {"series": list(series)}
@@ -385,7 +379,7 @@ def cmd_auto_verify(args) -> int:
     sem = _load_semigroup(args.semigroup)
     st = au.structure_from_json(_load_json(args.structure))
     for v in st.letter_eval.values():
-        _index(v, sem.order, "letter_eval entry")
+        _check_index(v, sem.order, "letter_eval entry")
     target = _load_sub(sem, args.sub) if args.sub else sem
     ok, reason = au.verify_structure_report(st, target, args.max_len)
     print(_dump({"verified": ok, "reason": reason}))
@@ -397,7 +391,7 @@ def cmd_auto_transfer(args) -> int:
     sub = _load_sub(sem, args.sub)
     st = au.structure_from_json(_load_json(args.structure))
     for v in st.letter_eval.values():
-        _index(v, sem.order, "letter_eval entry")
+        _check_index(v, sem.order, "letter_eval entry")
     green = rg.relative_green(sem, sub)
     conn = rg.connectors(green)
     res = au.transfer_details(st, sub, green, conn,

@@ -1,9 +1,10 @@
 """Finite semigroups as validated Cayley tables.
 
 Elements are dense integer indices 0..n-1; an optional name table is carried
-for pretty-printing only.  The monoid completion adjoins a fresh identity at
-index n even when the semigroup already has one, so every formula in the
-package can use the uniform convention "index n means the adjoined identity".
+for pretty-printing only.  S^1 is S with a fresh identity adjoined at index
+n, even when S already has an identity, so every formula in the package can
+use the uniform convention "index n means the adjoined identity"
+(:meth:`FiniteSemigroup.mul1`).
 """
 
 from __future__ import annotations
@@ -88,10 +89,12 @@ class FiniteSemigroup:
                 raise InputError("semigroup 'names' must be a list")
             names = tuple(str(s) for s in names)
         sem = validate_table(table, names=names)
-        if "order" in data and data["order"] != sem.order:
-            raise InputError(
-                f"declared order {data['order']} != table size {sem.order}"
-            )
+        order = data.get("order", sem.order)
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise InputError(f"declared order {order!r} is a"
+                             f" {type(order).__name__}, not an integer")
+        if order != sem.order:
+            raise InputError(f"declared order {order} != table size {sem.order}")
         return sem
 
 
@@ -139,30 +142,6 @@ def validate_table(
             identity = e
             break
     return FiniteSemigroup(order=n, table=rows, identity=identity, names=names)
-
-
-@dataclass(frozen=True)
-class MonoidCompletion:
-    """A semigroup with a fresh identity adjoined at index ``base.order``.
-
-    The new element is never identified with an existing identity of the
-    base semigroup.
-    """
-
-    base: FiniteSemigroup
-    semigroup: FiniteSemigroup = field(compare=False)
-    identity_index: int = field(compare=False)
-
-
-def monoid_completion(base: FiniteSemigroup) -> MonoidCompletion:
-    n = base.order
-    rows = [list(row) + [x] for x, row in enumerate(base.table)]
-    rows.append(list(range(n + 1)))
-    names = None
-    if base.names is not None:
-        names = base.names + ("<1>",)
-    sem = validate_table(rows, names=names)
-    return MonoidCompletion(base=base, semigroup=sem, identity_index=n)
 
 
 @dataclass(frozen=True)
@@ -216,27 +195,75 @@ def _target_domain(
     return target, list(target.elements)
 
 
-def closure(sem: FiniteSemigroup, gens: Iterable[int]) -> SubSemigroup:
-    """Smallest subsemigroup of ``sem`` containing ``gens`` (BFS)."""
-    gens = sorted(set(gens))
+def _check_index(x, limit: int, what: str) -> int:
+    """``x`` if it is an int (not a bool) in [0, limit), else
+    ``OutOfRange``: a negative index would silently wrap."""
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < limit:
+        raise OutOfRange(f"{what} {x!r} not in [0, {limit})")
+    return x
+
+
+@dataclass(frozen=True)
+class Generated:
+    """What a generating set reaches, with each element's shortlex word.
+
+    ``gens`` are the generators deduplicated in the given order, which is
+    the letter order.  ``words`` maps every element of the generated
+    subsemigroup to its shortest-then-lexicographic word over ``gens`` (a
+    tuple of generator elements), in shortlex order.
+    """
+
+    gens: tuple[int, ...]
+    words: dict[int, tuple[int, ...]]
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.words)
+
+    def word(self, x: int) -> tuple[int, ...]:
+        """The shortlex word of ``x``; ``NotInSubsemigroup`` when the
+        generators do not reach it."""
+        word = self.words.get(x)
+        if word is None:
+            raise NotInSubsemigroup(f"{x} is not generated by {list(self.gens)}")
+        return word
+
+
+def generated(sem: FiniteSemigroup, gens: Iterable[int]) -> Generated:
+    """The subsemigroup of ``sem`` generated by ``gens`` and its shortlex
+    words, from one right-multiplication BFS.
+
+    Every product g1*...*gk is reached from g1 by right multiplications, so
+    the search finds all of <gens>; the set of minimal words is
+    prefix-closed, so extending recorded words in order yields minimal
+    words.  Raises ``EmptyGenerators`` for no generators and ``OutOfRange``
+    for a generator that is not an element index.
+    """
+    gens = list(gens)
     if not gens:
-        raise EmptyGenerators("closure needs at least one generator")
+        raise EmptyGenerators("need at least one generator")
     for g in gens:
-        if not 0 <= g < sem.order:
-            raise OutOfRange(f"generator {g} not in [0, {sem.order})")
-    seen = set(gens)
-    frontier = list(gens)
+        _check_index(g, sem.order, "generator")
+    gens = tuple(dict.fromkeys(gens))
     tab = sem.table
-    while frontier:
-        new = []
-        for x in frontier:
+    words = {g: (g,) for g in gens}
+    level = list(gens)
+    while level:
+        nxt = []
+        for x in level:
+            row, word = tab[x], words[x]
             for g in gens:
-                for p in (tab[x][g], tab[g][x]):
-                    if p not in seen:
-                        seen.add(p)
-                        new.append(p)
-        frontier = new
-    return SubSemigroup(parent=sem, members=frozenset(seen))
+                p = row[g]
+                if p not in words:
+                    words[p] = word + (g,)
+                    nxt.append(p)
+        level = nxt
+    return Generated(gens=gens, words=words)
+
+
+def closure(sem: FiniteSemigroup, gens: Iterable[int]) -> SubSemigroup:
+    """Smallest subsemigroup of ``sem`` containing ``gens``."""
+    return SubSemigroup(parent=sem, members=generated(sem, gens).members)
 
 
 @dataclass(frozen=True)
@@ -323,76 +350,6 @@ def is_cancellative(sem: FiniteSemigroup) -> bool:
         if {sem.table[x][y] for x in sem.elements} != full:
             return False
     return True
-
-
-def shortlex_forms(
-    sem: FiniteSemigroup, gens: Sequence[int]
-) -> dict[int, tuple[int, ...]]:
-    """Shortest-then-lexicographic word over ``gens`` for every reachable
-    element.  Letter order is the order of ``gens``; words are tuples of
-    generator elements.
-
-    The set of minimal words is prefix-closed, so extending recorded words in
-    order yields minimal words.
-    """
-    if not gens:
-        raise EmptyGenerators("need at least one generator")
-    forms: dict[int, tuple[int, ...]] = {}
-    level: list[tuple[int, tuple[int, ...]]] = []
-    for g in gens:
-        if g not in forms:
-            forms[g] = (g,)
-            level.append((g, (g,)))
-    while level:
-        nxt = []
-        for elt, word in level:
-            for g in gens:
-                p = sem.mul(elt, g)
-                if p not in forms:
-                    w = word + (g,)
-                    forms[p] = w
-                    nxt.append((p, w))
-        level = nxt
-    return forms
-
-
-def shortlex_factorizer(
-    sem: FiniteSemigroup, gens: Sequence[int]
-) -> Callable[[int], tuple[int, ...]]:
-    """Lookup of shortest-then-lexicographic words over ``gens``.
-
-    The forms are computed by one :func:`shortlex_forms` pass on the first
-    lookup and read by every later one.  A lookup raises
-    ``NotInSubsemigroup`` for an element the generators do not reach.
-    """
-    gens = list(gens)
-    forms: dict[int, tuple[int, ...]] | None = None
-
-    def factor(target: int) -> tuple[int, ...]:
-        nonlocal forms
-        if forms is None:
-            forms = shortlex_forms(sem, gens)
-        word = forms.get(target)
-        if word is None:
-            raise NotInSubsemigroup(f"{target} is not generated by {gens}")
-        return word
-
-    return factor
-
-
-def factorize_element(
-    sem: FiniteSemigroup, gens: Sequence[int], target: int
-) -> tuple[int, ...]:
-    """Shortest-then-lexicographic word over ``gens`` evaluating to
-    ``target``; raises ``NotInSubsemigroup`` when unreachable."""
-    return shortlex_factorizer(sem, gens)(target)
-
-
-def generates(sem: FiniteSemigroup, gens: Iterable[int],
-              members: Iterable[int]) -> bool:
-    """True iff ``gens`` generates exactly the subsemigroup ``members``.
-    Raises like :func:`closure` for an empty or out-of-range ``gens``."""
-    return closure(sem, gens).members == frozenset(members)
 
 
 @dataclass(frozen=True)

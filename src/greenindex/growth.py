@@ -12,8 +12,8 @@ from .core import (
     BlackBoxSemigroup,
     FiniteSemigroup,
     SubSemigroup,
-    generates,
-    shortlex_factorizer,
+    _check_index,
+    generated,
 )
 from .errors import BudgetExceeded, HypothesisFails, InputError, NotGenerating
 
@@ -34,8 +34,12 @@ def _balls(sem, gens, start, budget: int):
     """Yield the ball around ``start`` for radii 0, 1, 2, ... from one BFS,
     each level extending the previous ball in place: a set of S^1 indices
     for a FiniteSemigroup, a dict from canonical key to element (in
-    discovery order) for a BlackBoxSemigroup."""
+    discovery order) for a BlackBoxSemigroup.  The generators and ``start``
+    of a FiniteSemigroup must be S^1 indices (``OutOfRange`` otherwise)."""
     if isinstance(sem, FiniteSemigroup):
+        for g in gens:
+            _check_index(g, sem.order + 1, "generator")
+        _check_index(start, sem.order + 1, "start")
         ball = {start}
         frontier = [start]
         while True:
@@ -131,8 +135,11 @@ def domination_check(
     decompositions of products of generators from A = B u R.  B must lie in
     T and generate it (NotGenerating otherwise).
     """
-    if not set(b_gens) <= sub.members or \
-            not generates(sem, b_gens, sub.members):
+    b_sorted = sorted(set(b_gens))
+    if not set(b_sorted) <= sub.members:
+        raise NotGenerating("the given set does not generate T")
+    over_b = generated(sem, b_sorted)
+    if over_b.members != sub.members:
         raise NotGenerating("the given set does not generate T")
     n = sem.order
     r_sorted = sorted(set(r_set))
@@ -151,8 +158,6 @@ def domination_check(
             raise HypothesisFails(f"element {s} has no decomposition r * t")
 
     a_gens = sorted(set(b_gens) | set(r_sorted))
-    b_sorted = sorted(set(b_gens))
-    factor_b = shortlex_factorizer(sem, b_sorted)
 
     k1 = len(r_sorted)
     k2 = 1
@@ -160,7 +165,7 @@ def domination_check(
         for a2 in a_gens:
             _, mu = decomposition[sem.mul1(a1, a2)]
             if mu != n:
-                k2 = max(k2, len(factor_b(mu)))
+                k2 = max(k2, len(over_b.word(mu)))
 
     g_s = growth_function(sem, [g for g in a_gens if g != n], m_max)
     g_t = growth_function(sem, b_sorted, k2 * m_max)

@@ -18,8 +18,7 @@ from .core import (
     FiniteSemigroup,
     SubSemigroup,
     _target_domain,
-    generates,
-    shortlex_factorizer,
+    generated,
 )
 from .errors import (
     BadInputPresentation,
@@ -448,16 +447,28 @@ def verify_presentation(
     within bounds.
     """
     sem, elems = _target_domain(target)
-    size = len(elems)
     _check_assignment(pres, assignment, sem.order)
     images = {assignment[a] for a in pres.alphabet}
-    if not images <= set(elems):
+    if not images <= set(elems) or \
+            generated(sem, sorted(images)).members != frozenset(elems):
         return False
+    return _presents(pres, sem, assignment, len(elems), max_classes, max_len)
+
+
+def _presents(
+    pres: Presentation,
+    sem: FiniteSemigroup,
+    assignment: Mapping[str, int],
+    size: int,
+    max_classes: int | None,
+    max_len: int | None,
+) -> bool:
+    """:func:`verify_presentation` once the letters are known to generate
+    the target of ``size`` elements: every relation holds, and the
+    enumerated quotient closes with ``size`` classes mapped bijectively."""
     for u, v in pres.relations:
         if evaluate_word(sem, assignment, u) != evaluate_word(sem, assignment, v):
             return False
-    if not generates(sem, images, elems):
-        return False
     if max_classes is None:
         max_classes = max(4 * size, 64)
     if max_len is None:
@@ -472,22 +483,25 @@ def verify_presentation(
 
 
 def _letter_factorizer(
-    sem: FiniteSemigroup, q_pres: Presentation, q_assign: Mapping[str, int]
+    sub: SubSemigroup, q_pres: Presentation, q_assign: Mapping[str, int]
 ) -> Callable[[int], Word]:
-    """Shortlex words over the base letters, from one set of shortlex forms:
-    each element is spelled by its least letter, and the adjoined identity
-    by the empty word.  Every base letter must be assigned an element of
-    S."""
+    """Shortlex words over the base letters, from one BFS: each element is
+    spelled by its least letter, and the adjoined identity by the empty
+    word.  Every base letter must be assigned an element of S, and the
+    letters must generate exactly T (``BadInputPresentation`` otherwise)."""
+    sem = sub.parent
     _check_assignment(q_pres, q_assign, sem.order)
     letter_of: dict[int, str] = {}
     for a in sorted(q_pres.alphabet):
         letter_of.setdefault(q_assign[a], a)
-    factor = shortlex_factorizer(sem, sorted(letter_of))
+    over_q = generated(sem, sorted(letter_of))
+    if over_q.members != sub.members:
+        raise BadInputPresentation("the base presentation does not present T")
 
     def word(elt: int) -> Word:
         if elt == sem.order:
             return ()
-        return tuple(letter_of[e] for e in factor(elt))
+        return tuple(letter_of[e] for e in over_q.word(elt))
 
     return word
 
@@ -524,7 +538,7 @@ def build_schutz_packs(
     class, or the empty word when only the adjoined identity remains.
     """
     n = sem.order
-    lift_word = _letter_factorizer(sem, q_pres, q_assign)
+    lift_word = _letter_factorizer(sub, q_pres, q_assign)
     by_l: dict[int, list[int]] = {}
     for i in range(1, green.class_count):
         by_l.setdefault(green.l_id[green.rep_of(i)], []).append(i)
@@ -607,10 +621,10 @@ def synthesize_presentation(
     index 0 denotes the empty word and is elided at emission time.
     """
     sem = green.sem
-    factor_word = _letter_factorizer(sem, q_pres, q_assign)
+    factor_word = _letter_factorizer(green.sub, q_pres, q_assign)
     if verify_inputs:
-        if not verify_presentation(q_pres, green.sub, q_assign,
-                                   max_classes=max_classes, max_len=max_len):
+        if not _presents(q_pres, sem, q_assign, len(green.sub),
+                         max_classes, max_len):
             raise BadInputPresentation("the base presentation does not present T")
         for i, pack in packs.items():
             if not verify_presentation(pack.presentation, pack.schutz.group,

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .core import FiniteSemigroup, generates, shortlex_factorizer
+from .core import FiniteSemigroup, generated
 from .errors import (
     InternalInconsistency,
     InvalidLetter,
@@ -100,7 +100,8 @@ def schreier_generators(
     the generators of S.
     """
     n = sem.order
-    if not generates(sem, gens, sem.elements):
+    over_a = generated(sem, sorted(set(gens)))
+    if len(over_a.words) != n:
         raise NotGenerating("the given set does not generate S")
     k1 = green.class_count
     bset = set()
@@ -111,12 +112,11 @@ def schreier_generators(
                 b = conn.right_factor[i][t]
                 if b != n:
                     bset.add(b)
-    factor = shortlex_factorizer(sem, sorted(set(gens)))
 
     def factorizer(t: int) -> tuple[int, ...]:
         if t not in sub.members:
             raise NotInSubsemigroup(f"{t} is not in the subsemigroup")
-        pushed = _two_pass(factor(t), conn)
+        pushed = _two_pass(over_a.word(t), conn)
         if pushed.output_class != IDENTITY_CLASS:
             raise InternalInconsistency(
                 "two-pass rewrite of a T element did not land back in T"
@@ -132,7 +132,7 @@ def extended_generators(
     """Generators of S from generators of T: adjoin the complement class
     representatives."""
     sub = green.sub
-    if not generates(green.sem, b_gens, sub.members):
+    if generated(green.sem, b_gens).members != sub.members:
         raise NotGenerating("the given set does not generate T")
     return frozenset(b_gens) | set(green.reps)
 

@@ -15,8 +15,7 @@ from typing import Sequence
 from .core import (
     FiniteSemigroup,
     SubSemigroup,
-    closure,
-    generates,
+    generated,
     is_group,
     validate_table,
 )
@@ -214,7 +213,7 @@ def schutz_generators(
     generator's translation through the class-connecting witnesses.  Returns
     group element indices."""
     sem = family.sem
-    if not generates(sem, b_gens, family.sub.members):
+    if generated(sem, b_gens).members != family.sub.members:
         raise NotGenerating("the given set does not generate T")
     out = set()
     for p in range(len(family.classes)):
@@ -230,22 +229,12 @@ def schutz_generators(
 
 
 def generated_subgroup(grp: SchutzGroup, gens) -> frozenset[int]:
-    """Closure of a set of group element indices inside the group."""
+    """Closure of a set of group element indices inside the group: in a
+    finite group the subsemigroup they generate is a subgroup, and no
+    generators give the trivial one."""
     if not gens:
-        e = grp.group.identity
-        return frozenset() if e is None else frozenset({e})
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in list(seen):
-                for p in (grp.group.mul(x, g), grp.group.mul(g, x)):
-                    if p not in seen:
-                        seen.add(p)
-                        new.append(p)
-        frontier = new
-    return frozenset(seen)
+        return frozenset({grp.group.identity})
+    return generated(grp.group, gens).members
 
 
 def find_generating_set(sem: FiniteSemigroup) -> tuple[int, ...]:
@@ -255,7 +244,7 @@ def find_generating_set(sem: FiniteSemigroup) -> tuple[int, ...]:
     for x in sem.elements:
         if x not in have:
             gens.append(x)
-            have = closure(sem, gens).members
+            have = generated(sem, gens).members
             if len(have) == sem.order:
                 break
     return tuple(gens)

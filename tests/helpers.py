@@ -8,6 +8,7 @@ import random
 from greenindex import automatic, core, factories, growth, present
 from greenindex.automatic import PAD
 from greenindex.errors import (
+    EmptyGenerators,
     GreenIndexError,
     HypothesisFails,
     InputError,
@@ -206,10 +207,54 @@ def reference_verify_structure_report(st, target, max_len):
     return True, "ok"
 
 
+def reference_closure(sem, gens):
+    """The members of ``core.closure`` by a two-sided BFS: products with a
+    generator on either side, from the sorted distinct generators."""
+    gens = sorted(set(gens))
+    if not gens:
+        raise EmptyGenerators("need at least one generator")
+    seen = set(gens)
+    frontier = list(gens)
+    tab = sem.table
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                for p in (tab[x][g], tab[g][x]):
+                    if p not in seen:
+                        seen.add(p)
+                        new.append(p)
+        frontier = new
+    return frozenset(seen)
+
+
+def reference_shortlex_forms(sem, gens):
+    """The words of ``core.generated`` by a BFS over (element, word) pairs:
+    letter order is the order of ``gens``, and each element keeps the first
+    word that reaches it."""
+    forms = {}
+    level = []
+    for g in gens:
+        if g not in forms:
+            forms[g] = (g,)
+            level.append((g, (g,)))
+    while level:
+        nxt = []
+        for elt, word in level:
+            for g in gens:
+                p = sem.mul(elt, g)
+                if p not in forms:
+                    w = word + (g,)
+                    forms[p] = w
+                    nxt.append((p, w))
+        level = nxt
+    return forms
+
+
 def reference_factorize_element(sem, gens, target):
-    """``core.factorize_element`` by its definition: a fresh shortlex BFS
-    for every target."""
-    forms = core.shortlex_forms(sem, gens)
+    """``core.generated(sem, gens).word(target)`` by its definition: a
+    fresh shortlex BFS for every target."""
+    forms = reference_shortlex_forms(sem, gens)
     if target not in forms:
         raise NotInSubsemigroup(f"{target} is not generated by {list(gens)}")
     return forms[target]
@@ -220,7 +265,7 @@ def reference_domination_check(sem, sub, r_set, b_gens, m_max):
     decomposition is a fresh scan of R x T^1, each generator length a fresh
     factorization, and each growth series entry a fresh out-ball."""
     if not set(b_gens) <= sub.members or \
-            core.closure(sem, b_gens).members != sub.members:
+            reference_closure(sem, b_gens) != sub.members:
         raise NotGenerating("the given set does not generate T")
     n = sem.order
     r_sorted = sorted(set(r_set))

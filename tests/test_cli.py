@@ -381,6 +381,43 @@ def test_present_reads_integer_assignments(files, capsys):
     assert captured.err == "error: the base presentation does not present T\n"
 
 
+@pytest.mark.parametrize("value", [0, 1, 2, 4, 5])
+def test_present_synth_refuses_a_base_that_does_not_generate_t(files, capsys,
+                                                               value):
+    # 0, 2 and 4 used to exit 2 with "3 is not generated by [0]" (or [2],
+    # [4]) from the class-group lifts, built before the base was checked
+    pres_path = _write_presentation(files[2], relations=[["bbb", "b"]],
+                                    assignment={"b": value})
+    code = cli.main(_present_argv("synth", files, pres_path))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: the base presentation does not present T\n"
+    pres_path = _write_presentation(files[2], relations=[["bbb", "b"]],
+                                    assignment={"b": 3})
+    code, out = run(capsys, *_present_argv("synth", files, pres_path))
+    assert code == 0 and json.loads(out)["assignment"]["b"] == 3
+
+
+@pytest.mark.parametrize("order, message", [
+    (6.0, "declared order 6.0 is a float, not an integer"),
+    ("6", "declared order '6' is a str, not an integer"),
+], ids=["float", "string"])
+def test_semigroup_order_must_be_an_integer(files, capsys, z6, order, message):
+    # 6.0 used to validate as a group; "6" gave "declared order 6 != table
+    # size 6"
+    sem_path, sub_path, tmp_path = files
+    declared = tmp_path / "declared.json"
+    declared.write_text(json.dumps({**z6.to_json_dict(), "order": order}))
+    code, out = run(capsys, "validate", "--semigroup", str(declared),
+                    "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "witness": None, "error": message}
+    code = cli.main(["green-index", "--semigroup", str(declared), "--sub", sub_path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_semigroup_names_must_be_a_list(files, capsys, z6):
     # used to end in a TypeError traceback in every command
     sem_path, sub_path, tmp_path = files
@@ -476,3 +513,31 @@ def test_fuzzed_json_exits_with_a_documented_code(fuzz_dir, command, data):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+FLAG_COMMANDS = {
+    "schreier": ("--gens", "semigroup", "sub"),
+    "auto build": ("--gens", "semigroup"),
+    "growth series": ("--gens", "semigroup"),
+    "growth dominate": ("--sub-gens", "semigroup", "sub"),
+    "schutz": ("--sub-gens", "semigroup", "sub"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_COMMANDS))
+def test_generator_flags_exit_with_a_documented_code(files, command):
+    # -1 used to wrap to the last element; n (6) is the adjoined identity,
+    # an index only where S^1 is meant
+    sem_path, sub_path, _ = files
+    flag, *inputs = FLAG_COMMANDS[command]
+    paths = {"semigroup": sem_path, "sub": sub_path}
+    extra = {"growth dominate": ["--r", "0,1,2,6"], "schutz": ["--class-of", "1"]}
+    for value in ("-1", "6", "7", "", "x", "1,-1"):
+        argv = command.split() + [f"{flag}={value}"] + extra.get(command, [])
+        argv += [arg for name in inputs for arg in (f"--{name}", paths[name])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        assert code == 0 or out.getvalue() == "", (argv, out.getvalue())

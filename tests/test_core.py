@@ -85,22 +85,6 @@ def test_subsemigroup_validation(z6):
     assert core._target_domain(z6) == (z6, list(range(6)))
 
 
-def test_monoid_completion_is_always_fresh():
-    z2 = factories.zmod(2)  # already a monoid
-    mc = core.monoid_completion(z2)
-    assert mc.identity_index == 2
-    assert mc.semigroup.order == 3
-    e = mc.identity_index
-    for x in range(3):
-        assert mc.semigroup.mul(e, x) == x
-        assert mc.semigroup.mul(x, e) == x
-    for x in range(2):
-        for y in range(2):
-            assert mc.semigroup.mul(x, y) == z2.mul(x, y)
-    # the base identity 0 is still there, distinct from the adjoined one
-    assert mc.semigroup.mul(0, 1) == 1
-
-
 def test_homomorphism_validation():
     z4, z2 = factories.zmod(4), factories.zmod(2)
     phi = factories.mod_reduction(z4, z2)
@@ -170,13 +154,13 @@ def test_cancellative_implies_group_random_tables(n, pick):
 
 
 def test_shortlex_factorize(z6):
-    assert core.factorize_element(z6, [3], 3) == (3,)
-    assert core.factorize_element(z6, [3], 0) == (3, 3)
-    assert core.factorize_element(z6, [1], 4) == (1, 1, 1, 1)
-    assert core.factorize_element(z6, [2, 3], 2) == (2,)
+    assert core.generated(z6, [3]).word(3) == (3,)
+    assert core.generated(z6, [3]).word(0) == (3, 3)
+    assert core.generated(z6, [1]).word(4) == (1, 1, 1, 1)
+    assert core.generated(z6, [2, 3]).word(2) == (2,)
     with pytest.raises(NotInSubsemigroup):
-        core.factorize_element(z6, [3], 1)
-    forms = core.shortlex_forms(z6, [1])
+        core.generated(z6, [3]).word(1)
+    forms = core.generated(z6, [1]).words
     assert len(forms) == 6
     assert forms[5] == (1,) * 5
 

@@ -1,15 +1,35 @@
-"""Shortlex forms are derived once per generating set: the factorizer agrees
-with its definition, and the layers that factor many elements run one
-shortlex BFS per generator tuple."""
+"""One shortlex BFS per generating set: ``core.generated`` agrees with the
+two-sided closure and the shortlex forms it replaces, refuses what is not an
+element index, and the layers that check generation and factor many
+elements run one BFS per generator tuple."""
 
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greenindex import core, factories, growth, present, relgreen, rewrite
+from greenindex import (
+    automatic,
+    cli,
+    core,
+    factories,
+    growth,
+    present,
+    relgreen,
+    rewrite,
+    schutz,
+)
 from greenindex.errors import EmptyGenerators, NotInSubsemigroup, OutOfRange
 
-from helpers import outcome, random_pairs, reference_factorize_element
+from helpers import (
+    outcome,
+    random_pairs,
+    reference_closure,
+    reference_factorize_element,
+    reference_shortlex_forms,
+    small_tables,
+)
 
 
 def _t3_ideal():
@@ -27,49 +47,89 @@ def test_factorizer_agrees_with_definition(instances):
     cases += [(sem, list(reversed(sub.sorted_members())))
               for sem, sub in random_pairs(5, seed=7)]
     for sem, gens in cases:
-        factor = core.shortlex_factorizer(sem, gens)
+        over = core.generated(sem, gens)
         for target in sem.elements:
             want = outcome(reference_factorize_element, sem, gens, target)
-            assert outcome(factor, target) == want
-            assert outcome(core.factorize_element, sem, gens, target) == want
+            assert outcome(over.word, target) == want
 
 
 def test_factorizer_unreachable_and_empty(z6):
-    factor = core.shortlex_factorizer(z6, (3,))
-    assert factor(0) == (3, 3)
+    over = core.generated(z6, (3,))
+    assert over.word(0) == (3, 3)
     with pytest.raises(NotInSubsemigroup, match=r"^1 is not generated by \[3\]$"):
-        factor(1)
-    # like shortlex_forms, an empty generating set fails on the first lookup
-    empty = core.shortlex_factorizer(z6, [])
+        over.word(1)
+    # an empty generating set fails when the BFS is asked for, not later
     with pytest.raises(EmptyGenerators):
-        empty(0)
+        core.generated(z6, [])
 
 
 def test_generates_matches_closure(z6):
     for sem, sub in random_pairs(20, seed=3):
         gens = sub.sorted_members()[:2]
-        assert core.generates(sem, gens, sub.members) == (
-            core.closure(sem, gens).members == sub.members)
-        assert core.generates(sem, sub.members, sub.members)
-    assert core.generates(z6, [1], z6.elements)
-    assert not core.generates(z6, [2], z6.elements)
-    assert core.generates(z6, [3], {0, 3})
-    with pytest.raises(EmptyGenerators):
-        core.generates(z6, [], z6.elements)
+        assert core.generated(sem, gens).members == reference_closure(sem, gens)
+        assert core.generated(sem, sub.members).members == sub.members
+    assert core.generated(z6, [1]).members == set(z6.elements)
+    assert core.generated(z6, [2]).members == {0, 2, 4}
+    assert core.generated(z6, [3]).members == {0, 3}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10 ** 9), st.data())
+def test_generated_matches_reference_bfs(n, pick, data):
+    # random tables: every associative table of order <= 3, or a pool
+    # semigroup of order <= 40
+    if data.draw(st.booleans()):
+        tables = small_tables(n)
+        sem = core.validate_table(tables[pick % len(tables)])
+    else:
+        sem = random_pairs(1, seed=pick)[0][0]
+    elems = st.integers(0, sem.order - 1)
+    gens = data.draw(st.lists(elems, min_size=1, max_size=4))
+    for order in (sorted(gens), sorted(gens, reverse=True), gens + gens[::-1]):
+        over = core.generated(sem, order)
+        assert over.gens == tuple(dict.fromkeys(order))
+        assert over.members == reference_closure(sem, order)
+        want = reference_shortlex_forms(sem, order)
+        assert list(over.words.items()) == list(want.items())
+        assert core.closure(sem, order).members == over.members
+
+
+@pytest.mark.parametrize("bad", [-1, "n", True], ids=["negative", "n", "bool"])
+def test_generators_must_be_element_indices(z6, bad):
+    # -1 used to wrap to element 5: generated(Z6, [-1]) listed 7 "elements"
+    # and growth_function(Z6, [-1], 3) returned (1, 2, 3, 4)
+    n = z6.order
+    bad = n if bad == "n" else bad
     with pytest.raises(OutOfRange):
-        core.generates(z6, [6], z6.elements)
+        core.generated(z6, [1, bad])
+    with pytest.raises(OutOfRange):
+        core.closure(z6, [bad])
+    # growth runs in S^1, so the adjoined identity n is an index there
+    s1_bad = n + 1 if bad == n else bad
+    with pytest.raises(OutOfRange):
+        growth.growth_function(z6, [1, s1_bad], 3)
+    with pytest.raises(OutOfRange):
+        growth.out_ball(z6, [s1_bad], 0, 2)
+    with pytest.raises(OutOfRange):
+        growth.out_ball(z6, [1], s1_bad, 2)
+    assert growth.growth_function(z6, [1, n], 3) == (1, 2, 3, 4)
 
 
 @pytest.fixture()
-def forms_calls(monkeypatch):
+def bfs_calls(monkeypatch):
+    """Counts ``core.generated`` calls by (semigroup, generator tuple), in
+    every module that calls it."""
     calls = Counter()
-    real = core.shortlex_forms
+    real = core.generated
 
     def counted(sem, gens):
-        calls[tuple(gens)] += 1
+        gens = tuple(gens)
+        calls[id(sem), gens] += 1
         return real(sem, gens)
 
-    monkeypatch.setattr(core, "shortlex_forms", counted)
+    for module in (core, growth, present, rewrite, schutz, automatic, cli):
+        if hasattr(module, "generated"):
+            monkeypatch.setattr(module, "generated", counted)
     return calls
 
 
@@ -79,37 +139,45 @@ def _cases(instances):
     return out
 
 
-def test_domination_derives_forms_once(instances, forms_calls):
+def _once_each(calls):
+    return bool(calls) and set(calls.values()) == {1}
+
+
+def test_domination_derives_forms_once(instances, bfs_calls):
     for sem, sub in _cases(instances):
         green = relgreen.relative_green(sem, sub)
         r_set = sorted(set(green.reps) | {sem.order})
-        forms_calls.clear()
+        bfs_calls.clear()
         growth.domination_check(sem, sub, r_set, sub.sorted_members(), 4)
-        assert forms_calls and max(forms_calls.values()) == 1
+        assert _once_each(bfs_calls)
 
 
-def test_presentation_layers_derive_forms_once(instances, forms_calls):
+def test_presentation_layers_derive_forms_once(instances, bfs_calls):
     for sem, sub in _cases(instances):
         green = relgreen.relative_green(sem, sub)
         conn = relgreen.connectors(green)
         q_pres, q_assign = present.sub_table_presentation(sem, sub)
-        forms_calls.clear()
+        bfs_calls.clear()
         packs = present.build_schutz_packs(sem, sub, green, q_pres, q_assign)
-        assert max(forms_calls.values(), default=0) <= 1
-        forms_calls.clear()
-        present.synthesize_presentation(q_pres, q_assign, packs, green, conn,
-                                        verify_inputs=False)
-        assert max(forms_calls.values(), default=0) <= 1
+        assert _once_each(bfs_calls)
+        # the base letters' BFS is the generation check of T's presentation
+        # and each class group is verified over its own letters
+        for verify_inputs in (False, True):
+            bfs_calls.clear()
+            present.synthesize_presentation(q_pres, q_assign, packs, green,
+                                            conn, verify_inputs=verify_inputs)
+            assert _once_each(bfs_calls)
 
 
-def test_schreier_factorizer_derives_forms_once(instances, forms_calls):
+def test_schreier_factorizer_derives_forms_once(instances, bfs_calls):
     for sem, sub in _cases(instances):
         green = relgreen.relative_green(sem, sub)
         conn = relgreen.connectors(green)
         gens = list(sem.elements)
+        bfs_calls.clear()
         _bset, factorizer = rewrite.schreier_generators(sem, gens, sub, green, conn)
-        assert not forms_calls  # the forms wait for the first call
+        # the generation check's BFS also serves the factorizer
+        assert sum(bfs_calls.values()) == 1
         for t in sub.sorted_members():
             factorizer(t)
-        assert sum(forms_calls.values()) == 1
-        forms_calls.clear()
+        assert sum(bfs_calls.values()) == 1
