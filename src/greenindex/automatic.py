@@ -22,11 +22,13 @@ from typing import Iterable, Iterator, Sequence
 from .core import (
     FiniteSemigroup,
     SubSemigroup,
+    _check_index,
     _target_domain,
     generated,
 )
 from .errors import (
     AlphabetMismatch,
+    BoundExceeded,
     DelayExceeded,
     InputError,
     InternalInconsistency,
@@ -549,12 +551,21 @@ def _epsilon_free(nfa: Nfa) -> Nfa:
 @dataclass(frozen=True)
 class AutomaticStructure:
     """A word acceptor onto a semigroup plus one multiplier relation per
-    letter and one for the empty word (key "")."""
+    letter and one for the empty word (key "").  Every letter must have an
+    evaluation and a multiplier, and no other key may occur
+    (``InputError`` otherwise)."""
 
     alphabet: tuple[str, ...]
     letter_eval: dict[str, int]
     acceptor: Nfa
     multipliers: dict[str, PaddedRelationNfa]
+
+    def __post_init__(self):
+        letters = set(self.alphabet)
+        if set(self.letter_eval) != letters:
+            raise InputError("letter_eval keys must be exactly the alphabet")
+        if set(self.multipliers) != letters | {""}:
+            raise InputError('multiplier keys must be exactly "" and the alphabet')
 
     def eval_word(self, sem: FiniteSemigroup, word: Sequence[str]) -> int:
         return sem.prod1(self.letter_eval[a] for a in word)
@@ -596,7 +607,11 @@ def verify_structure_report(
 ) -> tuple[bool, str]:
     """Check a structure against a semigroup (or subsemigroup) on all words
     up to max_len: the acceptor must evaluate onto the target, and each
-    multiplier must agree with its semantic definition both ways."""
+    multiplier must agree with its semantic definition both ways.  A
+    negative ``max_len`` is an ``InputError``; an element missed within
+    ``max_len`` while longer words exist is ``BoundExceeded``."""
+    if max_len < 0:
+        raise InputError(f"max_len {max_len} is negative")
     sem, elems = _target_domain(target)
     elem_set = set(elems)
     words = st.acceptor.enumerate_words(max_len)
@@ -608,6 +623,10 @@ def verify_structure_report(
         evals[w] = e
     if set(evals.values()) != elem_set:
         missing = sorted(elem_set - set(evals.values()))
+        if any(len(w) > max_len for w in st.acceptor.iter_words()):
+            raise BoundExceeded(
+                f"elements {missing} have no acceptor word of length at most"
+                f" max_len {max_len}, and the acceptor has longer words")
         return False, f"acceptor is not onto; missing elements {missing}"
     position = {w: i for i, w in enumerate(words)}
     by_eval: dict[int, list] = {}
@@ -615,12 +634,7 @@ def verify_structure_report(
         by_eval.setdefault(evals[w], []).append(w)
     strings: dict[int, list] = {}  # by id(nfa): letters may share one
     for key, rel in sorted(st.multipliers.items()):
-        if key == "":
-            factor = sem.order
-        elif key in st.letter_eval:
-            factor = st.letter_eval[key]
-        else:
-            return False, f"multiplier key {key!r} is not a letter"
+        factor = st.letter_eval[key] if key else sem.order
         semantic = {
             (u, v) for u in words
             for v in by_eval.get(sem.mul1(evals[u], factor), ())
@@ -675,7 +689,6 @@ class TransferLetters:
 @dataclass(frozen=True)
 class TransferResult:
     letters: TransferLetters
-    full_relation: PaddedRelationNfa
     restricted_relation: PaddedRelationNfa
     structure: AutomaticStructure
 
@@ -720,49 +733,36 @@ def transfer_relation(st, green: GreenData, conn: ConnectorTables,
     ev = {a: st.letter_eval[a] for a in st.alphabet}
     alpha = PairAlphabet(st.alphabet, letters.names)
 
-    states: dict = {"start": 0}
+    order: list = ["start"]
+    index = {"start": 0}
     trans = []
-
-    def state_id(s):
-        if s not in states:
-            states[s] = len(states)
-        return states[s]
-
-    for name in letters.names:
-        j, a, i = letters.info[name]
-        s = ev[a]
-        if conn.left_class[s][i] != j:
-            continue
-        pl = conn.right_class[j][conn.left_factor[s][i]]
-        trans.append((0, (a, name), state_id((i, j, pl))))
-    # forward transitions: previous (i, j, pl), next letter must satisfy
-    # left_class[eval][i'] == i and j' == pl
-    made = True
-    while made:
-        made = False
-        existing = [s for s in list(states) if s != "start"]
-        for prev in existing:
-            i_prev, _j_prev, pl_prev = prev
-            for name in letters.names:
-                j, a, i = letters.info[name]
-                if j != pl_prev:
+    # One pass over the states in creation order: a state's transitions are
+    # listed when it is reached, and the loop picks up the states they add.
+    # From the start the first letter's class must be j; after (i, j, pl)
+    # the next letter must have left_class[eval][i'] == i and j' == pl.
+    for q, prev in enumerate(order):
+        for name in letters.names:
+            j, a, i = letters.info[name]
+            s = ev[a]
+            if prev == "start":
+                if conn.left_class[s][i] != j:
                     continue
-                s = ev[a]
-                if conn.left_class[s][i] != i_prev:
-                    continue
-                pl = conn.right_class[j][conn.left_factor[s][i]]
-                tgt = (i, j, pl)
-                if tgt not in states:
-                    made = True
-                trans.append((state_id(prev), (a, name), state_id(tgt)))
+            elif j != prev[2] or conn.left_class[s][i] != prev[0]:
+                continue
+            pl = conn.right_class[j][conn.left_factor[s][i]]
+            tgt = (i, j, pl)
+            if tgt not in index:
+                index[tgt] = len(order)
+                order.append(tgt)
+            trans.append((q, (a, name), index[tgt]))
     accepting = frozenset(
-        idx for s, idx in states.items()
-        if s != "start" and s[0] == 0 and s[2] == 0
+        q for q, state in enumerate(order)
+        if state != "start" and state[0] == 0 and state[2] == 0
     )
     nfa = Nfa(
         alphabet=alpha,
-        n_states=len(states),
-        transitions=tuple(dict.fromkeys(trans)),
+        n_states=len(order),
+        transitions=tuple(trans),
         initial=frozenset({0}),
         accepting=accepting,
     )
@@ -782,7 +782,8 @@ def transfer_details(
 
     The restricted relation pairs each acceptor word evaluating into T with
     its unique transferred word, letters evaluating to the adjoined identity
-    dropped.  The new acceptor is the right projection of that relation, and
+    dropped: :func:`transfer_relation` on the acceptor's words, built pair
+    by pair.  The new acceptor is the right projection of that relation, and
     each multiplier is the original multiplier of a word for the letter,
     conjugated through the relation.
     """
@@ -793,7 +794,6 @@ def transfer_details(
     if delay_bound is None:
         delay_bound = n + 1
     letters = _transfer_letters(st, green, conn)
-    full = transfer_relation(st, green, conn, letters)
 
     # Pair every acceptor word with its transferred word, and note the
     # shortlex-first word of each evaluation.
@@ -841,7 +841,6 @@ def transfer_details(
     )
     return TransferResult(
         letters=letters,
-        full_relation=full,
         restricted_relation=restricted,
         structure=structure,
     )
@@ -901,37 +900,56 @@ def nfa_to_json(nfa: Nfa) -> dict:
     }
 
 
-def nfa_from_json(data: dict) -> Nfa:
-    def sym_in(s):
-        if isinstance(s, list):
-            if len(s) != 2:
-                raise InputError("pair symbols must be two-element arrays")
-            return (str(s[0]), str(s[1]))
-        return s if s is None else str(s)
+def _field(data, key: str, kind: type, what: str):
+    """``data[key]`` when ``data`` is an object and that value a list or an
+    object as ``kind`` says; ``InputError`` otherwise."""
+    if not isinstance(data, dict) or not isinstance(data.get(key), kind):
+        shape = "list" if kind is list else "object"
+        raise InputError(f"{what} JSON needs a {key!r} {shape}")
+    return data[key]
 
-    try:
-        alphabet = tuple(sym_in(s) for s in data["alphabet"])
-        n = int(data["states"])
-        trans = tuple(
-            (int(s), sym_in(sym), int(d)) for s, sym, d in data["transitions"]
-        )
-        initial = frozenset(int(q) for q in data["initial"])
-        accepting = frozenset(int(q) for q in data["accepting"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError("malformed automaton JSON")
+
+def _symbol(sym):
+    """A JSON symbol: a string, or a two-string list for a pair."""
+    if isinstance(sym, str):
+        return sym
+    if isinstance(sym, list) and len(sym) == 2 and all(
+            isinstance(x, str) for x in sym):
+        return (sym[0], sym[1])
+    raise InputError(f"symbol {sym!r} is not a string or a pair of strings")
+
+
+def nfa_from_json(data: dict) -> Nfa:
+    """Read an automaton written by :func:`nfa_to_json`.  Raises
+    ``InputError`` unless ``states`` is a nonnegative int (not a bool),
+    every state id an int in [0, states), the alphabet, transitions,
+    initial and accepting states lists, and every symbol a string or a
+    two-string pair (a transition's null symbol is an epsilon move)."""
+    n = data.get("states") if isinstance(data, dict) else None
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise InputError(
+            f"automaton 'states' {n!r} is not a nonnegative integer")
+    alphabet = tuple(
+        _symbol(s) for s in _field(data, "alphabet", list, "automaton"))
     known = set(alphabet)
-    for s, sym, d in trans:
-        if not (0 <= s < n and 0 <= d < n):
-            raise InputError("transition references unknown state")
+    trans = []
+    for t in _field(data, "transitions", list, "automaton"):
+        if not isinstance(t, list) or len(t) != 3:
+            raise InputError(
+                f"transition {t!r} is not a [source, symbol, target] list")
+        src, sym, dst = t
+        sym = None if sym is None else _symbol(sym)
         if sym is not None and sym not in known:
             raise InputError(f"transition uses unknown symbol {sym!r}")
-    return Nfa(
-        alphabet=alphabet,
-        n_states=n,
-        transitions=trans,
-        initial=initial,
-        accepting=accepting,
-    )
+        trans.append((_check_index(src, n, "transition source"), sym,
+                      _check_index(dst, n, "transition target")))
+
+    def states(key):
+        return frozenset(_check_index(q, n, f"{key} state")
+                         for q in _field(data, key, list, "automaton"))
+
+    return Nfa(alphabet=alphabet, n_states=n, transitions=tuple(trans),
+               initial=states("initial"), accepting=states("accepting"))
 
 
 def structure_to_json(st: AutomaticStructure) -> dict:
@@ -946,31 +964,26 @@ def structure_to_json(st: AutomaticStructure) -> dict:
 
 
 def structure_from_json(data: dict) -> AutomaticStructure:
-    try:
-        alphabet = tuple(str(a) for a in data["alphabet"])
-        letter_eval = {str(k): v for k, v in data["letter_eval"].items()}
-        if any(isinstance(v, bool) or not isinstance(v, int)
-               for v in letter_eval.values()):
-            raise InputError("letter_eval values must be integers")
-        acceptor = nfa_from_json(data["acceptor"])
-        multipliers = {}
-        # multipliers with equal JSON share one relation, as after transfer
-        loaded: list[tuple[dict, PaddedRelationNfa]] = []
-        for key, sub in data["multipliers"].items():
-            rel = next((r for seen, r in loaded if seen == sub), None)
-            if rel is None:
-                rel = PaddedRelationNfa(
-                    left_alphabet=alphabet,
-                    right_alphabet=alphabet,
-                    nfa=nfa_from_json(sub),
-                )
-                loaded.append((sub, rel))
-            multipliers[str(key)] = rel
-    except (KeyError, TypeError):
-        raise InputError("malformed structure JSON")
-    return AutomaticStructure(
-        alphabet=alphabet,
-        letter_eval=letter_eval,
-        acceptor=acceptor,
-        multipliers=multipliers,
-    )
+    """Read a structure written by :func:`structure_to_json`; the letters
+    must be strings and their evaluations ints (``InputError`` otherwise,
+    also for any automaton :func:`nfa_from_json` refuses)."""
+    alphabet = tuple(_field(data, "alphabet", list, "structure"))
+    if not all(isinstance(a, str) for a in alphabet):
+        raise InputError("structure letters must be strings")
+    letter_eval = dict(_field(data, "letter_eval", dict, "structure"))
+    if any(isinstance(v, bool) or not isinstance(v, int)
+           for v in letter_eval.values()):
+        raise InputError("letter_eval values must be integers")
+    acceptor = nfa_from_json(_field(data, "acceptor", dict, "structure"))
+    multipliers = {}
+    # multipliers with equal JSON share one relation, as after transfer
+    loaded: list[tuple[dict, PaddedRelationNfa]] = []
+    for key, sub in _field(data, "multipliers", dict, "structure").items():
+        rel = next((r for seen, r in loaded if seen == sub), None)
+        if rel is None:
+            rel = PaddedRelationNfa(left_alphabet=alphabet,
+                                    right_alphabet=alphabet, nfa=nfa_from_json(sub))
+            loaded.append((sub, rel))
+        multipliers[key] = rel
+    return AutomaticStructure(alphabet=alphabet, letter_eval=letter_eval,
+                              acceptor=acceptor, multipliers=multipliers)

@@ -27,33 +27,7 @@ from .core import (
     is_cancellative,
     is_group,
 )
-from .errors import (
-    EmptyGenerators,
-    GreenIndexError,
-    InputError,
-    InvalidLetter,
-    NotAnHClass,
-    NotClosed,
-    NotComparable,
-    NotGenerating,
-    NotInSubsemigroup,
-    OutOfRange,
-    VerificationFailure,
-)
-
-_INPUT_ERRORS = (
-    InputError,
-    OutOfRange,
-    NotClosed,
-    EmptyGenerators,
-    NotGenerating,
-    InvalidLetter,
-    NotAnHClass,
-    NotComparable,
-    NotInSubsemigroup,
-    OSError,
-    json.JSONDecodeError,
-)
+from .errors import GreenIndexError, InputError, OutOfRange, VerificationFailure
 
 
 def _dump(obj) -> str:
@@ -535,7 +509,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except VerificationFailure as exc:

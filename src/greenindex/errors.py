@@ -6,10 +6,11 @@ class GreenIndexError(Exception):
 
 
 class InputError(GreenIndexError):
-    """Malformed input data (bad shape, unreadable file, unparseable word)."""
+    """Malformed input data (bad shape, unreadable file, unparseable word);
+    every caller's fault subclasses it, and the CLI exits 2 for these."""
 
 
-class OutOfRange(GreenIndexError):
+class OutOfRange(InputError):
     """A Cayley table entry is not a valid element index."""
 
 
@@ -23,11 +24,11 @@ class NotAssociative(GreenIndexError):
         )
 
 
-class NotClosed(GreenIndexError):
+class NotClosed(InputError):
     """A claimed subsemigroup is empty or not closed under multiplication."""
 
 
-class EmptyGenerators(GreenIndexError):
+class EmptyGenerators(InputError):
     """A generating set was empty."""
 
 
@@ -39,7 +40,7 @@ class DomainMismatch(GreenIndexError):
     """A homomorphism does not connect the expected source and target."""
 
 
-class NotGenerating(GreenIndexError):
+class NotGenerating(InputError):
     """A set claimed to generate a (sub)semigroup does not."""
 
 
@@ -47,19 +48,19 @@ class InternalInconsistency(GreenIndexError):
     """A witness guaranteed by theory was not found; indicates a bug."""
 
 
-class NotAnHClass(GreenIndexError):
+class NotAnHClass(InputError):
     """The given element set is not a single relative H-class."""
 
 
-class NotComparable(GreenIndexError):
+class NotComparable(InputError):
     """Two H-classes are neither L-related nor R-related."""
 
 
-class InvalidLetter(GreenIndexError):
+class InvalidLetter(InputError):
     """A word uses a letter outside its alphabet."""
 
 
-class NotInSubsemigroup(GreenIndexError):
+class NotInSubsemigroup(InputError):
     """The target element is not generated by the given set."""
 
 

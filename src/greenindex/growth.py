@@ -5,7 +5,7 @@ explicit constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Sequence
 
 from .core import (
@@ -29,50 +29,53 @@ class _Identity:
 
 IDENTITY = _Identity()
 
+GrowthSeries = tuple[int, ...]
 
-def _balls(sem, gens, start, budget: int):
+
+def _words(sem: FiniteSemigroup, gens) -> dict[int, tuple[int, ...]]:
+    """The shortlex words of what the S^1 indices ``gens`` generate, the
+    adjoined identity left out since it moves no ball (``OutOfRange`` for
+    an index outside S^1)."""
+    for g in gens:
+        _check_index(g, sem.order + 1, "generator")
+    letters = [g for g in gens if g != sem.order]
+    return generated(sem, letters).words if letters else {}
+
+
+def _series(words: dict, m_max: int) -> GrowthSeries:
+    """Ball sizes around the adjoined identity for radii 0..m_max: the
+    identity plus the elements whose shortlex word is that long or less."""
+    counts = [1] + [0] * m_max
+    for word in words.values():
+        if len(word) <= m_max:
+            counts[len(word)] += 1
+    return tuple(accumulate(counts))
+
+
+def _balls(sem: BlackBoxSemigroup, gens, start, budget: int):
     """Yield the ball around ``start`` for radii 0, 1, 2, ... from one BFS,
-    each level extending the previous ball in place: a set of S^1 indices
-    for a FiniteSemigroup, a dict from canonical key to element (in
-    discovery order) for a BlackBoxSemigroup.  The generators and ``start``
-    of a FiniteSemigroup must be S^1 indices (``OutOfRange`` otherwise)."""
-    if isinstance(sem, FiniteSemigroup):
-        for g in gens:
-            _check_index(g, sem.order + 1, "generator")
-        _check_index(start, sem.order + 1, "start")
-        ball = {start}
-        frontier = [start]
-        while True:
-            yield ball
-            new = []
-            for x in frontier:
-                for g in gens:
-                    p = sem.mul1(x, g)
-                    if p not in ball:
-                        ball.add(p)
-                        new.append(p)
-            frontier = new
-    elif isinstance(sem, BlackBoxSemigroup):
-        enc = sem.encode
-        seen = {("id",) if start is IDENTITY else ("elt", enc(start)): start}
-        frontier = [start]
-        while True:
-            yield seen
-            new = []
-            for x in frontier:
-                for g in gens:
-                    p = g if x is IDENTITY else sem.multiply(x, g)
-                    key = ("elt", enc(p))
-                    if key not in seen:
-                        if len(seen) >= budget:
-                            raise BudgetExceeded(
-                                f"more than {budget} distinct elements explored"
-                            )
-                        seen[key] = p
-                        new.append(p)
-            frontier = new
-    else:
+    each level extending the previous ball in place: a dict from canonical
+    key to element, in discovery order."""
+    if not isinstance(sem, BlackBoxSemigroup):
         raise InputError("unsupported semigroup kind")
+    enc = sem.encode
+    seen = {("id",) if start is IDENTITY else ("elt", enc(start)): start}
+    frontier = [start]
+    while True:
+        yield seen
+        new = []
+        for x in frontier:
+            for g in gens:
+                p = g if x is IDENTITY else sem.multiply(x, g)
+                key = ("elt", enc(p))
+                if key not in seen:
+                    if len(seen) >= budget:
+                        raise BudgetExceeded(
+                            f"more than {budget} distinct elements explored"
+                        )
+                    seen[key] = p
+                    new.append(p)
+        frontier = new
 
 
 def out_ball(sem, gens, start, radius: int, budget: int = DEFAULT_BUDGET):
@@ -80,31 +83,36 @@ def out_ball(sem, gens, start, radius: int, budget: int = DEFAULT_BUDGET):
     ``radius`` factors from the generating set (identity factors allowed, so
     the ball contains ``start`` and grows monotonically).
 
-    For a FiniteSemigroup the result is a frozenset of S^1 indices with
-    ``order`` as the adjoined identity.  For a BlackBoxSemigroup, ``start``
-    may be the IDENTITY sentinel, elements are deduplicated by canonical
-    encoding, and the result is a tuple of distinct elements in discovery
-    order; exploring more than ``budget`` of them raises BudgetExceeded.
+    For a FiniteSemigroup the generators and ``start`` are S^1 indices
+    (``OutOfRange`` otherwise) with ``order`` as the adjoined identity, and
+    the result is a frozenset of S^1 indices: ``start`` and its products
+    with the elements whose shortlex word has at most ``radius`` letters.
+    For a BlackBoxSemigroup, ``start`` may be the IDENTITY sentinel,
+    elements are deduplicated by canonical encoding, and the result is a
+    tuple of distinct elements in discovery order; exploring more than
+    ``budget`` of them raises BudgetExceeded.
     """
     if radius < 0:
         raise InputError("radius must be nonnegative")
+    if isinstance(sem, FiniteSemigroup):
+        words = _words(sem, gens)
+        _check_index(start, sem.order + 1, "start")
+        return frozenset([start]).union(
+            sem.mul1(start, x) for x, w in words.items() if len(w) <= radius)
     ball = next(islice(_balls(sem, gens, start, budget), radius, None))
-    if isinstance(ball, dict):
-        return tuple(ball.values())
-    return frozenset(ball)
-
-
-GrowthSeries = tuple[int, ...]
+    return tuple(ball.values())
 
 
 def growth_function(sem, gens, m_max: int, budget: int = DEFAULT_BUDGET) -> GrowthSeries:
-    """Ball sizes around the adjoined identity for radii 0..m_max, read off
-    one BFS level by level."""
+    """Ball sizes around the adjoined identity for radii 0..m_max: read off
+    the shortlex word lengths for a FiniteSemigroup, off one BFS level by
+    level for a BlackBoxSemigroup."""
     if m_max < 0:
         raise InputError("m_max must be nonnegative")
-    start = sem.order if isinstance(sem, FiniteSemigroup) else IDENTITY
+    if isinstance(sem, FiniteSemigroup):
+        return _series(_words(sem, gens), m_max)
     return tuple(
-        len(ball) for ball in islice(_balls(sem, gens, start, budget), m_max + 1)
+        len(ball) for ball in islice(_balls(sem, gens, IDENTITY, budget), m_max + 1)
     )
 
 
@@ -167,8 +175,11 @@ def domination_check(
             if mu != n:
                 k2 = max(k2, len(over_b.word(mu)))
 
-    g_s = growth_function(sem, [g for g in a_gens if g != n], m_max)
-    g_t = growth_function(sem, b_sorted, k2 * m_max)
+    # A without the adjoined identity is B itself when R adds nothing else
+    a_letters = tuple(g for g in a_gens if g != n)
+    over_a = over_b if a_letters == over_b.gens else generated(sem, a_letters)
+    g_s = _series(over_a.words, m_max)
+    g_t = _series(over_b.words, k2 * m_max)
     rows = []
     holds = True
     for m in range(m_max + 1):

@@ -177,34 +177,16 @@ def sub_table_presentation(
 class EnumerationResult:
     """Outcome of a bounded congruence enumeration.
 
-    When ``complete``, the quotient is certified closed: the right table is
-    total, every relation holds when traced from every class and from the
-    empty word, and representatives are stable.  Otherwise ``reason`` says
-    which bound was hit.
+    When ``complete``, the quotient is certified closed: the enumerator's
+    right table is total and every relation holds when traced from every
+    class and from the empty word; ``reps`` are the classes' shortlex
+    representatives.  Otherwise ``reason`` says which bound was hit.
     """
 
-    presentation: Presentation
     complete: bool
     reason: str | None
     size: int | None
     reps: tuple[Word, ...]
-    root_edges: dict[str, int]
-    right_table: tuple[tuple[int, ...], ...]
-    cayley: tuple[tuple[int, ...], ...]
-
-    def word_class(self, word: Sequence[str]) -> int:
-        if not word:
-            raise InputError("the empty word does not name a class")
-        if not self.complete:
-            raise BoundExceeded(self.reason or "enumeration incomplete")
-        letter_pos = {a: i for i, a in enumerate(self.presentation.alphabet)}
-        try:
-            cur = self.root_edges[word[0]]
-            for a in word[1:]:
-                cur = self.right_table[cur][letter_pos[a]]
-        except KeyError:
-            raise InvalidLetter("word uses a letter outside the alphabet")
-        return cur
 
 
 class _CapHit(Exception):
@@ -298,16 +280,8 @@ def enumerate_presentation(
     table = _Table(len(pres.alphabet), cap=max(64, 8 * max_classes))
 
     def incomplete(reason):
-        return EnumerationResult(
-            presentation=pres,
-            complete=False,
-            reason=reason,
-            size=None,
-            reps=(),
-            root_edges={},
-            right_table=(),
-            cayley=(),
-        )
+        return EnumerationResult(complete=False, reason=reason, size=None,
+                                 reps=())
 
     try:
         # Main sweep: walk nodes in creation order, tracing every relation
@@ -355,12 +329,10 @@ def enumerate_presentation(
             if x != y:
                 raise InternalInconsistency("relation open after closure")
 
-    # Shortlex representatives by BFS from the root; fixes class numbering.
-    order: dict[int, int] = {}
+    # Shortlex representatives by BFS from the root.
     reps: list[Word] = []
     frontier = [(table.find(0), ())]
-    root = table.find(0)
-    seen = {root}
+    seen = {table.find(0)}
     while frontier:
         nxt = []
         for node, word in frontier:
@@ -369,7 +341,6 @@ def enumerate_presentation(
                 if tgt not in seen:
                     seen.add(tgt)
                     w = word + (pres.alphabet[letter],)
-                    order[tgt] = len(reps)
                     reps.append(w)
                     nxt.append((tgt, w))
         frontier = nxt
@@ -378,38 +349,8 @@ def enumerate_presentation(
     if any(len(w) > max_len for w in reps):
         return incomplete("representative length bound exceeded")
 
-    size = len(reps)
-    right = [[0] * table.n_letters for _ in range(size)]
-    for node in live:
-        if node == root:
-            continue
-        for letter in range(table.n_letters):
-            right[order[node]][letter] = order[table.get(node, letter)]
-    root_edges = {
-        pres.alphabet[letter]: order[table.get(root, letter)]
-        for letter in range(table.n_letters)
-    }
-
-    def trace_word(start: int, word: Word) -> int:
-        cur = start
-        for a in word:
-            cur = right[cur][letter_pos[a]]
-        return cur
-
-    cayley = tuple(
-        tuple(trace_word(c1, reps[c2]) for c2 in range(size))
-        for c1 in range(size)
-    )
-    return EnumerationResult(
-        presentation=pres,
-        complete=True,
-        reason=None,
-        size=size,
-        reps=tuple(reps),
-        root_edges=root_edges,
-        right_table=tuple(tuple(r) for r in right),
-        cayley=cayley,
-    )
+    return EnumerationResult(complete=True, reason=None, size=len(reps),
+                             reps=tuple(reps))
 
 
 def evaluate_word(sem: FiniteSemigroup, assignment: Mapping[str, int], word: Word) -> int:
@@ -609,7 +550,6 @@ def synthesize_presentation(
     packs: Mapping[int, ClassPack],
     green: GreenData,
     conn: ConnectorTables,
-    verify_inputs: bool = True,
     max_classes: int | None = None,
     max_len: int | None = None,
 ) -> tuple[Presentation, Assignment]:
@@ -618,26 +558,27 @@ def synthesize_presentation(
     The alphabet adds one letter d_i per complement class.  Relations are
     those of T, plus the transport of every letter past every d_i, plus the
     group relations prefixed by their class letter.  The class letter for
-    index 0 denotes the empty word and is elided at emission time.
+    index 0 denotes the empty word and is elided at emission time.  The
+    base presentation, every group presentation and every letter lift are
+    verified first (``BadInputPresentation`` otherwise).
     """
     sem = green.sem
     factor_word = _letter_factorizer(green.sub, q_pres, q_assign)
-    if verify_inputs:
-        if not _presents(q_pres, sem, q_assign, len(green.sub),
-                         max_classes, max_len):
-            raise BadInputPresentation("the base presentation does not present T")
-        for i, pack in packs.items():
-            if not verify_presentation(pack.presentation, pack.schutz.group,
-                                       pack.letter_to_group):
+    if not _presents(q_pres, sem, q_assign, len(green.sub),
+                     max_classes, max_len):
+        raise BadInputPresentation("the base presentation does not present T")
+    for i, pack in packs.items():
+        if not verify_presentation(pack.presentation, pack.schutz.group,
+                                   pack.letter_to_group):
+            raise BadInputPresentation(
+                f"class {i}: group presentation fails verification"
+            )
+        for a in pack.presentation.alphabet:
+            elt = sem.prod1(q_assign[x] for x in pack.lift[a])
+            if pack.schutz.quotient_index(elt) != pack.letter_to_group[a]:
                 raise BadInputPresentation(
-                    f"class {i}: group presentation fails verification"
+                    f"class {i}: lift of {a!r} is not congruent to its image"
                 )
-            for a in pack.presentation.alphabet:
-                elt = sem.prod1(q_assign[x] for x in pack.lift[a])
-                if pack.schutz.quotient_index(elt) != pack.letter_to_group[a]:
-                    raise BadInputPresentation(
-                        f"class {i}: lift of {a!r} is not congruent to its image"
-                    )
     _check_dagger(green, packs)
 
     k = green.class_count - 1

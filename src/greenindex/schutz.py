@@ -26,7 +26,7 @@ from .errors import (
     NotGenerating,
     OutOfRange,
 )
-from .relgreen import GreenData, relative_green
+from .relgreen import GreenData
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,12 @@ def schutz_group(
     sub: SubSemigroup,
     h_class,
     basepoint: int,
-    green: GreenData | None = None,
+    *,
+    green: GreenData,
 ) -> SchutzGroup:
-    """Build the Schutzenberger group of an H-class (inside or outside T)."""
+    """Build the Schutzenberger group of an H-class (inside or outside T),
+    given the Green data of (S, T)."""
     h_class = frozenset(h_class)
-    if green is None:
-        green = relative_green(sem, sub)
     if basepoint not in h_class:
         raise NotAnHClass("basepoint must belong to the class")
     if h_class != green.h_class_of(basepoint):

@@ -303,7 +303,7 @@ def reference_domination_check(sem, sub, r_set, b_gens, m_max):
             k2 = max(k2, length_b(mu))
 
     def series(gens, m):
-        return [len(growth.out_ball(sem, gens, n, r)) for r in range(m + 1)]
+        return [len(ball) for ball in reference_balls(sem, gens, n, m)]
 
     g_s = series([g for g in a_gens if g != n], m_max)
     g_t = series(b_sorted, k2 * m_max)
@@ -319,6 +319,84 @@ def reference_domination_check(sem, sub, r_set, b_gens, m_max):
         r_set=tuple(r_sorted),
         rows=tuple(rows),
         holds=holds,
+    )
+
+
+def reference_balls(sem, gens, start, radius):
+    """The out-balls of a FiniteSemigroup around ``start`` for radii
+    0..radius, by a right-multiplication BFS over S^1: each level multiplies
+    the previous level's new elements by every generator.  Generators and
+    ``start`` are S^1 indices (``OutOfRange`` otherwise)."""
+    n = sem.order
+    for g in gens:
+        core._check_index(g, n + 1, "generator")
+    core._check_index(start, n + 1, "start")
+    ball = {start}
+    frontier = [start]
+    balls = [frozenset(ball)]
+    for _ in range(radius):
+        new = []
+        for x in frontier:
+            for g in gens:
+                p = sem.mul1(x, g)
+                if p not in ball:
+                    ball.add(p)
+                    new.append(p)
+        frontier = new
+        balls.append(frozenset(ball))
+    return balls
+
+
+def reference_transfer_relation(st, green, conn, letters):
+    """``automatic.transfer_relation`` as a fixed point: every round
+    rescans every state against every letter until no state is added, and
+    repeated transitions keep their first position."""
+    ev = {a: st.letter_eval[a] for a in st.alphabet}
+    states = {"start": 0}
+    trans = []
+
+    def state_id(s):
+        if s not in states:
+            states[s] = len(states)
+        return states[s]
+
+    for name in letters.names:
+        j, a, i = letters.info[name]
+        s = ev[a]
+        if conn.left_class[s][i] != j:
+            continue
+        pl = conn.right_class[j][conn.left_factor[s][i]]
+        trans.append((0, (a, name), state_id((i, j, pl))))
+    made = True
+    while made:
+        made = False
+        for prev in [s for s in list(states) if s != "start"]:
+            i_prev, _j_prev, pl_prev = prev
+            for name in letters.names:
+                j, a, i = letters.info[name]
+                if j != pl_prev:
+                    continue
+                s = ev[a]
+                if conn.left_class[s][i] != i_prev:
+                    continue
+                pl = conn.right_class[j][conn.left_factor[s][i]]
+                tgt = (i, j, pl)
+                if tgt not in states:
+                    made = True
+                trans.append((state_id(prev), (a, name), state_id(tgt)))
+    accepting = frozenset(
+        idx for s, idx in states.items()
+        if s != "start" and s[0] == 0 and s[2] == 0
+    )
+    nfa = automatic.Nfa(
+        alphabet=automatic.PairAlphabet(st.alphabet, letters.names),
+        n_states=len(states),
+        transitions=tuple(dict.fromkeys(trans)),
+        initial=frozenset({0}),
+        accepting=accepting,
+    )
+    return automatic.PaddedRelationNfa(
+        left_alphabet=st.alphabet, right_alphabet=letters.names, nfa=nfa
     )
 
 

@@ -241,7 +241,7 @@ def test_criterion_08_automatic_transfer(fixed):
 
         # full-relation properties on enumerated pairs
         letters = res.letters
-        rel = res.full_relation
+        rel = au.transfer_relation(st, g, conn, letters)
         max_len = 5
         pairs = rel.pairs(max_len)
         by_u = {}

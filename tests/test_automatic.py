@@ -3,7 +3,12 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
-from helpers import reference_verify_structure_report, tuple_pair_alphabet
+from helpers import (
+    fixed_instances,
+    reference_transfer_relation,
+    reference_verify_structure_report,
+    tuple_pair_alphabet,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +16,7 @@ from greenindex import automatic as au
 from greenindex import core, factories, relgreen
 from greenindex.errors import (
     AlphabetMismatch,
+    BoundExceeded,
     DelayExceeded,
     InputError,
     NotGenerating,
@@ -272,9 +278,8 @@ def test_full_relation_restricted_to_acceptor_matches(z6, t03):
     st, green, conn = transfer_setup(z6, t03, [1])
     res = au.transfer_details(st, t03, green, conn)
     l_words = set(st.acceptor.enumerate_words(10))
-    full_on_l = sorted(
-        (u, v) for u, v in res.full_relation.pairs(8) if u in l_words
-    )
+    full = au.transfer_relation(st, green, conn, res.letters)
+    full_on_l = sorted((u, v) for u, v in full.pairs(8) if u in l_words)
     assert full_on_l == sorted(res.restricted_relation.pairs(8))
 
 
@@ -323,6 +328,71 @@ def test_shared_multiplier_is_composed_from_first_word(t3_transfer):
             inv, au.compose_relations(rel, restricted, delay), delay)
         got = res.structure.multipliers[b]
         assert au.nfa_to_json(got.nfa) == au.nfa_to_json(want.nfa), b
+
+
+def _t3_ideal_setups():
+    t3 = factories.full_transformation_monoid(3)
+    ideal = core.SubSemigroup(
+        parent=t3,
+        members=frozenset(i for i, m in enumerate(t3.names) if len(set(m)) < 3),
+    )
+    for names in (("021", "102", "122"), ("120", "102", "011", "112")):
+        gens = [t3.names.index(m) for m in names]
+        yield ideal, transfer_setup(t3, ideal, gens)
+
+
+def test_transfer_relation_matches_fixed_point():
+    cases = [(sub, transfer_setup(sem, sub, list(a_gens)))
+             for _n, sem, sub, a_gens, _b in fixed_instances()]
+    cases += list(_t3_ideal_setups())
+    for sub, (st, green, conn) in cases:
+        letters = au._transfer_letters(st, green, conn)
+        want = reference_transfer_relation(st, green, conn, letters)
+        got = au.transfer_relation(st, green, conn, letters)
+        assert au.nfa_to_json(got.nfa) == au.nfa_to_json(want.nfa)
+
+
+def test_transfer_details_builds_no_full_relation(monkeypatch):
+    calls = []
+    real = au.transfer_relation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(au, "transfer_relation", counted)
+    for _n, sem, sub, a_gens, _b in fixed_instances():
+        st, green, conn = transfer_setup(sem, sub, list(a_gens))
+        au.transfer_details(st, sub, green, conn)
+    ideal, (st, green, conn) = next(_t3_ideal_setups())
+    au.transfer_details(st, ideal, green, conn)
+    assert calls == []
+
+
+def test_structure_needs_every_letter_and_no_other(z6):
+    st = au.structure_for_finite(z6, [1])
+    no_mult = {k: v for k, v in st.multipliers.items() if k != "a1"}
+    for fields in ({"letter_eval": {}},
+                   {"letter_eval": {**st.letter_eval, "a2": 2}},
+                   {"multipliers": no_mult},
+                   {"multipliers": {k: v for k, v in st.multipliers.items() if k}},
+                   {"multipliers": {**st.multipliers, "a2": st.multipliers["a1"]}}):
+        with pytest.raises(InputError):
+            replace(st, **fields)
+
+
+def test_verify_names_a_max_len_that_is_too_small(z6):
+    st = au.structure_for_finite(z6, [1])  # the longest word is a1^6
+    assert au.verify_structure_report(st, z6, 6) == (True, "ok")
+    with pytest.raises(BoundExceeded, match="max_len 5"):
+        au.verify_structure_report(st, z6, 5)
+    with pytest.raises(InputError):
+        au.verify_structure_report(st, z6, -1)
+    # a language within the bound that misses an element is still refuted
+    words = st.acceptor.enumerate_words(6)
+    small = replace(st, acceptor=au.nfa_from_words(st.alphabet, words[:-1]))
+    ok, reason = au.verify_structure_report(small, z6, 5)
+    assert not ok and "onto" in reason
 
 
 def test_transferred_multipliers_are_padding_valid(t3_transfer):
@@ -488,3 +558,17 @@ def test_nfa_json_round_trip(z6):
         assert again.accepts(w)
     with pytest.raises(InputError):
         au.nfa_from_json({"states": 1})
+    # refused, not converted: every failure is an InputError
+    bad = [("states", data["states"] + 0.7), ("states", True), ("states", -1), ("states", "7"),
+           ("initial", ["0"]), ("initial", [True]), ("initial", 0),
+           ("accepting", [-1]), ("accepting", [data["states"]]),
+           ("alphabet", [1]), ("alphabet", [["a1"]]), ("alphabet", "a1"),
+           ("transitions", {}), ("transitions", [[0, ["a1", "a1"]]]),
+           ("transitions", [[0, ["a1", "a1"], 0.0]]),
+           ("transitions", [[0, ["a1", 1], 1]])]
+    for key, value in bad:
+        with pytest.raises(InputError):
+            au.nfa_from_json({**data, key: value})
+    for value in ([], None, "x"):
+        with pytest.raises(InputError):
+            au.nfa_from_json(value)

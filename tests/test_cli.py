@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenindex import cli
+from greenindex import automatic, cli, factories
 
 
 @pytest.fixture()
@@ -311,6 +311,80 @@ def test_auto_rejects_letter_evaluations_outside_s(files, capsys, command, value
     assert captured.err.startswith("input error: ")
 
 
+def _set(path, value):
+    def edit(doc):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return edit
+
+
+def _drop_a1_multiplier(doc):
+    del doc["multipliers"]["a1"]
+
+
+STRUCTURE_DEFECTS = {
+    # a letter without a multiplier used to verify, and transfer ended in
+    # a KeyError traceback
+    "missing-multiplier": _drop_a1_multiplier,
+    "empty-letter-eval": _set(("letter_eval",), {}),
+    # these ended in an AttributeError traceback
+    "multipliers-list": _set(("multipliers",), []),
+    "letter-eval-list": _set(("letter_eval",), []),
+    # these were converted: 7.7 states read as 7, "0" and true as state 0
+    "float-states": _set(("acceptor", "states"), 7.7),
+    "string-initial": _set(("acceptor", "initial"), ["0"]),
+    "bool-initial": _set(("acceptor", "initial"), [True]),
+    "negative-accepting": _set(("acceptor", "accepting"), [-1]),
+    "int-letter": _set(("alphabet",), [1]),
+    "letter-eval-too-big": _set(("letter_eval", "a1"), 99),
+    "letter-eval-negative": _set(("letter_eval", "a1"), -1),
+    "letter-eval-float": _set(("letter_eval", "a1"), 1.0),
+}
+
+
+@pytest.mark.parametrize("command", ["transfer", "verify"])
+@pytest.mark.parametrize("defect", sorted(STRUCTURE_DEFECTS))
+def test_auto_refuses_malformed_structures(files, capsys, command, defect):
+    sem_path, sub_path, tmp_path = files
+    code, out = run(capsys, "auto", "build", "--semigroup", sem_path,
+                    "--gens", "1")
+    assert code == 0
+    data = json.loads(out)
+    STRUCTURE_DEFECTS[defect](data)
+    st_path = tmp_path / "st_bad.json"
+    st_path.write_text(json.dumps(data))
+    code = cli.main(["auto", command, "--structure", str(st_path),
+                     "--semigroup", sem_path, "--sub", sub_path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_auto_verify_names_a_max_len_that_is_too_small(files, capsys):
+    # the longest accepted word is a1^6; --max-len 5 used to print
+    # "verified: false" with a missing element
+    sem_path, _, tmp_path = files
+    code, out = run(capsys, "auto", "build", "--semigroup", sem_path,
+                    "--gens", "1")
+    st_path = tmp_path / "st.json"
+    st_path.write_text(out)
+    argv = ["auto", "verify", "--structure", str(st_path),
+            "--semigroup", sem_path, "--max-len"]
+    code = cli.main(argv + ["5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "max_len 5" in captured.err
+    code = cli.main(argv + ["-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: max_len -1 is negative\n"
+    code, out = run(capsys, *argv, "6")
+    assert code == 0 and json.loads(out) == {"verified": True, "reason": "ok"}
+
+
 def _write_presentation(tmp_path, **fields):
     data = {"alphabet": ["b"], "relations": [["bbbbbbb", "b"]],
             "assignment": {"b": 1}}
@@ -485,15 +559,21 @@ FUZZ_DOCS = {
     "presentation": {"alphabet": ["b", "t0"],
                      "relations": [["bbb", "b"], [["b", "t0"], "b"], ["t0t0", "t0"]],
                      "assignment": {"b": 3, "t0": 0}},
+    # what `auto build --gens 1` writes for Z6
+    "structure": automatic.structure_to_json(
+        automatic.structure_for_finite(factories.zmod(6), [1])),
 }
 FUZZ_COMMANDS = {
     "validate": ("semigroup",),
+    "present enumerate": ("presentation",),
     "present verify": ("presentation", "semigroup"),
     "present synth": ("presentation", "semigroup", "sub"),
+    "auto verify": ("structure", "semigroup"),
+    "auto transfer": ("structure", "semigroup", "sub"),
 }
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(FUZZ_COMMANDS)), st.data())
 def test_fuzzed_json_exits_with_a_documented_code(fuzz_dir, command, data):
     inputs = FUZZ_COMMANDS[command]

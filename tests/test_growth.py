@@ -14,6 +14,7 @@ from greenindex.errors import (
 from helpers import (
     outcome,
     random_pairs,
+    reference_balls,
     reference_domination_check,
     small_tables,
 )
@@ -120,6 +121,38 @@ def test_growth_series_is_ball_sizes(instances):
         want = [len(growth.out_ball(nat, gens, growth.IDENTITY, m))
                 for m in range(9)]
         assert list(growth.growth_function(nat, gens, 8)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10 ** 9), st.data())
+def test_finite_balls_match_reference_bfs(n, pick, data):
+    # the ball of radius r is start plus start * x for every x whose
+    # shortlex word has at most r letters; the adjoined identity n may be a
+    # generator, and duplicates and an empty list are allowed
+    tables = small_tables(n)
+    sem = core.validate_table(tables[pick % len(tables)])
+    gens = data.draw(st.lists(st.integers(0, n), max_size=4))
+    m_max = n + 2
+    sizes = tuple(len(ball) for ball in reference_balls(sem, gens, n, m_max))
+    for m in range(m_max + 1):
+        assert growth.growth_function(sem, gens, m) == sizes[:m + 1]
+    for start in range(n + 1):
+        want = reference_balls(sem, gens, start, m_max)
+        for radius in range(m_max + 1):
+            assert growth.out_ball(sem, gens, start, radius) == want[radius]
+
+
+def test_finite_balls_match_reference_bfs_on_pool():
+    for sem, sub in random_pairs(10):
+        n = sem.order
+        gens = sorted(sub.members)[:3]
+        for g in (gens, gens + [n], gens + gens[:1], [], [n]):
+            want = reference_balls(sem, g, n, 4)
+            assert growth.growth_function(sem, g, 4) == \
+                tuple(len(ball) for ball in want)
+            for start in (0, n - 1, n):
+                assert growth.out_ball(sem, g, start, 4) == \
+                    reference_balls(sem, g, start, 4)[4]
 
 
 def test_growth_series_budget():

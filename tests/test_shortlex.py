@@ -152,6 +152,22 @@ def test_domination_derives_forms_once(instances, bfs_calls):
         assert _once_each(bfs_calls)
 
 
+def test_growth_derives_forms_once(instances, bfs_calls):
+    for sem, sub in _cases(instances):
+        n = sem.order
+        gens = sub.sorted_members()
+        for call in (lambda: growth.growth_function(sem, [*gens, n, gens[0]], 6),
+                     lambda: growth.out_ball(sem, [n, *gens], n - 1, 3)):
+            bfs_calls.clear()
+            call()
+            assert _once_each(bfs_calls)
+        # R adds nothing beyond B, so A's BFS is B's
+        whole = core.SubSemigroup(parent=sem, members=frozenset(sem.elements))
+        bfs_calls.clear()
+        growth.domination_check(sem, whole, [n], list(sem.elements), 3)
+        assert _once_each(bfs_calls)
+
+
 def test_presentation_layers_derive_forms_once(instances, bfs_calls):
     for sem, sub in _cases(instances):
         green = relgreen.relative_green(sem, sub)
@@ -162,11 +178,9 @@ def test_presentation_layers_derive_forms_once(instances, bfs_calls):
         assert _once_each(bfs_calls)
         # the base letters' BFS is the generation check of T's presentation
         # and each class group is verified over its own letters
-        for verify_inputs in (False, True):
-            bfs_calls.clear()
-            present.synthesize_presentation(q_pres, q_assign, packs, green,
-                                            conn, verify_inputs=verify_inputs)
-            assert _once_each(bfs_calls)
+        bfs_calls.clear()
+        present.synthesize_presentation(q_pres, q_assign, packs, green, conn)
+        assert _once_each(bfs_calls)
 
 
 def test_schreier_factorizer_derives_forms_once(instances, bfs_calls):
