@@ -32,7 +32,6 @@ from .relgreen import (
 from .rewrite import (
     RewriteTrace,
     WordProblemContext,
-    decide_word_equality,
     extended_generators,
     push_left,
     push_right,
@@ -70,7 +69,6 @@ from .automatic import (
     project,
     structure_for_finite,
     transfer_details,
-    verify_structure,
 )
 from .growth import domination_check, growth_function, out_ball
 

@@ -17,6 +17,7 @@ multiplier, composed once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -34,7 +35,8 @@ from .errors import (
     InternalInconsistency,
     NotGenerating,
 )
-from .relgreen import ConnectorTables, GreenData
+from .relgreen import IDENTITY_CLASS, ConnectorTables, GreenData
+from .rewrite import _schreier_value, _two_pass
 
 PAD = "$"
 
@@ -51,62 +53,47 @@ class Nfa:
     initial: frozenset
     accepting: frozenset
 
-    def _delta(self):
-        cache = self.__dict__.get("_delta_cache")
-        if cache is None:
-            cache = {}
-            for src, sym, dst in self.transitions:
-                cache.setdefault((src, sym), set()).add(dst)
-            self.__dict__["_delta_cache"] = cache
-        return cache
+    @cached_property
+    def _outgoing(self) -> list[dict]:
+        """Per-state map symbol -> set(dst); epsilon moves under None."""
+        out = [dict() for _ in range(self.n_states)]
+        for src, sym, dst in self.transitions:
+            out[src].setdefault(sym, set()).add(dst)
+        return out
 
-    def _outgoing(self):
-        """Per-state map symbol -> set(dst), epsilon excluded."""
-        cache = self.__dict__.get("_out_cache")
-        if cache is None:
-            cache = [dict() for _ in range(self.n_states)]
-            for src, sym, dst in self.transitions:
-                if sym is not None:
-                    cache[src].setdefault(sym, set()).add(dst)
-            self.__dict__["_out_cache"] = cache
-        return cache
-
+    @cached_property
     def _coaccessible(self) -> frozenset:
         """States from which an accepting state is reachable."""
-        cache = self.__dict__.get("_coacc_cache")
-        if cache is None:
-            back: dict[int, set[int]] = {}
-            for src, _sym, dst in self.transitions:
-                back.setdefault(dst, set()).add(src)
-            seen = set(self.accepting)
-            stack = list(seen)
-            while stack:
-                q = stack.pop()
-                for p in back.get(q, ()):
-                    if p not in seen:
-                        seen.add(p)
-                        stack.append(p)
-            cache = frozenset(seen)
-            self.__dict__["_coacc_cache"] = cache
-        return cache
+        back: dict[int, set[int]] = {}
+        for src, _sym, dst in self.transitions:
+            back.setdefault(dst, set()).add(src)
+        seen = set(self.accepting)
+        stack = list(seen)
+        while stack:
+            q = stack.pop()
+            for p in back.get(q, ()):
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return frozenset(seen)
 
     def eps_closure(self, states: Iterable[int]) -> frozenset:
-        delta = self._delta()
+        out_edges = self._outgoing
         out = set(states)
         stack = list(out)
         while stack:
             q = stack.pop()
-            for r in delta.get((q, None), ()):
+            for r in out_edges[q].get(None, ()):
                 if r not in out:
                     out.add(r)
                     stack.append(r)
         return frozenset(out)
 
     def step(self, states: frozenset, symbol) -> frozenset:
-        delta = self._delta()
+        out_edges = self._outgoing
         out = set()
         for q in states:
-            out |= delta.get((q, symbol), set())
+            out |= out_edges[q].get(symbol, set())
         return self.eps_closure(out)
 
     def accepts(self, word: Sequence) -> bool:
@@ -118,26 +105,20 @@ class Nfa:
         return bool(cur & self.accepting)
 
     def is_empty(self) -> bool:
-        return self.initial.isdisjoint(self._coaccessible())
+        return self.initial.isdisjoint(self._coaccessible)
 
+    @cached_property
     def _rank(self):
         """Key giving each symbol's position in the alphabet."""
-        cache = self.__dict__.get("_rank_cache")
-        if cache is None:
-            if isinstance(self.alphabet, PairAlphabet):
-                cache = self.alphabet.rank
-            else:
-                cache = {sym: i for i, sym in enumerate(self.alphabet)}.get
-            self.__dict__["_rank_cache"] = cache
-        return cache
+        if isinstance(self.alphabet, PairAlphabet):
+            return self.alphabet.rank
+        return {sym: i for i, sym in enumerate(self.alphabet)}.get
 
     def iter_words(self) -> Iterator[tuple]:
         """Accepted words in shortlex order (alphabet order as given);
         possibly infinite.  Prefixes that cannot reach acceptance are
         pruned, so the iterator terminates on finite languages."""
-        useful = self._coaccessible()
-        out = self._outgoing()
-        rank = self._rank()
+        useful, out, rank = self._coaccessible, self._outgoing, self._rank
         cur = frozenset(self.eps_closure(self.initial) & useful)
         level = [((), cur)]
         while level:
@@ -148,6 +129,7 @@ class Nfa:
                 symbols = set()
                 for q in states:
                     symbols.update(out[q])
+                symbols.discard(None)
                 for sym in sorted(symbols, key=rank):
                     t = frozenset(self.step(states, sym) & useful)
                     if t:
@@ -376,8 +358,7 @@ def project(rel: PaddedRelationNfa, track: int) -> Nfa:
 def is_padding_valid(rel: PaddedRelationNfa) -> bool:
     """True iff every accepted string is a well-formed convolution."""
     nfa = rel.nfa
-    delta, out = nfa._delta(), nfa._outgoing()
-    useful = nfa._coaccessible()
+    out, useful = nfa._outgoing, nfa._coaccessible
     start = [(q, False, False) for q in nfa.eps_closure(nfa.initial)]
     seen = set(start)
     stack = list(start)
@@ -390,8 +371,10 @@ def is_padding_valid(rel: PaddedRelationNfa) -> bool:
 
     while stack:
         q, u_done, v_done = stack.pop()
-        push(delta.get((q, None), ()), u_done, v_done)
-        for (x, y), dsts in out[q].items():
+        for sym, dsts in out[q].items():
+            if sym is None:  # pushed states are closed under epsilon moves
+                continue
+            x, y = sym
             if ((x == PAD and y == PAD) or (u_done and x != PAD)
                     or (v_done and y != PAD)):
                 # a violating prefix: invalid only if it extends to acceptance
@@ -420,7 +403,7 @@ def compose_relations(
         raise InputError("delay bound must be nonnegative")
     d1 = _epsilon_free(r1.nfa)
     d2 = _epsilon_free(r2.nfa)
-    out1, out2 = d1._outgoing(), d2._outgoing()
+    out1, out2 = d1._outgoing, d2._outgoing
     # second machine's transitions grouped by the middle-track component
     by_mid: list[dict] = []
     for q in range(d2.n_states):
@@ -528,7 +511,7 @@ def _epsilon_free(nfa: Nfa) -> Nfa:
     """Equivalent NFA without epsilon transitions."""
     if not any(sym is None for _, sym, _ in nfa.transitions):
         return nfa
-    out = nfa._outgoing()
+    out = nfa._outgoing
     trans = []
     accepting = set()
     for q in range(nfa.n_states):
@@ -537,8 +520,8 @@ def _epsilon_free(nfa: Nfa) -> Nfa:
             accepting.add(q)
         for p in cl:
             for sym, dsts in out[p].items():
-                for d in dsts:
-                    trans.append((q, sym, d))
+                if sym is not None:
+                    trans.extend((q, sym, d) for d in dsts)
     return Nfa(
         alphabet=nfa.alphabet,
         n_states=nfa.n_states,
@@ -569,6 +552,11 @@ class AutomaticStructure:
 
     def eval_word(self, sem: FiniteSemigroup, word: Sequence[str]) -> int:
         return sem.prod1(self.letter_eval[a] for a in word)
+
+    def _check_letter_evals(self, sem: FiniteSemigroup) -> None:
+        """``OutOfRange`` unless every letter evaluates into ``sem``."""
+        for v in self.letter_eval.values():
+            _check_index(v, sem.order, "letter_eval entry")
 
 
 def structure_for_finite(sem: FiniteSemigroup, gens: Sequence[int]) -> AutomaticStructure:
@@ -607,12 +595,14 @@ def verify_structure_report(
 ) -> tuple[bool, str]:
     """Check a structure against a semigroup (or subsemigroup) on all words
     up to max_len: the acceptor must evaluate onto the target, and each
-    multiplier must agree with its semantic definition both ways.  A
-    negative ``max_len`` is an ``InputError``; an element missed within
-    ``max_len`` while longer words exist is ``BoundExceeded``."""
+    multiplier must agree with its semantic definition both ways.  A letter
+    evaluating outside the semigroup is ``OutOfRange`` and a negative
+    ``max_len`` an ``InputError``; an element missed within ``max_len``
+    while longer words exist is ``BoundExceeded``."""
+    sem, elems = _target_domain(target)
+    st._check_letter_evals(sem)
     if max_len < 0:
         raise InputError(f"max_len {max_len} is negative")
-    sem, elems = _target_domain(target)
     elem_set = set(elems)
     words = st.acceptor.enumerate_words(max_len)
     evals = {}
@@ -670,10 +660,6 @@ def verify_structure_report(
     return True, "ok"
 
 
-def verify_structure(st: AutomaticStructure, target, max_len: int) -> bool:
-    return verify_structure_report(st, target, max_len)[0]
-
-
 @dataclass(frozen=True)
 class TransferLetters:
     """Letter bookkeeping for a transferred structure: subscripted letters
@@ -694,8 +680,7 @@ class TransferResult:
 
 
 def _transfer_letters(st, green: GreenData, conn: ConnectorTables) -> TransferLetters:
-    sem = green.sem
-    n = sem.order
+    n = green.sem.order
     k1 = green.class_count
     names, info, evals = [], {}, {}
     excluded = set()
@@ -703,8 +688,7 @@ def _transfer_letters(st, green: GreenData, conn: ConnectorTables) -> TransferLe
         for a in st.alphabet:
             for i in range(k1):
                 name = f"b{j}_{a}_{i}"
-                sig = conn.left_factor[st.letter_eval[a]][i]
-                val = conn.right_factor[j][sig]
+                val = _schreier_value(conn, j, st.letter_eval[a], i)
                 names.append(name)
                 info[name] = (j, a, i)
                 evals[name] = val
@@ -785,10 +769,12 @@ def transfer_details(
     dropped: :func:`transfer_relation` on the acceptor's words, built pair
     by pair.  The new acceptor is the right projection of that relation, and
     each multiplier is the original multiplier of a word for the letter,
-    conjugated through the relation.
+    conjugated through the relation.  A letter evaluating outside S is
+    ``OutOfRange``.
     """
     sem = green.sem
     n = sem.order
+    st._check_letter_evals(sem)
     if sub.members != green.sub.members:
         raise InputError("subsemigroup does not match the Green data")
     if delay_bound is None:
@@ -848,26 +834,18 @@ def transfer_details(
 
 def _rewrite_pair(st, green, conn, letters, u):
     """The unique partner of an acceptor word under the transfer relation,
-    or None when the word evaluates outside the subsemigroup."""
-    sem = green.sem
+    or None when the word evaluates outside the subsemigroup.  Letter k of
+    the two-pass push becomes b<j>_<a>_<i>: j is the class the right push
+    holds before it, i the class the left push holds after it."""
     elems = [st.letter_eval[a] for a in u]
-    if sem.prod1(elems) not in green.sub.members:
+    if green.sem.prod1(elems) not in green.sub.members:
         return None
-    m = len(u)
-    i_chain = [0] * (m + 1)  # i_chain[k] is the subscript of letter k (1-based)
-    i_chain[m] = 0
-    for k in range(m, 1, -1):
-        i_chain[k - 1] = conn.left_class[elems[k - 1]][i_chain[k]]
-    out = []
-    j = conn.left_class[elems[0]][i_chain[1]]
-    for k in range(1, m + 1):
-        name = f"b{j}_{u[k - 1]}_{i_chain[k]}"
-        if name not in letters.excluded:
-            out.append(name)
-        j = conn.right_class[j][conn.left_factor[elems[k - 1]][i_chain[k]]]
-    if j != 0:
+    first, second = _two_pass(elems, conn)
+    if second.output_class != IDENTITY_CLASS:
         raise InternalInconsistency("rewrite of a T word did not close")
-    return (tuple(u), tuple(out))
+    out = (f"b{second.steps[k]}_{a}_{first.steps[k + 1]}"
+           for k, a in enumerate(u))
+    return tuple(u), tuple(b for b in out if b not in letters.excluded)
 
 
 def _finite_language(nfa: Nfa) -> list[tuple]:

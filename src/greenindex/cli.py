@@ -281,7 +281,8 @@ def cmd_present_verify(args) -> int:
 
 def cmd_wp(args) -> int:
     sem, sub, green = _green(args)
-    ctx = pr.word_problem_context(sem, sub, green=green)
+    ctx = pr.word_problem_context(sem, sub, green=green,
+                                  conn=rg.connectors(green))
     w1, w2 = _letters(args.word1), _letters(args.word2)
     verdict = rw.word_equality_report(w1, w2, ctx)
     out = {"equal": verdict.equal, "branch": verdict.branch,
@@ -352,8 +353,6 @@ def cmd_auto_build(args) -> int:
 def cmd_auto_verify(args) -> int:
     sem = _load_semigroup(args.semigroup)
     st = au.structure_from_json(_load_json(args.structure))
-    for v in st.letter_eval.values():
-        _check_index(v, sem.order, "letter_eval entry")
     target = _load_sub(sem, args.sub) if args.sub else sem
     ok, reason = au.verify_structure_report(st, target, args.max_len)
     print(_dump({"verified": ok, "reason": reason}))
@@ -364,8 +363,6 @@ def cmd_auto_transfer(args) -> int:
     sem = _load_semigroup(args.semigroup)
     sub = _load_sub(sem, args.sub)
     st = au.structure_from_json(_load_json(args.structure))
-    for v in st.letter_eval.values():
-        _check_index(v, sem.order, "letter_eval entry")
     green = rg.relative_green(sem, sub)
     conn = rg.connectors(green)
     res = au.transfer_details(st, sub, green, conn,
@@ -383,10 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, group=sub, fmt="human", **kw):
+        p = group.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=["human", "json"], default="human")
+        p.add_argument("--format", choices=["human", "json"], default=fmt)
         return p
 
     p = add("validate", cmd_validate, help="validate a Cayley table")
@@ -426,25 +423,19 @@ def build_parser() -> argparse.ArgumentParser:
     pres = sub.add_parser("present", help="presentation tools")
     pres_sub = pres.add_subparsers(dest="subcommand", required=True)
 
-    p = pres_sub.add_parser("synth")
-    p.set_defaults(fn=cmd_present_synth)
-    p.add_argument("--format", choices=["human", "json"], default="json")
+    p = add("synth", cmd_present_synth, pres_sub, "json")
     p.add_argument("--semigroup", required=True)
     p.add_argument("--sub", required=True)
     p.add_argument("--presentation")
     p.add_argument("--max-classes", type=int, default=None)
     p.add_argument("--max-len", type=int, default=None)
 
-    p = pres_sub.add_parser("enumerate")
-    p.set_defaults(fn=cmd_present_enumerate)
-    p.add_argument("--format", choices=["human", "json"], default="json")
+    p = add("enumerate", cmd_present_enumerate, pres_sub, "json")
     p.add_argument("--presentation", required=True)
     p.add_argument("--max-classes", type=int, default=1000)
     p.add_argument("--max-len", type=int, default=12)
 
-    p = pres_sub.add_parser("verify")
-    p.set_defaults(fn=cmd_present_verify)
-    p.add_argument("--format", choices=["human", "json"], default="json")
+    p = add("verify", cmd_present_verify, pres_sub, "json")
     p.add_argument("--presentation", required=True)
     p.add_argument("--semigroup", required=True)
     p.add_argument("--max-classes", type=int, default=None)
@@ -459,17 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     grw = sub.add_parser("growth", help="growth series and domination")
     grw_sub = grw.add_subparsers(dest="subcommand", required=True)
 
-    p = grw_sub.add_parser("series")
-    p.set_defaults(fn=cmd_growth_series)
-    p.add_argument("--format", choices=["human", "json"], default="human")
+    p = add("series", cmd_growth_series, grw_sub)
     p.add_argument("--semigroup")
     p.add_argument("--gens", default="")
     p.add_argument("--max", type=int, default=20)
     p.add_argument("--blackbox")
 
-    p = grw_sub.add_parser("dominate")
-    p.set_defaults(fn=cmd_growth_dominate)
-    p.add_argument("--format", choices=["human", "json"], default="human")
+    p = add("dominate", cmd_growth_dominate, grw_sub)
     p.add_argument("--semigroup", required=True)
     p.add_argument("--sub", required=True)
     p.add_argument("--r", required=True)
@@ -479,23 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
     aut = sub.add_parser("auto", help="automatic structures")
     aut_sub = aut.add_subparsers(dest="subcommand", required=True)
 
-    p = aut_sub.add_parser("build")
-    p.set_defaults(fn=cmd_auto_build)
-    p.add_argument("--format", choices=["human", "json"], default="json")
+    p = add("build", cmd_auto_build, aut_sub, "json")
     p.add_argument("--semigroup", required=True)
     p.add_argument("--gens", required=True)
 
-    p = aut_sub.add_parser("verify")
-    p.set_defaults(fn=cmd_auto_verify)
-    p.add_argument("--format", choices=["human", "json"], default="json")
+    p = add("verify", cmd_auto_verify, aut_sub, "json")
     p.add_argument("--structure", required=True)
     p.add_argument("--semigroup", required=True)
     p.add_argument("--sub")
     p.add_argument("--max-len", type=int, default=6)
 
-    p = aut_sub.add_parser("transfer")
-    p.set_defaults(fn=cmd_auto_transfer)
-    p.add_argument("--format", choices=["human", "json"], default="json")
+    p = add("transfer", cmd_auto_transfer, aut_sub, "json")
     p.add_argument("--structure", required=True)
     p.add_argument("--semigroup", required=True)
     p.add_argument("--sub", required=True)

@@ -155,10 +155,9 @@ class SubSemigroup:
         if not self.members:
             raise NotClosed("subsemigroup is empty")
         tab = self.parent.table
-        n = self.parent.order
         for x in self.members:
-            if not 0 <= x < n:
-                raise OutOfRange(f"member {x} not in [0, {n})")
+            _check_index(x, self.parent.order, "member")
+        for x in self.members:
             for y in self.members:
                 if tab[x][y] not in self.members:
                     raise NotClosed(

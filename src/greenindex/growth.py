@@ -150,6 +150,9 @@ def domination_check(
     if over_b.members != sub.members:
         raise NotGenerating("the given set does not generate T")
     n = sem.order
+    for r in r_set:
+        if isinstance(r, bool) or not isinstance(r, int):
+            raise InputError(f"R element {r!r} is not an S^1 index")
     r_sorted = sorted(set(r_set))
     if n not in r_sorted:
         raise HypothesisFails("the adjoined identity must belong to R")

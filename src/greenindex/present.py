@@ -28,7 +28,7 @@ from .errors import (
     InternalInconsistency,
     InvalidLetter,
 )
-from .relgreen import ConnectorTables, GreenData, connectors, relative_green
+from .relgreen import ConnectorTables, GreenData
 from .rewrite import WordProblemContext
 from .schutz import SchutzGroup, class_group
 
@@ -632,32 +632,16 @@ def synthesize_presentation(
 def word_problem_context(
     sem: FiniteSemigroup,
     sub: SubSemigroup,
-    green: GreenData | None = None,
-    conn: ConnectorTables | None = None,
+    *,
+    green: GreenData,
+    conn: ConnectorTables,
 ) -> WordProblemContext:
     """Assemble the finite-semigroup context for the word-equality decider.
 
     The letters are those of T's table presentation, ``t<element>`` for the
     sorted members, then one class letter ``d<i>`` per complement class.
-    Equality callbacks compare elements of T directly and stabilizer
-    elements through the class's translation quotient.
     """
-    if green is None:
-        green = relative_green(sem, sub)
-    if conn is None:
-        conn = connectors(green)
     letter_eval = {f"t{m}": m for m in sub.sorted_members()}
     for i in range(1, green.class_count):
         letter_eval[f"d{i}"] = green.rep_of(i)
-
-    def stab_equal(k: int, x: int, y: int) -> bool:
-        grp = class_group(green, k)
-        return grp.quotient_index(x) == grp.quotient_index(y)
-
-    return WordProblemContext(
-        green=green,
-        conn=conn,
-        letter_eval=letter_eval,
-        t_equal=lambda x, y: x == y,
-        stab_equal=stab_equal,
-    )
+    return WordProblemContext(green=green, conn=conn, letter_eval=letter_eval)

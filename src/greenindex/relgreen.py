@@ -11,8 +11,9 @@ of the adjoined identity.  The Green index is k + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import FiniteSemigroup, SubSemigroup
+from .core import FiniteSemigroup, SubSemigroup, _check_index
 from .errors import InternalInconsistency
 
 IDENTITY_CLASS = 0
@@ -57,27 +58,24 @@ class GreenData:
             return IDENTITY_CLASS
         return self._complement_index[x]
 
-    @property
+    @cached_property
     def _complement_index(self) -> dict[int, int]:
-        idx = self.__dict__.get("_ci_cache")
-        if idx is None:
-            idx = {}
-            for p, cls in enumerate(self.complement_classes):
-                for x in cls:
-                    idx[x] = p + 1
-            self.__dict__["_ci_cache"] = idx
-        return idx
+        return {x: p + 1 for p, cls in enumerate(self.complement_classes)
+                for x in cls}
+
+    @cached_property
+    def _h_classes(self) -> dict[int, frozenset[int]]:
+        """Each H-class id's members."""
+        members: dict[int, set[int]] = {}
+        for u in self.sem.elements:
+            members.setdefault(self.h_id[u], set()).add(u)
+        return {hid: frozenset(c) for hid, c in members.items()}
 
     def h_class_of(self, x: int) -> frozenset[int]:
-        """The relative H-class of an element of S."""
-        by_id = self.__dict__.get("_h_cache")
-        if by_id is None:
-            members: dict[int, set[int]] = {}
-            for u in self.sem.elements:
-                members.setdefault(self.h_id[u], set()).add(u)
-            by_id = {hid: frozenset(c) for hid, c in members.items()}
-            self.__dict__["_h_cache"] = by_id
-        return by_id[self.h_id[x]]
+        """The relative H-class of an element of S (``OutOfRange`` for an
+        index outside S)."""
+        _check_index(x, self.sem.order, "element")
+        return self._h_classes[self.h_id[x]]
 
 
 def relative_green(sem: FiniteSemigroup, sub: SubSemigroup) -> GreenData:

@@ -16,6 +16,7 @@ from .errors import (
     NotInSubsemigroup,
 )
 from .relgreen import IDENTITY_CLASS, ConnectorTables, GreenData
+from .schutz import class_group
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,21 @@ def push_left(i: int, word: Sequence[int], conn: ConnectorTables) -> RewriteTrac
     )
 
 
-def _two_pass(word: Sequence[int], conn: ConnectorTables) -> RewriteTrace:
+def _two_pass(
+    word: Sequence[int], conn: ConnectorTables
+) -> tuple[RewriteTrace, RewriteTrace]:
     """Push the adjoined identity through ``word`` right to left, then the
     resulting representative through that output left to right, so that
-    word = output_word * rep(output_class)."""
+    word = second.output_word * rep(second.output_class).  Returns both
+    traces, the left push first."""
     first = push_left(IDENTITY_CLASS, word, conn)
-    return push_right(first.output_class, first.output_word, conn)
+    return first, push_right(first.output_class, first.output_word, conn)
+
+
+def _schreier_value(conn: ConnectorTables, j: int, s: int, i: int) -> int:
+    """The T^1 element right_factor[j][left_factor[s][i]]: what the letter
+    s turns into when pushed between classes j and i."""
+    return conn.right_factor[j][conn.left_factor[s][i]]
 
 
 def schreier_generators(
@@ -103,20 +113,14 @@ def schreier_generators(
     over_a = generated(sem, sorted(set(gens)))
     if len(over_a.words) != n:
         raise NotGenerating("the given set does not generate S")
-    k1 = green.class_count
-    bset = set()
-    for a in gens:
-        for j in range(k1):
-            t = conn.left_factor[a][j]
-            for i in range(k1):
-                b = conn.right_factor[i][t]
-                if b != n:
-                    bset.add(b)
+    classes = range(green.class_count)
+    bset = {_schreier_value(conn, j, a, i)
+            for a in gens for j in classes for i in classes} - {n}
 
     def factorizer(t: int) -> tuple[int, ...]:
         if t not in sub.members:
             raise NotInSubsemigroup(f"{t} is not in the subsemigroup")
-        pushed = _two_pass(over_a.word(t), conn)
+        _first, pushed = _two_pass(over_a.word(t), conn)
         if pushed.output_class != IDENTITY_CLASS:
             raise InternalInconsistency(
                 "two-pass rewrite of a T element did not land back in T"
@@ -142,16 +146,12 @@ class WordProblemContext:
     """Everything the word-equality decider needs about A = B u {d_i}.
 
     ``letter_eval`` maps letters to S elements (class letters to the class
-    representatives).  Equality inside T and inside each complement class's
-    Schutzenberger group is delegated to callables so that the same
-    procedure would run with oracle callbacks instead of a finite table.
+    representatives).
     """
 
     green: GreenData
     conn: ConnectorTables
     letter_eval: dict[str, int]
-    t_equal: Callable[[int, int], bool]
-    stab_equal: Callable[[int, int, int], bool]
     _sig_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -174,7 +174,7 @@ def _signature(word: tuple[str, ...], ctx: WordProblemContext):
     if not elems:
         sig = ("empty", sem.order)
     else:
-        pushed = _two_pass(elems, ctx.conn)
+        _first, pushed = _two_pass(elems, ctx.conn)
         if pushed.output_class == IDENTITY_CLASS:
             sig = ("sub", sem.prod1(pushed.output_word))
         else:
@@ -204,22 +204,17 @@ def word_equality_report(
     if s1[0] == "empty":
         return WordVerdict(True, "empty", "both words are empty")
     if s1[0] == "sub":
-        eq = ctx.t_equal(s1[1], s2[1])
+        eq = s1[1] == s2[1]
         return WordVerdict(eq, "both_in_sub", f"compared {s1[1]} and {s2[1]} in T")
     if s1[1] != s2[1]:
         return WordVerdict(
             False, "both_outside", f"distinct complement classes {s1[1]} != {s2[1]}"
         )
-    eq = ctx.stab_equal(s1[1], s1[2], s2[2])
+    grp = class_group(ctx.green, s1[1])
+    eq = grp.quotient_index(s1[2]) == grp.quotient_index(s2[2])
     return WordVerdict(
         eq,
         "both_outside",
         f"class {s1[1]}, stabilizer residuals {s1[2]} and {s2[2]}",
     )
 
-
-def decide_word_equality(
-    w1: Sequence[str], w2: Sequence[str], ctx: WordProblemContext
-) -> bool:
-    """The verdict of :func:`word_equality_report` without its detail."""
-    return word_equality_report(w1, w2, ctx).equal

@@ -5,13 +5,14 @@ from __future__ import annotations
 import functools
 import random
 
-from greenindex import automatic, core, factories, growth, present
+from greenindex import automatic, core, factories, growth, present, relgreen
 from greenindex.automatic import PAD
 from greenindex.errors import (
     EmptyGenerators,
     GreenIndexError,
     HypothesisFails,
     InputError,
+    InternalInconsistency,
     InvalidLetter,
     NotGenerating,
     NotInSubsemigroup,
@@ -398,6 +399,38 @@ def reference_transfer_relation(st, green, conn, letters):
     return automatic.PaddedRelationNfa(
         left_alphabet=st.alphabet, right_alphabet=letters.names, nfa=nfa
     )
+
+
+def wp_context(sem, sub):
+    """``present.word_problem_context`` with fresh Green data and
+    connectors."""
+    green = relgreen.relative_green(sem, sub)
+    return present.word_problem_context(
+        sem, sub, green=green, conn=relgreen.connectors(green))
+
+
+def reference_rewrite_pair(st, green, conn, letters, u):
+    """``automatic._rewrite_pair`` with its own chains: the right subscripts
+    are computed backwards from the identity class, then the left ones
+    forwards, and the left chain must close at the identity class."""
+    sem = green.sem
+    elems = [st.letter_eval[a] for a in u]
+    if sem.prod1(elems) not in green.sub.members:
+        return None
+    m = len(u)
+    i_chain = [0] * (m + 1)  # i_chain[k] is the subscript of letter k (1-based)
+    for k in range(m, 1, -1):
+        i_chain[k - 1] = conn.left_class[elems[k - 1]][i_chain[k]]
+    out = []
+    j = conn.left_class[elems[0]][i_chain[1]]
+    for k in range(1, m + 1):
+        name = f"b{j}_{u[k - 1]}_{i_chain[k]}"
+        if name not in letters.excluded:
+            out.append(name)
+        j = conn.right_class[j][conn.left_factor[elems[k - 1]][i_chain[k]]]
+    if j != 0:
+        raise InternalInconsistency("rewrite of a T word did not close")
+    return (tuple(u), tuple(out))
 
 
 def outcome(fn, *args):

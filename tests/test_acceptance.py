@@ -15,7 +15,7 @@ import pytest
 from greenindex import automatic as au
 from greenindex import core, factories, growth, present, relgreen, rewrite, schutz
 
-from helpers import fixed_instances, random_pairs, semigroup_tables
+from helpers import fixed_instances, random_pairs, semigroup_tables, wp_context
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +194,7 @@ def test_criterion_05_presentation_synthesis(fixed):
 def test_criterion_06_word_problem(fixed):
     total = 0
     for _name, sem, sub, _a, _b in fixed:
-        ctx = present.word_problem_context(sem, sub)
+        ctx = wp_context(sem, sub)
         letters = sorted(ctx.letter_eval)
         words = []
         for length in range(1, 5):
@@ -203,7 +203,7 @@ def test_criterion_06_word_problem(fixed):
         for w1 in words:
             e1 = evals[w1]
             for w2 in words:
-                assert rewrite.decide_word_equality(w1, w2, ctx) == (
+                assert rewrite.word_equality_report(w1, w2, ctx).equal == (
                     e1 == evals[w2]
                 )
         total += len(words) ** 2

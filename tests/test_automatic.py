@@ -5,21 +5,24 @@ from itertools import product
 import pytest
 from helpers import (
     fixed_instances,
+    reference_rewrite_pair,
     reference_transfer_relation,
     reference_verify_structure_report,
+    small_tables,
     tuple_pair_alphabet,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenindex import automatic as au
-from greenindex import core, factories, relgreen
+from greenindex import core, factories, relgreen, rewrite, schutz
 from greenindex.errors import (
     AlphabetMismatch,
     BoundExceeded,
     DelayExceeded,
     InputError,
     NotGenerating,
+    OutOfRange,
 )
 
 
@@ -96,6 +99,40 @@ def test_padding_validity():
     assert not au.is_padding_valid(bad)
 
 
+def _epsilon_relation(extra=(), accepting=(2,)):
+    """Pairs (a^m, a^m b^k): epsilon moves 0 -> 1 -> 2, (a, a) loops on 1
+    and ($, b) loops on 2, plus ``extra`` transitions."""
+    trans = ((0, None, 1), (1, ("a", "a"), 1), (1, None, 2),
+             (2, ("$", "b"), 2)) + tuple(extra)
+    nfa = au.Nfa(alphabet=au.PairAlphabet(("a",), ("a", "b")),
+                 n_states=1 + max(max(s, d) for s, _sym, d in trans),
+                 transitions=trans, initial=frozenset({0}),
+                 accepting=frozenset(accepting))
+    return au.PaddedRelationNfa(("a",), ("a", "b"), nfa)
+
+
+def test_padding_validity_with_epsilon_moves():
+    rel = _epsilon_relation()
+    assert au.is_padding_valid(rel)
+    # ($, b) then an epsilon move, then the left track resumes with (a, $)
+    resumes = ((2, None, 3), (3, ("a", "$"), 4))
+    assert not au.is_padding_valid(_epsilon_relation(resumes, (2, 4)))
+    # the same violating prefix is harmless when it cannot reach acceptance
+    assert au.is_padding_valid(_epsilon_relation(resumes, (2,)))
+
+
+def test_iter_words_with_epsilon_moves():
+    resumes = ((2, None, 3), (3, ("a", "$"), 4))
+    for rel in (_epsilon_relation(), _epsilon_relation(resumes, (2, 4))):
+        nfa = rel.nfa
+        want = [w for k in range(4) for w in product(nfa.alphabet, repeat=k)
+                if nfa.accepts(w)]
+        assert nfa.enumerate_words(3) == want
+    assert _epsilon_relation().pairs(2) == [
+        ((), ()), (("a",), ("a",)), ((), ("b",)),
+        (("a", "a"), ("a", "a")), (("a",), ("a", "b")), ((), ("b", "b"))]
+
+
 def test_projection_tracks():
     rel = au.PaddedRelationNfa.from_pairs(
         ("a",), ("b",), [(("a",), ("b", "b")), (("a", "a", "a"), ("b",))]
@@ -141,7 +178,7 @@ def test_structure_for_trivial_semigroup():
     st = au.structure_for_finite(triv, [0])
     assert st.acceptor.enumerate_words(3) == [("a0",)]
     assert st.multipliers["a0"].pairs(3) == [((("a0",), ("a0",)))]
-    assert au.verify_structure(st, triv, 3)
+    assert au.verify_structure_report(st, triv, 3) == (True, "ok")
 
 
 def test_structure_for_z6(z6):
@@ -150,7 +187,7 @@ def test_structure_for_z6(z6):
     assert len(words) == 6
     assert sorted(len(w) for w in words) == [1, 2, 3, 4, 5, 6]
     assert len(st.multipliers[""].pairs(8)) == 6
-    assert au.verify_structure(st, z6, 8)
+    assert au.verify_structure_report(st, z6, 8) == (True, "ok")
     with pytest.raises(NotGenerating):
         au.structure_for_finite(z6, [2])
 
@@ -197,13 +234,13 @@ def test_transfer_degenerate_whole_semigroup(z6):
     m_words = res.structure.acceptor.enumerate_words(10)
     l_words = st.acceptor.enumerate_words(10)
     assert [len(w) for w in m_words] == [len(w) for w in l_words]
-    assert au.verify_structure(res.structure, full, 7)
+    assert au.verify_structure_report(res.structure, full, 7) == (True, "ok")
 
 
 def test_transfer_z6(z6, t03):
     st, green, conn = transfer_setup(z6, t03, [1])
     res = au.transfer_details(st, t03, green, conn)
-    assert au.verify_structure(res.structure, t03, 6)
+    assert au.verify_structure_report(res.structure, t03, 6) == (True, "ok")
     sem_vals = {
         res.structure.eval_word(z6, w)
         for w in res.structure.acceptor.enumerate_words(8)
@@ -232,7 +269,7 @@ def test_transfer_semilattice():
     s, t = core.strong_semilattice(z4, z2, factories.mod_reduction(z4, z2))
     st, green, conn = transfer_setup(s, t, [1, 5])
     res = au.transfer_details(st, t, green, conn)
-    assert au.verify_structure(res.structure, t, 6)
+    assert au.verify_structure_report(res.structure, t, 6) == (True, "ok")
 
 
 def test_transfer_with_excluded_letters():
@@ -241,7 +278,7 @@ def test_transfer_with_excluded_letters():
     st, green, conn = transfer_setup(rz, sub, [0, 1])
     res = au.transfer_details(st, sub, green, conn)
     assert res.letters.excluded
-    assert au.verify_structure(res.structure, sub, 5)
+    assert au.verify_structure_report(res.structure, sub, 5) == (True, "ok")
 
 
 def test_transfer_relation_properties(z6, t03):
@@ -352,6 +389,95 @@ def test_transfer_relation_matches_fixed_point():
         assert au.nfa_to_json(got.nfa) == au.nfa_to_json(want.nfa)
 
 
+BENCH_T3_SETS = (
+    ("021", "102", "122"),
+    ("021", "112", "210", "220"),
+    ("001", "021", "120", "200", "212"),
+)
+
+
+def _rewrite_cases():
+    """(structure, Green data, connectors): each fixed instance from its
+    listed generators and from ``find_generating_set``, and T3 over its
+    ideal from the benchmark's generating sets and ``find_generating_set``."""
+    for _n, sem, sub, a_gens, _b in fixed_instances():
+        for gens in (a_gens, schutz.find_generating_set(sem)):
+            yield transfer_setup(sem, sub, list(gens))
+    t3 = factories.full_transformation_monoid(3)
+    ideal = core.SubSemigroup(
+        parent=t3,
+        members=frozenset(i for i, m in enumerate(t3.names) if len(set(m)) < 3),
+    )
+    for names in BENCH_T3_SETS:
+        yield transfer_setup(t3, ideal, [t3.names.index(m) for m in names])
+    yield transfer_setup(t3, ideal, list(schutz.find_generating_set(t3)))
+
+
+def _small_case(n, pick, data):
+    """A drawn table of order n, a drawn subsemigroup, and the structure
+    from ``find_generating_set`` plus drawn elements."""
+    tables = small_tables(n)
+    sem = core.validate_table(tables[pick % len(tables)])
+    elems = st.integers(0, n - 1)
+    sub = core.closure(sem, data.draw(st.lists(elems, min_size=1, max_size=2)))
+    extra = data.draw(st.lists(elems, max_size=2))
+    gens = sorted(set(schutz.find_generating_set(sem)) | set(extra))
+    return transfer_setup(sem, sub, gens)
+
+
+def _assert_rewrite_pairs_match_chains(struct, green, conn):
+    letters = au._transfer_letters(struct, green, conn)
+    words = au._finite_language(struct.acceptor)
+    for u in words:
+        assert au._rewrite_pair(struct, green, conn, letters, u) == \
+            reference_rewrite_pair(struct, green, conn, letters, u), u
+    return len(words)
+
+
+def _assert_schreier_generators_are_letter_values(struct, green, conn):
+    letters = au._transfer_letters(struct, green, conn)
+    gens = [struct.letter_eval[a] for a in struct.alphabet]
+    bset, _ = rewrite.schreier_generators(
+        green.sem, gens, green.sub, green, conn)
+    n = green.sem.order
+    assert bset == {v for v in letters.evals.values() if v != n}
+
+
+def test_rewrite_pair_matches_chain_reference():
+    words = sum(_assert_rewrite_pairs_match_chains(*case)
+                for case in _rewrite_cases())
+    assert words == 150
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10 ** 9), st.data())
+def test_rewrite_pair_matches_chain_reference_on_small_tables(n, pick, data):
+    _assert_rewrite_pairs_match_chains(*_small_case(n, pick, data))
+
+
+def test_schreier_generators_are_the_transferred_letter_values():
+    for case in _rewrite_cases():
+        _assert_schreier_generators_are_letter_values(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10 ** 9), st.data())
+def test_schreier_generators_are_the_letter_values_on_small_tables(
+        n, pick, data):
+    _assert_schreier_generators_are_letter_values(*_small_case(n, pick, data))
+
+
+def test_letters_evaluating_outside_s_are_refused(z6, t03):
+    struct, green, conn = transfer_setup(z6, t03, [1])
+    for value in (-1, 6, 99):
+        bad = replace(struct, letter_eval={"a1": value})
+        with pytest.raises(OutOfRange, match="letter_eval entry"):
+            au.transfer_details(bad, t03, green, conn)
+        for target in (z6, t03):
+            with pytest.raises(OutOfRange, match="letter_eval entry"):
+                au.verify_structure_report(bad, target, 6)
+
+
 def test_transfer_details_builds_no_full_relation(monkeypatch):
     calls = []
     real = au.transfer_relation
@@ -407,7 +533,7 @@ def test_transfer_structure_round_trip_json(z6, t03, t3_transfer):
     data = au.structure_to_json(res.structure)
     again = au.structure_from_json(data)
     assert set(again.alphabet) == set(res.structure.alphabet)
-    assert au.verify_structure(again, t03, 6)
+    assert au.verify_structure_report(again, t03, 6) == (True, "ok")
     _st, ideal, _green, res3 = t3_transfer
     text = json.dumps(au.structure_to_json(res3.structure))
     again3 = au.structure_from_json(json.loads(text))

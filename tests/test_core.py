@@ -49,6 +49,14 @@ def test_validate_out_of_range_and_shape():
         core.validate_table([])
 
 
+def test_subsemigroup_refuses_members_that_are_not_indices(z6):
+    for members in ({"a"}, {0.0, 3.0}, {True}, {0, -3}, {0, 6}):
+        with pytest.raises(OutOfRange):
+            core.SubSemigroup(parent=z6, members=frozenset(members))
+    with pytest.raises(OutOfRange, match=r"member 6 not in \[0, 6\)"):
+        core.SubSemigroup(parent=z6, members=frozenset({6}))
+
+
 def test_closure_examples(z6):
     assert core.closure(z6, [2]).members == {0, 2, 4}
     assert core.closure(z6, [3]).members == {0, 3}

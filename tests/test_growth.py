@@ -183,6 +183,14 @@ def _domination_cases(sem, sub, rng_r, rng_b):
     yield list(rng_r) + [n], members
 
 
+def test_domination_refuses_r_elements_that_are_not_indices(z6, t03):
+    with pytest.raises(InputError, match=r"^R element 1\.5 is not an S\^1 index$"):
+        growth.domination_check(z6, t03, [6, 1.5, 2], [3], 4)
+    for bad in ("a", True, None):
+        with pytest.raises(InputError, match="is not an S\\^1 index"):
+            growth.domination_check(z6, t03, [6, bad, 2], [3], 4)
+
+
 def test_domination_matches_reference_on_fixed_instances(instances):
     for _name, sem, sub, a_gens, b_gens in instances:
         n = sem.order

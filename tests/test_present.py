@@ -331,7 +331,8 @@ def test_word_problem_context_builds_no_presentation(instances, monkeypatch):
     monkeypatch.setattr(present.Presentation, "__post_init__", counting)
     for _name, sem, sub, _a, _b in instances:
         green = relgreen.relative_green(sem, sub)
-        ctx = present.word_problem_context(sem, sub, green=green)
+        ctx = present.word_problem_context(
+            sem, sub, green=green, conn=relgreen.connectors(green))
         assert built == []
         _q, qa = present.sub_table_presentation(sem, sub)
         assert len(built) == 1

@@ -1,4 +1,7 @@
+import pytest
+
 from greenindex import core, factories, relgreen
+from greenindex.errors import OutOfRange
 
 from helpers import (
     fixed_instances,
@@ -174,6 +177,13 @@ def test_h_class_of_matches_scan_on_fixed_instances():
         g = relgreen.relative_green(sem, sub)
         for x in sem.elements:
             assert g.h_class_of(x) == reference_h_class_of(g, x)
+
+
+def test_h_class_of_refuses_indices_outside_s(z6, t03):
+    g = relgreen.relative_green(z6, t03)
+    for x in (-1, 6, 1.0, True):
+        with pytest.raises(OutOfRange):
+            g.h_class_of(x)
 
 
 @settings(max_examples=60, deadline=None)
