@@ -5,8 +5,8 @@ with "$", and the pair symbol ("$", "$") never occurs.  Relations on words
 are NFAs over that pair alphabet.  Composition of two relations re-reads both
 component relations in lockstep, nondeterministically guessing the shared
 middle track; when the middle word outlives both outer words the remaining
-steps consume no output symbol, and a configurable delay bound caps how far
-that silent tail may run.
+steps consume no output symbol.  The product is finite, so every silent tail
+is found and composition needs no bound.
 
 A pair alphabet is never listed: ``PairAlphabet`` holds the two track
 alphabets and answers iteration, length, membership and rank from them.
@@ -30,7 +30,6 @@ from .core import (
 from .errors import (
     AlphabetMismatch,
     BoundExceeded,
-    DelayExceeded,
     InputError,
     InternalInconsistency,
     NotGenerating,
@@ -386,21 +385,18 @@ def is_padding_valid(rel: PaddedRelationNfa) -> bool:
 
 
 def compose_relations(
-    r1: PaddedRelationNfa, r2: PaddedRelationNfa, delay_bound: int
+    r1: PaddedRelationNfa, r2: PaddedRelationNfa
 ) -> PaddedRelationNfa:
     """Join two relations on their shared middle track.
 
     A pair (u, w) is accepted iff some middle word v has (u, v) in the first
     relation and (v, w) in the second.  Both component automata run in
     lockstep over the output positions; when v is longer than both u and w
-    the machines keep running on silent steps, at most ``delay_bound`` of
-    them.  If some pair would need a longer silent tail, DelayExceeded is
-    raised with a witness.
+    the machines keep running on silent steps.  The product is finite, so
+    every silent tail is found exactly and no bound on its length is needed.
     """
     if set(r1.right_alphabet) != set(r2.left_alphabet):
         raise AlphabetMismatch("middle alphabets differ")
-    if delay_bound < 0:
-        raise InputError("delay bound must be nonnegative")
     d1 = _epsilon_free(r1.nfa)
     d2 = _epsilon_free(r2.nfa)
     out1, out2 = d1._outgoing, d2._outgoing
@@ -428,7 +424,6 @@ def compose_relations(
         for i2 in sorted(d2.initial):
             state_id((i1, False, i2, False))
     initials = frozenset(range(len(order)))
-    main_reached = set(initials)
 
     pos = 0
     while pos < len(order):
@@ -444,7 +439,6 @@ def compose_relations(
                                 eps_edges.append((pos, tid))
                             else:
                                 main_trans.append((pos, (x, z), tid))
-                                main_reached.add(tid)
         if not f1 and (f2 or q2 in d2.accepting):
             # the second machine is finished; its pair reads ($, $)
             for (x, y), dsts1 in out1[q1].items():
@@ -452,7 +446,6 @@ def compose_relations(
                     for t1 in sorted(dsts1):
                         tid = state_id((t1, False, q2, True))
                         main_trans.append((pos, (x, PAD), tid))
-                        main_reached.add(tid)
         if (f1 or q1 in d1.accepting) and not f2:
             # the first machine is finished; its pair reads ($, $)
             for (y, z), dsts2 in out2[q2].items():
@@ -460,45 +453,27 @@ def compose_relations(
                     for t2 in sorted(dsts2):
                         tid = state_id((q1, True, t2, False))
                         main_trans.append((pos, (PAD, z), tid))
-                        main_reached.add(tid)
         pos += 1
 
-    # Silent-tail distance to an accepting configuration.
-    def is_final(state):
-        q1, f1, q2, f2 = state
-        return (f1 or q1 in d1.accepting) and (f2 or q2 in d2.accepting)
-
-    dist = {i: 0 for i, st in enumerate(order) if is_final(st)}
-    frontier = sorted(dist)
-    k = 0
-    back: dict[int, set[int]] = {}
+    # A state accepts iff silent steps lead it to a configuration where
+    # both machines are done.
+    back: dict[int, list[int]] = {}
     for s, d in eps_edges:
-        back.setdefault(d, set()).add(s)
-    while frontier:
-        k += 1
-        nxt = []
-        for d in frontier:
-            for s in back.get(d, ()):
-                if s not in dist:
-                    dist[s] = k
-                    nxt.append(s)
-        frontier = sorted(nxt)
-
-    for s in sorted(main_reached):
-        if s in dist and dist[s] > delay_bound:
-            raise DelayExceeded(
-                f"composition needs a silent tail of length {dist[s]}"
-                f" > delay bound {delay_bound}",
-                witness={"state": order[s], "tail": dist[s]},
-            )
-    accepting = frozenset(s for s in range(len(order))
-                          if dist.get(s, delay_bound + 1) <= delay_bound)
+        back.setdefault(d, []).append(s)
+    accepting = {i for i, (q1, f1, q2, f2) in enumerate(order)
+                 if (f1 or q1 in d1.accepting) and (f2 or q2 in d2.accepting)}
+    stack = list(accepting)
+    while stack:
+        for s in back.get(stack.pop(), ()):
+            if s not in accepting:
+                accepting.add(s)
+                stack.append(s)
     nfa = Nfa(
         alphabet=out_alpha,
         n_states=len(order),
         transitions=tuple(dict.fromkeys(main_trans)),
         initial=initials,
-        accepting=accepting,
+        accepting=frozenset(accepting),
     )
     return PaddedRelationNfa(
         left_alphabet=r1.left_alphabet,
@@ -760,7 +735,6 @@ def transfer_details(
     sub: SubSemigroup,
     green: GreenData,
     conn: ConnectorTables,
-    delay_bound: int | None = None,
 ) -> TransferResult:
     """Build an automatic structure for the subsemigroup from one for S.
 
@@ -773,12 +747,8 @@ def transfer_details(
     ``OutOfRange``.
     """
     sem = green.sem
-    n = sem.order
     st._check_letter_evals(sem)
-    if sub.members != green.sub.members:
-        raise InputError("subsemigroup does not match the Green data")
-    if delay_bound is None:
-        delay_bound = n + 1
+    green._check_built_from(sub)
     letters = _transfer_letters(st, green, conn)
 
     # Pair every acceptor word with its transferred word, and note the
@@ -798,9 +768,7 @@ def transfer_details(
     multipliers: dict[str, PaddedRelationNfa] = {}
     inv = invert(restricted)
     multipliers[""] = compose_relations(
-        inv, compose_relations(st.multipliers[""], restricted, delay_bound),
-        delay_bound,
-    )
+        inv, compose_relations(st.multipliers[""], restricted))
     # Letters with one evaluation share the multiplier of its first word.
     by_eval: dict[int, PaddedRelationNfa] = {}
     for b in kept:
@@ -813,11 +781,9 @@ def transfer_details(
                 )
             rel = st.multipliers[w[0]]
             for a in w[1:]:
-                rel = compose_relations(rel, st.multipliers[a], delay_bound)
+                rel = compose_relations(rel, st.multipliers[a])
             by_eval[target] = compose_relations(
-                inv, compose_relations(rel, restricted, delay_bound),
-                delay_bound,
-            )
+                inv, compose_relations(rel, restricted))
         multipliers[b] = by_eval[target]
     structure = AutomaticStructure(
         alphabet=kept,

@@ -27,7 +27,7 @@ from .core import (
     is_cancellative,
     is_group,
 )
-from .errors import GreenIndexError, InputError, OutOfRange, VerificationFailure
+from .errors import GreenIndexError, InputError, OutOfRange
 
 
 def _dump(obj) -> str:
@@ -237,16 +237,14 @@ def cmd_present_synth(args) -> int:
         q_pres, q_assign = pr.sub_table_presentation(sem, sub)
     packs = pr.build_schutz_packs(sem, sub, green, q_pres, q_assign)
     pres, assign = pr.synthesize_presentation(
-        q_pres, q_assign, packs, green, conn,
-        max_classes=args.max_classes, max_len=args.max_len,
-    )
+        q_pres, q_assign, packs, green, conn, max_classes=args.max_classes)
     print(_dump(pres.to_json_dict(assignment=assign)))
     return 0
 
 
 def cmd_present_enumerate(args) -> int:
     pres, _ = pr.Presentation.from_json_dict(_load_json(args.presentation))
-    result = pr.enumerate_presentation(pres, args.max_classes, args.max_len)
+    result = pr.enumerate_presentation(pres, args.max_classes)
     if not result.complete:
         print(_dump({"complete": False, "reason": result.reason}))
         return 0
@@ -266,8 +264,7 @@ def cmd_present_verify(args) -> int:
         raise InputError("the presentation file needs an 'assignment'")
     sem = _load_semigroup(args.semigroup)
     ok = pr.verify_presentation(pres, sem, assign,
-                                max_classes=args.max_classes,
-                                max_len=args.max_len)
+                                max_classes=args.max_classes)
     witness = None
     if not ok:
         for u, v in pres.relations:
@@ -365,8 +362,7 @@ def cmd_auto_transfer(args) -> int:
     st = au.structure_from_json(_load_json(args.structure))
     green = rg.relative_green(sem, sub)
     conn = rg.connectors(green)
-    res = au.transfer_details(st, sub, green, conn,
-                              delay_bound=args.delay_bound)
+    res = au.transfer_details(st, sub, green, conn)
     out = au.structure_to_json(res.structure)
     out["excluded_letters"] = sorted(res.letters.excluded)
     print(_dump(out))
@@ -428,18 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sub", required=True)
     p.add_argument("--presentation")
     p.add_argument("--max-classes", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
 
     p = add("enumerate", cmd_present_enumerate, pres_sub, "json")
     p.add_argument("--presentation", required=True)
     p.add_argument("--max-classes", type=int, default=1000)
-    p.add_argument("--max-len", type=int, default=12)
 
     p = add("verify", cmd_present_verify, pres_sub, "json")
     p.add_argument("--presentation", required=True)
     p.add_argument("--semigroup", required=True)
     p.add_argument("--max-classes", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
 
     p = add("wp", cmd_wp, help="decide equality of two words")
     p.add_argument("--semigroup", required=True)
@@ -480,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structure", required=True)
     p.add_argument("--semigroup", required=True)
     p.add_argument("--sub", required=True)
-    p.add_argument("--delay-bound", type=int, default=None)
 
     return parser
 
@@ -493,9 +485,6 @@ def main(argv=None) -> int:
     except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
     except GreenIndexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -81,9 +81,10 @@ class AlphabetMismatch(GreenIndexError):
     """Two automata were combined over different alphabets."""
 
 
+# Nothing raises this since composition needs no bound; perfbench imports it.
 class DelayExceeded(GreenIndexError):
-    """Relation composition needed a longer middle-track tail than the
-    configured delay bound; carries a witness."""
+    """Relation composition needed a longer middle-track tail than a delay
+    bound allowed; carries a witness."""
 
     def __init__(self, message, witness=None):
         self.witness = witness
@@ -96,7 +97,3 @@ class BudgetExceeded(GreenIndexError):
 
 class HypothesisFails(GreenIndexError):
     """A hypothesis required by a check does not hold; carries a witness."""
-
-
-class VerificationFailure(GreenIndexError):
-    """A CLI-level mathematical verification returned false."""

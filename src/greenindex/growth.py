@@ -141,8 +141,11 @@ def domination_check(
     r * t with r in R and t in T^1.  The constants are k1 = |R| and k2 = the
     longest generator-length of the T^1 parts mu(a1, a2) in the chosen
     decompositions of products of generators from A = B u R.  B must lie in
-    T and generate it (NotGenerating otherwise).
+    T and generate it (NotGenerating otherwise).  A negative ``m_max`` is an
+    ``InputError``.
     """
+    if m_max < 0:
+        raise InputError("m_max must be nonnegative")
     b_sorted = sorted(set(b_gens))
     if not set(b_sorted) <= sub.members:
         raise NotGenerating("the given set does not generate T")

@@ -261,17 +261,16 @@ class _Table:
 
 
 def enumerate_presentation(
-    pres: Presentation, max_classes: int, max_len: int
+    pres: Presentation, max_classes: int
 ) -> EnumerationResult:
-    """Enumerate the quotient semigroup of a presentation within bounds.
+    """Enumerate the quotient semigroup of a presentation within a bound.
 
     Nodes beyond ``8 * max_classes`` may be created temporarily; the final
-    quotient must fit in ``max_classes`` classes whose shortlex
-    representatives are no longer than ``max_len``.  The procedure is
-    deterministic for fixed bounds.
+    quotient must fit in ``max_classes`` classes.  ``max_classes`` is the
+    only bound, and the procedure is deterministic for a fixed bound.
     """
-    if max_classes <= 0 or max_len <= 0:
-        raise InputError("bounds must be positive")
+    if max_classes <= 0:
+        raise InputError("max_classes must be positive")
     letter_pos = {a: i for i, a in enumerate(pres.alphabet)}
     rels = [
         (tuple(letter_pos[a] for a in u), tuple(letter_pos[a] for a in v))
@@ -346,8 +345,6 @@ def enumerate_presentation(
         frontier = nxt
     if len(seen) != len(live):
         raise InternalInconsistency("unreachable live classes")
-    if any(len(w) > max_len for w in reps):
-        return incomplete("representative length bound exceeded")
 
     return EnumerationResult(complete=True, reason=None, size=len(reps),
                              reps=tuple(reps))
@@ -373,7 +370,6 @@ def verify_presentation(
     target: FiniteSemigroup | SubSemigroup,
     assignment: Mapping[str, int],
     max_classes: int | None = None,
-    max_len: int | None = None,
 ) -> bool:
     """Certify that a presentation presents the target: a semigroup, or a
     subsemigroup T given with its assignment in parent indices.
@@ -382,10 +378,10 @@ def verify_presentation(
     relation holds under the assignment, the assigned letters generate the
     whole target, and the enumerated quotient has exactly as many classes as
     the target has elements with a bijective induced map.  The default
-    bounds grow with the target's size.  Raises ``InvalidLetter`` for an
-    unassigned letter, ``InputError`` for an index outside the (parent)
+    class bound grows with the target's size.  Raises ``InvalidLetter`` for
+    an unassigned letter, ``InputError`` for an index outside the (parent)
     semigroup, and ``BoundExceeded`` when the enumeration cannot close
-    within bounds.
+    within ``max_classes`` classes.
     """
     sem, elems = _target_domain(target)
     _check_assignment(pres, assignment, sem.order)
@@ -393,7 +389,7 @@ def verify_presentation(
     if not images <= set(elems) or \
             generated(sem, sorted(images)).members != frozenset(elems):
         return False
-    return _presents(pres, sem, assignment, len(elems), max_classes, max_len)
+    return _presents(pres, sem, assignment, len(elems), max_classes)
 
 
 def _presents(
@@ -402,7 +398,6 @@ def _presents(
     assignment: Mapping[str, int],
     size: int,
     max_classes: int | None,
-    max_len: int | None,
 ) -> bool:
     """:func:`verify_presentation` once the letters are known to generate
     the target of ``size`` elements: every relation holds, and the
@@ -412,9 +407,7 @@ def _presents(
             return False
     if max_classes is None:
         max_classes = max(4 * size, 64)
-    if max_len is None:
-        max_len = max(size + 1, 16)
-    result = enumerate_presentation(pres, max_classes, max_len)
+    result = enumerate_presentation(pres, max_classes)
     if not result.complete:
         raise BoundExceeded(result.reason or "enumeration incomplete")
     if result.size != size:
@@ -551,7 +544,6 @@ def synthesize_presentation(
     green: GreenData,
     conn: ConnectorTables,
     max_classes: int | None = None,
-    max_len: int | None = None,
 ) -> tuple[Presentation, Assignment]:
     """Presentation for S from a presentation of T and group presentations.
 
@@ -564,8 +556,7 @@ def synthesize_presentation(
     """
     sem = green.sem
     factor_word = _letter_factorizer(green.sub, q_pres, q_assign)
-    if not _presents(q_pres, sem, q_assign, len(green.sub),
-                     max_classes, max_len):
+    if not _presents(q_pres, sem, q_assign, len(green.sub), max_classes):
         raise BadInputPresentation("the base presentation does not present T")
     for i, pack in packs.items():
         if not verify_presentation(pack.presentation, pack.schutz.group,
@@ -640,7 +631,10 @@ def word_problem_context(
 
     The letters are those of T's table presentation, ``t<element>`` for the
     sorted members, then one class letter ``d<i>`` per complement class.
+    ``green`` must be the Green data of ``sub`` in ``sem`` (``InputError``
+    otherwise).
     """
+    green._check_built_from(sub, sem)
     letter_eval = {f"t{m}": m for m in sub.sorted_members()}
     for i in range(1, green.class_count):
         letter_eval[f"d{i}"] = green.rep_of(i)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import FiniteSemigroup, SubSemigroup, _check_index
-from .errors import InternalInconsistency
+from .errors import InputError, InternalInconsistency
 
 IDENTITY_CLASS = 0
 
@@ -76,6 +76,14 @@ class GreenData:
         index outside S)."""
         _check_index(x, self.sem.order, "element")
         return self._h_classes[self.h_id[x]]
+
+    def _check_built_from(
+        self, sub: SubSemigroup, sem: FiniteSemigroup | None = None
+    ) -> None:
+        """``InputError`` unless this data was computed for ``sub`` (and for
+        ``sem``, when given)."""
+        if sub != self.sub or (sem is not None and sem != self.sem):
+            raise InputError("subsemigroup does not match the Green data")
 
 
 def relative_green(sem: FiniteSemigroup, sub: SubSemigroup) -> GreenData:

@@ -181,7 +181,7 @@ def test_criterion_05_presentation_synthesis(fixed):
         q, qa = present.sub_table_presentation(sem, sub)
         packs = present.build_schutz_packs(sem, sub, g, q, qa)
         pres, assign = present.synthesize_presentation(q, qa, packs, g, conn)
-        result = present.enumerate_presentation(pres, 500, 14)
+        result = present.enumerate_presentation(pres, 500)
         assert result.complete, f"{name}: {result.reason}"
         assert result.size == sem.order
         evals = [present.evaluate_word(sem, assign, w) for w in result.reps]

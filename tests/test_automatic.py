@@ -19,7 +19,6 @@ from greenindex import core, factories, relgreen, rewrite, schutz
 from greenindex.errors import (
     AlphabetMismatch,
     BoundExceeded,
-    DelayExceeded,
     InputError,
     NotGenerating,
     OutOfRange,
@@ -152,25 +151,48 @@ def test_compose_matches_brute_force_join(z6):
     st = au.structure_for_finite(z6, [1])
     rel = st.multipliers["a1"]
     ident = st.multipliers[""]
-    comp = au.compose_relations(ident, rel, 7)
+    comp = au.compose_relations(ident, rel)
     assert sorted(comp.pairs(7)) == sorted(rel.pairs(7))
-    twice = au.compose_relations(rel, rel, 7)
+    twice = au.compose_relations(rel, rel)
     assert sorted(twice.pairs(7)) == brute_compose(rel, rel, 8)
     inv = au.invert(rel)
-    round_trip = au.compose_relations(rel, inv, 7)
+    round_trip = au.compose_relations(rel, inv)
     for u, _v in rel.pairs(7):
         assert round_trip.accepts_pair(u, u)
 
 
+def test_transfer_composes_through_long_silent_tails():
+    # Z2 with a1 -> 1 and the acceptor {a1, a1^2, a1^3, a1^8}: composing the
+    # transferred multipliers needs a silent tail of 5, which the default
+    # delay bound |S| + 1 = 3 used to refuse
+    z2 = factories.zmod(2)
+    alpha = ("a1",)
+    words = [("a1",) * k for k in (1, 2, 3, 8)]
+
+    def listed(shift):
+        return au.PaddedRelationNfa.from_pairs(alpha, alpha, [
+            (u, v) for u in words for v in words
+            if (len(u) + shift - len(v)) % 2 == 0])
+
+    st = au.AutomaticStructure(
+        alphabet=alpha, letter_eval={"a1": 1},
+        acceptor=au.nfa_from_words(alpha, words),
+        multipliers={"": listed(0), "a1": listed(1)})
+    assert au.verify_structure_report(st, z2, 8) == (True, "ok")
+    sub = core.SubSemigroup(parent=z2, members=frozenset({0}))
+    green = relgreen.relative_green(z2, sub)
+    res = au.transfer_details(st, sub, green, relgreen.connectors(green))
+    assert au.verify_structure_report(res.structure, sub, 8) == (True, "ok")
+
+
 def test_compose_long_middle_needs_delay():
+    # the middle word b^5 outlives both outer words by a silent tail of 4
     r1 = au.PaddedRelationNfa.from_pairs(("a",), ("b",), [(("a",), ("b",) * 5)])
     r2 = au.PaddedRelationNfa.from_pairs(("b",), ("a",), [(("b",) * 5, ("a",))])
-    with pytest.raises(DelayExceeded):
-        au.compose_relations(r1, r2, 2)
-    ok = au.compose_relations(r1, r2, 10)
-    assert ok.pairs(4) == [((("a",), ("a",)))]
+    composed = au.compose_relations(r1, r2)
+    assert composed.pairs(4) == brute_compose(r1, r2, 5) == [(("a",), ("a",))]
     with pytest.raises(AlphabetMismatch):
-        au.compose_relations(r1, r1, 5)
+        au.compose_relations(r1, r1)
 
 
 def test_structure_for_trivial_semigroup():
@@ -353,16 +375,15 @@ def test_shared_multiplier_is_composed_from_first_word(t3_transfer):
     sem = green.sem
     restricted = res.restricted_relation
     inv = au.invert(restricted)
-    delay = sem.order + 1
     for b in res.structure.alphabet:
         target = res.structure.letter_eval[b]
         w = next(c for c in st.acceptor.iter_words()
                  if st.eval_word(sem, c) == target)
         rel = st.multipliers[w[0]]
         for a in w[1:]:
-            rel = au.compose_relations(rel, st.multipliers[a], delay)
+            rel = au.compose_relations(rel, st.multipliers[a])
         want = au.compose_relations(
-            inv, au.compose_relations(rel, restricted, delay), delay)
+            inv, au.compose_relations(rel, restricted))
         got = res.structure.multipliers[b]
         assert au.nfa_to_json(got.nfa) == au.nfa_to_json(want.nfa), b
 
@@ -672,7 +693,7 @@ def test_padding_validity_preserved_by_operations(z6):
     rel = st_z6.multipliers["a1"]
     assert au.is_padding_valid(rel)
     assert au.is_padding_valid(au.invert(rel))
-    composed = au.compose_relations(rel, au.invert(rel), 7)
+    composed = au.compose_relations(rel, au.invert(rel))
     assert au.is_padding_valid(composed)
 
 

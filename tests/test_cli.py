@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import pathlib
+import shlex
 
 import pytest
 from hypothesis import given, settings
@@ -106,7 +108,7 @@ def test_present_pipeline(files, capsys, tmp_path):
     assert code == 0 and json.loads(out)["verified"] is True
 
     code, out = run(capsys, "present", "enumerate", "--presentation",
-                    str(synth_path), "--max-classes", "100", "--max-len", "12")
+                    str(synth_path), "--max-classes", "100")
     assert code == 0 and json.loads(out)["size"] == 6
 
     broken = json.loads(synth_path.read_text())
@@ -211,6 +213,17 @@ def test_growth_dominate_rejects_generators_outside_t(files, capsys):
                     "--sub", sub_path, "--r", "0,1,2,6", "--sub-gens", "1",
                     "--max", "6")
     assert code == 2 and out == ""
+
+
+def test_growth_dominate_rejects_a_negative_max(files, capsys):
+    # it used to exit 0 with "holds": true and no rows
+    sem_path, sub_path, _ = files
+    code = cli.main(["growth", "dominate", "--semigroup", sem_path,
+                     "--sub", sub_path, "--r", "6,1,2", "--sub-gens", "3",
+                     "--max", "-1", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: m_max must be nonnegative\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -444,6 +457,19 @@ def test_present_synth_requires_assigned_letters(files, capsys, assignment,
     assert captured.err == f"input error: {message}\n"
 
 
+def test_present_refutes_a_quotient_with_long_representatives(files, capsys):
+    # <b | b^19 = b> holds in Z6 and b -> 1 generates it, but the quotient
+    # has 18 classes; its representative b^18 used to make verify fail with
+    # an error and enumerate print "complete": false
+    pres_path = _write_presentation(files[2], relations=[["b" * 19, "b"]])
+    code, out = run(capsys, *_present_argv("verify", files, pres_path))
+    assert code == 1
+    assert json.loads(out) == {"verified": False, "violated_relation": None}
+    code, out = run(capsys, "present", "enumerate", "--presentation", pres_path)
+    data = json.loads(out)
+    assert code == 0 and data["complete"] is True and data["size"] == 18
+
+
 def test_present_reads_integer_assignments(files, capsys):
     # b -> 1 presents Z6 but not T = {0, 3}
     pres_path = _write_presentation(files[2])
@@ -621,3 +647,16 @@ def test_generator_flags_exit_with_a_documented_code(files, command):
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue()
         assert code == 0 or out.getvalue() == "", (argv, out.getvalue())
+
+
+def test_readme_cli_examples_parse():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines()
+             if line.startswith("greenindex ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line.split(">", 1)[0])[1:]
+        parser.parse_args(argv)

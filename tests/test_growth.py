@@ -107,6 +107,12 @@ def test_domination_rejects_generators_not_generating_t(z6, t03):
         growth.domination_check(z6, t03, [0, 1, 2, 6], [0], 6)
 
 
+def test_domination_refuses_a_negative_m_max(z6, t03):
+    # it used to report that the inequality holds, with no rows
+    with pytest.raises(InputError, match="^m_max must be nonnegative$"):
+        growth.domination_check(z6, t03, [6, 1, 2], [3], -1)
+
+
 def test_growth_series_is_ball_sizes(instances):
     # one BFS gives the same series as one out-ball per radius
     cases = [(sem, list(a)) for _n, sem, _t, a, _b in instances]

@@ -84,12 +84,12 @@ def test_table_presentation_trivial():
 
 def test_enumerate_examples():
     one = present.enumerate_presentation(
-        present.Presentation(("a",), ((("a", "a"), ("a",)),)), 10, 10
+        present.Presentation(("a",), ((("a", "a"), ("a",)),)), 10
     )
     assert one.complete and one.size == 1
 
     two = present.enumerate_presentation(
-        present.Presentation(("b",), ((("b", "b", "b"), ("b",)),)), 10, 10
+        present.Presentation(("b",), ((("b", "b", "b"), ("b",)),)), 10
     )
     assert two.complete and two.size == 2
     assert two.reps == (("b",), ("b", "b"))
@@ -104,7 +104,6 @@ def test_enumerate_examples():
             ),
         ),
         10,
-        10,
     )
     assert three.complete and three.size == 3
     assert set(three.reps) == {("a",), ("b",), ("a", "b")}
@@ -112,26 +111,21 @@ def test_enumerate_examples():
 
 def test_enumerate_is_deterministic():
     pres = present.Presentation(("b",), ((("b", "b", "b"), ("b",)),))
-    r1 = present.enumerate_presentation(pres, 10, 10)
-    r2 = present.enumerate_presentation(pres, 10, 10)
+    r1 = present.enumerate_presentation(pres, 10)
+    r2 = present.enumerate_presentation(pres, 10)
     assert r1 == r2
 
 
 def test_enumerate_bound_exceeded():
     free = present.Presentation(("a",), ())
-    result = present.enumerate_presentation(free, 5, 50)
+    result = present.enumerate_presentation(free, 5)
     assert not result.complete
     assert "bound" in result.reason
-    cramped = present.enumerate_presentation(
-        present.Presentation(("b",), ((("b", "b", "b"), ("b",)),)), 10, 1
-    )
-    assert not cramped.complete
-    assert "length" in cramped.reason
 
 
 def test_enumerate_quotient_table_is_consistent(z6):
     pres, assign = present.presentation_from_table(z6)
-    result = present.enumerate_presentation(pres, 100, 10)
+    result = present.enumerate_presentation(pres, 100)
     assert result.complete and result.size == 6
     # the representatives evaluate bijectively onto Z6
     evals = [present.evaluate_word(z6, assign, w) for w in result.reps]
@@ -146,10 +140,20 @@ def test_verify_presentation_rejects_bad_relation(z6):
     assert not present.verify_presentation(sub_only, z6, {"a": 2})
 
 
+def test_quotient_with_long_representatives_is_refuted(z6):
+    # <a | a^19 = a> holds in Z6 and a -> 1 generates it, but the quotient
+    # has the 18 classes a, ..., a^18; a^18 used to exceed the
+    # representative length bound, turning the refutation into BoundExceeded
+    pres = present.Presentation(("a",), ((("a",) * 19, ("a",)),))
+    result = present.enumerate_presentation(pres, 64)
+    assert result.complete and result.size == 18
+    assert present.verify_presentation(pres, z6, {"a": 1}) is False
+
+
 def test_verify_presentation_raises_on_tight_bounds(z6):
     pres, assign = present.presentation_from_table(z6)
     with pytest.raises(BoundExceeded):
-        present.verify_presentation(pres, z6, assign, max_classes=2, max_len=10)
+        present.verify_presentation(pres, z6, assign, max_classes=2)
 
 
 def test_compact_subsemigroup_presentation(z6, t03):
@@ -188,7 +192,7 @@ def test_synthesis_z6(z6, t03):
     pres, assign = synth(z6, t03, compact, {"b": 3})
     assert set(pres.alphabet) == {"b", "d1", "d2"}
     assert present.verify_presentation(pres, z6, assign,
-                                       max_classes=500, max_len=14)
+                                       max_classes=500)
 
 
 def test_synthesis_semilattice():
@@ -196,7 +200,7 @@ def test_synthesis_semilattice():
     s, t = core.strong_semilattice(z4, z2, factories.mod_reduction(z4, z2))
     pres, assign = synth(s, t)
     assert present.verify_presentation(pres, s, assign,
-                                       max_classes=500, max_len=14)
+                                       max_classes=500)
 
 
 def test_synthesis_rejects_bad_base_presentation(z6, t03):
@@ -290,8 +294,7 @@ def _sub_verdicts(sem, sub):
     """``verify_presentation`` on T next to the re-indexing reference, for
     every case under default and tight bounds."""
     for pres, assign in _sub_presentation_cases(sem, sub):
-        for bounds in ({}, {"max_classes": 1}, {"max_len": 1},
-                       {"max_classes": 3, "max_len": 2}):
+        for bounds in ({}, {"max_classes": 1}, {"max_classes": 3}):
             got = outcome(functools.partial(
                 present.verify_presentation, pres, sub, assign, **bounds))
             want = outcome(functools.partial(
@@ -305,8 +308,7 @@ def test_subsemigroup_verification_matches_reindexing_reference(instances):
         for got, want in _sub_verdicts(sem, sub):
             assert got == want
             seen.add(got if isinstance(got, bool) else got[1])
-    assert seen == {True, False, "class bound exceeded",
-                    "representative length bound exceeded"}
+    assert seen == {True, False, "class bound exceeded"}
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,6 +320,20 @@ def test_subsemigroup_verification_matches_reference_on_small_tables(n, pick, da
     sub = core.closure(sem, gens)
     for got, want in _sub_verdicts(sem, sub):
         assert got == want
+
+
+def test_word_problem_context_refuses_other_green_data(z6, t03):
+    # T = {0, 3} with the Green data of {0, 2, 4} used to get the letters
+    # t0, t3 and d1
+    t024 = core.SubSemigroup(parent=z6, members=frozenset({0, 2, 4}))
+    green = relgreen.relative_green(z6, t024)
+    conn = relgreen.connectors(green)
+    for sem, sub in ((z6, t03), (factories.zmod(3), t024)):
+        with pytest.raises(InputError, match="^subsemigroup does not match"
+                           " the Green data$"):
+            present.word_problem_context(sem, sub, green=green, conn=conn)
+    ctx = present.word_problem_context(z6, t024, green=green, conn=conn)
+    assert ctx.letter_eval == {"t0": 0, "t2": 2, "t4": 4, "d1": 1}
 
 
 def test_word_problem_context_builds_no_presentation(instances, monkeypatch):
