@@ -88,6 +88,8 @@ class GreenData:
 
 def relative_green(sem: FiniteSemigroup, sub: SubSemigroup) -> GreenData:
     """Compute the relative Green's relations by comparing principal sets."""
+    if sub.parent is not sem and sub.parent != sem:
+        raise InputError("subsemigroup belongs to another semigroup")
     members = sub.sorted_members()
 
     def class_ids(keys):
@@ -158,11 +160,20 @@ class ConnectorTables:
 
 
 def connectors(green: GreenData) -> ConnectorTables:
-    """Materialize the four transport tables for all of S^1 x I^1."""
+    """Materialize the four transport tables for all of S^1 x I^1.  Each
+    class j has two first-witness indexes, built in one pass over T^1 in
+    order: h_j * t to the first such t, and t * h_j to the first such t."""
     sem = green.sem
     n = sem.order
     k = len(green.complement_classes)
     t_one = green.sub.t_one()
+    left_by: list[dict[int, int]] = [{} for _ in range(k + 1)]
+    right_by: list[dict[int, int]] = [{} for _ in range(k + 1)]
+    for j in range(k + 1):
+        rep = green.rep_of(j)
+        for t in t_one:
+            left_by[j].setdefault(sem.mul1(rep, t), t)
+            right_by[j].setdefault(sem.mul1(t, rep), t)
 
     lc = [[0] * (k + 1) for _ in range(n + 1)]
     lf = [[0] * (k + 1) for _ in range(n + 1)]
@@ -180,9 +191,7 @@ def connectors(green: GreenData) -> ConnectorTables:
             elif j == IDENTITY_CLASS:
                 lf[s][i] = p
             else:
-                lf[s][i] = _witness(
-                    t_one, lambda t: sem.mul1(green.rep_of(j), t) == p
-                )
+                lf[s][i] = _witness(left_by[j], p)
 
             q = sem.mul1(rep, s)
             j2 = green.class_of(q)
@@ -192,9 +201,7 @@ def connectors(green: GreenData) -> ConnectorTables:
             elif j2 == IDENTITY_CLASS:
                 rf[i][s] = q
             else:
-                rf[i][s] = _witness(
-                    t_one, lambda t: sem.mul1(t, green.rep_of(j2)) == q
-                )
+                rf[i][s] = _witness(right_by[j2], q)
 
     return ConnectorTables(
         green=green,
@@ -205,11 +212,10 @@ def connectors(green: GreenData) -> ConnectorTables:
     )
 
 
-def _witness(t_one, pred):
-    for t in t_one:
-        if pred(t):
-            return t
-    raise InternalInconsistency("no connector witness; GreenData is broken")
+def _witness(index: dict[int, int], product: int) -> int:
+    if product not in index:
+        raise InternalInconsistency("no connector witness; GreenData is broken")
+    return index[product]
 
 
 def eggbox_dot(green: GreenData, highlight_complement: bool = True) -> str:

@@ -14,6 +14,7 @@ from greenindex.errors import (
     InputError,
     InternalInconsistency,
     InvalidLetter,
+    NotAssociative,
     NotGenerating,
     NotInSubsemigroup,
 )
@@ -43,6 +44,16 @@ def fixed_instances():
         ("ss_z4_z2", s2, t2, (1, 5), (1,)),
         ("s3_nonnormal", s3, tsub, (2, 3), (2,)),
     ]
+
+
+def nonperm_ideal(k):
+    """T_k and its ideal of non-permutations."""
+    tk = factories.full_transformation_monoid(k)
+    ideal = core.SubSemigroup(
+        parent=tk,
+        members=frozenset(i for i, m in enumerate(tk.names) if len(set(m)) < k),
+    )
+    return tk, ideal
 
 
 _POOL_CACHE = None
@@ -485,3 +496,68 @@ def reference_parse_word(raw: str, alphabet):
     if not go(0):
         raise InvalidLetter(f"cannot tokenize {raw!r} over {list(alphabet)}")
     return tuple(out)
+
+
+def reference_validate_table(table, names=None):
+    """``core.validate_table`` on a well-formed table by its definition:
+    every triple (x, y, z) in lexicographic order is checked, the first
+    failing one is the witness, and the identity is the first element that
+    is a two-sided identity."""
+    rows = tuple(tuple(row) for row in table)
+    n = len(rows)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
+                    raise NotAssociative(x, y, z)
+    identity = next((e for e in range(n) if all(
+        rows[e][x] == x and rows[x][e] == x for x in range(n))), None)
+    return core.FiniteSemigroup(order=n, table=rows, identity=identity,
+                                names=names)
+
+
+def reference_connectors(green):
+    """``relgreen.connectors`` by its definition: each factor witness is the
+    first element of T^1, in order, that solves its equation, found by a
+    linear scan."""
+    sem = green.sem
+    n = sem.order
+    k = len(green.complement_classes)
+    t_one = green.sub.t_one()
+
+    def first(pred):
+        for t in t_one:
+            if pred(t):
+                return t
+        raise InternalInconsistency("no connector witness")
+
+    lc = [[0] * (k + 1) for _ in range(n + 1)]
+    lf = [[0] * (k + 1) for _ in range(n + 1)]
+    rc = [[0] * (n + 1) for _ in range(k + 1)]
+    rf = [[0] * (n + 1) for _ in range(k + 1)]
+    for i in range(k + 1):
+        rep = green.rep_of(i)
+        for s in range(n + 1):
+            p = sem.mul1(s, rep)
+            j = lc[s][i] = green.class_of(p)
+            if s == n:
+                lf[s][i] = n
+            elif j == relgreen.IDENTITY_CLASS:
+                lf[s][i] = p
+            else:
+                lf[s][i] = first(lambda t: sem.mul1(green.rep_of(j), t) == p)
+            q = sem.mul1(rep, s)
+            j2 = rc[i][s] = green.class_of(q)
+            if s == n:
+                rf[i][s] = n
+            elif j2 == relgreen.IDENTITY_CLASS:
+                rf[i][s] = q
+            else:
+                rf[i][s] = first(lambda t: sem.mul1(t, green.rep_of(j2)) == q)
+    return relgreen.ConnectorTables(
+        green=green,
+        left_class=tuple(map(tuple, lc)),
+        left_factor=tuple(map(tuple, lf)),
+        right_class=tuple(map(tuple, rc)),
+        right_factor=tuple(map(tuple, rf)),
+    )

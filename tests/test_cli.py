@@ -41,6 +41,28 @@ def test_validate(files, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_validate_reports_the_first_witness_exactly(capsys, tmp_path):
+    # Z3 with 2*0 changed to 0: the first failing triple in (x, y, z) order
+    # is (1, 1, 0), while a scan over a generating set meets (2, 0, 1) first
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"order": 3,
+                               "table": [[0, 1, 2], [1, 2, 0], [0, 0, 1]]}))
+    code, out = run(capsys, "validate", "--semigroup", str(bad),
+                    "--format", "json")
+    assert code == 1
+    assert out == (
+        '{\n'
+        '  "error": "not associative: (1*1)*0 != 1*(1*0)",\n'
+        '  "valid": false,\n'
+        '  "witness": [\n'
+        '    1,\n'
+        '    1,\n'
+        '    0\n'
+        '  ]\n'
+        '}\n'
+    )
+
+
 def test_green_index_json(files, capsys):
     sem_path, sub_path, _ = files
     code, out = run(capsys, "green-index", "--semigroup", sem_path,

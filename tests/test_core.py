@@ -16,7 +16,12 @@ from greenindex.errors import (
     OutOfRange,
 )
 
-from helpers import random_pairs, small_tables
+from helpers import (
+    fixed_instances,
+    random_pairs,
+    reference_validate_table,
+    small_tables,
+)
 
 
 def test_validate_right_zero():
@@ -47,6 +52,79 @@ def test_validate_out_of_range_and_shape():
         core.validate_table([[0, 1], [0]])
     with pytest.raises(InputError):
         core.validate_table([])
+
+
+def _verdict(validate, table):
+    """The semigroup a validation returns, or the type, message and witness
+    of the ``NotAssociative`` it raises."""
+    try:
+        return validate(table)
+    except NotAssociative as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def _zero_tables(n):
+    """The left-zero, right-zero and null tables of order n: no proper
+    subset generates them by right multiplication."""
+    return (
+        [[x] * n for x in range(n)],
+        [list(range(n)) for _ in range(n)],
+        [[0] * n for _ in range(n)],
+    )
+
+
+def _associative_bases():
+    """Z_n and the min-semilattice of orders 1..8, the zero tables, and the
+    tables of the fixed instances."""
+    out = []
+    for n in range(1, 9):
+        out.append([[(x + y) % n for y in range(n)] for x in range(n)])
+        out.append([[min(x, y) for y in range(n)] for x in range(n)])
+        out.extend(_zero_tables(n))
+    out.extend([list(row) for row in inst[1].table] for inst in fixed_instances())
+    return out
+
+
+ASSOCIATIVE_BASES = _associative_bases()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_validate_matches_cubic_reference_on_random_tables(table):
+    assert _verdict(core.validate_table, table) == \
+        _verdict(reference_validate_table, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ASSOCIATIVE_BASES), st.data())
+def test_validate_matches_cubic_reference_with_one_cell_changed(base, data):
+    # one wrong cell of an associative table puts the first witness
+    # anywhere in the scan, often far from (0, 0, 0)
+    n = len(base)
+    cell = st.integers(0, n - 1)
+    i, j, v = data.draw(cell), data.draw(cell), data.draw(cell)
+    table = [list(row) for row in base]
+    table[i][j] = v
+    assert _verdict(core.validate_table, table) == \
+        _verdict(reference_validate_table, table)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_validate_matches_cubic_reference_on_zero_tables(n):
+    for table in _zero_tables(n):
+        assert core.validate_table(table) == reference_validate_table(table)
+
+
+def test_light_generators_on_t4_and_zero_tables():
+    t4 = factories.full_transformation_monoid(4)
+    gens = core._right_generators(t4.table)
+    assert len(gens) <= 5
+    assert core.generated(t4, gens).members == frozenset(t4.elements)
+    for n in range(1, 9):
+        for table in _zero_tables(n):
+            assert sorted(core._right_generators(table)) == list(range(n))
 
 
 def test_subsemigroup_refuses_members_that_are_not_indices(z6):

@@ -4,11 +4,16 @@
   the three generating sets of the ``transfer`` benchmark: the transferred
   structure, the restricted relation and the verifier's verdict.
 - ``word_equality_report`` on 400 seeded word pairs per fixed instance.
+- The four connector tables (``left_class``, ``left_factor``,
+  ``right_class``, ``right_factor``) on the fixed instances and on T4 over
+  its ideal of non-permutations.  These hashes were taken from the linear
+  witness scan of ``relgreen.connectors``, before its witnesses came from
+  first-witness indexes; the indexes must pick the same witnesses.
 
 Each entry is the SHA-256 of canonical JSON, so any change to a transferred
-automaton or a word verdict shows up here.  When a change is intended,
-print the new table with ``PYTHONPATH=src python tests/test_library_golden.py``
-and paste it below.
+automaton, a word verdict or a connector table shows up here.  When a change
+is intended, print the new table with
+``PYTHONPATH=src python tests/test_library_golden.py`` and paste it below.
 """
 
 import hashlib
@@ -21,10 +26,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import fixed_instances  # noqa: E402
+from helpers import fixed_instances, nonperm_ideal  # noqa: E402
 
 from greenindex import automatic as au  # noqa: E402
-from greenindex import core, factories, present, relgreen, rewrite  # noqa: E402
+from greenindex import present, relgreen, rewrite  # noqa: E402
 
 T3_GENERATING_SETS = (
     ("021", "102", "122"),
@@ -39,19 +44,10 @@ def _digest(obj) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def t3_ideal():
-    t3 = factories.full_transformation_monoid(3)
-    ideal = core.SubSemigroup(
-        parent=t3,
-        members=frozenset(i for i, m in enumerate(t3.names) if len(set(m)) < 3),
-    )
-    return t3, ideal
-
-
 def transfer_fingerprints() -> dict:
     """Map "<generators> <part>" to the digest of that part of the T3
     transfer."""
-    t3, ideal = t3_ideal()
+    t3, ideal = nonperm_ideal(3)
     green = relgreen.relative_green(t3, ideal)
     conn = relgreen.connectors(green)
     out = {}
@@ -86,6 +82,22 @@ def word_fingerprint(name, sem, sub) -> str:
     return _digest(verdicts)
 
 
+CONNECTOR_TABLES = ("left_class", "left_factor", "right_class", "right_factor")
+
+
+def connector_instances():
+    """The fixed instances and T4 over its ideal, as (name, S, T)."""
+    out = [inst[:3] for inst in fixed_instances()]
+    out.append(("t4_ideal", *nonperm_ideal(4)))
+    return out
+
+
+def connector_fingerprints(sem, sub) -> dict:
+    """Map each connector table's name to its digest."""
+    conn = relgreen.connectors(relgreen.relative_green(sem, sub))
+    return {name: _digest(getattr(conn, name)) for name in CONNECTOR_TABLES}
+
+
 GOLDEN_TRANSFER = {
     '021,102,122 structure': 'c9e84a7961052d7e5b895f3deb099bf4ce031404bd73ab99c6fea4e68684ef51',
     '021,102,122 restricted': '73c67c41dc26de42cda1218dbd835626efa8124bdbb7335fb062ee7b399ebdb3',
@@ -106,6 +118,40 @@ GOLDEN_WORDS = {
 }
 
 
+GOLDEN_CONNECTORS = {
+    'z6_mod2': {
+        'left_class': 'ab71e98497f2b5a2b0092c7321541b7b842533b7506e1644728ee28f171ca641',
+        'left_factor': '839e1bb0d6f976782ed1f711189e9eebbd63e3d25801edb59090bb0652fa48a6',
+        'right_class': 'e76dc37ec89607b73613cbad2fa7e571b2eacdf371717b9446fb142f6c153e82',
+        'right_factor': 'c2fbc91d0442cddd77030256f08087b36ddc03cd3d201cb4284a1fc28b319335',
+    },
+    'ss_z2_trivial': {
+        'left_class': '63d387275f7db4cfe74b01de4e379ea6e166f7f47c4ddd70b5be69789f32b3f4',
+        'left_factor': '69d1d52df31c1a651d672159f52f4a453277d783e6fdf04335f3aae41cb02983',
+        'right_class': '54e0db38e865a7a3c93e472db6fad9181bc006967b0f1cdfb03c153789ec5d5c',
+        'right_factor': '055a0ac2d54cbddbb9b13d55735e4fbfc1c05adeb162e4cd4eaf501561a49da7',
+    },
+    'ss_z4_z2': {
+        'left_class': '59035522878f6a083ecdc1d036f42f63610490b2bb9f986ac2b78a27f608d80f',
+        'left_factor': '28b667cf55bbb05e2544f567c8cff46c61b1a59793a7be85835fb93f92d475b7',
+        'right_class': 'cf14394e3788fa8697c096876bd357de50f3f08947326e7457e5360d762eb9aa',
+        'right_factor': '9e6cedfe517157390210fd03c3b2f343102180e944ad8f62a28da26d9aedd345',
+    },
+    's3_nonnormal': {
+        'left_class': '18958eb83806e5b884297dc931dfc71986f3a0a3471a8e1cb7569e98b786a987',
+        'left_factor': 'eb47756ed212a2c19a52a070b23ecc19870825aa67b481779481636843e8143c',
+        'right_class': '7067e48664f929db1a04872c1a8e7de6fb31623464bddf6a8bdbec774a8d24e5',
+        'right_factor': '5bd1a2750d70d17c64b83ceb24d23a86fdf95b449c1c1e72b652535761987d10',
+    },
+    't4_ideal': {
+        'left_class': 'ddd0f017ab397b4b30100c7bf73786b58444984f27eda5a14742043446b2d581',
+        'left_factor': '1d6b2203311285ca5b2341c8f753cc6e9542f7a547028ca8db471e5e8d31bd29',
+        'right_class': '52475f6d12fbb4a1123314924f565d7f74feecf0c6f3b4db434fa2bf87232a33',
+        'right_factor': 'ca8839b1c74ca277b79550d7ea33a603581c1d1e504d25564b0747fd18a74c82',
+    },
+}
+
+
 def test_t3_transfer_matches_golden():
     assert transfer_fingerprints() == GOLDEN_TRANSFER
 
@@ -114,6 +160,12 @@ def test_t3_transfer_matches_golden():
 def test_word_verdicts_match_golden(inst):
     name, sem, sub = inst[:3]
     assert word_fingerprint(name, sem, sub) == GOLDEN_WORDS[name]
+
+
+@pytest.mark.parametrize("inst", connector_instances(), ids=lambda i: i[0])
+def test_connector_tables_match_golden(inst):
+    name, sem, sub = inst
+    assert connector_fingerprints(sem, sub) == GOLDEN_CONNECTORS[name]
 
 
 if __name__ == "__main__":
@@ -125,4 +177,12 @@ if __name__ == "__main__":
     print("GOLDEN_WORDS = {")
     for name, sem, sub, _a, _b in fixed_instances():
         print(f"    {name!r}: {word_fingerprint(name, sem, sub)!r},")
+    print("}")
+    print()
+    print("GOLDEN_CONNECTORS = {")
+    for name, sem, sub in connector_instances():
+        print(f"    {name!r}: {{")
+        for table, val in connector_fingerprints(sem, sub).items():
+            print(f"        {table!r}: {val!r},")
+        print("    },")
     print("}")

@@ -1,11 +1,16 @@
+import functools
+
 import pytest
 
 from greenindex import core, factories, relgreen
-from greenindex.errors import OutOfRange
+from greenindex.errors import InputError, OutOfRange
 
 from helpers import (
+    _base_pool,
     fixed_instances,
+    nonperm_ideal,
     random_pairs,
+    reference_connectors,
     reference_h_class_of,
     small_tables,
 )
@@ -195,3 +200,47 @@ def test_h_class_of_matches_scan_on_small_tables(n, pick, data):
     g = relgreen.relative_green(sem, core.closure(sem, gens))
     for x in sem.elements:
         assert g.h_class_of(x) == reference_h_class_of(g, x)
+
+
+def test_relative_green_refuses_a_subsemigroup_of_another_semigroup():
+    # {0, 2, 4} is closed in Z6 but not in Z8 (2 + 4 = 6), and 4 is no
+    # element of Z4
+    t = core.SubSemigroup(parent=factories.zmod(6), members=frozenset({0, 2, 4}))
+    for other in (factories.zmod(8), factories.zmod(4)):
+        with pytest.raises(InputError, match="another semigroup"):
+            relgreen.relative_green(other, t)
+    # an equal parent built separately is the same semigroup
+    assert relgreen.relative_green(factories.zmod(6), t).green_index == 2
+
+
+def _assert_connectors_match_reference(sem, sub):
+    g = relgreen.relative_green(sem, sub)
+    assert relgreen.connectors(g) == reference_connectors(g)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [inst[:3] for inst in fixed_instances()]
+    + [("t3_ideal", *nonperm_ideal(3)), ("t4_ideal", *nonperm_ideal(4))],
+    ids=lambda inst: inst[0],
+)
+def test_connectors_match_linear_scan(inst):
+    _name, sem, sub = inst
+    _assert_connectors_match_reference(sem, sub)
+
+
+@functools.lru_cache(maxsize=None)
+def _connector_pool():
+    """The helpers' semigroups of order <= 40 and every table of order <= 3."""
+    return tuple(_base_pool()) + tuple(
+        core.validate_table(t) for n in (1, 2, 3) for t in small_tables(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.data())
+def test_connectors_match_linear_scan_on_random_subsemigroups(pick, data):
+    pool = _connector_pool()
+    sem = pool[pick % len(pool)]
+    gens = data.draw(st.lists(st.integers(0, sem.order - 1),
+                              min_size=1, max_size=3))
+    _assert_connectors_match_reference(sem, core.closure(sem, gens))
