@@ -43,7 +43,6 @@ from .schutz import (
     SchutzGroup,
     check_L_R_transport,
     class_group,
-    groups_isomorphic,
     lambda_data,
     schutz_generators,
     schutz_group,

@@ -354,36 +354,6 @@ def project(rel: PaddedRelationNfa, track: int) -> Nfa:
     )
 
 
-def is_padding_valid(rel: PaddedRelationNfa) -> bool:
-    """True iff every accepted string is a well-formed convolution."""
-    nfa = rel.nfa
-    out, useful = nfa._outgoing, nfa._coaccessible
-    start = [(q, False, False) for q in nfa.eps_closure(nfa.initial)]
-    seen = set(start)
-    stack = list(start)
-
-    def push(dsts, u_done, v_done):
-        for d in nfa.eps_closure(dsts):
-            if (d, u_done, v_done) not in seen:
-                seen.add((d, u_done, v_done))
-                stack.append((d, u_done, v_done))
-
-    while stack:
-        q, u_done, v_done = stack.pop()
-        for sym, dsts in out[q].items():
-            if sym is None:  # pushed states are closed under epsilon moves
-                continue
-            x, y = sym
-            if ((x == PAD and y == PAD) or (u_done and x != PAD)
-                    or (v_done and y != PAD)):
-                # a violating prefix: invalid only if it extends to acceptance
-                if not useful.isdisjoint(dsts):
-                    return False
-                continue
-            push(dsts, u_done or x == PAD, v_done or y == PAD)
-    return True
-
-
 def compose_relations(
     r1: PaddedRelationNfa, r2: PaddedRelationNfa
 ) -> PaddedRelationNfa:
@@ -677,59 +647,6 @@ def _transfer_letters(st, green: GreenData, conn: ConnectorTables) -> TransferLe
     )
 
 
-def transfer_relation(st, green: GreenData, conn: ConnectorTables,
-                      letters: TransferLetters | None = None) -> PaddedRelationNfa:
-    """The rewriting relation between words over the original alphabet and
-    subscript-consistent words over the transferred letters.
-
-    Pairs have equal length.  The automaton stores the class subscripts of
-    the previously read letter: the right subscript chain is guessed and
-    checked backwards, the left chain is computed forwards, and acceptance
-    requires both chains to close at the identity class.
-    """
-    if letters is None:
-        letters = _transfer_letters(st, green, conn)
-    ev = {a: st.letter_eval[a] for a in st.alphabet}
-    alpha = PairAlphabet(st.alphabet, letters.names)
-
-    order: list = ["start"]
-    index = {"start": 0}
-    trans = []
-    # One pass over the states in creation order: a state's transitions are
-    # listed when it is reached, and the loop picks up the states they add.
-    # From the start the first letter's class must be j; after (i, j, pl)
-    # the next letter must have left_class[eval][i'] == i and j' == pl.
-    for q, prev in enumerate(order):
-        for name in letters.names:
-            j, a, i = letters.info[name]
-            s = ev[a]
-            if prev == "start":
-                if conn.left_class[s][i] != j:
-                    continue
-            elif j != prev[2] or conn.left_class[s][i] != prev[0]:
-                continue
-            pl = conn.right_class[j][conn.left_factor[s][i]]
-            tgt = (i, j, pl)
-            if tgt not in index:
-                index[tgt] = len(order)
-                order.append(tgt)
-            trans.append((q, (a, name), index[tgt]))
-    accepting = frozenset(
-        q for q, state in enumerate(order)
-        if state != "start" and state[0] == 0 and state[2] == 0
-    )
-    nfa = Nfa(
-        alphabet=alpha,
-        n_states=len(order),
-        transitions=tuple(trans),
-        initial=frozenset({0}),
-        accepting=accepting,
-    )
-    return PaddedRelationNfa(
-        left_alphabet=st.alphabet, right_alphabet=letters.names, nfa=nfa
-    )
-
-
 def transfer_details(
     st: AutomaticStructure,
     sub: SubSemigroup,
@@ -739,16 +656,16 @@ def transfer_details(
     """Build an automatic structure for the subsemigroup from one for S.
 
     The restricted relation pairs each acceptor word evaluating into T with
-    its unique transferred word, letters evaluating to the adjoined identity
-    dropped: :func:`transfer_relation` on the acceptor's words, built pair
-    by pair.  The new acceptor is the right projection of that relation, and
+    its unique transferred word, named by the two-pass push, with letters
+    evaluating to the adjoined identity dropped; it is built pair by pair.
+    The new acceptor is the right projection of that relation, and
     each multiplier is the original multiplier of a word for the letter,
     conjugated through the relation.  A letter evaluating outside S is
     ``OutOfRange``.
     """
     sem = green.sem
     st._check_letter_evals(sem)
-    green._check_built_from(sub)
+    green._check_built_from(sub, conn=conn)
     letters = _transfer_letters(st, green, conn)
 
     # Pair every acceptor word with its transferred word, and note the

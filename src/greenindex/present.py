@@ -471,6 +471,7 @@ def build_schutz_packs(
     letters evaluating to a stabilizer element in the letter's congruence
     class, or the empty word when only the adjoined identity remains.
     """
+    green._check_built_from(sub, sem)
     n = sem.order
     lift_word = _letter_factorizer(sub, q_pres, q_assign)
     by_l: dict[int, list[int]] = {}
@@ -554,6 +555,7 @@ def synthesize_presentation(
     base presentation, every group presentation and every letter lift are
     verified first (``BadInputPresentation`` otherwise).
     """
+    green._check_built_from(conn=conn)
     sem = green.sem
     factor_word = _letter_factorizer(green.sub, q_pres, q_assign)
     if not _presents(q_pres, sem, q_assign, len(green.sub), max_classes):
@@ -631,10 +633,10 @@ def word_problem_context(
 
     The letters are those of T's table presentation, ``t<element>`` for the
     sorted members, then one class letter ``d<i>`` per complement class.
-    ``green`` must be the Green data of ``sub`` in ``sem`` (``InputError``
-    otherwise).
+    ``green`` must be the Green data of ``sub`` in ``sem``, and ``conn`` its
+    connector tables (``InputError`` otherwise).
     """
-    green._check_built_from(sub, sem)
+    green._check_built_from(sub, sem, conn)
     letter_eval = {f"t{m}": m for m in sub.sorted_members()}
     for i in range(1, green.class_count):
         letter_eval[f"d{i}"] = green.rep_of(i)

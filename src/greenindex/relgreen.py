@@ -78,12 +78,19 @@ class GreenData:
         return self._h_classes[self.h_id[x]]
 
     def _check_built_from(
-        self, sub: SubSemigroup, sem: FiniteSemigroup | None = None
+        self,
+        sub: SubSemigroup | None = None,
+        sem: FiniteSemigroup | None = None,
+        conn: ConnectorTables | None = None,
     ) -> None:
-        """``InputError`` unless this data was computed for ``sub`` (and for
-        ``sem``, when given)."""
-        if sub != self.sub or (sem is not None and sem != self.sem):
+        """``InputError`` unless this data was computed for ``sub`` in
+        ``sem`` and ``conn`` from this data, each checked when given.
+        Identity is tested first, so a matched call costs O(1)."""
+        if (sub is not None and sub is not self.sub and sub != self.sub) or (
+                sem is not None and sem is not self.sem and sem != self.sem):
             raise InputError("subsemigroup does not match the Green data")
+        if conn is not None and conn.green is not self and conn.green != self:
+            raise InputError("connector tables do not match the Green data")
 
 
 def relative_green(sem: FiniteSemigroup, sub: SubSemigroup) -> GreenData:

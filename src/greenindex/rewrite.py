@@ -109,6 +109,7 @@ def schreier_generators(
     t in T as a word over B by the two-pass push of its shortlex word over
     the generators of S.
     """
+    green._check_built_from(sub, sem, conn)
     n = sem.order
     over_a = generated(sem, sorted(set(gens)))
     if len(over_a.words) != n:

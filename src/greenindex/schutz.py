@@ -70,6 +70,7 @@ def schutz_group(
 ) -> SchutzGroup:
     """Build the Schutzenberger group of an H-class (inside or outside T),
     given the Green data of (S, T)."""
+    green._check_built_from(sub, sem)
     h_class = frozenset(h_class)
     if basepoint not in h_class:
         raise NotAnHClass("basepoint must belong to the class")
@@ -158,10 +159,10 @@ def lambda_data(
 ) -> HClassFamily:
     """Collect the H-classes R-related to the given one, with connecting
     witnesses chosen smallest-first."""
+    green._check_built_from(sub, sem)
     h_class = frozenset(h_class)
     if basepoint not in h_class or h_class != green.h_class_of(basepoint):
         raise NotAnHClass("the given set is not a single relative H-class")
-    n = sem.order
     rid = green.r_id[basepoint]
     by_h: dict[int, set[int]] = {}
     for u in sem.elements:
@@ -171,23 +172,11 @@ def lambda_data(
     base_pos = classes.index(h_class)
 
     t_one = sub.t_one()
-    to_w, back_w = [], []
-    for p, cls in enumerate(classes):
-        if p == base_pos:
-            to_w.append(n)
-            back_w.append(n)
-            continue
-        target = min(cls)
-        fwd = next(
-            (t for t in t_one if sem.mul1(basepoint, t) == target), None
-        )
-        bck = next(
-            (t for t in t_one if sem.mul1(target, t) == basepoint), None
-        )
-        if fwd is None or bck is None:
-            raise InternalInconsistency("R-related classes without witnesses")
-        to_w.append(fwd)
-        back_w.append(bck)
+    to_w, back_w = zip(*(
+        (sem.order, sem.order) if p == base_pos
+        else _connecting_witnesses(sem, t_one, basepoint, min(cls))
+        for p, cls in enumerate(classes)
+    ))
 
     action: dict[tuple[int, int], int | None] = {}
     sets = {cls: p for p, cls in enumerate(classes)}
@@ -200,10 +189,21 @@ def lambda_data(
         sub=sub,
         classes=classes,
         base_pos=base_pos,
-        to_witness=tuple(to_w),
-        back_witness=tuple(back_w),
+        to_witness=to_w,
+        back_witness=back_w,
         action=action,
     )
+
+
+def _connecting_witnesses(
+    sem: FiniteSemigroup, t_one, x: int, y: int
+) -> tuple[int, int]:
+    """The first T^1 elements t and t' with x * t = y and y * t' = x."""
+    fwd = next((t for t in t_one if sem.mul1(x, t) == y), None)
+    bck = next((t for t in t_one if sem.mul1(y, t) == x), None)
+    if fwd is None or bck is None:
+        raise InternalInconsistency("R-related classes without witnesses")
+    return fwd, bck
 
 
 def schutz_generators(
@@ -228,15 +228,6 @@ def schutz_generators(
     return frozenset(out)
 
 
-def generated_subgroup(grp: SchutzGroup, gens) -> frozenset[int]:
-    """Closure of a set of group element indices inside the group: in a
-    finite group the subsemigroup they generate is a subgroup, and no
-    generators give the trivial one."""
-    if not gens:
-        return frozenset({grp.group.identity})
-    return generated(grp.group, gens).members
-
-
 def find_generating_set(sem: FiniteSemigroup) -> tuple[int, ...]:
     """A small (not minimal) generating set, chosen deterministically."""
     gens: list[int] = []
@@ -250,91 +241,32 @@ def find_generating_set(sem: FiniteSemigroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def element_orders(sem: FiniteSemigroup) -> tuple[int, ...]:
-    """Multiplicative order of each element of a finite group."""
-    e = sem.identity
-    out = []
-    for x in sem.elements:
-        k, acc = 1, x
-        while acc != e:
-            acc = sem.mul(acc, x)
-            k += 1
-        out.append(k)
-    return tuple(out)
-
-
-def groups_isomorphic(a: FiniteSemigroup, b: FiniteSemigroup) -> bool:
-    """Brute-force isomorphism test for two finite groups.
-
-    Searches images of a small generating set of ``a``, pruning by element
-    order, and extends each candidate to a full map by closing products.
-    Intended for orders up to about 24.
-    """
-    if a.order != b.order:
-        return False
-    if not (is_group(a) and is_group(b)):
-        raise NotComparable("isomorphism search expects two groups")
-    if sorted(element_orders(a)) != sorted(element_orders(b)):
-        return False
-    gens = find_generating_set(a)
-    orders_a = element_orders(a)
-    orders_b = element_orders(b)
-    candidates = [
-        [y for y in b.elements if orders_b[y] == orders_a[g]] for g in gens
-    ]
-
-    def extend(images):
-        hom = {a.identity: b.identity}
-        frontier = list(zip(gens, images))
-        for g, im in frontier:
-            hom[g] = im
-        queue = list(hom)
-        while queue:
-            x = queue.pop()
-            for g, im in zip(gens, images):
-                for xa, xb in ((a.mul(x, g), b.mul(hom[x], im)),
-                               (a.mul(g, x), b.mul(im, hom[x]))):
-                    if xa in hom:
-                        if hom[xa] != xb:
-                            return None
-                    else:
-                        hom[xa] = xb
-                        queue.append(xa)
-        if len(hom) != a.order or len(set(hom.values())) != a.order:
-            return None
-        for x in a.elements:
-            for y in a.elements:
-                if hom[a.mul(x, y)] != b.mul(hom[x], hom[y]):
-                    return None
-        return hom
-
-    def search(k, chosen):
-        if k == len(gens):
-            return extend(chosen) is not None
-        for y in candidates[k]:
-            if search(k + 1, chosen + [y]):
-                return True
-        return False
-
-    return search(0, [])
-
-
 @dataclass(frozen=True)
 class TransportReport:
+    """How the Schutzenberger data of two complement classes i, j compare.
+
+    ``stabilizers_equal`` and ``gamma_equal`` are None unless the classes
+    are L-related.  ``isomorphism`` is None unless they are R-related; then
+    it sends group element g of Gamma_i to that of t' * v * t in Gamma_j,
+    where v is the first stabilizer element in class g and t, t' are the
+    first T^1 elements with h_i * t = h_j and h_j * t' = h_i.
+    """
+
     relation: str
     stabilizers_equal: bool | None
     gamma_equal: bool | None
-    isomorphic: bool | None
-    checked: bool
+    isomorphism: tuple[int, ...] | None
 
 
-def check_L_R_transport(green: GreenData, i: int, j: int,
-                        iso_cap: int = 24) -> TransportReport:
+def check_L_R_transport(green: GreenData, i: int, j: int) -> TransportReport:
     """Compare the Schutzenberger data of two complement classes.
 
     L-related classes must share the stabilizer and its congruence
-    partition; R-related classes must have isomorphic groups (brute force,
-    skipped above ``iso_cap``).
+    partition.  R-related classes get the isomorphism of the relative
+    Green's lemma, certified: it is a bijection, and each translation of
+    H_j it yields is the one of H_i conjugated through h -> h * t, so it
+    respects the group tables.  A failed certificate means ``green`` is
+    broken (``InternalInconsistency``).
     """
     ri, rj = green.rep_of(i), green.rep_of(j)
     l_related = green.l_id[ri] == green.l_id[rj]
@@ -344,21 +276,28 @@ def check_L_R_transport(green: GreenData, i: int, j: int,
     gi, gj = class_group(green, i), class_group(green, j)
 
     stab_eq = gamma_eq = iso = None
-    checked = True
     if l_related:
         stab_eq = gi.stabilizer == gj.stabilizer
         parts_i = {frozenset(c) for c in gi.gamma_classes}
         parts_j = {frozenset(c) for c in gj.gamma_classes}
         gamma_eq = parts_i == parts_j
     if r_related:
-        if gi.order <= iso_cap:
-            iso = groups_isomorphic(gi.group, gj.group)
-        else:
-            checked = False
+        sem = green.sem
+        t, back = _connecting_witnesses(sem, green.sub.t_one(), ri, rj)
+        pos = {h: p for p, h in enumerate(gj.carrier)}
+        sigma = [pos.get(sem.mul1(h, t), -1) for h in gi.carrier]
+        iso = tuple(gj.quotient_index(sem.prod1((back, vs[0], t)))
+                    for vs in gi.gamma_classes)
+        if (sorted(sigma) != list(range(len(gj.carrier)))
+                or sorted(iso) != list(range(gj.order))
+                or any(gj.perms[iso[g]][sigma[p]] != sigma[q]
+                       for g, perm in enumerate(gi.perms)
+                       for p, q in enumerate(perm))):
+            raise InternalInconsistency(
+                "conjugation through the witness is not an isomorphism")
     return TransportReport(
         relation=("LR" if l_related and r_related else "L" if l_related else "R"),
         stabilizers_equal=stab_eq,
         gamma_equal=gamma_eq,
-        isomorphic=iso,
-        checked=checked,
+        isomorphism=iso,
     )

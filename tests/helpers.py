@@ -5,7 +5,9 @@ from __future__ import annotations
 import functools
 import random
 
-from greenindex import automatic, core, factories, growth, present, relgreen
+from greenindex import (
+    automatic, core, factories, growth, present, relgreen, schutz,
+)
 from greenindex.automatic import PAD
 from greenindex.errors import (
     EmptyGenerators,
@@ -15,6 +17,7 @@ from greenindex.errors import (
     InternalInconsistency,
     InvalidLetter,
     NotAssociative,
+    NotComparable,
     NotGenerating,
     NotInSubsemigroup,
 )
@@ -359,8 +362,157 @@ def reference_balls(sem, gens, start, radius):
     return balls
 
 
+def is_padding_valid(rel):
+    """True iff every accepted string is a well-formed convolution."""
+    nfa = rel.nfa
+    out, useful = nfa._outgoing, nfa._coaccessible
+    start = [(q, False, False) for q in nfa.eps_closure(nfa.initial)]
+    seen = set(start)
+    stack = list(start)
+
+    def push(dsts, u_done, v_done):
+        for d in nfa.eps_closure(dsts):
+            if (d, u_done, v_done) not in seen:
+                seen.add((d, u_done, v_done))
+                stack.append((d, u_done, v_done))
+
+    while stack:
+        q, u_done, v_done = stack.pop()
+        for sym, dsts in out[q].items():
+            if sym is None:  # pushed states are closed under epsilon moves
+                continue
+            x, y = sym
+            if ((x == PAD and y == PAD) or (u_done and x != PAD)
+                    or (v_done and y != PAD)):
+                # a violating prefix: invalid only if it extends to acceptance
+                if not useful.isdisjoint(dsts):
+                    return False
+                continue
+            push(dsts, u_done or x == PAD, v_done or y == PAD)
+    return True
+
+
+def transfer_relation(st, green, conn, letters):
+    """The rewriting relation between words over the original alphabet and
+    subscript-consistent words over the transferred letters.
+
+    Pairs have equal length.  The automaton stores the class subscripts of
+    the previously read letter: the right subscript chain is guessed and
+    checked backwards, the left chain is computed forwards, and acceptance
+    requires both chains to close at the identity class.
+    """
+    ev = {a: st.letter_eval[a] for a in st.alphabet}
+    alpha = automatic.PairAlphabet(st.alphabet, letters.names)
+
+    order: list = ["start"]
+    index = {"start": 0}
+    trans = []
+    # One pass over the states in creation order: a state's transitions are
+    # listed when it is reached, and the loop picks up the states they add.
+    # From the start the first letter's class must be j; after (i, j, pl)
+    # the next letter must have left_class[eval][i'] == i and j' == pl.
+    for q, prev in enumerate(order):
+        for name in letters.names:
+            j, a, i = letters.info[name]
+            s = ev[a]
+            if prev == "start":
+                if conn.left_class[s][i] != j:
+                    continue
+            elif j != prev[2] or conn.left_class[s][i] != prev[0]:
+                continue
+            pl = conn.right_class[j][conn.left_factor[s][i]]
+            tgt = (i, j, pl)
+            if tgt not in index:
+                index[tgt] = len(order)
+                order.append(tgt)
+            trans.append((q, (a, name), index[tgt]))
+    accepting = frozenset(
+        q for q, state in enumerate(order)
+        if state != "start" and state[0] == 0 and state[2] == 0
+    )
+    nfa = automatic.Nfa(
+        alphabet=alpha,
+        n_states=len(order),
+        transitions=tuple(trans),
+        initial=frozenset({0}),
+        accepting=accepting,
+    )
+    return automatic.PaddedRelationNfa(
+        left_alphabet=st.alphabet, right_alphabet=letters.names, nfa=nfa
+    )
+
+
+def element_orders(sem):
+    """Multiplicative order of each element of a finite group."""
+    e = sem.identity
+    out = []
+    for x in sem.elements:
+        k, acc = 1, x
+        while acc != e:
+            acc = sem.mul(acc, x)
+            k += 1
+        out.append(k)
+    return tuple(out)
+
+
+def reference_groups_isomorphic(a, b):
+    """Brute-force isomorphism test for two finite groups.
+
+    Searches images of a small generating set of ``a``, pruning by element
+    order, and extends each candidate to a full map by closing products.
+    Intended for orders up to about 24.
+    """
+    if a.order != b.order:
+        return False
+    if not (core.is_group(a) and core.is_group(b)):
+        raise NotComparable("isomorphism search expects two groups")
+    if sorted(element_orders(a)) != sorted(element_orders(b)):
+        return False
+    gens = schutz.find_generating_set(a)
+    orders_a = element_orders(a)
+    orders_b = element_orders(b)
+    candidates = [
+        [y for y in b.elements if orders_b[y] == orders_a[g]] for g in gens
+    ]
+
+    def extend(images):
+        hom = {a.identity: b.identity}
+        frontier = list(zip(gens, images))
+        for g, im in frontier:
+            hom[g] = im
+        queue = list(hom)
+        while queue:
+            x = queue.pop()
+            for g, im in zip(gens, images):
+                for xa, xb in ((a.mul(x, g), b.mul(hom[x], im)),
+                               (a.mul(g, x), b.mul(im, hom[x]))):
+                    if xa in hom:
+                        if hom[xa] != xb:
+                            return None
+                    else:
+                        hom[xa] = xb
+                        queue.append(xa)
+        if len(hom) != a.order or len(set(hom.values())) != a.order:
+            return None
+        for x in a.elements:
+            for y in a.elements:
+                if hom[a.mul(x, y)] != b.mul(hom[x], hom[y]):
+                    return None
+        return hom
+
+    def search(k, chosen):
+        if k == len(gens):
+            return extend(chosen) is not None
+        for y in candidates[k]:
+            if search(k + 1, chosen + [y]):
+                return True
+        return False
+
+    return search(0, [])
+
+
 def reference_transfer_relation(st, green, conn, letters):
-    """``automatic.transfer_relation`` as a fixed point: every round
+    """``transfer_relation`` as a fixed point: every round
     rescans every state against every letter until no state is added, and
     repeated transitions keep their first position."""
     ev = {a: st.letter_eval[a] for a in st.alphabet}

@@ -5,10 +5,12 @@ from itertools import product
 import pytest
 from helpers import (
     fixed_instances,
+    is_padding_valid,
     reference_rewrite_pair,
     reference_transfer_relation,
     reference_verify_structure_report,
     small_tables,
+    transfer_relation,
     tuple_pair_alphabet,
 )
 from hypothesis import given, settings
@@ -86,7 +88,7 @@ def test_padding_validity():
     rel = au.PaddedRelationNfa.from_pairs(
         ("a",), ("b",), [(("a",), ("b", "b"))]
     )
-    assert au.is_padding_valid(rel)
+    assert is_padding_valid(rel)
     bad = au.PaddedRelationNfa(
         left_alphabet=("a",),
         right_alphabet=("b",),
@@ -95,7 +97,7 @@ def test_padding_validity():
             [(("$", "b"), ("a", "b"))],  # left track resumes after padding
         ),
     )
-    assert not au.is_padding_valid(bad)
+    assert not is_padding_valid(bad)
 
 
 def _epsilon_relation(extra=(), accepting=(2,)):
@@ -112,12 +114,12 @@ def _epsilon_relation(extra=(), accepting=(2,)):
 
 def test_padding_validity_with_epsilon_moves():
     rel = _epsilon_relation()
-    assert au.is_padding_valid(rel)
+    assert is_padding_valid(rel)
     # ($, b) then an epsilon move, then the left track resumes with (a, $)
     resumes = ((2, None, 3), (3, ("a", "$"), 4))
-    assert not au.is_padding_valid(_epsilon_relation(resumes, (2, 4)))
+    assert not is_padding_valid(_epsilon_relation(resumes, (2, 4)))
     # the same violating prefix is harmless when it cannot reach acceptance
-    assert au.is_padding_valid(_epsilon_relation(resumes, (2,)))
+    assert is_padding_valid(_epsilon_relation(resumes, (2,)))
 
 
 def test_iter_words_with_epsilon_moves():
@@ -306,7 +308,7 @@ def test_transfer_with_excluded_letters():
 def test_transfer_relation_properties(z6, t03):
     st, green, conn = transfer_setup(z6, t03, [1])
     letters = au._transfer_letters(st, green, conn)
-    rel = au.transfer_relation(st, green, conn, letters)
+    rel = transfer_relation(st, green, conn, letters)
     max_len = 5
     pairs = rel.pairs(max_len)
     # every pair has equal length, matching middle subscripts, and equal
@@ -337,7 +339,7 @@ def test_full_relation_restricted_to_acceptor_matches(z6, t03):
     st, green, conn = transfer_setup(z6, t03, [1])
     res = au.transfer_details(st, t03, green, conn)
     l_words = set(st.acceptor.enumerate_words(10))
-    full = au.transfer_relation(st, green, conn, res.letters)
+    full = transfer_relation(st, green, conn, res.letters)
     full_on_l = sorted((u, v) for u, v in full.pairs(8) if u in l_words)
     assert full_on_l == sorted(res.restricted_relation.pairs(8))
 
@@ -406,7 +408,7 @@ def test_transfer_relation_matches_fixed_point():
     for sub, (st, green, conn) in cases:
         letters = au._transfer_letters(st, green, conn)
         want = reference_transfer_relation(st, green, conn, letters)
-        got = au.transfer_relation(st, green, conn, letters)
+        got = transfer_relation(st, green, conn, letters)
         assert au.nfa_to_json(got.nfa) == au.nfa_to_json(want.nfa)
 
 
@@ -499,21 +501,11 @@ def test_letters_evaluating_outside_s_are_refused(z6, t03):
                 au.verify_structure_report(bad, target, 6)
 
 
-def test_transfer_details_builds_no_full_relation(monkeypatch):
-    calls = []
-    real = au.transfer_relation
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(au, "transfer_relation", counted)
-    for _n, sem, sub, a_gens, _b in fixed_instances():
-        st, green, conn = transfer_setup(sem, sub, list(a_gens))
-        au.transfer_details(st, sub, green, conn)
-    ideal, (st, green, conn) = next(_t3_ideal_setups())
-    au.transfer_details(st, ideal, green, conn)
-    assert calls == []
+def test_transfer_details_refuses_other_connectors(z6, t03):
+    st, green, _conn = transfer_setup(z6, t03, [1])
+    other = relgreen.connectors(relgreen.relative_green(z6, core.closure(z6, [2])))
+    with pytest.raises(InputError, match="^connector tables do not match"):
+        au.transfer_details(st, t03, green, other)
 
 
 def test_structure_needs_every_letter_and_no_other(z6):
@@ -545,7 +537,7 @@ def test_verify_names_a_max_len_that_is_too_small(z6):
 def test_transferred_multipliers_are_padding_valid(t3_transfer):
     res = t3_transfer[-1]
     for rel in res.structure.multipliers.values():
-        assert au.is_padding_valid(rel)
+        assert is_padding_valid(rel)
 
 
 def test_transfer_structure_round_trip_json(z6, t03, t3_transfer):
@@ -691,10 +683,10 @@ def test_multiplier_projections_fall_inside_acceptor(z6):
 def test_padding_validity_preserved_by_operations(z6):
     st_z6 = au.structure_for_finite(z6, [1])
     rel = st_z6.multipliers["a1"]
-    assert au.is_padding_valid(rel)
-    assert au.is_padding_valid(au.invert(rel))
+    assert is_padding_valid(rel)
+    assert is_padding_valid(au.invert(rel))
     composed = au.compose_relations(rel, au.invert(rel))
-    assert au.is_padding_valid(composed)
+    assert is_padding_valid(composed)
 
 
 def test_nfa_json_round_trip(z6):

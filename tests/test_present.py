@@ -10,7 +10,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenindex import core, factories, present, relgreen
+from greenindex import core, factories, present, relgreen, rewrite
 from greenindex.errors import (
     BadInputPresentation,
     BoundExceeded,
@@ -356,3 +356,37 @@ def test_word_problem_context_builds_no_presentation(instances, monkeypatch):
         d_letters = [(f"d{i}", green.rep_of(i))
                      for i in range(1, green.class_count)]
         assert list(ctx.letter_eval.items()) == list(qa.items()) + d_letters
+
+
+def _z6_mismatch(z6, t03):
+    """The Green data and connectors of {0, 3} in Z6, and the connectors
+    of {0, 2, 4}."""
+    green = relgreen.relative_green(z6, t03)
+    other = relgreen.connectors(relgreen.relative_green(z6, core.closure(z6, [2])))
+    return green, relgreen.connectors(green), other
+
+
+def test_build_schutz_packs_refuses_other_green_data(z6, t03):
+    _green, _conn, other = _z6_mismatch(z6, t03)
+    q_pres, q_assign = present.sub_table_presentation(z6, t03)
+    with pytest.raises(InputError, match="^subsemigroup does not match"):
+        present.build_schutz_packs(z6, t03, other.green, q_pres, q_assign)
+
+
+def test_synthesize_presentation_refuses_other_connectors(z6, t03):
+    green, _conn, other = _z6_mismatch(z6, t03)
+    q_pres, q_assign = present.sub_table_presentation(z6, t03)
+    packs = present.build_schutz_packs(z6, t03, green, q_pres, q_assign)
+    with pytest.raises(InputError, match="^connector tables do not match"):
+        present.synthesize_presentation(q_pres, q_assign, packs, green, other)
+
+
+def test_word_problem_context_refuses_other_connectors(z6, t03):
+    # with the connectors of {0, 2, 4}, d1 and d1 t3 were told apart as
+    # "one word lands in T, the other outside", though neither lands in T
+    green, conn, other = _z6_mismatch(z6, t03)
+    with pytest.raises(InputError, match="^connector tables do not match"):
+        present.word_problem_context(z6, t03, green=green, conn=other)
+    ctx = present.word_problem_context(z6, t03, green=green, conn=conn)
+    verdict = rewrite.word_equality_report(("d1",), ("d1", "t3"), ctx)
+    assert verdict.branch == "both_outside"

@@ -4,7 +4,12 @@ import pytest
 from helpers import wp_context
 
 from greenindex import core, factories, relgreen, rewrite
-from greenindex.errors import InvalidLetter, NotGenerating, NotInSubsemigroup
+from greenindex.errors import (
+    InputError,
+    InvalidLetter,
+    NotGenerating,
+    NotInSubsemigroup,
+)
 
 
 def setup_tables(sem, sub):
@@ -186,3 +191,10 @@ def test_decide_branches(z6, t03):
     assert outside.branch == "both_outside" and not outside.equal
     same = rewrite.word_equality_report(("d1", "t0"), ("d1",), ctx)
     assert same.branch == "both_outside" and same.equal
+
+
+def test_schreier_generators_refuses_other_green_data(z6, t03):
+    # with the tables of {0, 2, 4} the factorizer of {0, 3} failed inside
+    green, conn = setup_tables(z6, core.closure(z6, [2]))
+    with pytest.raises(InputError, match="^subsemigroup does not match"):
+        rewrite.schreier_generators(z6, [1], t03, green, conn)

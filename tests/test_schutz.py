@@ -1,9 +1,18 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from helpers import (
+    fixed_instances,
+    nonperm_ideal,
+    random_pairs,
+    reference_groups_isomorphic,
+)
 
 from greenindex import core, factories, present, relgreen, rewrite, schutz
 from greenindex.errors import (
+    InputError,
+    InternalInconsistency,
     NotAnHClass,
     NotComparable,
     NotGenerating,
@@ -32,7 +41,7 @@ def test_z6_schutz_group(z6, t03):
         frozenset({3}),
     }
     assert grp.order == 2
-    assert schutz.groups_isomorphic(grp.group, factories.zmod(2))
+    assert reference_groups_isomorphic(grp.group, factories.zmod(2))
     with pytest.raises(NotAnHClass):
         schutz.schutz_group(z6, t03, {1, 2}, 1, green=g)
     with pytest.raises(NotAnHClass):
@@ -100,7 +109,7 @@ def test_semilattice_class_group_matches_inner_computation():
     gu = green_of(z2, u_sub)
     cls_u = gu.h_class_of(0)
     grp_u = schutz.schutz_group(z2, u_sub, cls_u, 0, green=gu)
-    assert schutz.groups_isomorphic(grp.group, grp_u.group)
+    assert reference_groups_isomorphic(grp.group, grp_u.group)
 
 
 def test_lambda_data_singleton(z6, t03):
@@ -155,7 +164,7 @@ def test_schutz_generators_z6(z6, t03):
     grp = schutz.schutz_group(z6, t03, {1, 4}, 1, green=g)
     fam = schutz.lambda_data(z6, t03, g, {1, 4}, 1)
     gens = schutz.schutz_generators([3], fam, grp)
-    assert schutz.generated_subgroup(grp, gens) == frozenset(range(grp.order))
+    assert core.generated(grp.group, gens).members == frozenset(range(grp.order))
     with pytest.raises(NotGenerating):
         schutz.schutz_generators([0], fam, grp)
 
@@ -173,14 +182,16 @@ def test_schutz_generators_classical_transformation_monoid():
     grp = schutz.schutz_group(t2, full, cls, ident, green=g)
     fam = schutz.lambda_data(t2, full, g, cls, ident)
     gens = schutz.schutz_generators(b_gens, fam, grp)
-    assert schutz.generated_subgroup(grp, gens) == frozenset(range(grp.order))
+    assert core.generated(grp.group, gens).members == frozenset(range(grp.order))
     # and every singleton constant class has a trivial group
     consts = [x for x in t2.elements if len(set(t2.names[x])) == 1]
     cls_c = g.h_class_of(consts[0])
     grp_c = schutz.schutz_group(t2, full, cls_c, consts[0], green=g)
     fam_c = schutz.lambda_data(t2, full, g, cls_c, consts[0])
     gens_c = schutz.schutz_generators(b_gens, fam_c, grp_c)
-    assert schutz.generated_subgroup(grp_c, gens_c) == frozenset({grp_c.group.identity})
+    reached = (core.generated(grp_c.group, gens_c).members if gens_c
+               else {grp_c.group.identity})
+    assert reached == frozenset({grp_c.group.identity})
 
 
 def test_generator_products_stay_in_stabilizer(instances):
@@ -206,7 +217,8 @@ def test_generator_products_stay_in_stabilizer(instances):
 def test_transport_self(z6, t03):
     g = green_of(z6, t03)
     rep = schutz.check_L_R_transport(g, 1, 1)
-    assert rep.stabilizers_equal and rep.gamma_equal and rep.isomorphic
+    assert rep.stabilizers_equal and rep.gamma_equal
+    assert rep.isomorphism == tuple(range(schutz.class_group(g, 1).order))
 
 
 def test_transport_pairs(instances):
@@ -232,35 +244,21 @@ def test_transport_pairs(instances):
                     assert rep.gamma_equal
                 if r_rel:
                     found_r += 1
-                    assert rep.isomorphic or not rep.checked
+                    assert rep.isomorphism is not None
     assert found_l > 0 and found_r > 0
-
-
-def test_transport_iso_cap_reports_unchecked():
-    s3 = factories.symmetric_group(3)
-    sub = core.closure(s3, [2])
-    g = green_of(s3, sub)
-    pair = next(
-        (i, j)
-        for i in range(1, g.class_count)
-        for j in range(i + 1, g.class_count)
-        if g.r_id[g.rep_of(i)] == g.r_id[g.rep_of(j)]
-    )
-    rep = schutz.check_L_R_transport(g, *pair, iso_cap=0)
-    assert rep.isomorphic is None and not rep.checked
 
 
 def test_groups_isomorphic():
     z4 = factories.zmod(4)
     klein = factories.direct_product(factories.zmod(2), factories.zmod(2))
-    assert not schutz.groups_isomorphic(z4, klein)
-    assert schutz.groups_isomorphic(factories.zmod(6), factories.zmod(6))
+    assert not reference_groups_isomorphic(z4, klein)
+    assert reference_groups_isomorphic(factories.zmod(6), factories.zmod(6))
     z6_alt = factories.direct_product(factories.zmod(2), factories.zmod(3))
-    assert schutz.groups_isomorphic(factories.zmod(6), z6_alt)
+    assert reference_groups_isomorphic(factories.zmod(6), z6_alt)
     s3 = factories.symmetric_group(3)
-    assert not schutz.groups_isomorphic(s3, factories.zmod(6))
+    assert not reference_groups_isomorphic(s3, factories.zmod(6))
     with pytest.raises(NotComparable):
-        schutz.groups_isomorphic(factories.right_zero(2), factories.zmod(2))
+        reference_groups_isomorphic(factories.right_zero(2), factories.zmod(2))
 
 
 def test_class_group_is_built_once_and_kept(instances):
@@ -305,3 +303,94 @@ def test_each_class_group_built_once_per_green_data(instances, monkeypatch):
                 except NotComparable:
                     pass
         assert built == Counter(g.reps)
+
+
+def _r_related_pairs(g):
+    """Ordered pairs (i, j) of complement classes that are R-related,
+    i == j included."""
+    return [
+        (i, j)
+        for i in range(1, g.class_count)
+        for j in range(1, g.class_count)
+        if g.r_id[g.rep_of(i)] == g.r_id[g.rep_of(j)]
+    ]
+
+
+def _assert_isomorphism(iso, a, b):
+    """``iso`` is a bijection a -> b respecting both group tables."""
+    assert sorted(iso) == list(range(b.order)) and len(iso) == a.order
+    for x in a.elements:
+        for y in a.elements:
+            assert iso[a.mul(x, y)] == b.mul(iso[x], iso[y])
+
+
+def _s3_times_z25():
+    """S3 x Z25 over <(12)> x Z25: four complement classes in two R-classes,
+    each group of order 25, above any brute-force search bound."""
+    s3, z25 = factories.symmetric_group(3), factories.zmod(25)
+    sem = factories.direct_product(s3, z25)
+    swap = s3.names.index("102")
+    return green_of(sem, core.closure(sem, [swap * 25, 1]))
+
+
+def test_transport_certifies_order_25_groups():
+    g = _s3_times_z25()
+    assert g.green_index == 5
+    pairs = [(i, j) for i, j in _r_related_pairs(g) if i != j]
+    assert len(pairs) == 4
+    for i, j in pairs:
+        rep = schutz.check_L_R_transport(g, i, j)
+        gi, gj = schutz.class_group(g, i), schutz.class_group(g, j)
+        assert gi.order == 25
+        assert rep.isomorphism is not None
+        _assert_isomorphism(rep.isomorphism, gi.group, gj.group)
+
+
+def test_transport_refuses_a_broken_class_group():
+    # relabel two elements of one class group: the conjugation map no
+    # longer carries each translation to its own image
+    g = _s3_times_z25()
+    i, j = next((i, j) for i, j in _r_related_pairs(g) if i != j)
+    grp = schutz.class_group(g, j)
+    swap = {0: 1, 1: 0}
+    quotient = {t: swap.get(q, q) for t, q in grp.quotient.items()}
+    g.__dict__["_group_cache"][j] = replace(grp, quotient=quotient)
+    with pytest.raises(InternalInconsistency, match="not an isomorphism"):
+        schutz.check_L_R_transport(g, i, j)
+
+
+def test_transport_isomorphism_matches_brute_force():
+    s4 = factories.symmetric_group(4)
+    cases = [(sem, sub) for _n, sem, sub, _a, _b in fixed_instances()]
+    cases += [nonperm_ideal(3), nonperm_ideal(4)]
+    cases += [(s4, core.closure(s4, [s4.names.index("1023")]))]
+    cases += random_pairs(40)
+    distinct = 0
+    for sem, sub in cases:
+        g = green_of(sem, sub)
+        for i, j in _r_related_pairs(g):
+            iso = schutz.check_L_R_transport(g, i, j).isomorphism
+            gi, gj = schutz.class_group(g, i), schutz.class_group(g, j)
+            _assert_isomorphism(iso, gi.group, gj.group)
+            assert reference_groups_isomorphic(gi.group, gj.group)
+            if i == j:
+                assert iso == tuple(range(gi.order))
+            distinct += i != j
+    assert distinct == 48
+
+
+def test_schutz_group_refuses_other_green_data(z6, t03):
+    # the Green data of {0, 2, 4} makes {1, 3, 5} an H-class; over {0, 3}
+    # its group came out of order 1 with stabilizer (0, 6)
+    t024 = core.closure(z6, [2])
+    g024 = green_of(z6, t024)
+    with pytest.raises(InputError, match="^subsemigroup does not match"):
+        schutz.schutz_group(z6, t03, {1, 3, 5}, 1, green=g024)
+    grp = schutz.schutz_group(z6, t024, {1, 3, 5}, 1, green=g024)
+    assert grp.order == 3 and grp.stabilizer == (0, 2, 4, 6)
+
+
+def test_lambda_data_refuses_other_green_data(z6, t03):
+    g024 = green_of(z6, core.closure(z6, [2]))
+    with pytest.raises(InputError, match="^subsemigroup does not match"):
+        schutz.lambda_data(z6, t03, g024, {1, 3, 5}, 1)
