@@ -38,6 +38,7 @@ from .relgreen import IDENTITY_CLASS, ConnectorTables, GreenData
 from .rewrite import _schreier_value, _two_pass
 
 PAD = "$"
+_LANGUAGE_BOUND = 10_000_000  # the most words _finite_language lists
 
 
 @dataclass(frozen=True)
@@ -686,8 +687,10 @@ def transfer_details(
     inv = invert(restricted)
     multipliers[""] = compose_relations(
         inv, compose_relations(st.multipliers[""], restricted))
-    # Letters with one evaluation share the multiplier of its first word.
+    # Letters with one evaluation share the multiplier of its first word,
+    # ((M_w0 . M_w1) . ...), each prefix of a first word composed once.
     by_eval: dict[int, PaddedRelationNfa] = {}
+    chain = {(a,): st.multipliers[a] for a in st.alphabet}
     for b in kept:
         target = evals[b]
         if target not in by_eval:
@@ -696,11 +699,12 @@ def transfer_details(
                 raise InternalInconsistency(
                     f"no acceptor word evaluates to {target}"
                 )
-            rel = st.multipliers[w[0]]
-            for a in w[1:]:
-                rel = compose_relations(rel, st.multipliers[a])
+            for k in range(2, len(w) + 1):
+                if w[:k] not in chain:
+                    chain[w[:k]] = compose_relations(
+                        chain[w[:k - 1]], st.multipliers[w[k - 1]])
             by_eval[target] = compose_relations(
-                inv, compose_relations(rel, restricted))
+                inv, compose_relations(chain[w], restricted))
         multipliers[b] = by_eval[target]
     structure = AutomaticStructure(
         alphabet=kept,
@@ -733,14 +737,15 @@ def _rewrite_pair(st, green, conn, letters, u):
 
 def _finite_language(nfa: Nfa) -> list[tuple]:
     """All words of a finite language, shortlex; raises InputError if the
-    language is infinite."""
+    language is infinite, and BoundExceeded past ``_LANGUAGE_BOUND`` words."""
     out = []
     for w in nfa.iter_words():
         if len(w) > nfa.n_states:
             raise InputError("word acceptor language is not finite")
         out.append(w)
-        if len(out) > 10_000_000:
-            raise InputError("word acceptor language too large")
+        if len(out) > _LANGUAGE_BOUND:
+            raise BoundExceeded("word acceptor language exceeds the bound"
+                                f" of {_LANGUAGE_BOUND} listed words")
     return out
 
 
@@ -824,26 +829,39 @@ def structure_to_json(st: AutomaticStructure) -> dict:
     }
 
 
+def _nfa_over(data, symbols, what: str) -> Nfa:
+    """:func:`nfa_from_json`, refusing a symbol not in ``symbols``."""
+    nfa = nfa_from_json(data)
+    stray = [sym for sym in nfa.alphabet if sym not in symbols]
+    if stray:
+        raise InputError(f"{what} symbol {stray[0]!r} is not over the structure's letters")
+    return nfa
+
+
 def structure_from_json(data: dict) -> AutomaticStructure:
     """Read a structure written by :func:`structure_to_json`; the letters
-    must be strings and their evaluations ints (``InputError`` otherwise,
-    also for any automaton :func:`nfa_from_json` refuses)."""
+    must be distinct strings other than the pad symbol, their evaluations
+    ints, every acceptor symbol a letter and every multiplier symbol in
+    the padded pair alphabet of the letters (``InputError`` otherwise, also
+    for any automaton :func:`nfa_from_json` refuses)."""
     alphabet = tuple(_field(data, "alphabet", list, "structure"))
     if not all(isinstance(a, str) for a in alphabet):
         raise InputError("structure letters must be strings")
+    pairs = PairAlphabet(alphabet, alphabet)
     letter_eval = dict(_field(data, "letter_eval", dict, "structure"))
     if any(isinstance(v, bool) or not isinstance(v, int)
            for v in letter_eval.values()):
         raise InputError("letter_eval values must be integers")
-    acceptor = nfa_from_json(_field(data, "acceptor", dict, "structure"))
+    acceptor = _nfa_over(_field(data, "acceptor", dict, "structure"),
+                         alphabet, "acceptor")
     multipliers = {}
     # multipliers with equal JSON share one relation, as after transfer
     loaded: list[tuple[dict, PaddedRelationNfa]] = []
     for key, sub in _field(data, "multipliers", dict, "structure").items():
         rel = next((r for seen, r in loaded if seen == sub), None)
         if rel is None:
-            rel = PaddedRelationNfa(left_alphabet=alphabet,
-                                    right_alphabet=alphabet, nfa=nfa_from_json(sub))
+            rel = PaddedRelationNfa(left_alphabet=alphabet, right_alphabet=alphabet,
+                                    nfa=_nfa_over(sub, pairs, "multiplier"))
             loaded.append((sub, rel))
         multipliers[key] = rel
     return AutomaticStructure(alphabet=alphabet, letter_eval=letter_eval,

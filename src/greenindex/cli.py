@@ -27,7 +27,7 @@ from .core import (
     is_cancellative,
     is_group,
 )
-from .errors import GreenIndexError, InputError, OutOfRange
+from .errors import GreenIndexError, InputError, NotAssociative, OutOfRange
 
 
 def _dump(obj) -> str:
@@ -297,6 +297,9 @@ def cmd_growth_series(args) -> int:
         if args.blackbox != "nat-plus":
             raise InputError("the only built-in black box is 'nat-plus'")
         sem = BlackBoxSemigroup(multiply=lambda a, b: a + b, generators=(1,))
+        witness = sem.spot_check_associativity()
+        if witness is not None:
+            raise NotAssociative(*witness)
         series = gr.growth_function(sem, [1], args.max)
         disclaimer = ("black-box associativity is spot-checked on sampled"
                       " products only, never proven")

@@ -189,10 +189,6 @@ class EnumerationResult:
     reps: tuple[Word, ...]
 
 
-class _CapHit(Exception):
-    pass
-
-
 class _Table:
     """Union-find backed right-multiplication table with a root node."""
 
@@ -210,7 +206,7 @@ class _Table:
 
     def new_node(self) -> int:
         if len(self.rows) > self.cap:
-            raise _CapHit
+            raise BoundExceeded("class bound exceeded")
         self.rows.append([None] * self.n_letters)
         self.parent.append(len(self.rows) - 1)
         return len(self.rows) - 1
@@ -219,21 +215,18 @@ class _Table:
         v = self.rows[node][letter]
         return None if v is None else self.find(v)
 
-    def trace_define(self, node: int, word) -> tuple[int, bool]:
+    def trace_define(self, node: int, word) -> int:
         cur = self.find(node)
-        changed = False
         for letter in word:
             nxt = self.get(cur, letter)
             if nxt is None:
                 nxt = self.new_node()
                 self.rows[cur][letter] = nxt
-                changed = True
             cur = nxt
-        return cur, changed
+        return cur
 
-    def merge(self, x: int, y: int) -> bool:
+    def merge(self, x: int, y: int) -> None:
         queue = [(x, y)]
-        merged = False
         while queue:
             a, b = queue.pop()
             a, b = self.find(a), self.find(b)
@@ -242,7 +235,6 @@ class _Table:
             if b < a:
                 a, b = b, a
             self.parent[b] = a
-            merged = True
             row_b = self.rows[b]
             row_a = self.rows[a]
             for letter in range(self.n_letters):
@@ -254,10 +246,6 @@ class _Table:
                     row_a[letter] = tb
                 else:
                     queue.append((ta, tb))
-        return merged
-
-    def live(self):
-        return [i for i in range(len(self.rows)) if self.parent[i] == i]
 
 
 def enumerate_presentation(
@@ -265,9 +253,19 @@ def enumerate_presentation(
 ) -> EnumerationResult:
     """Enumerate the quotient semigroup of a presentation within a bound.
 
-    Nodes beyond ``8 * max_classes`` may be created temporarily; the final
-    quotient must fit in ``max_classes`` classes.  ``max_classes`` is the
-    only bound, and the procedure is deterministic for a fixed bound.
+    One sweep walks the nodes in creation order, new ones included.  At
+    each root it traces every relation, merges the two ends, and fills the
+    root's row.  That closes the table.  A root at the end was a root when
+    the sweep reached it: a merged node never becomes one again.  When the
+    sweep leaves a node, each relation traced from it ends at one class and
+    its row is complete.  Later definitions only add edges, and ``merge``
+    only identifies nodes, moving each edge to the surviving row and
+    queueing any clash, so both facts still hold at the end.  The
+    certificate pass then traces every relation from every live node again.
+
+    ``max_classes`` is the only bound.  "class bound exceeded" means a
+    definition was due after max(64, 8 * ``max_classes``) nodes besides
+    the root, or the quotient closed with over ``max_classes`` classes.
     """
     if max_classes <= 0:
         raise InputError("max_classes must be positive")
@@ -278,44 +276,26 @@ def enumerate_presentation(
     ]
     table = _Table(len(pres.alphabet), cap=max(64, 8 * max_classes))
 
-    def incomplete(reason):
-        return EnumerationResult(complete=False, reason=reason, size=None,
-                                 reps=())
-
+    capped = EnumerationResult(complete=False, reason="class bound exceeded",
+                               size=None, reps=())
     try:
-        # Main sweep: walk nodes in creation order, tracing every relation
-        # (defining edges along the way) and filling the node's row.  New
-        # nodes are appended and picked up by the same sweep.  Repeat with a
-        # pure verification pass until nothing changes; every extra round
-        # performs at least one merge, so the cap is never the limit.
-        for _round in range(2 * table.cap + 10):
-            changed = False
-            alpha = 0
-            while alpha < len(table.rows):
-                if table.find(alpha) != alpha:
-                    alpha += 1
-                    continue
+        alpha = 0
+        while alpha < len(table.rows):
+            if table.find(alpha) == alpha:
                 for u, v in rels:
-                    x, ch1 = table.trace_define(alpha, u)
-                    y, ch2 = table.trace_define(table.find(alpha), v)
-                    changed |= ch1 or ch2
-                    changed |= table.merge(x, y)
+                    table.merge(table.trace_define(alpha, u),
+                                table.trace_define(alpha, v))
                 a = table.find(alpha)
                 for letter in range(table.n_letters):
                     if table.get(a, letter) is None:
                         table.rows[a][letter] = table.new_node()
-                        changed = True
-                alpha += 1
-            if not changed:
-                break
-        else:
-            raise InternalInconsistency("enumeration did not stabilize")
-    except _CapHit:
-        return incomplete("class bound exceeded")
+            alpha += 1
+    except BoundExceeded:
+        return capped
 
-    live = table.live()
+    live = [i for i in range(len(table.rows)) if table.parent[i] == i]
     if len(live) - 1 > max_classes:
-        return incomplete("class bound exceeded")
+        return capped
 
     # Certificate: total table and all relations closed from every node.
     for node in live:
@@ -323,9 +303,7 @@ def enumerate_presentation(
             if table.get(node, letter) is None:
                 raise InternalInconsistency("table not total after closure")
         for u, v in rels:
-            x, _ = table.trace_define(node, u)
-            y, _ = table.trace_define(node, v)
-            if x != y:
+            if table.trace_define(node, u) != table.trace_define(node, v):
                 raise InternalInconsistency("relation open after closure")
 
     # Shortlex representatives by BFS from the root.

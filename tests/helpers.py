@@ -713,3 +713,151 @@ def reference_connectors(green):
         right_class=tuple(map(tuple, rc)),
         right_factor=tuple(map(tuple, rf)),
     )
+
+
+class _ReferenceTable:
+    """The enumerator's union-find table as it was when tracing and merging
+    reported whether they changed anything."""
+
+    def __init__(self, n_letters, cap):
+        self.n_letters = n_letters
+        self.cap = cap
+        self.rows = [[None] * n_letters]
+        self.parent = [0]
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def new_node(self):
+        if len(self.rows) > self.cap:
+            raise _ReferenceCapHit
+        self.rows.append([None] * self.n_letters)
+        self.parent.append(len(self.rows) - 1)
+        return len(self.rows) - 1
+
+    def get(self, node, letter):
+        v = self.rows[node][letter]
+        return None if v is None else self.find(v)
+
+    def trace_define(self, node, word):
+        cur = self.find(node)
+        changed = False
+        for letter in word:
+            nxt = self.get(cur, letter)
+            if nxt is None:
+                nxt = self.new_node()
+                self.rows[cur][letter] = nxt
+                changed = True
+            cur = nxt
+        return cur, changed
+
+    def merge(self, x, y):
+        queue = [(x, y)]
+        merged = False
+        while queue:
+            a, b = queue.pop()
+            a, b = self.find(a), self.find(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            self.parent[b] = a
+            merged = True
+            row_b = self.rows[b]
+            row_a = self.rows[a]
+            for letter in range(self.n_letters):
+                tb = row_b[letter]
+                if tb is None:
+                    continue
+                ta = row_a[letter]
+                if ta is None:
+                    row_a[letter] = tb
+                else:
+                    queue.append((ta, tb))
+        return merged
+
+
+class _ReferenceCapHit(Exception):
+    pass
+
+
+def reference_enumerate_presentation(pres, max_classes):
+    """``present.enumerate_presentation`` as a fixed point: sweeps of
+    relation traces repeat until one changes nothing, then every relation
+    is traced from every live node once more as the certificate.  The
+    node cap, the verdicts and the shortlex representatives are the
+    library's."""
+    if max_classes <= 0:
+        raise InputError("max_classes must be positive")
+    letter_pos = {a: i for i, a in enumerate(pres.alphabet)}
+    rels = [
+        (tuple(letter_pos[a] for a in u), tuple(letter_pos[a] for a in v))
+        for u, v in pres.relations
+    ]
+    table = _ReferenceTable(len(pres.alphabet), cap=max(64, 8 * max_classes))
+
+    def incomplete(reason):
+        return present.EnumerationResult(complete=False, reason=reason,
+                                         size=None, reps=())
+
+    try:
+        for _round in range(2 * table.cap + 10):
+            changed = False
+            alpha = 0
+            while alpha < len(table.rows):
+                if table.find(alpha) != alpha:
+                    alpha += 1
+                    continue
+                for u, v in rels:
+                    x, ch1 = table.trace_define(alpha, u)
+                    y, ch2 = table.trace_define(table.find(alpha), v)
+                    changed |= ch1 or ch2
+                    changed |= table.merge(x, y)
+                a = table.find(alpha)
+                for letter in range(table.n_letters):
+                    if table.get(a, letter) is None:
+                        table.rows[a][letter] = table.new_node()
+                        changed = True
+                alpha += 1
+            if not changed:
+                break
+        else:
+            raise InternalInconsistency("enumeration did not stabilize")
+    except _ReferenceCapHit:
+        return incomplete("class bound exceeded")
+
+    live = [i for i in range(len(table.rows)) if table.parent[i] == i]
+    if len(live) - 1 > max_classes:
+        return incomplete("class bound exceeded")
+
+    for node in live:
+        for letter in range(table.n_letters):
+            if table.get(node, letter) is None:
+                raise InternalInconsistency("table not total after closure")
+        for u, v in rels:
+            x, _ = table.trace_define(node, u)
+            y, _ = table.trace_define(node, v)
+            if x != y:
+                raise InternalInconsistency("relation open after closure")
+
+    reps = []
+    frontier = [(table.find(0), ())]
+    seen = {table.find(0)}
+    while frontier:
+        nxt = []
+        for node, word in frontier:
+            for letter in range(table.n_letters):
+                tgt = table.get(node, letter)
+                if tgt not in seen:
+                    seen.add(tgt)
+                    w = word + (pres.alphabet[letter],)
+                    reps.append(w)
+                    nxt.append((tgt, w))
+        frontier = nxt
+    if len(seen) != len(live):
+        raise InternalInconsistency("unreachable live classes")
+    return present.EnumerationResult(complete=True, reason=None,
+                                     size=len(reps), reps=tuple(reps))

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     fixed_instances,
     is_padding_valid,
+    nonperm_ideal,
     reference_rewrite_pair,
     reference_transfer_relation,
     reference_verify_structure_report,
@@ -288,6 +289,18 @@ def test_transfer_walks_the_acceptor_once(z6, t03, monkeypatch):
     assert walks.count(True) == 1
 
 
+def test_transfer_names_the_language_bound(z6, t03, monkeypatch):
+    # the acceptor has six words; the stop used to be an InputError
+    st, green, conn = transfer_setup(z6, t03, [1])
+    monkeypatch.setattr(au, "_LANGUAGE_BOUND", 5)
+    with pytest.raises(BoundExceeded,
+                       match="^word acceptor language exceeds the bound of 5"
+                             " listed words$"):
+        au.transfer_details(st, t03, green, conn)
+    monkeypatch.setattr(au, "_LANGUAGE_BOUND", 6)
+    assert au.transfer_details(st, t03, green, conn).structure.alphabet
+
+
 def test_transfer_semilattice():
     z4, z2 = factories.zmod(4), factories.zmod(2)
     s, t = core.strong_semilattice(z4, z2, factories.mod_reduction(z4, z2))
@@ -388,6 +401,37 @@ def test_shared_multiplier_is_composed_from_first_word(t3_transfer):
             inv, au.compose_relations(rel, restricted))
         got = res.structure.multipliers[b]
         assert au.nfa_to_json(got.nfa) == au.nfa_to_json(want.nfa), b
+
+
+def test_transfer_composes_each_first_word_prefix_once(monkeypatch):
+    # first words sharing a prefix share its composed chain; each chain
+    # used to be composed from scratch
+    t3, ideal = nonperm_ideal(3)
+    calls = []
+    real = au.compose_relations
+
+    def counting(r1, r2):
+        calls.append(None)
+        return real(r1, r2)
+
+    monkeypatch.setattr(au, "compose_relations", counting)
+    chains = 0
+    for names in (("021", "102", "122"), ("021", "112", "210", "220"),
+                  ("001", "021", "120", "200", "212")):
+        st, green, conn = transfer_setup(
+            t3, ideal, [t3.names.index(m) for m in names])
+        calls.clear()
+        res = au.transfer_details(st, ideal, green, conn)
+        first = {}
+        for w in st.acceptor.iter_words():
+            first.setdefault(st.eval_word(t3, w), w)
+        targets = set(res.structure.letter_eval.values())
+        prefixes = {first[t][:k] for t in targets
+                    for k in range(2, len(first[t]) + 1)}
+        # two more compositions conjugate each distinct multiplier, ""'s too
+        assert len(calls) == len(prefixes) + 2 * (len(targets) + 1)
+        chains += len(prefixes)
+    assert chains == 49
 
 
 def _t3_ideal_setups():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenindex import automatic, cli, factories
+from greenindex import automatic, cli, core, factories
 
 
 @pytest.fixture()
@@ -190,6 +190,17 @@ def test_growth_commands(files, capsys):
                     "--sub", sub_path, "--r", "6,1,2", "--sub-gens", "3",
                     "--max", "8", "--format", "json")
     assert code == 0 and json.loads(out)["holds"] is True
+
+
+def test_growth_blackbox_refuses_a_failed_spot_check(capsys, monkeypatch):
+    # the disclaimer promised a spot check that nothing ran
+    monkeypatch.setattr(core.BlackBoxSemigroup, "spot_check_associativity",
+                        lambda self: (1, 2, 3))
+    code = cli.main(["growth", "series", "--blackbox", "nat-plus",
+                     "--max", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: not associative: (1*2)*3 != 1*(2*3)\n"
 
 
 def test_auto_pipeline(files, capsys, tmp_path):
@@ -396,6 +407,69 @@ def test_auto_refuses_malformed_structures(files, capsys, command, defect):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("input error: ")
     assert "Traceback" not in captured.err
+
+
+def _over(nfa_key, symbol):
+    """Replace every symbol of one automaton by ``symbol``."""
+    def edit(doc):
+        nfa = doc["acceptor"] if nfa_key == "acceptor" else \
+            doc["multipliers"][nfa_key]
+        nfa["alphabet"] = [symbol]
+        for t in nfa["transitions"]:
+            t[1] = symbol
+    return edit
+
+
+def _duplicate_letter(doc):
+    doc["alphabet"].append("a1")
+
+
+def _pad_letter(doc):
+    doc["alphabet"].append("$")
+    doc["letter_eval"]["$"] = 1
+    doc["multipliers"]["$"] = doc["multipliers"]["a1"]
+
+
+FOREIGN_SYMBOLS = {
+    # a ValueError traceback in transfer
+    "multiplier-x": (_over("a1", "x"),
+                     "multiplier symbol 'x' is not over the structure's letters"),
+    # read as the pair ('a', '1'): transfer exited 0 with a structure
+    "multiplier-a1": (_over("a1", "a1"),
+                      "multiplier symbol 'a1' is not over the structure's"
+                      " letters"),
+    # these ended in a KeyError traceback
+    "acceptor-zz": (_over("acceptor", "zz"),
+                    "acceptor symbol 'zz' is not over the structure's letters"),
+    "acceptor-pair": (_over("acceptor", ["a1", "a1"]),
+                      "acceptor symbol ('a1', 'a1') is not over the"
+                      " structure's letters"),
+    # verify accepted these
+    "duplicate-letter": (_duplicate_letter,
+                         "track letters must be distinct and differ from the"
+                         " pad symbol '$'"),
+    "pad-letter": (_pad_letter,
+                   "track letters must be distinct and differ from the pad"
+                   " symbol '$'"),
+}
+
+
+@pytest.mark.parametrize("command", ["transfer", "verify"])
+@pytest.mark.parametrize("case", sorted(FOREIGN_SYMBOLS))
+def test_auto_refuses_symbols_outside_the_letters(files, capsys, command, case):
+    sem_path, sub_path, tmp_path = files
+    code, out = run(capsys, "auto", "build", "--semigroup", sem_path,
+                    "--gens", "1")
+    data = json.loads(out)
+    edit, message = FOREIGN_SYMBOLS[case]
+    edit(data)
+    st_path = tmp_path / "st_foreign.json"
+    st_path.write_text(json.dumps(data))
+    code = cli.main(["auto", command, "--structure", str(st_path),
+                     "--semigroup", sem_path, "--sub", sub_path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 def test_auto_verify_names_a_max_len_that_is_too_small(files, capsys):

@@ -3,11 +3,12 @@ import functools
 import pytest
 from helpers import (
     outcome,
+    reference_enumerate_presentation,
     reference_parse_word,
     reference_verify_sub_presentation,
     small_tables,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenindex import core, factories, present, relgreen, rewrite
@@ -130,6 +131,49 @@ def test_enumerate_quotient_table_is_consistent(z6):
     # the representatives evaluate bijectively onto Z6
     evals = [present.evaluate_word(z6, assign, w) for w in result.reps]
     assert sorted(evals) == list(range(6))
+
+
+_LETTERS = ("a", "b", "c")
+
+
+@st.composite
+def _presentations(draw):
+    alphabet = _LETTERS[:draw(st.integers(1, 3))]
+    word = st.lists(st.sampled_from(alphabet), min_size=1,
+                    max_size=5).map(tuple)
+    rels = draw(st.lists(st.tuples(word, word), min_size=1, max_size=5))
+    return present.Presentation(alphabet, tuple(rels))
+
+
+_B_CUBED = present.Presentation(("b",), ((("b", "b", "b"), ("b",)),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_presentations(), st.sampled_from([1, 2, 5, 12, 40, 120, 300]))
+@example(_B_CUBED, 2)  # complete
+@example(_B_CUBED, 1)  # closed with one class too many
+@example(present.Presentation(("a",), ((("a", "a"), ("a", "a")),)), 5)  # cap
+def test_enumerate_matches_fixed_point_reference(pres, max_classes):
+    got = present.enumerate_presentation(pres, max_classes)
+    assert got == reference_enumerate_presentation(pres, max_classes)
+
+
+def test_enumerate_traces_the_relations_in_two_passes(z6, monkeypatch):
+    # No semigroup relation merges a node into the root, so each pass over
+    # the relations traces both sides of each once from the root: the
+    # sweep and the certificate.  The fixed-point rounds made three.
+    calls = []
+    trace = present._Table.trace_define
+
+    def counting(self, node, word):
+        calls.append(self.find(node) == 0)
+        return trace(self, node, word)
+
+    monkeypatch.setattr(present._Table, "trace_define", counting)
+    for pres in (_B_CUBED, present.presentation_from_table(z6)[0]):
+        calls.clear()
+        assert present.enumerate_presentation(pres, 100).complete
+        assert sum(calls) == 2 * 2 * len(pres.relations)
 
 
 def test_verify_presentation_rejects_bad_relation(z6):
