@@ -3,7 +3,7 @@
 One executable with subcommands; every command reads JSON files, prints
 either a human summary or schema-stable JSON (byte-identical across runs for
 identical inputs), and exits 0 on success, 1 when a mathematical verification
-fails, 2 on input errors.
+fails or a bound or memory runs out, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -491,6 +491,11 @@ def main(argv=None) -> int:
     except GreenIndexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # report once the frames that filled memory are freed
+    print("error: out of memory; try a smaller input or bound",
+          file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

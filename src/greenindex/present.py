@@ -2,11 +2,11 @@
 verification, and synthesis of a presentation for S out of presentations for
 T and the complement Schutzenberger groups.
 
-The enumerator is a coset-table style procedure on the right Cayley graph of
-the free semigroup: nodes are word classes (plus a root for the empty word),
-relations are traced from every node so that identified nodes realize exactly
-the two-sided congruence the relations generate.  It either certifies a
-closed finite quotient or reports that a bound was hit.
+The enumerator is an HLT-style coset table on the right Cayley graph of the
+free monoid.  A sweep traces the relations from each node in turn until the
+table is total; rounds then trace them from all nodes at once and merge the
+ends that differ, until one finds none.  The classes then form a certified
+closed quotient of the presentation, unless a bound was hit first.
 """
 
 from __future__ import annotations
@@ -190,13 +190,15 @@ class EnumerationResult:
 
 
 class _Table:
-    """Union-find backed right-multiplication table with a root node."""
+    """Union-find backed right-multiplication table with a root node.
+    ``undefined`` counts the undefined edges in live rows."""
 
     def __init__(self, n_letters: int, cap: int):
         self.n_letters = n_letters
         self.cap = cap
         self.rows: list[list[int | None]] = [[None] * n_letters]
         self.parent = [0]
+        self.undefined = n_letters
 
     def find(self, x: int) -> int:
         while self.parent[x] != x:
@@ -204,48 +206,63 @@ class _Table:
             x = self.parent[x]
         return x
 
-    def new_node(self) -> int:
+    def define(self, node: int, letter: int) -> int:
+        """Make a new node the target of the undefined edge (node, letter)."""
         if len(self.rows) > self.cap:
             raise BoundExceeded("class bound exceeded")
+        self.rows[node][letter] = new = len(self.rows)
         self.rows.append([None] * self.n_letters)
-        self.parent.append(len(self.rows) - 1)
-        return len(self.rows) - 1
-
-    def get(self, node: int, letter: int) -> int | None:
-        v = self.rows[node][letter]
-        return None if v is None else self.find(v)
+        self.parent.append(new)
+        self.undefined += self.n_letters - 1
+        return new
 
     def trace_define(self, node: int, word) -> int:
-        cur = self.find(node)
+        rows, parent = self.rows, self.parent
+        cur = node if parent[node] == node else self.find(node)
         for letter in word:
-            nxt = self.get(cur, letter)
+            nxt = rows[cur][letter]
             if nxt is None:
-                nxt = self.new_node()
-                self.rows[cur][letter] = nxt
+                nxt = self.define(cur, letter)
+            elif parent[nxt] != nxt:
+                nxt = rows[cur][letter] = self.find(nxt)
             cur = nxt
         return cur
 
     def merge(self, x: int, y: int) -> None:
+        rows, parent, find = self.rows, self.parent, self.find
+        undefined = self.undefined
         queue = [(x, y)]
         while queue:
             a, b = queue.pop()
-            a, b = self.find(a), self.find(b)
+            a, b = find(a), find(b)
             if a == b:
                 continue
             if b < a:
                 a, b = b, a
-            self.parent[b] = a
-            row_b = self.rows[b]
-            row_a = self.rows[a]
-            for letter in range(self.n_letters):
-                tb = row_b[letter]
-                if tb is None:
-                    continue
+            parent[b] = a
+            row_a = rows[a]
+            for letter, tb in enumerate(rows[b]):
                 ta = row_a[letter]
-                if ta is None:
-                    row_a[letter] = tb
+                if ta is None or tb is None:
+                    undefined -= 1  # of the two edges, one at most stays
+                    if ta is None:
+                        row_a[letter] = tb
                 else:
                     queue.append((ta, tb))
+        self.undefined = undefined
+
+    def columns(self) -> tuple[list[int], list[list[int]]]:
+        """The live nodes in index order, numbered 0..k-1, and one column
+        per letter mapping each number to that of its successor."""
+        parent = self.parent
+        live = [x for x, p in enumerate(parent) if x == p]
+        num = {x: i for i, x in enumerate(live)}
+        num = [num[self.find(x)] for x in range(len(parent))]
+        rows = [self.rows[x] for x in live]
+        if any(None in row for row in rows):
+            raise InternalInconsistency("table not total after closure")
+        return live, [[num[row[letter]] for row in rows]
+                      for letter in range(self.n_letters)]
 
 
 def enumerate_presentation(
@@ -253,15 +270,21 @@ def enumerate_presentation(
 ) -> EnumerationResult:
     """Enumerate the quotient semigroup of a presentation within a bound.
 
-    One sweep walks the nodes in creation order, new ones included.  At
+    The sweep walks the nodes in creation order, new ones included.  At
     each root it traces every relation, merges the two ends, and fills the
-    root's row.  That closes the table.  A root at the end was a root when
-    the sweep reached it: a merged node never becomes one again.  When the
-    sweep leaves a node, each relation traced from it ends at one class and
-    its row is complete.  Later definitions only add edges, and ``merge``
-    only identifies nodes, moving each edge to the surviving row and
-    queueing any clash, so both facts still hold at the end.  The
-    certificate pass then traces every relation from every live node again.
+    root's row.  It stops as soon as no live row has an undefined edge.
+    Rounds then close the total table.  A round numbers the live nodes,
+    builds one column per letter, traces each relation's two sides from
+    all nodes at once and merges each pair of ends that differ (a merge
+    only coarsens, so the columns stay sound).  A round with no clash is
+    the certificate: every relation holds at every node.
+
+    The result is that of the sweep run to its end.  Until the table is
+    total nothing differs; once it is, no definition is due, so the node
+    bound cannot fire in either.  Both then merge only forced pairs until
+    every relation holds at every node, so both end at the least such
+    right-compatible equivalence: the same classes, representatives and
+    verdicts.
 
     ``max_classes`` is the only bound.  "class bound exceeded" means a
     definition was due after max(64, 8 * ``max_classes``) nodes besides
@@ -280,41 +303,48 @@ def enumerate_presentation(
                                size=None, reps=())
     try:
         alpha = 0
-        while alpha < len(table.rows):
-            if table.find(alpha) == alpha:
+        while table.undefined and alpha < len(table.rows):
+            if table.parent[alpha] == alpha:
                 for u, v in rels:
                     table.merge(table.trace_define(alpha, u),
                                 table.trace_define(alpha, v))
                 a = table.find(alpha)
                 for letter in range(table.n_letters):
-                    if table.get(a, letter) is None:
-                        table.rows[a][letter] = table.new_node()
+                    if table.rows[a][letter] is None:
+                        table.define(a, letter)
             alpha += 1
     except BoundExceeded:
         return capped
 
-    live = [i for i in range(len(table.rows)) if table.parent[i] == i]
+    clash = True
+    while clash:
+        live, cols = table.columns()
+        clash = False
+        for u, v in rels:
+            ends = []
+            for word in (u, v):
+                img = cols[word[0]]
+                for letter in word[1:]:
+                    col = cols[letter]
+                    img = [col[x] for x in img]
+                ends.append(img)
+            if ends[0] != ends[1]:
+                clash = True
+                for i, j in zip(*ends):
+                    if i != j:
+                        table.merge(live[i], live[j])
     if len(live) - 1 > max_classes:
         return capped
 
-    # Certificate: total table and all relations closed from every node.
-    for node in live:
-        for letter in range(table.n_letters):
-            if table.get(node, letter) is None:
-                raise InternalInconsistency("table not total after closure")
-        for u, v in rels:
-            if table.trace_define(node, u) != table.trace_define(node, v):
-                raise InternalInconsistency("relation open after closure")
-
-    # Shortlex representatives by BFS from the root.
+    # Shortlex representatives by BFS from the root, numbered 0.
     reps: list[Word] = []
-    frontier = [(table.find(0), ())]
-    seen = {table.find(0)}
+    frontier = [(0, ())]
+    seen = {0}
     while frontier:
         nxt = []
         for node, word in frontier:
-            for letter in range(table.n_letters):
-                tgt = table.get(node, letter)
+            for letter, col in enumerate(cols):
+                tgt = col[node]
                 if tgt not in seen:
                     seen.add(tgt)
                     w = word + (pres.alphabet[letter],)

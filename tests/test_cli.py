@@ -566,6 +566,22 @@ def test_present_refutes_a_quotient_with_long_representatives(files, capsys):
     assert code == 0 and data["complete"] is True and data["size"] == 18
 
 
+def test_running_out_of_memory_is_a_bounded_error(files, capsys, monkeypatch):
+    # An infinite quotient under a huge --max-classes fills memory before
+    # the node bound fires; that ends as an error on stderr, not a traceback
+    def exhausting(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_present_enumerate", exhausting)
+    pres_path = _write_presentation(files[2], alphabet=["a", "b"],
+                                    relations=[["ab", "ba"]])
+    code = cli.main(["present", "enumerate", "--presentation", pres_path,
+                     "--max-classes", "100000000"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+
+
 def test_present_reads_integer_assignments(files, capsys):
     # b -> 1 presents Z6 but not T = {0, 3}
     pres_path = _write_presentation(files[2])

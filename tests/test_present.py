@@ -2,6 +2,7 @@ import functools
 
 import pytest
 from helpers import (
+    nonperm_ideal,
     outcome,
     reference_enumerate_presentation,
     reference_parse_word,
@@ -158,22 +159,104 @@ def test_enumerate_matches_fixed_point_reference(pres, max_classes):
     assert got == reference_enumerate_presentation(pres, max_classes)
 
 
-def test_enumerate_traces_the_relations_in_two_passes(z6, monkeypatch):
-    # No semigroup relation merges a node into the root, so each pass over
-    # the relations traces both sides of each once from the root: the
-    # sweep and the certificate.  The fixed-point rounds made three.
+def test_enumerate_sweep_traces_each_relation_once_from_the_root(
+        z6, monkeypatch):
+    # Both tables are total once every relation has been traced from the
+    # root, so the sweep stops there, and the closing rounds read columns
+    # without calling trace_define.
     calls = []
     trace = present._Table.trace_define
 
-    def counting(self, node, word):
-        calls.append(self.find(node) == 0)
+    def recording(self, node, word):
+        calls.append((self.find(node), tuple(word)))
         return trace(self, node, word)
 
-    monkeypatch.setattr(present._Table, "trace_define", counting)
+    monkeypatch.setattr(present._Table, "trace_define", recording)
     for pres in (_B_CUBED, present.presentation_from_table(z6)[0]):
         calls.clear()
         assert present.enumerate_presentation(pres, 100).complete
-        assert sum(calls) == 2 * 2 * len(pres.relations)
+        pos = {a: i for i, a in enumerate(pres.alphabet)}
+        assert calls == [(0, tuple(pos[a] for a in w))
+                         for rel in pres.relations for w in rel]
+
+
+def _closing(monkeypatch, pres, max_classes, drop_a_sweep_merge=False):
+    """Enumerate and report the roots the sweep traced from, the closing
+    rounds, and the merges those rounds made that identified two classes.
+    With ``drop_a_sweep_merge`` the sweep skips its first such merge."""
+    table_cls = present._Table
+    trace, columns, merge = (table_cls.trace_define, table_cls.columns,
+                             table_cls.merge)
+    roots, rounds, merges, dropped = set(), [], [], []
+
+    def tracing(self, node, word):
+        roots.add(self.find(node))
+        return trace(self, node, word)
+
+    def numbering(self):
+        rounds.append(None)
+        return columns(self)
+
+    def merging(self, x, y):
+        if self.find(x) != self.find(y):
+            if rounds:
+                merges.append((x, y))
+            elif drop_a_sweep_merge and not dropped:
+                dropped.append((x, y))
+                return None
+        return merge(self, x, y)
+
+    monkeypatch.setattr(table_cls, "trace_define", tracing)
+    monkeypatch.setattr(table_cls, "columns", numbering)
+    monkeypatch.setattr(table_cls, "merge", merging)
+    result = present.enumerate_presentation(pres, max_classes)
+    monkeypatch.undo()
+    assert dropped or not drop_a_sweep_merge
+    return result, len(roots), len(rounds), len(merges)
+
+
+_CLASHING = present.Presentation(
+    ("a", "b"), ((("b", "b"), ("a", "b", "a")), (("a", "b"), ("a",))))
+
+
+def test_enumerate_closing_round_merges_a_clash(monkeypatch):
+    # The sweep stops at a total table on which bb = aba does not yet hold
+    # everywhere; the first round merges, the second is the certificate.
+    result, _, rounds, merges = _closing(monkeypatch, _CLASHING, 10)
+    assert rounds == 2 and merges >= 1
+    assert result == reference_enumerate_presentation(_CLASHING, 10)
+    assert result.size == 3
+
+
+def test_enumerate_closing_rounds_catch_a_dropped_sweep_merge(monkeypatch):
+    # On both the sweep reaches a total table without making up the merge
+    # it skipped; the rounds trace every relation from every node, find it
+    # again, and end at the reference.  So the final round is a real check.
+    for pres in (_B_CUBED, _CLASHING):
+        result, _, rounds, merges = _closing(monkeypatch, pres, 100,
+                                             drop_a_sweep_merge=True)
+        assert rounds >= 2 and merges >= 1
+        assert result == reference_enumerate_presentation(pres, 100)
+
+
+def _ladder_presentations():
+    t3, ideal = nonperm_ideal(3)
+    s4 = factories.symmetric_group(4)
+    swap = s4.names.index("1023")
+    for n in (8, 16, 24):
+        yield present.presentation_from_table(factories.zmod(n))[0], n
+    yield synth(t3, ideal)[0], 27
+    yield synth(s4, core.closure(s4, [swap]))[0], 24
+
+
+def test_enumerate_closes_the_ladder_in_one_clean_round(monkeypatch):
+    # The gain over sweeping every node, counted rather than timed: the
+    # sweep reaches a total table within four roots, and the first round
+    # already certifies it.
+    for pres, order in _ladder_presentations():
+        result, roots, rounds, merges = _closing(monkeypatch, pres, 4 * order)
+        assert result.size == order
+        assert roots <= 4 and rounds == 1 and merges == 0
 
 
 def test_verify_presentation_rejects_bad_relation(z6):
