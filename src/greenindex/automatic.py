@@ -6,7 +6,9 @@ are NFAs over that pair alphabet.  Composition of two relations re-reads both
 component relations in lockstep, nondeterministically guessing the shared
 middle track; when the middle word outlives both outer words the remaining
 steps consume no output symbol.  The product is finite, so every silent tail
-is found and composition needs no bound.
+is found and composition needs no bound.  Automata carry no epsilon moves:
+the structure reader and the projection onto one track remove them where
+they arise, in ``_epsilon_free``.
 
 A pair alphabet is never listed: ``PairAlphabet`` holds the two track
 alphabets and answers iteration, length, membership and rank from them.
@@ -24,15 +26,14 @@ from .core import (
     FiniteSemigroup,
     SubSemigroup,
     _check_index,
+    _generating,
     _target_domain,
-    generated,
 )
 from .errors import (
     AlphabetMismatch,
     BoundExceeded,
     InputError,
     InternalInconsistency,
-    NotGenerating,
 )
 from .relgreen import IDENTITY_CLASS, ConnectorTables, GreenData
 from .rewrite import _schreier_value, _two_pass
@@ -43,9 +44,11 @@ _LANGUAGE_BOUND = 10_000_000  # the most words _finite_language lists
 
 @dataclass(frozen=True)
 class Nfa:
-    """A nondeterministic finite automaton; symbol None marks an epsilon
-    transition and is never part of the alphabet.  The alphabet is a tuple
-    of symbols or, for relations, a PairAlphabet."""
+    """A nondeterministic finite automaton without epsilon moves.  The
+    alphabet is a tuple of symbols or, for relations, a PairAlphabet.
+    Epsilon moves are removed where they arise (:func:`nfa_from_json` and
+    :func:`project`); a transition whose symbol is None is refused with
+    ``InputError`` by the first operation that reads the transitions."""
 
     alphabet: tuple | PairAlphabet
     n_states: int
@@ -55,9 +58,11 @@ class Nfa:
 
     @cached_property
     def _outgoing(self) -> list[dict]:
-        """Per-state map symbol -> set(dst); epsilon moves under None."""
+        """Per-state map symbol -> set(dst)."""
         out = [dict() for _ in range(self.n_states)]
         for src, sym, dst in self.transitions:
+            if sym is None:
+                raise InputError(f"transition {(src, sym, dst)} is an epsilon move")
             out[src].setdefault(sym, set()).add(dst)
         return out
 
@@ -65,8 +70,10 @@ class Nfa:
     def _coaccessible(self) -> frozenset:
         """States from which an accepting state is reachable."""
         back: dict[int, set[int]] = {}
-        for src, _sym, dst in self.transitions:
-            back.setdefault(dst, set()).add(src)
+        for src, edges in enumerate(self._outgoing):
+            for dsts in edges.values():
+                for dst in dsts:
+                    back.setdefault(dst, set()).add(src)
         seen = set(self.accepting)
         stack = list(seen)
         while stack:
@@ -77,27 +84,15 @@ class Nfa:
                     stack.append(p)
         return frozenset(seen)
 
-    def eps_closure(self, states: Iterable[int]) -> frozenset:
-        out_edges = self._outgoing
-        out = set(states)
-        stack = list(out)
-        while stack:
-            q = stack.pop()
-            for r in out_edges[q].get(None, ()):
-                if r not in out:
-                    out.add(r)
-                    stack.append(r)
-        return frozenset(out)
-
     def step(self, states: frozenset, symbol) -> frozenset:
         out_edges = self._outgoing
         out = set()
         for q in states:
-            out |= out_edges[q].get(symbol, set())
-        return self.eps_closure(out)
+            out.update(out_edges[q].get(symbol, ()))
+        return frozenset(out)
 
     def accepts(self, word: Sequence) -> bool:
-        cur = self.eps_closure(self.initial)
+        cur = self.initial
         for sym in word:
             cur = self.step(cur, sym)
             if not cur:
@@ -119,7 +114,7 @@ class Nfa:
         possibly infinite.  Prefixes that cannot reach acceptance are
         pruned, so the iterator terminates on finite languages."""
         useful, out, rank = self._coaccessible, self._outgoing, self._rank
-        cur = frozenset(self.eps_closure(self.initial) & useful)
+        cur = self.initial & useful
         level = [((), cur)]
         while level:
             nxt = []
@@ -129,9 +124,8 @@ class Nfa:
                 symbols = set()
                 for q in states:
                     symbols.update(out[q])
-                symbols.discard(None)
                 for sym in sorted(symbols, key=rank):
-                    t = frozenset(self.step(states, sym) & useful)
+                    t = self.step(states, sym) & useful
                     if t:
                         nxt.append((word + (sym,), t))
             level = nxt
@@ -173,7 +167,7 @@ def nfa_from_words(alphabet, words: Iterable[tuple]) -> Nfa:
 def determinize(nfa: Nfa) -> Nfa:
     """Complete subset-construction DFA (a dead sink is added if needed);
     state numbering follows BFS discovery, so the result is canonical."""
-    start = nfa.eps_closure(nfa.initial)
+    start = frozenset(nfa.initial)
     index = {start: 0}
     order = [start]
     trans = []
@@ -317,9 +311,9 @@ class PaddedRelationNfa:
 
 
 def invert(rel: PaddedRelationNfa) -> PaddedRelationNfa:
+    rel.nfa._outgoing  # refuses an epsilon move
     swapped = tuple(
-        (s, (sym[1], sym[0]), d) if sym is not None else (s, None, d)
-        for s, sym, d in rel.nfa.transitions
+        (s, (sym[1], sym[0]), d) for s, sym, d in rel.nfa.transitions
     )
     return PaddedRelationNfa(
         left_alphabet=rel.right_alphabet,
@@ -335,24 +329,18 @@ def invert(rel: PaddedRelationNfa) -> PaddedRelationNfa:
 
 
 def project(rel: PaddedRelationNfa, track: int) -> Nfa:
-    """Language of one track; padded positions become epsilon moves."""
+    """Language of one track.  A padded position of that track reads no
+    letter: it is an epsilon move, removed by :func:`_epsilon_free`."""
     if track not in (1, 2):
         raise InputError("track must be 1 or 2")
     base = rel.left_alphabet if track == 1 else rel.right_alphabet
+    rel.nfa._outgoing  # refuses an epsilon move
     trans = []
     for s, sym, d in rel.nfa.transitions:
-        if sym is None:
-            trans.append((s, None, d))
-            continue
-        comp = sym[0] if track == 1 else sym[1]
+        comp = sym[track - 1]
         trans.append((s, None if comp == PAD else comp, d))
-    return Nfa(
-        alphabet=tuple(base),
-        n_states=rel.nfa.n_states,
-        transitions=tuple(trans),
-        initial=rel.nfa.initial,
-        accepting=rel.nfa.accepting,
-    )
+    return _epsilon_free(tuple(base), rel.nfa.n_states, tuple(trans),
+                         rel.nfa.initial, rel.nfa.accepting)
 
 
 def compose_relations(
@@ -368,8 +356,7 @@ def compose_relations(
     """
     if set(r1.right_alphabet) != set(r2.left_alphabet):
         raise AlphabetMismatch("middle alphabets differ")
-    d1 = _epsilon_free(r1.nfa)
-    d2 = _epsilon_free(r2.nfa)
+    d1, d2 = r1.nfa, r2.nfa
     out1, out2 = d1._outgoing, d2._outgoing
     # second machine's transitions grouped by the middle-track component
     by_mid: list[dict] = []
@@ -453,28 +440,36 @@ def compose_relations(
     )
 
 
-def _epsilon_free(nfa: Nfa) -> Nfa:
-    """Equivalent NFA without epsilon transitions."""
-    if not any(sym is None for _, sym, _ in nfa.transitions):
-        return nfa
-    out = nfa._outgoing
-    trans = []
-    accepting = set()
-    for q in range(nfa.n_states):
-        cl = nfa.eps_closure({q})
-        if cl & nfa.accepting:
-            accepting.add(q)
-        for p in cl:
-            for sym, dsts in out[p].items():
-                if sym is not None:
-                    trans.extend((q, sym, d) for d in dsts)
-    return Nfa(
-        alphabet=nfa.alphabet,
-        n_states=nfa.n_states,
-        transitions=tuple(dict.fromkeys(trans)),
-        initial=nfa.initial,
-        accepting=frozenset(accepting),
-    )
+def _epsilon_free(alphabet, n_states, transitions, initial, accepting) -> Nfa:
+    """The Nfa of an automaton given by its parts, whose transitions may
+    carry the symbol None, an epsilon move.  Each state takes the letter
+    moves and the acceptance of its epsilon closure, so the language is
+    unchanged.  This is the only place an epsilon closure is computed."""
+    if any(sym is None for _, sym, _ in transitions):
+        out = [dict() for _ in range(n_states)]
+        for src, sym, dst in transitions:
+            out[src].setdefault(sym, set()).add(dst)
+        trans = []
+        closed_accepting = set()
+        for q in range(n_states):
+            cl = {q}
+            stack = [q]
+            while stack:
+                for r in out[stack.pop()].get(None, ()):
+                    if r not in cl:
+                        cl.add(r)
+                        stack.append(r)
+            cl = frozenset(cl)
+            if cl & accepting:
+                closed_accepting.add(q)
+            for p in cl:
+                for sym, dsts in out[p].items():
+                    if sym is not None:
+                        trans.extend((q, sym, d) for d in dsts)
+        transitions = tuple(dict.fromkeys(trans))
+        accepting = frozenset(closed_accepting)
+    return Nfa(alphabet=alphabet, n_states=n_states, transitions=transitions,
+               initial=initial, accepting=accepting)
 
 
 @dataclass(frozen=True)
@@ -510,9 +505,7 @@ def structure_for_finite(sem: FiniteSemigroup, gens: Sequence[int]) -> Automatic
     normal forms as the word acceptor, multiplier relations listed pair by
     pair."""
     gens = sorted(set(gens))
-    forms = generated(sem, gens).words
-    if len(forms) != sem.order:
-        raise NotGenerating("the given set does not generate the semigroup")
+    forms = _generating(sem, gens, sem.elements, "the semigroup").words
     letters = {g: f"a{g}" for g in gens}
     alphabet = tuple(letters[g] for g in gens)
     rep = {
@@ -786,11 +779,12 @@ def _symbol(sym):
 
 
 def nfa_from_json(data: dict) -> Nfa:
-    """Read an automaton written by :func:`nfa_to_json`.  Raises
-    ``InputError`` unless ``states`` is a nonnegative int (not a bool),
-    every state id an int in [0, states), the alphabet, transitions,
-    initial and accepting states lists, and every symbol a string or a
-    two-string pair (a transition's null symbol is an epsilon move)."""
+    """Read an automaton written by :func:`nfa_to_json`.  A transition's
+    null symbol is an epsilon move, removed on reading by
+    :func:`_epsilon_free`.  Raises ``InputError`` unless ``states`` is a
+    nonnegative int (not a bool), every state id an int in [0, states), the
+    alphabet, transitions, initial and accepting states lists, and every
+    other symbol a string or a two-string pair."""
     n = data.get("states") if isinstance(data, dict) else None
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InputError(
@@ -814,8 +808,8 @@ def nfa_from_json(data: dict) -> Nfa:
         return frozenset(_check_index(q, n, f"{key} state")
                          for q in _field(data, key, list, "automaton"))
 
-    return Nfa(alphabet=alphabet, n_states=n, transitions=tuple(trans),
-               initial=states("initial"), accepting=states("accepting"))
+    return _epsilon_free(alphabet, n, tuple(trans), states("initial"),
+                         states("accepting"))
 
 
 def structure_to_json(st: AutomaticStructure) -> dict:

@@ -251,8 +251,7 @@ def cmd_present_enumerate(args) -> int:
     out = {
         "complete": True,
         "size": result.size,
-        "representatives": ["".join(w) if all(len(a) == 1 for a in pres.alphabet)
-                            else list(w) for w in result.reps],
+        "representatives": list(map(pres._word_encoder(), result.reps)),
     }
     print(_dump(out))
     return 0
@@ -270,7 +269,7 @@ def cmd_present_verify(args) -> int:
         for u, v in pres.relations:
             if (pr.evaluate_word(sem, assign, u)
                     != pr.evaluate_word(sem, assign, v)):
-                witness = ["".join(u), "".join(v)]
+                witness = list(map(pres._word_encoder(), (u, v)))
                 break
     print(_dump({"verified": ok, "violated_relation": witness}))
     return 0 if ok else 1

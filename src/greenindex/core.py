@@ -21,6 +21,7 @@ from .errors import (
     InvalidHomomorphism,
     NotAssociative,
     NotClosed,
+    NotGenerating,
     NotInSubsemigroup,
     OutOfRange,
 )
@@ -292,6 +293,15 @@ def generated(sem: FiniteSemigroup, gens: Iterable[int]) -> Generated:
                     nxt.append(p)
         level = nxt
     return Generated(gens=gens, words=words)
+
+
+def _generating(sem: FiniteSemigroup, gens, members, what: str) -> Generated:
+    """``generated(sem, gens)``, which must reach exactly ``members``;
+    ``NotGenerating`` naming ``what`` otherwise."""
+    over = generated(sem, gens)
+    if over.members != frozenset(members):
+        raise NotGenerating(f"the given set does not generate {what}")
+    return over
 
 
 def closure(sem: FiniteSemigroup, gens: Iterable[int]) -> SubSemigroup:

@@ -11,7 +11,9 @@ class InputError(GreenIndexError):
 
 
 class OutOfRange(InputError):
-    """A Cayley table entry is not a valid element index."""
+    """An index is not in its range: a Cayley table entry, a generator,
+    member or letter evaluation that is not an element index, an automaton
+    state id, or a CLI index flag."""
 
 
 class NotAssociative(GreenIndexError):

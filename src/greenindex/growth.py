@@ -13,9 +13,10 @@ from .core import (
     FiniteSemigroup,
     SubSemigroup,
     _check_index,
+    _generating,
     generated,
 )
-from .errors import BudgetExceeded, HypothesisFails, InputError, NotGenerating
+from .errors import BudgetExceeded, HypothesisFails, InputError
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -140,18 +141,13 @@ def domination_check(
     Requires the adjoined identity in R and every S^1 element to factor as
     r * t with r in R and t in T^1.  The constants are k1 = |R| and k2 = the
     longest generator-length of the T^1 parts mu(a1, a2) in the chosen
-    decompositions of products of generators from A = B u R.  B must lie in
-    T and generate it (NotGenerating otherwise).  A negative ``m_max`` is an
-    ``InputError``.
+    decompositions of products of generators from A = B u R.  B must
+    generate T (NotGenerating otherwise; ``OutOfRange`` for an index that is
+    not an element).  A negative ``m_max`` is an ``InputError``.
     """
     if m_max < 0:
         raise InputError("m_max must be nonnegative")
-    b_sorted = sorted(set(b_gens))
-    if not set(b_sorted) <= sub.members:
-        raise NotGenerating("the given set does not generate T")
-    over_b = generated(sem, b_sorted)
-    if over_b.members != sub.members:
-        raise NotGenerating("the given set does not generate T")
+    over_b = _generating(sem, sorted(set(b_gens)), sub.members, "T")
     n = sem.order
     for r in r_set:
         if isinstance(r, bool) or not isinstance(r, int):

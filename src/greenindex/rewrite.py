@@ -8,11 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .core import FiniteSemigroup, generated
+from .core import FiniteSemigroup, _generating
 from .errors import (
     InternalInconsistency,
     InvalidLetter,
-    NotGenerating,
     NotInSubsemigroup,
 )
 from .relgreen import IDENTITY_CLASS, ConnectorTables, GreenData
@@ -111,9 +110,7 @@ def schreier_generators(
     """
     green._check_built_from(sub, sem, conn)
     n = sem.order
-    over_a = generated(sem, sorted(set(gens)))
-    if len(over_a.words) != n:
-        raise NotGenerating("the given set does not generate S")
+    over_a = _generating(sem, sorted(set(gens)), sem.elements, "S")
     classes = range(green.class_count)
     bset = {_schreier_value(conn, j, a, i)
             for a in gens for j in classes for i in classes} - {n}
@@ -136,9 +133,7 @@ def extended_generators(
 ) -> frozenset[int]:
     """Generators of S from generators of T: adjoin the complement class
     representatives."""
-    sub = green.sub
-    if generated(green.sem, b_gens).members != sub.members:
-        raise NotGenerating("the given set does not generate T")
+    _generating(green.sem, b_gens, green.sub.members, "T")
     return frozenset(b_gens) | set(green.reps)
 
 

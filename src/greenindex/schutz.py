@@ -15,6 +15,7 @@ from typing import Sequence
 from .core import (
     FiniteSemigroup,
     SubSemigroup,
+    _generating,
     generated,
     is_group,
     validate_table,
@@ -23,7 +24,6 @@ from .errors import (
     InternalInconsistency,
     NotAnHClass,
     NotComparable,
-    NotGenerating,
     OutOfRange,
 )
 from .relgreen import GreenData
@@ -213,8 +213,7 @@ def schutz_generators(
     generator's translation through the class-connecting witnesses.  Returns
     group element indices."""
     sem = family.sem
-    if generated(sem, b_gens).members != family.sub.members:
-        raise NotGenerating("the given set does not generate T")
+    _generating(sem, b_gens, family.sub.members, "T")
     out = set()
     for p in range(len(family.classes)):
         for b in sorted(set(b_gens)):

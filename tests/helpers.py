@@ -366,30 +366,79 @@ def is_padding_valid(rel):
     """True iff every accepted string is a well-formed convolution."""
     nfa = rel.nfa
     out, useful = nfa._outgoing, nfa._coaccessible
-    start = [(q, False, False) for q in nfa.eps_closure(nfa.initial)]
+    start = [(q, False, False) for q in nfa.initial]
     seen = set(start)
     stack = list(start)
-
-    def push(dsts, u_done, v_done):
-        for d in nfa.eps_closure(dsts):
-            if (d, u_done, v_done) not in seen:
-                seen.add((d, u_done, v_done))
-                stack.append((d, u_done, v_done))
-
     while stack:
         q, u_done, v_done = stack.pop()
-        for sym, dsts in out[q].items():
-            if sym is None:  # pushed states are closed under epsilon moves
-                continue
-            x, y = sym
+        for (x, y), dsts in out[q].items():
             if ((x == PAD and y == PAD) or (u_done and x != PAD)
                     or (v_done and y != PAD)):
                 # a violating prefix: invalid only if it extends to acceptance
                 if not useful.isdisjoint(dsts):
                     return False
                 continue
-            push(dsts, u_done or x == PAD, v_done or y == PAD)
+            for d in dsts:
+                state = (d, u_done or x == PAD, v_done or y == PAD)
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
     return True
+
+
+def eps_closure(transitions, states):
+    """The states reachable from ``states`` by the epsilon moves (symbol
+    None) of ``transitions``, a sequence of (src, symbol, dst)."""
+    eps: dict[int, set[int]] = {}
+    for src, sym, dst in transitions:
+        if sym is None:
+            eps.setdefault(src, set()).add(dst)
+    out = set(states)
+    stack = list(out)
+    while stack:
+        for r in eps.get(stack.pop(), ()):
+            if r not in out:
+                out.add(r)
+                stack.append(r)
+    return frozenset(out)
+
+
+def _eps_step(transitions, states, symbol):
+    return eps_closure(transitions, {d for s, sym, d in transitions
+                                     if s in states and sym == symbol})
+
+
+def reference_accepts(transitions, initial, accepting, word):
+    """Whether the automaton with epsilon moves given by its parts accepts
+    ``word``, read through epsilon closures."""
+    cur = eps_closure(transitions, initial)
+    for sym in word:
+        cur = _eps_step(transitions, cur, sym)
+    return not cur.isdisjoint(accepting)
+
+
+def reference_determinize(alphabet, transitions, initial, accepting):
+    """The complete subset-construction DFA of an automaton with epsilon
+    moves, built from epsilon-closed subsets in BFS discovery order."""
+    start = eps_closure(transitions, initial)
+    index = {start: 0}
+    order = [start]
+    trans = []
+    for cur in order:
+        for sym in alphabet:
+            tgt = _eps_step(transitions, cur, sym)
+            if tgt not in index:
+                index[tgt] = len(order)
+                order.append(tgt)
+            trans.append((index[cur], sym, index[tgt]))
+    return automatic.Nfa(
+        alphabet=alphabet,
+        n_states=len(order),
+        transitions=tuple(trans),
+        initial=frozenset({0}),
+        accepting=frozenset(index[s] for s in order
+                            if not s.isdisjoint(accepting)),
+    )
 
 
 def transfer_relation(st, green, conn, letters):

@@ -7,6 +7,8 @@ from helpers import (
     fixed_instances,
     is_padding_valid,
     nonperm_ideal,
+    reference_accepts,
+    reference_determinize,
     reference_rewrite_pair,
     reference_transfer_relation,
     reference_verify_structure_report,
@@ -58,14 +60,12 @@ def test_nfa_from_words_and_enumeration():
 def test_determinize_accepts_same_words_and_is_deterministic():
     words = au.nfa_from_words(("a", "b"), [("a", "b"), ("b",), ("a", "a", "b")])
     # a or b loops on 0, an epsilon into 1, and "a" from 1 to either 2 or 0
-    branching = au.Nfa(
-        alphabet=("a", "b"),
-        n_states=3,
-        transitions=((0, "a", 0), (0, "b", 0), (0, None, 1), (1, "a", 2),
-                     (1, "a", 0), (2, "b", 1)),
-        initial=frozenset({0}),
-        accepting=frozenset({2}),
-    )
+    trans = ((0, "a", 0), (0, "b", 0), (0, None, 1), (1, "a", 2),
+             (1, "a", 0), (2, "b", 1))
+    branching = au.nfa_from_json({
+        "states": 3, "alphabet": ["a", "b"],
+        "transitions": [list(t) for t in trans],
+        "initial": [0], "accepting": [2]})
     for nfa in (words, branching):
         dfa = au.determinize(nfa)
         for w in words_upto(("a", "b"), 6):
@@ -74,6 +74,8 @@ def test_determinize_accepts_same_words_and_is_deterministic():
         moves = [(src, sym) for src, sym, _dst in dfa.transitions]
         assert sorted(moves) == [(q, sym) for q in range(dfa.n_states)
                                  for sym in ("a", "b")]
+    for w in words_upto(("a", "b"), 6):
+        assert branching.accepts(w) == reference_accepts(trans, {0}, {2}, w)
 
 
 def test_invert_is_involution():
@@ -101,15 +103,23 @@ def test_padding_validity():
     assert not is_padding_valid(bad)
 
 
-def _epsilon_relation(extra=(), accepting=(2,)):
+def _epsilon_parts(extra=(), accepting=(2,)):
     """Pairs (a^m, a^m b^k): epsilon moves 0 -> 1 -> 2, (a, a) loops on 1
     and ($, b) loops on 2, plus ``extra`` transitions."""
     trans = ((0, None, 1), (1, ("a", "a"), 1), (1, None, 2),
              (2, ("$", "b"), 2)) + tuple(extra)
-    nfa = au.Nfa(alphabet=au.PairAlphabet(("a",), ("a", "b")),
-                 n_states=1 + max(max(s, d) for s, _sym, d in trans),
-                 transitions=trans, initial=frozenset({0}),
-                 accepting=frozenset(accepting))
+    return trans, frozenset({0}), frozenset(accepting)
+
+
+def _epsilon_relation(extra=(), accepting=(2,)):
+    """The relation of :func:`_epsilon_parts`, read by ``nfa_from_json``,
+    which removes its epsilon moves."""
+    trans, initial, accepting = _epsilon_parts(extra, accepting)
+    nfa = au.nfa_from_json({
+        "states": 1 + max(max(s, d) for s, _sym, d in trans),
+        "alphabet": [list(sym) for sym in au.PairAlphabet(("a",), ("a", "b"))],
+        "transitions": [[s, sym and list(sym), d] for s, sym, d in trans],
+        "initial": sorted(initial), "accepting": sorted(accepting)})
     return au.PaddedRelationNfa(("a",), ("a", "b"), nfa)
 
 
@@ -125,14 +135,81 @@ def test_padding_validity_with_epsilon_moves():
 
 def test_iter_words_with_epsilon_moves():
     resumes = ((2, None, 3), (3, ("a", "$"), 4))
-    for rel in (_epsilon_relation(), _epsilon_relation(resumes, (2, 4))):
-        nfa = rel.nfa
+    for args in ((), (resumes, (2, 4))):
+        nfa = _epsilon_relation(*args).nfa
         want = [w for k in range(4) for w in product(nfa.alphabet, repeat=k)
-                if nfa.accepts(w)]
+                if reference_accepts(*_epsilon_parts(*args), w)]
         assert nfa.enumerate_words(3) == want
     assert _epsilon_relation().pairs(2) == [
         ((), ()), (("a",), ("a",)), ((), ("b",)),
         (("a", "a"), ("a", "a")), (("a",), ("a", "b")), ((), ("b", "b"))]
+
+
+def test_epsilon_moves_are_refused():
+    nfa = au.Nfa(alphabet=("a",), n_states=2,
+                 transitions=((0, "a", 1), (1, None, 0)),
+                 initial=frozenset({0}), accepting=frozenset({1}))
+    start = frozenset({0})
+    for op in (lambda: nfa.step(start, "a"), lambda: nfa.accepts(("a",)),
+               nfa.is_empty, lambda: next(nfa.iter_words()),
+               lambda: nfa.enumerate_words(2), lambda: au.determinize(nfa)):
+        with pytest.raises(InputError, match="epsilon"):
+            op()
+    pairs = au.PairAlphabet(("a",), ("a",))
+    rel = au.PaddedRelationNfa(("a",), ("a",), au.Nfa(
+        alphabet=pairs, n_states=2,
+        transitions=((0, ("a", "a"), 1), (1, None, 0)),
+        initial=frozenset({0}), accepting=frozenset({1})))
+    fine = au.PaddedRelationNfa.from_pairs(("a",), ("a",), [(("a",), ("a",))])
+    for op in (lambda: au.invert(rel), lambda: au.project(rel, 1),
+               lambda: au.compose_relations(rel, fine),
+               lambda: au.compose_relations(fine, rel)):
+        with pytest.raises(InputError, match="epsilon"):
+            op()
+
+
+@st.composite
+def epsilon_automata(draw):
+    """Parts of a random automaton over {a, b} with epsilon moves (None)."""
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    trans = draw(st.lists(st.tuples(state, st.sampled_from([None, "a", "b"]),
+                                    state), max_size=12))
+    initial = draw(st.frozensets(state, max_size=2))
+    accepting = draw(st.frozensets(state, max_size=3))
+    return n, tuple(trans), initial, accepting
+
+
+@settings(max_examples=200, deadline=None)
+@given(epsilon_automata())
+def test_reader_removes_epsilon_moves(parts):
+    n, trans, initial, accepting = parts
+    nfa = au.nfa_from_json({
+        "states": n, "alphabet": ["a", "b"],
+        "transitions": [list(t) for t in trans],
+        "initial": sorted(initial), "accepting": sorted(accepting)})
+    assert all(sym is not None for _s, sym, _d in nfa.transitions)
+    for w in words_upto(("a", "b"), 4):
+        assert nfa.accepts(w) == reference_accepts(trans, initial,
+                                                   accepting, w), w
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.text("ab", max_size=3), st.text("xy", max_size=3)),
+                max_size=6))
+def test_projected_convolutions_determinize_as_with_closures(pairs):
+    # padding is trailing, so a state reached through a padded position of
+    # the projected track has no letter moves: the DFA built from the
+    # epsilon-free projection is the one built from closed subsets
+    rel = au.PaddedRelationNfa.from_pairs(("a", "b"), ("x", "y"), pairs)
+    for track in (1, 2):
+        proj = au.project(rel, track)
+        assert all(sym is not None for _s, sym, _d in proj.transitions)
+        raw = tuple((s, None if sym[track - 1] == au.PAD else sym[track - 1], d)
+                    for s, sym, d in rel.nfa.transitions)
+        want = reference_determinize(proj.alphabet, raw, rel.nfa.initial,
+                                     rel.nfa.accepting)
+        assert au.nfa_to_json(au.determinize(proj)) == au.nfa_to_json(want)
 
 
 def test_projection_tracks():

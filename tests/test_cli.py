@@ -143,6 +143,20 @@ def test_present_pipeline(files, capsys, tmp_path):
     assert json.loads(out)["violated_relation"] is not None
 
 
+def test_present_verify_witness_keeps_multi_character_letters(files, capsys):
+    # a a = aa with a -> 1, aa -> 3 over Z6 fails (2 != 3); joined, both
+    # sides would read "aa", the trivial relation aa = aa
+    sem_path, _, tmp_path = files
+    pres_path = tmp_path / "pres.json"
+    pres_path.write_text(json.dumps({
+        "alphabet": ["a", "aa"], "relations": [[["a", "a"], ["aa"]]],
+        "assignment": {"a": 1, "aa": 3}}))
+    code, out = run(capsys, "present", "verify", "--presentation",
+                    str(pres_path), "--semigroup", sem_path)
+    assert code == 1
+    assert json.loads(out)["violated_relation"] == [["a", "a"], ["aa"]]
+
+
 def test_human_formats(files, capsys):
     sem_path, sub_path, _ = files
     code, out = run(capsys, "connectors", "--semigroup", sem_path,
@@ -731,6 +745,7 @@ def test_fuzzed_json_exits_with_a_documented_code(fuzz_dir, command, data):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert code != 2 or out.getvalue() == "", (argv, out.getvalue())
 
 
 FLAG_COMMANDS = {

@@ -1,10 +1,12 @@
-"""The public surface, pinned: every name the package exports and every
-public function or class each module defines.  Adding or removing an entry
-point has to edit these lists, so the change shows in review."""
+"""The public surface, pinned: every name the package exports, every
+public function or class each module defines, and every public method or
+property those classes define.  Adding or removing an entry point has to
+edit these lists, so the change shows in review."""
 
 import importlib
 import inspect
 import pkgutil
+from functools import cached_property
 
 import greenindex
 
@@ -206,6 +208,29 @@ DEFINED = {
     ],
 }
 
+# "module.Class" -> its public methods and properties; classes with none
+# are left out
+MEMBERS = {
+    "automatic.AutomaticStructure": ["eval_word"],
+    "automatic.Nfa": [
+        "accepts", "enumerate_words", "is_empty", "iter_words", "step"],
+    "automatic.PaddedRelationNfa": ["accepts_pair", "from_pairs", "pairs"],
+    "automatic.PairAlphabet": ["rank"],
+    "core.BlackBoxSemigroup": ["encode", "spot_check_associativity"],
+    "core.FiniteSemigroup": [
+        "elements", "from_json_dict", "mul", "mul1", "name_of", "prod1",
+        "to_json_dict"],
+    "core.Generated": ["members", "word"],
+    "core.SubSemigroup": [
+        "complement", "sorted_members", "t_one", "to_json_dict"],
+    "present.Presentation": ["from_json_dict", "to_json_dict"],
+    "relgreen.GreenData": ["class_count", "class_of", "h_class_of", "rep_of"],
+    "schutz.HClassFamily": ["act"],
+    "schutz.SchutzGroup": ["order", "quotient_index"],
+}
+
+_MEMBER_KINDS = (property, cached_property, staticmethod, classmethod)
+
 
 def test_package_exports():
     # submodules are attributes once imported anywhere, so they are skipped
@@ -228,3 +253,21 @@ def test_module_definitions():
             and obj.__module__ == mod.__name__
         )
         assert defined == DEFINED[name], name
+
+
+def test_class_members():
+    members = {}
+    for name in DEFINED:
+        mod = importlib.import_module(f"greenindex.{name}")
+        for attr in DEFINED[name]:
+            cls = getattr(mod, attr)
+            if not inspect.isclass(cls):
+                continue
+            public = sorted(
+                m for m, obj in vars(cls).items()
+                if not m.startswith("_")
+                and (inspect.isfunction(obj) or isinstance(obj, _MEMBER_KINDS))
+            )
+            if public:
+                members[f"{name}.{attr}"] = public
+    assert members == MEMBERS
