@@ -6,13 +6,15 @@ are NFAs over that pair alphabet.  Composition of two relations re-reads both
 component relations in lockstep, nondeterministically guessing the shared
 middle track; when the middle word outlives both outer words the remaining
 steps consume no output symbol.  The product is finite, so every silent tail
-is found and composition needs no bound.  Automata carry no epsilon moves:
-the structure reader and the projection onto one track remove them where
-they arise, in ``_epsilon_free``.
+is found and composition needs no bound; its result is trimmed to the
+states that are both accessible and co-accessible.  Automata carry no
+epsilon moves: the structure reader and the projection onto one track
+remove them where they arise, in ``_epsilon_free``.
 
 A pair alphabet is never listed: ``PairAlphabet`` holds the two track
 alphabets and answers iteration, length, membership and rank from them.
-In a transferred structure every letter with one evaluation shares one
+A transferred structure keeps only the letters that occur in some
+transferred word, and every letter with one evaluation shares one
 multiplier, composed once.
 """
 
@@ -436,7 +438,30 @@ def compose_relations(
     return PaddedRelationNfa(
         left_alphabet=r1.left_alphabet,
         right_alphabet=r2.right_alphabet,
-        nfa=nfa,
+        nfa=_trim(nfa),
+    )
+
+
+def _trim(nfa: Nfa) -> Nfa:
+    """The states that are both accessible and co-accessible, renumbered in
+    their existing order; the language is unchanged."""
+    useful, out = nfa._coaccessible, nfa._outgoing
+    keep = set(nfa.initial & useful)
+    stack = list(keep)
+    while stack:
+        for dsts in out[stack.pop()].values():
+            for d in dsts:
+                if d in useful and d not in keep:
+                    keep.add(d)
+                    stack.append(d)
+    new = {q: i for i, q in enumerate(sorted(keep))}
+    return Nfa(
+        alphabet=nfa.alphabet,
+        n_states=len(new),
+        transitions=tuple((new[s], sym, new[d]) for s, sym, d in nfa.transitions
+                          if s in new and d in new),
+        initial=frozenset(new[q] for q in nfa.initial if q in new),
+        accepting=frozenset(new[q] for q in nfa.accepting if q in new),
     )
 
 
@@ -652,10 +677,12 @@ def transfer_details(
     The restricted relation pairs each acceptor word evaluating into T with
     its unique transferred word, named by the two-pass push, with letters
     evaluating to the adjoined identity dropped; it is built pair by pair.
+    The structure keeps the letters that occur in some transferred word,
+    which are exactly the letters on accepting paths of the new acceptor.
     The new acceptor is the right projection of that relation, and
     each multiplier is the original multiplier of a word for the letter,
-    conjugated through the relation.  A letter evaluating outside S is
-    ``OutOfRange``.
+    conjugated through the relation; every composition is trimmed.  A
+    letter evaluating outside S is ``OutOfRange``.
     """
     sem = green.sem
     st._check_letter_evals(sem)
@@ -671,7 +698,8 @@ def transfer_details(
         pair = _rewrite_pair(st, green, conn, letters, u)
         if pair is not None:
             pairs.append(pair)
-    kept = tuple(a for a in letters.names if a not in letters.excluded)
+    used = {b for _u, v in pairs for b in v}
+    kept = tuple(a for a in letters.names if a in used)
     restricted = PaddedRelationNfa.from_pairs(st.alphabet, kept, pairs)
 
     acceptor = determinize(project(restricted, 2))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 
 from . import automatic as au
@@ -492,9 +493,17 @@ def main(argv=None) -> int:
         return 1
     except MemoryError:
         pass  # report once the frames that filled memory are freed
-    print("error: out of memory; try a smaller input or bound",
-          file=sys.stderr)
+    print(f"error: out of memory ({_memory_limit()}); try a smaller input"
+          " or bound", file=sys.stderr)
     return 1
+
+
+def _memory_limit() -> str:
+    """The process's soft address-space limit, in MB."""
+    soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY:
+        return "no address-space limit set"
+    return f"address-space limit {soft >> 20} MB"
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from helpers import (
     fixed_instances,
     is_padding_valid,
     nonperm_ideal,
+    random_pairs,
     reference_accepts,
     reference_determinize,
     reference_rewrite_pair,
@@ -489,7 +490,9 @@ def test_transfer_composes_each_first_word_prefix_once(monkeypatch):
 
     def counting(r1, r2):
         calls.append(None)
-        return real(r1, r2)
+        out = real(r1, r2)
+        assert is_trim(out.nfa)
+        return out
 
     monkeypatch.setattr(au, "compose_relations", counting)
     chains = 0
@@ -508,7 +511,84 @@ def test_transfer_composes_each_first_word_prefix_once(monkeypatch):
         # two more compositions conjugate each distinct multiplier, ""'s too
         assert len(calls) == len(prefixes) + 2 * (len(targets) + 1)
         chains += len(prefixes)
-    assert chains == 49
+    assert chains == 43
+
+
+def useful_states(nfa):
+    """States reachable from an initial state and reaching an accepting one,
+    found by walking the transitions both ways."""
+    def reach(start, edges):
+        seen, todo = set(start), list(start)
+        while todo:
+            q = todo.pop()
+            for nxt in edges.get(q, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    fwd, back = {}, {}
+    for s, _sym, d in nfa.transitions:
+        fwd.setdefault(s, []).append(d)
+        back.setdefault(d, []).append(s)
+    return reach(nfa.initial, fwd) & reach(nfa.accepting, back)
+
+
+def is_trim(nfa):
+    return useful_states(nfa) == set(range(nfa.n_states))
+
+
+@st.composite
+def letter_automata(draw):
+    """A random automaton over {a, b} without epsilon moves."""
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    trans = draw(st.lists(st.tuples(state, st.sampled_from(["a", "b"]), state),
+                          max_size=14, unique=True))
+    return au.Nfa(alphabet=("a", "b"), n_states=n, transitions=tuple(trans),
+                  initial=draw(st.frozensets(state, max_size=2)),
+                  accepting=draw(st.frozensets(state, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(letter_automata())
+def test_trim_keeps_the_useful_states_in_order(nfa):
+    trimmed = au._trim(nfa)
+    for w in words_upto(("a", "b"), 4):
+        assert trimmed.accepts(w) == reference_accepts(
+            nfa.transitions, nfa.initial, nfa.accepting, w), w
+    assert is_trim(trimmed)
+    # state k of the trimmed automaton is the k-th useful state
+    old = sorted(useful_states(nfa))
+    assert trimmed.n_states == len(old)
+    assert [(old[s], sym, old[d]) for s, sym, d in trimmed.transitions] == [
+        (s, sym, d) for s, sym, d in nfa.transitions if s in old and d in old]
+    assert {old[q] for q in trimmed.initial} == nfa.initial & set(old)
+    assert {old[q] for q in trimmed.accepting} == nfa.accepting & set(old)
+    assert au._trim(trimmed) == trimmed
+
+
+def test_transfers_of_random_pairs_write_small_structures(monkeypatch):
+    # pairs 17 and 23 kept 507 and 1344 letters, and writing their
+    # structures ran out of memory under a 1.5 GB cap; a transfer keeps only
+    # the letters of its transferred words, and trims every composition
+    real = au.compose_relations
+
+    def checked(r1, r2):
+        out = real(r1, r2)
+        assert is_trim(out.nfa)
+        return out
+
+    monkeypatch.setattr(au, "compose_relations", checked)
+    for sem, sub in random_pairs(25):
+        struct, green, conn = transfer_setup(
+            sem, sub, schutz.find_generating_set(sem))
+        res = au.transfer_details(struct, sub, green, conn).structure
+        assert len(json.dumps(au.structure_to_json(res))) < 1 << 20
+        words = au._finite_language(res.acceptor)
+        assert {b for w in words for b in w} == set(res.alphabet)
+        longest = max(map(len, words))
+        assert au.verify_structure_report(res, sub, longest) == (True, "ok")
 
 
 def _t3_ideal_setups():

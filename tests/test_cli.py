@@ -3,9 +3,11 @@ import copy
 import io
 import json
 import pathlib
+import resource
 import shlex
 
 import pytest
+from helpers import nonperm_ideal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -238,6 +240,38 @@ def test_auto_pipeline(files, capsys, tmp_path):
     code, out = run(capsys, "auto", "verify", "--structure", str(tr_path),
                     "--semigroup", sem_path, "--sub", sub_path,
                     "--max-len", "6")
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
+@pytest.mark.parametrize("case", ["t3_ideal", "s4_swap"])
+def test_auto_transfer_of_many_letters_writes_a_small_file(case, capsys,
+                                                           tmp_path):
+    # From the generators of find_generating_set.  Writing these transfers
+    # ran out of memory while every letter not evaluating to the identity
+    # was kept (343 and 1936 letters) and no composition was trimmed.
+    if case == "t3_ideal":
+        sem, sub = nonperm_ideal(3)
+        gens, kept = "0,1,2,3,4,5,6,7,9,11", 11
+    else:
+        sem = factories.symmetric_group(4)
+        sub = core.closure(sem, [sem.names.index("1023")])
+        gens, kept = "0,1,2,6", 2
+    sem_path, sub_path = tmp_path / "sem.json", tmp_path / "sub.json"
+    sem_path.write_text(json.dumps(sem.to_json_dict()))
+    sub_path.write_text(json.dumps(sub.to_json_dict()))
+    s = ["--semigroup", str(sem_path)]
+    code, out = run(capsys, "auto", "build", *s, "--gens", gens)
+    assert code == 0
+    st_path = tmp_path / "st.json"
+    st_path.write_text(out)
+    code, out = run(capsys, "auto", "transfer", "--structure", str(st_path),
+                    *s, "--sub", str(sub_path))
+    assert code == 0 and len(out) < 1 << 20
+    assert len(json.loads(out)["alphabet"]) == kept
+    tr_path = tmp_path / "tr.json"
+    tr_path.write_text(out)
+    code, out = run(capsys, "auto", "verify", "--structure", str(tr_path),
+                    *s, "--sub", str(sub_path))
     assert code == 0 and json.loads(out)["verified"] is True
 
 
@@ -589,11 +623,18 @@ def test_running_out_of_memory_is_a_bounded_error(files, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_present_enumerate", exhausting)
     pres_path = _write_presentation(files[2], alphabet=["a", "b"],
                                     relations=[["ab", "ba"]])
-    code = cli.main(["present", "enumerate", "--presentation", pres_path,
-                     "--max-classes", "100000000"])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error: out of memory")
+    argv = ["present", "enumerate", "--presentation", pres_path,
+            "--max-classes", "100000000"]
+    # the message names the soft address-space limit, or that there is none
+    for soft, named in ((resource.RLIM_INFINITY, "no address-space limit set"),
+                        (1536 << 20, "address-space limit 1536 MB")):
+        monkeypatch.setattr(cli.resource, "getrlimit",
+                            lambda _which, soft=soft: (soft, resource.RLIM_INFINITY))
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: out of memory ({named}); try a"
+                                " smaller input or bound\n")
 
 
 def test_present_reads_integer_assignments(files, capsys):

@@ -130,8 +130,8 @@ GOLDEN = {
         'auto-build json': '9f2b8e5ee2daafe12c5cef6c157636d8b4d32294200cb5d11dc6e32a4f49aabc 0',
         'auto-verify human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
-        'auto-transfer human': '9a246f7b88e034530005e08c44d068e3eb554f9999f4f942d62e794d8333ac78 0',
-        'auto-transfer json': '9a246f7b88e034530005e08c44d068e3eb554f9999f4f942d62e794d8333ac78 0',
+        'auto-transfer human': '9dcbdff275ecf0c11993ccc8cc9d943dc04667eded3a2be24f53a442bb4b5172 0',
+        'auto-transfer json': '9dcbdff275ecf0c11993ccc8cc9d943dc04667eded3a2be24f53a442bb4b5172 0',
         'auto-verify-sub human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify-sub json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
     },
@@ -176,8 +176,8 @@ GOLDEN = {
         'auto-build json': '065428f4ef30e2853f5cb4bfef292a8c889c9d5eb692a6a778109a45ed5358a7 0',
         'auto-verify human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
-        'auto-transfer human': '0f9fb2daa32116100c7e5a2c24a76510455376ef798911e9cef5396d557d8277 0',
-        'auto-transfer json': '0f9fb2daa32116100c7e5a2c24a76510455376ef798911e9cef5396d557d8277 0',
+        'auto-transfer human': 'f23d2d81bca42dde36cb8bd223faa5ed57dcb17ebb9cc3365b779caa8f6326c7 0',
+        'auto-transfer json': 'f23d2d81bca42dde36cb8bd223faa5ed57dcb17ebb9cc3365b779caa8f6326c7 0',
         'auto-verify-sub human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify-sub json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
     },
@@ -222,8 +222,8 @@ GOLDEN = {
         'auto-build json': 'e7681b20d610e5ca8dc9723b0c7102c8fdb31294a7d8d6f04ed6be5c1cff9e46 0',
         'auto-verify human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
-        'auto-transfer human': '3ed4471362df0ca37378c4b12885f570ae7b89eda402ed7ccc19eab6a2b774d0 0',
-        'auto-transfer json': '3ed4471362df0ca37378c4b12885f570ae7b89eda402ed7ccc19eab6a2b774d0 0',
+        'auto-transfer human': 'f7c25977b1d56e9febd54aec2d643534f75d65c7d19e2bda3cbc0e1bb0c131c8 0',
+        'auto-transfer json': 'f7c25977b1d56e9febd54aec2d643534f75d65c7d19e2bda3cbc0e1bb0c131c8 0',
         'auto-verify-sub human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify-sub json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
     },
@@ -268,8 +268,8 @@ GOLDEN = {
         'auto-build json': '81b026787238c8786fe2b55870a911425572a71e604e98f20a866a834b67a738 0',
         'auto-verify human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
-        'auto-transfer human': '90ed6ec5b055f5940521c1fee4c6c77c9a5dfc7833cc2b382dd3dd15c30b9f34 0',
-        'auto-transfer json': '90ed6ec5b055f5940521c1fee4c6c77c9a5dfc7833cc2b382dd3dd15c30b9f34 0',
+        'auto-transfer human': 'd5508741e4ba62dc3d2d2051dbd3765f2bc074710a59241004a64f7eb92ccd2b 0',
+        'auto-transfer json': 'd5508741e4ba62dc3d2d2051dbd3765f2bc074710a59241004a64f7eb92ccd2b 0',
         'auto-verify-sub human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify-sub json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
     },

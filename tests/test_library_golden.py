@@ -3,6 +3,12 @@
 - The transfer of the T3 structure to T3's ideal of non-permutations, from
   the three generating sets of the ``transfer`` benchmark: the transferred
   structure, the restricted relation and the verifier's verdict.
+- The languages of those transfers and of the four fixed instances' CLI
+  transfers: the acceptor's words, and each multiplier's pairs up to the
+  acceptor's longest word.  These were taken from the transfer that kept
+  every letter not evaluating to the adjoined identity and never trimmed a
+  composed relation; a transfer may keep fewer letters, but each letter it
+  keeps must have the same multiplier language.
 - ``word_equality_report`` on 400 seeded word pairs per fixed instance.
 - The four connector tables (``left_class``, ``left_factor``,
   ``right_class``, ``right_factor``) on the fixed instances and on T4 over
@@ -25,6 +31,7 @@ import hashlib
 import json
 import random
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -65,6 +72,39 @@ def transfer_fingerprints() -> dict:
             au.nfa_to_json(res.restricted_relation.nfa))
         out[f"{tag} verify"] = _digest(
             au.verify_structure_report(res.structure, ideal, 3))
+    return out
+
+
+def transfer_cases():
+    """(name, S, T, generators of S): T3 over its ideal from each benchmark
+    generating set, and each fixed instance from the generators its CLI
+    golden builds its structure on."""
+    t3, ideal = nonperm_ideal(3)
+    out = [(f"t3_ideal {','.join(names)}", t3, ideal,
+            [t3.names.index(m) for m in names]) for names in T3_GENERATING_SETS]
+    out += [(name, sem, sub, list(a_gens))
+            for name, sem, sub, a_gens, _b in fixed_instances()]
+    return out
+
+
+def transfer_semantics() -> dict:
+    """Map each transfer case to the digest of its acceptor's words, and to
+    the keys ("" and letters) of each multiplier pair set, by that set's
+    digest."""
+    out = {}
+    for name, sem, sub, gens in transfer_cases():
+        green = relgreen.relative_green(sem, sub)
+        st = au.structure_for_finite(sem, gens)
+        res = au.transfer_details(st, sub, green, relgreen.connectors(green))
+        words = au._finite_language(res.structure.acceptor)
+        longest = max(map(len, words))
+        pair_digest = {}  # by id(relation): letters may share one
+        by_digest: dict = {}
+        for key, rel in sorted(res.structure.multipliers.items()):
+            if id(rel) not in pair_digest:
+                pair_digest[id(rel)] = _digest(sorted(rel.pairs(longest)))
+            by_digest.setdefault(pair_digest[id(rel)], []).append(key)
+        out[name] = {"acceptor": _digest(words), "multipliers": by_digest}
     return out
 
 
@@ -139,15 +179,289 @@ def enumeration_fingerprints() -> dict:
 
 
 GOLDEN_TRANSFER = {
-    '021,102,122 structure': 'c9e84a7961052d7e5b895f3deb099bf4ce031404bd73ab99c6fea4e68684ef51',
-    '021,102,122 restricted': '73c67c41dc26de42cda1218dbd835626efa8124bdbb7335fb062ee7b399ebdb3',
+    '021,102,122 structure': '1b43f7b436c34409fa07f958749e4f4d69bc63d34b475aca2e34f8021f3229a2',
+    '021,102,122 restricted': '0423dc654770b004bc0b81050d11ae2a16ab2c15b78d379334e57b0ddf45ea56',
     '021,102,122 verify': '15bded7e55bfcbcbe08373d5531ae6781668d6cf257bbc6c73471c8b8b734a2f',
-    '021,112,210,220 structure': '20eabfda3a81d39d716e425fe1f0a87683eed9bc8600df78ee76303105b52ba7',
-    '021,112,210,220 restricted': '91c6fe6892988eef8ae2c2d5f16f948c4aa6c5407999570df818168bbc7bde8b',
+    '021,112,210,220 structure': '1a677fa510d2098d38d703ba2ed3a64a865c9531b904ef798ace73db725d6400',
+    '021,112,210,220 restricted': 'd4e20b7eaac8c8b61a200e8b519abfec54226886c73bec42d38afad08f811e6e',
     '021,112,210,220 verify': '15bded7e55bfcbcbe08373d5531ae6781668d6cf257bbc6c73471c8b8b734a2f',
-    '001,021,120,200,212 structure': 'e7f6e139cf039ea3b51e8adc7d7c51b9816c33dbae1fb5d7d710bce78e52a154',
-    '001,021,120,200,212 restricted': 'b06836fa80b2b2c925b7a9d0346784e6189d26601abca6060563a785ccd848dc',
+    '001,021,120,200,212 structure': '7265094bf1cb824eb4987ed20244ce1972bdc41f1d705c790c0ecbb59c4fba13',
+    '001,021,120,200,212 restricted': '39008b629b5cc11fa1ea4c32d7319e8f5f9fbaf8077ae2793dbbe471512f04c0',
     '001,021,120,200,212 verify': '15bded7e55bfcbcbe08373d5531ae6781668d6cf257bbc6c73471c8b8b734a2f',
+}
+
+GOLDEN_TRANSFER_SEMANTICS = {
+    't3_ideal 021,102,122': {
+        'acceptor': 'a4f1340c5b1ae326aefe3730d751085bedc0a9f1fc9b57f74f2d1f5d95fec5dc',
+        'multipliers': {
+            'a5ff4a8aba0f701a0c1f2fe35766591a0abc11e5c45695216acf741ad693eebe': [
+                '',
+            ],
+            '69a42db84486f8d575f1ca833c04f66a73437dad4efdc195fb954b738b2378b8': [
+                'b0_a17_0', 'b0_a17_1', 'b1_a17_0', 'b1_a17_1', 'b2_a17_0',
+                'b2_a17_1',
+            ],
+            '8df2a071d1c055406b8f4fad66d928f2c4f47fbf69e92ca9f65239c1f0146a98': [
+                'b0_a17_2', 'b1_a17_2', 'b2_a17_2',
+            ],
+            '65ad89911fd8e1172c446c538c2d8afbbd12f33634c368d9bb1210112539cb9f': [
+                'b0_a17_3', 'b1_a17_3', 'b2_a17_3',
+            ],
+            '2b7ba1cf660107f4e5412bd2bc839350bfa2df54d6e9d64d80311802e567fba6': [
+                'b0_a17_4', 'b1_a17_4', 'b2_a17_4',
+            ],
+            '8b1c5a3a0966e102fe8f2cd92a18f42b211b87816b7c830fad019cb5a8b3870f': [
+                'b0_a17_5', 'b1_a17_5', 'b2_a17_5',
+            ],
+            '8641905b74506c5110f18eb452b8b8da836fb0d0b338cb2b746695f7ce60b70a': [
+                'b0_a17_6', 'b1_a17_6', 'b2_a17_6',
+            ],
+            '68efdf51eda9a86f1b5fb511b1b33f434e67d14bed9e62c5e99de8be885b2881': [
+                'b3_a17_0', 'b3_a17_1', 'b5_a17_0', 'b5_a17_1',
+            ],
+            '8ac5395af2321d0a882eb5053bdb8a9474e3d22f2560e52db61542f2d4427c96': [
+                'b3_a17_2', 'b5_a17_2',
+            ],
+            '1829013dddc7475c70fc4c4f10979e3428a89810e930f3c5b2b1529f8ab6d500': [
+                'b3_a17_3', 'b5_a17_3',
+            ],
+            'b917d497c69ef2d79e4de217c863b992933700c24950c5f532f7a5af4fc1856d': [
+                'b3_a17_4', 'b5_a17_4',
+            ],
+            '1e71678fade16d7f26e4cbbbb9874706b1b33bd0a6b9286cacac86f252ca92d8': [
+                'b3_a17_5', 'b5_a17_5',
+            ],
+            '258286af75c640617664eab2dca1410bb4ce67974e85092e0e33fae9f4fdb1e1': [
+                'b3_a17_6', 'b5_a17_6',
+            ],
+            '7e42fb15b6c8149eb876e21fc5201b1ab2b3d70bba6791a4699427bdc612db93': [
+                'b4_a17_0', 'b4_a17_1', 'b6_a17_0', 'b6_a17_1',
+            ],
+            '6492076fd67ee34cd147afae4bbbece5a01ff09b4c0558bb29addb1e7c68f3f7': [
+                'b4_a17_2', 'b6_a17_2',
+            ],
+            'aa7a462e6bea1dbc82320c92af95be7e29fda9720a39cfff679ddbc8a29d8cef': [
+                'b4_a17_3', 'b6_a17_3',
+            ],
+            '0bca1d0447f7791f54eb3ca9bf6194e412a603d12b5bd3dc91307022d8a93688': [
+                'b4_a17_4', 'b6_a17_4',
+            ],
+            'dd920e5ab580832bbbc54304e4a6949a5020d797ee03088ceafaf8ad8838fa7f': [
+                'b4_a17_5', 'b6_a17_5',
+            ],
+            '78c480196706e820e835986f4f867c4366f51683c6f33ed042d0679313494c5d': [
+                'b4_a17_6', 'b6_a17_6',
+            ],
+        },
+    },
+    't3_ideal 021,112,210,220': {
+        'acceptor': 'bf6b5e31e341251c9a886af38a1a9fbec13ad8158921a020e2bcdd45b9ce6448',
+        'multipliers': {
+            'fa7d07c72034bc994619dd6f63fb131cee64f1af32b019bef739c804846c4cb6': [
+                '',
+            ],
+            '6dbebfb7e74ea9a2a3fa772ff78779f4ff6745426ea48af9dff6d98a4830f8b8': [
+                'b0_a14_0', 'b0_a14_1', 'b0_a24_5', 'b1_a14_0', 'b1_a14_1',
+                'b1_a24_5', 'b3_a14_0', 'b3_a14_1', 'b3_a24_5',
+            ],
+            'ea2c957a42cf909c068b7d13d7354afdf31cdf6716429e2cc77ac8d82856ed39': [
+                'b0_a14_2', 'b0_a24_3', 'b1_a14_2', 'b1_a24_3', 'b3_a14_2',
+                'b3_a24_3',
+            ],
+            '876b18b32dce222b17d9a5568929def99f50891f511cf602b22b36754434795c': [
+                'b0_a14_3', 'b0_a24_6', 'b1_a14_3', 'b1_a24_6', 'b3_a14_3',
+                'b3_a24_6',
+            ],
+            '57d6dc4d4176083a092232efe3aedf69f942985a217ecf3fd76aedf3c5f091c0': [
+                'b0_a14_4', 'b0_a24_0', 'b0_a24_1', 'b1_a14_4', 'b1_a24_0',
+                'b1_a24_1', 'b3_a14_4', 'b3_a24_0', 'b3_a24_1',
+            ],
+            'e877e85ad0e0c292cd22b9d43894e71d1f6689ed498d02930476120f32b97d14': [
+                'b0_a14_5', 'b0_a24_4', 'b1_a14_5', 'b1_a24_4', 'b3_a14_5',
+                'b3_a24_4',
+            ],
+            'e2d6677d294df66a42214ed50718f4100deb1bd504898706c2bbdc3257572246': [
+                'b0_a14_6', 'b0_a24_2', 'b1_a14_6', 'b1_a24_2', 'b3_a14_6',
+                'b3_a24_2',
+            ],
+            'ef0e833c19be01a80ac37b3081d24798e2cf49ac04eb85e35d794437f21f4451': [
+                'b2_a14_0', 'b2_a14_1', 'b2_a24_5', 'b4_a14_0', 'b4_a14_1',
+                'b4_a24_5',
+            ],
+            '4b28911eead6246539e08c0015ad834002fe0fee0391089b341d903f83329f5a': [
+                'b2_a14_2', 'b2_a24_3', 'b4_a14_2', 'b4_a24_3',
+            ],
+            '77b89c2b8155266a22238370d2b9b450017817cae5f2e62b7f6df2adeb0de056': [
+                'b2_a14_3', 'b2_a24_6', 'b4_a14_3', 'b4_a24_6',
+            ],
+            '1682702f6e6fa340c8f14f211ed605e090f9eda2f04800ee7f13d9dd68736425': [
+                'b2_a14_4', 'b2_a24_0', 'b2_a24_1', 'b4_a14_4', 'b4_a24_0',
+                'b4_a24_1',
+            ],
+            '2b924cf86545a13087a67bda77ebadac481e6b6328c6bd5ebb3951cc23fe0c86': [
+                'b2_a14_5', 'b2_a24_4', 'b4_a14_5', 'b4_a24_4',
+            ],
+            'bffc198d2b7abc1d84dab0ceff29bcaa01a5932694fab582fc59bc5f526f19b6': [
+                'b2_a14_6', 'b2_a24_2', 'b4_a14_6', 'b4_a24_2',
+            ],
+            'e829c2b5fae4bb000c15c495c93ab9a3a2423177bbc7f6bec2e7b1f504aded72': [
+                'b5_a14_0', 'b5_a14_1', 'b5_a24_5', 'b6_a14_0', 'b6_a14_1',
+                'b6_a24_5',
+            ],
+            '93f5aa17804c79c33f5657eb210110747a23d5795111950ef71508b808f8c3c9': [
+                'b5_a14_2', 'b5_a24_3', 'b6_a14_2', 'b6_a24_3',
+            ],
+            '243d12ddd09b8c92bfbee1b680fb05c1cc2894666eea691a3234090b962add42': [
+                'b5_a14_3', 'b5_a24_6', 'b6_a14_3', 'b6_a24_6',
+            ],
+            'd4d50bd2c4b73da80d3549315929b8c7798ff9c3f868bd1e949541000cc96396': [
+                'b5_a14_4', 'b5_a24_0', 'b5_a24_1', 'b6_a14_4', 'b6_a24_0',
+                'b6_a24_1',
+            ],
+            '614d1d326242dc40d6cb86a50615d582e8613df16178373b797c788d7d3e4ec2': [
+                'b5_a14_5', 'b5_a24_4', 'b6_a14_5', 'b6_a24_4',
+            ],
+            '15f340c6f038a21e92e7c56b7bf4f2e12b65a095c7d3882d1f173dd6ee44836a': [
+                'b5_a14_6', 'b5_a24_2', 'b6_a14_6', 'b6_a24_2',
+            ],
+        },
+    },
+    't3_ideal 001,021,120,200,212': {
+        'acceptor': '2d69c816a6cd7d53c6ae512d3b5d4ce206beabbd230bdcc8ce07f8ddbd57ec6c',
+        'multipliers': {
+            'f96962d42e818e8316972041b04746c5beab84ef05c67a7317be07727a230cbf': [
+                '',
+            ],
+            '00ff7ee9e93b7c5d5069649633bc43cd5151cf3f6ed252a894dd6d486ea9b797': [
+                'b0_a18_0', 'b0_a18_1', 'b1_a18_0', 'b1_a18_1', 'b2_a18_0',
+                'b2_a18_1', 'b3_a23_4', 'b4_a23_4', 'b5_a1_2', 'b6_a1_2',
+            ],
+            'df595f2115b1fd79489c2bbbb0a6109f078009a51fbf784601c8c90803c0aebc': [
+                'b0_a18_2', 'b1_a18_2', 'b2_a18_2', 'b3_a23_6', 'b4_a23_6',
+                'b5_a1_0', 'b5_a1_1', 'b6_a1_0', 'b6_a1_1',
+            ],
+            '6c907d5a957828cdbeb166ad69b7d8f70cb4822db6a04d90bc31d86b84c34631': [
+                'b0_a18_3', 'b1_a18_3', 'b2_a18_3', 'b3_a23_2', 'b4_a23_2',
+                'b5_a1_4', 'b6_a1_4',
+            ],
+            '8368774efe873c39db1fd268fdbcbce76de82f37683f3bab6eedde897bf770e3': [
+                'b0_a18_4', 'b1_a18_4', 'b2_a18_4', 'b3_a23_5', 'b4_a23_5',
+                'b5_a1_3', 'b6_a1_3',
+            ],
+            '6ceae905a9990995a42cccb6fad9db4eec716f5c9d3cb943875e94a822118e3c': [
+                'b0_a18_5', 'b1_a18_5', 'b2_a18_5', 'b3_a23_0', 'b3_a23_1',
+                'b4_a23_0', 'b4_a23_1', 'b5_a1_6', 'b6_a1_6',
+            ],
+            '213ef79b4fbab1b8442123460319d0e8ceb05246bab3051944a97ef688e2f1b0': [
+                'b0_a18_6', 'b1_a18_6', 'b2_a18_6', 'b3_a23_3', 'b4_a23_3',
+                'b5_a1_5', 'b6_a1_5',
+            ],
+            '6000ddd78723c242f0dcdd3ac62b6c3db1929b09e4bf7753b55494caae03a2ce': [
+                'b0_a1_0', 'b0_a1_1', 'b1_a1_0', 'b1_a1_1', 'b2_a23_6',
+                'b3_a1_0', 'b3_a1_1', 'b4_a18_2', 'b5_a23_6', 'b6_a18_2',
+            ],
+            '1586d24a2c548e88e8aafe1de6c4df0aa0bafe43097ac0f8349cf569fceadd75': [
+                'b0_a1_2', 'b1_a1_2', 'b2_a23_4', 'b3_a1_2', 'b4_a18_0',
+                'b4_a18_1', 'b5_a23_4', 'b6_a18_0', 'b6_a18_1',
+            ],
+            'd3107837dcd671a677f219a080ed53f40685bcf7e8b819e7fa844d6d6b13296c': [
+                'b0_a1_3', 'b1_a1_3', 'b2_a23_5', 'b3_a1_3', 'b4_a18_4',
+                'b5_a23_5', 'b6_a18_4',
+            ],
+            '7a5150bcbf9be733e098de5628ce126856242270dae9b025e3d3568d839199f9': [
+                'b0_a1_4', 'b1_a1_4', 'b2_a23_2', 'b3_a1_4', 'b4_a18_3',
+                'b5_a23_2', 'b6_a18_3',
+            ],
+            '32d22c4a347a120d77e0ad923b428a9f066da392c48895a5ba2c47834ec32f7f': [
+                'b0_a1_5', 'b1_a1_5', 'b2_a23_3', 'b3_a1_5', 'b4_a18_6',
+                'b5_a23_3', 'b6_a18_6',
+            ],
+            '3abc50d752601b70b85b55343804b71f6b3fbd970b16cc323dc1ba7620610a38': [
+                'b0_a1_6', 'b1_a1_6', 'b2_a23_0', 'b2_a23_1', 'b3_a1_6',
+                'b4_a18_5', 'b5_a23_0', 'b5_a23_1', 'b6_a18_5',
+            ],
+            'd1c970557b67b37df7a1006a19d42bac14a0dbc10469fd48b00ff2b1fda76180': [
+                'b0_a23_0', 'b0_a23_1', 'b1_a23_0', 'b1_a23_1', 'b2_a1_6',
+                'b3_a18_5', 'b4_a1_6', 'b5_a18_5', 'b6_a23_0', 'b6_a23_1',
+            ],
+            'c127768752a8a769e06f054aebb05e6cab7d19803d27cc15f604af484e10026a': [
+                'b0_a23_2', 'b1_a23_2', 'b2_a1_4', 'b3_a18_3', 'b4_a1_4',
+                'b5_a18_3', 'b6_a23_2',
+            ],
+            '22d0b2e199250068e03baafdca5c3d4fbe4490e3dad5c9b0fdc0d4064ec0144f': [
+                'b0_a23_3', 'b1_a23_3', 'b2_a1_5', 'b3_a18_6', 'b4_a1_5',
+                'b5_a18_6', 'b6_a23_3',
+            ],
+            '47dcf4d0e3b196e5b6373b671cf06b3662130d2c1604569bb57640f293c57b76': [
+                'b0_a23_4', 'b1_a23_4', 'b2_a1_2', 'b3_a18_0', 'b3_a18_1',
+                'b4_a1_2', 'b5_a18_0', 'b5_a18_1', 'b6_a23_4',
+            ],
+            '66f9837e8b739d595fa8c64675e137b1db66ad34eb2c4ef365640746dfdf02ef': [
+                'b0_a23_5', 'b1_a23_5', 'b2_a1_3', 'b3_a18_4', 'b4_a1_3',
+                'b5_a18_4', 'b6_a23_5',
+            ],
+            'd9767659d2f40b7aa0361e45734c00730776c368743bb9b1b71baa0f3704a4a8': [
+                'b0_a23_6', 'b1_a23_6', 'b2_a1_0', 'b2_a1_1', 'b3_a18_2',
+                'b4_a1_0', 'b4_a1_1', 'b5_a18_2', 'b6_a23_6',
+            ],
+        },
+    },
+    'z6_mod2': {
+        'acceptor': '11ea7762c9368a83496d6719ccfbd0c734b96ea441dae71931de2bd30ffe8146',
+        'multipliers': {
+            '484a6948116ddba33dd549a0679ef176c41c66d7ad324b923a8875cb5f40654b': [
+                '', 'b0_a1_0', 'b0_a1_1', 'b1_a1_0', 'b1_a1_1', 'b2_a1_0',
+                'b2_a1_1',
+            ],
+            '778090c3b608247e9c738059554bb8fe3cf81630ee8081cea5b8714783277ba7': [
+                'b0_a1_2', 'b1_a1_2', 'b2_a1_2',
+            ],
+        },
+    },
+    'ss_z2_trivial': {
+        'acceptor': '24b29e6662268d7f8ade365b634125d39003734391067a5e70c877bb73b84e0d',
+        'multipliers': {
+            '1bccceaef0db6070a0f038262c7bc4ec094f086d3f54c7ee1759f12f18c10fd2': [
+                '', 'b0_a1_1', 'b0_a2_0', 'b0_a2_1', 'b1_a1_0', 'b1_a1_1',
+                'b1_a2_0', 'b1_a2_1',
+            ],
+            '0c310bd3177c311cbb708b6e85d8818bb72c36e3f4a608734bd9314ef073c3a1': [
+                'b0_a1_0',
+            ],
+        },
+    },
+    'ss_z4_z2': {
+        'acceptor': '5c0ea20a4056b045e9e40592bf7d3d15cb827294a1cabf2208fbd1564bc9588b',
+        'multipliers': {
+            '96683ca63a02551bd34a4554bfc4160f677d59e17f8421dcb580ae993db5aed6': [
+                '',
+            ],
+            'b0ff8722ae2f0ea8d4e2d7f3f63e9d4b8b7d15b0cd71af19f4d953cf1d05ed44': [
+                'b0_a1_0', 'b0_a1_1', 'b0_a5_0', 'b0_a5_1', 'b1_a1_0',
+                'b1_a1_1', 'b1_a5_0', 'b1_a5_1',
+            ],
+        },
+    },
+    's3_nonnormal': {
+        'acceptor': '5b4a8f0c120cde7817ce10830264f3ea3a6efb91fe830dbed27b949b1869de5f',
+        'multipliers': {
+            '44a3183e10f3c9f301558314012e3964de7c4d9f3a8a11a4c7b5c3ae05c8033b': [
+                '', 'b0_a2_1', 'b0_a2_2', 'b0_a2_3', 'b0_a2_4', 'b0_a3_0',
+                'b0_a3_1', 'b0_a3_2', 'b0_a3_3', 'b1_a2_0', 'b1_a2_1',
+                'b1_a2_2', 'b1_a2_3', 'b1_a2_4', 'b1_a3_0', 'b1_a3_1',
+                'b1_a3_2', 'b1_a3_3', 'b1_a3_4', 'b2_a2_0', 'b2_a2_1',
+                'b2_a2_2', 'b2_a2_3', 'b2_a2_4', 'b2_a3_0', 'b2_a3_1',
+                'b2_a3_2', 'b2_a3_3', 'b2_a3_4', 'b3_a2_0', 'b3_a2_1',
+                'b3_a2_2', 'b3_a2_3', 'b3_a2_4', 'b3_a3_0', 'b3_a3_1',
+                'b3_a3_2', 'b3_a3_3', 'b3_a3_4', 'b4_a2_0', 'b4_a2_1',
+                'b4_a2_2', 'b4_a2_3', 'b4_a2_4', 'b4_a3_0', 'b4_a3_1',
+                'b4_a3_2', 'b4_a3_3', 'b4_a3_4',
+            ],
+            '2917a9bfa3fbb243d3277e4d45bffe3d1c37e2643b73f4ddadd013fd49233c45': [
+                'b0_a2_0', 'b0_a3_4',
+            ],
+        },
+    },
 }
 
 GOLDEN_WORDS = {
@@ -271,6 +585,19 @@ def test_t3_transfer_matches_golden():
     assert transfer_fingerprints() == GOLDEN_TRANSFER
 
 
+def test_transfer_languages_match_golden():
+    # every key the transfer keeps accepts the pairs it accepted when every
+    # letter was kept; the acceptor's words are the same
+    got = transfer_semantics()
+    assert set(got) == set(GOLDEN_TRANSFER_SEMANTICS)
+    for case, want in GOLDEN_TRANSFER_SEMANTICS.items():
+        assert got[case]["acceptor"] == want["acceptor"], case
+        old, new = ({key: digest for digest, keys in entry["multipliers"].items()
+                     for key in keys} for entry in (want, got[case]))
+        assert set(new) <= set(old), case
+        assert {key: old[key] for key in new} == new, case
+
+
 @pytest.mark.parametrize("inst", fixed_instances(), ids=lambda i: i[0])
 def test_word_verdicts_match_golden(inst):
     name, sem, sub = inst[:3]
@@ -287,7 +614,25 @@ def test_enumerations_match_golden():
     assert enumeration_fingerprints() == GOLDEN_ENUMERATIONS
 
 
+def print_semantics(table: dict) -> None:
+    print("GOLDEN_TRANSFER_SEMANTICS = {")
+    for case, entry in table.items():
+        print(f"    {case!r}: {{")
+        print(f"        'acceptor': {entry['acceptor']!r},")
+        print("        'multipliers': {")
+        for digest, keys in entry["multipliers"].items():
+            print(f"            {digest!r}: [")
+            for line in textwrap.wrap(", ".join(map(repr, keys)) + ",", 60):
+                print(f"                {line}")
+            print("            ],")
+        print("        },")
+        print("    },")
+    print("}")
+
+
 if __name__ == "__main__":
+    print_semantics(transfer_semantics())
+    print()
     print("GOLDEN_TRANSFER = {")
     for key, val in transfer_fingerprints().items():
         print(f"    {key!r}: {val!r},")
