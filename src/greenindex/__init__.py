@@ -61,11 +61,8 @@ from .automatic import (
     AutomaticStructure,
     Nfa,
     PaddedRelationNfa,
-    compose_relations,
     convolve,
     deconvolve,
-    invert,
-    project,
     structure_for_finite,
     transfer_details,
 )

@@ -2,20 +2,19 @@
 
 Word pairs are encoded synchronously: the shorter word is padded at the end
 with "$", and the pair symbol ("$", "$") never occurs.  Relations on words
-are NFAs over that pair alphabet.  Composition of two relations re-reads both
-component relations in lockstep, nondeterministically guessing the shared
-middle track; when the middle word outlives both outer words the remaining
-steps consume no output symbol.  The product is finite, so every silent tail
-is found and composition needs no bound; its result is trimmed to the
-states that are both accessible and co-accessible.  Automata carry no
-epsilon moves: the structure reader and the projection onto one track
-remove them where they arise, in ``_epsilon_free``.
+are NFAs over that pair alphabet.  Automata carry no epsilon moves: the
+structure reader removes them on reading, in ``_epsilon_free``.
 
 A pair alphabet is never listed: ``PairAlphabet`` holds the two track
 alphabets and answers iteration, length, membership and rank from them.
-A transferred structure keeps only the letters that occur in some
-transferred word, and every letter with one evaluation shares one
-multiplier, composed once.
+
+Transfer reads structures with a finite acceptor language over a finite
+semigroup, so it first checks its input exactly, and every multiplier is
+then a finite set of pairs of acceptor words.  The paper's conjugation of
+each multiplier through the rewriting relation is a join of those finite
+sets, and no relation is composed as an automaton.  A transferred structure
+keeps only the letters that occur in some transferred word, and every
+letter with one evaluation shares one multiplier.
 """
 
 from __future__ import annotations
@@ -48,9 +47,9 @@ _LANGUAGE_BOUND = 10_000_000  # the most words _finite_language lists
 class Nfa:
     """A nondeterministic finite automaton without epsilon moves.  The
     alphabet is a tuple of symbols or, for relations, a PairAlphabet.
-    Epsilon moves are removed where they arise (:func:`nfa_from_json` and
-    :func:`project`); a transition whose symbol is None is refused with
-    ``InputError`` by the first operation that reads the transitions."""
+    The reader removes epsilon moves (:func:`nfa_from_json`); a transition
+    whose symbol is None is refused with ``InputError`` by the first
+    operation that reads the transitions."""
 
     alphabet: tuple | PairAlphabet
     n_states: int
@@ -163,35 +162,6 @@ def nfa_from_words(alphabet, words: Iterable[tuple]) -> Nfa:
         transitions=tuple(trans),
         initial=frozenset({0}),
         accepting=frozenset(accepting),
-    )
-
-
-def determinize(nfa: Nfa) -> Nfa:
-    """Complete subset-construction DFA (a dead sink is added if needed);
-    state numbering follows BFS discovery, so the result is canonical."""
-    start = frozenset(nfa.initial)
-    index = {start: 0}
-    order = [start]
-    trans = []
-    pos = 0
-    while pos < len(order):
-        cur = order[pos]
-        for sym in nfa.alphabet:
-            tgt = nfa.step(cur, sym)
-            if tgt not in index:
-                index[tgt] = len(order)
-                order.append(tgt)
-            trans.append((index[cur], sym, index[tgt]))
-        pos += 1
-    accepting = frozenset(
-        index[s] for s in order if s & nfa.accepting
-    )
-    return Nfa(
-        alphabet=nfa.alphabet,
-        n_states=len(order),
-        transitions=tuple(trans),
-        initial=frozenset({0}),
-        accepting=accepting,
     )
 
 
@@ -312,164 +282,13 @@ class PaddedRelationNfa:
         return [deconvolve(w) for w in self.nfa.enumerate_words(max_len)]
 
 
-def invert(rel: PaddedRelationNfa) -> PaddedRelationNfa:
-    rel.nfa._outgoing  # refuses an epsilon move
-    swapped = tuple(
-        (s, (sym[1], sym[0]), d) for s, sym, d in rel.nfa.transitions
-    )
-    return PaddedRelationNfa(
-        left_alphabet=rel.right_alphabet,
-        right_alphabet=rel.left_alphabet,
-        nfa=Nfa(
-            alphabet=PairAlphabet(rel.right_alphabet, rel.left_alphabet),
-            n_states=rel.nfa.n_states,
-            transitions=swapped,
-            initial=rel.nfa.initial,
-            accepting=rel.nfa.accepting,
-        ),
-    )
-
-
-def project(rel: PaddedRelationNfa, track: int) -> Nfa:
-    """Language of one track.  A padded position of that track reads no
-    letter: it is an epsilon move, removed by :func:`_epsilon_free`."""
-    if track not in (1, 2):
-        raise InputError("track must be 1 or 2")
-    base = rel.left_alphabet if track == 1 else rel.right_alphabet
-    rel.nfa._outgoing  # refuses an epsilon move
-    trans = []
-    for s, sym, d in rel.nfa.transitions:
-        comp = sym[track - 1]
-        trans.append((s, None if comp == PAD else comp, d))
-    return _epsilon_free(tuple(base), rel.nfa.n_states, tuple(trans),
-                         rel.nfa.initial, rel.nfa.accepting)
-
-
-def compose_relations(
-    r1: PaddedRelationNfa, r2: PaddedRelationNfa
-) -> PaddedRelationNfa:
-    """Join two relations on their shared middle track.
-
-    A pair (u, w) is accepted iff some middle word v has (u, v) in the first
-    relation and (v, w) in the second.  Both component automata run in
-    lockstep over the output positions; when v is longer than both u and w
-    the machines keep running on silent steps.  The product is finite, so
-    every silent tail is found exactly and no bound on its length is needed.
-    """
-    if set(r1.right_alphabet) != set(r2.left_alphabet):
-        raise AlphabetMismatch("middle alphabets differ")
-    d1, d2 = r1.nfa, r2.nfa
-    out1, out2 = d1._outgoing, d2._outgoing
-    # second machine's transitions grouped by the middle-track component
-    by_mid: list[dict] = []
-    for q in range(d2.n_states):
-        grouped: dict = {}
-        for (y, z), dsts in out2[q].items():
-            grouped.setdefault(y, []).append((z, dsts))
-        by_mid.append(grouped)
-    out_alpha = PairAlphabet(r1.left_alphabet, r2.right_alphabet)
-
-    index: dict = {}
-    order: list = []
-    main_trans = []
-    eps_edges = []
-
-    def state_id(st):
-        if st not in index:
-            index[st] = len(order)
-            order.append(st)
-        return index[st]
-
-    for i1 in sorted(d1.initial):
-        for i2 in sorted(d2.initial):
-            state_id((i1, False, i2, False))
-    initials = frozenset(range(len(order)))
-
-    pos = 0
-    while pos < len(order):
-        q1, f1, q2, f2 = order[pos]
-        if not f1 and not f2:
-            # both machines consume one position of the middle track
-            for (x, y), dsts1 in out1[q1].items():
-                for z, dsts2 in by_mid[q2].get(y, ()):
-                    for t1 in sorted(dsts1):
-                        for t2 in sorted(dsts2):
-                            tid = state_id((t1, False, t2, False))
-                            if x == PAD and z == PAD:
-                                eps_edges.append((pos, tid))
-                            else:
-                                main_trans.append((pos, (x, z), tid))
-        if not f1 and (f2 or q2 in d2.accepting):
-            # the second machine is finished; its pair reads ($, $)
-            for (x, y), dsts1 in out1[q1].items():
-                if y == PAD and x != PAD:
-                    for t1 in sorted(dsts1):
-                        tid = state_id((t1, False, q2, True))
-                        main_trans.append((pos, (x, PAD), tid))
-        if (f1 or q1 in d1.accepting) and not f2:
-            # the first machine is finished; its pair reads ($, $)
-            for (y, z), dsts2 in out2[q2].items():
-                if y == PAD and z != PAD:
-                    for t2 in sorted(dsts2):
-                        tid = state_id((q1, True, t2, False))
-                        main_trans.append((pos, (PAD, z), tid))
-        pos += 1
-
-    # A state accepts iff silent steps lead it to a configuration where
-    # both machines are done.
-    back: dict[int, list[int]] = {}
-    for s, d in eps_edges:
-        back.setdefault(d, []).append(s)
-    accepting = {i for i, (q1, f1, q2, f2) in enumerate(order)
-                 if (f1 or q1 in d1.accepting) and (f2 or q2 in d2.accepting)}
-    stack = list(accepting)
-    while stack:
-        for s in back.get(stack.pop(), ()):
-            if s not in accepting:
-                accepting.add(s)
-                stack.append(s)
-    nfa = Nfa(
-        alphabet=out_alpha,
-        n_states=len(order),
-        transitions=tuple(dict.fromkeys(main_trans)),
-        initial=initials,
-        accepting=frozenset(accepting),
-    )
-    return PaddedRelationNfa(
-        left_alphabet=r1.left_alphabet,
-        right_alphabet=r2.right_alphabet,
-        nfa=_trim(nfa),
-    )
-
-
-def _trim(nfa: Nfa) -> Nfa:
-    """The states that are both accessible and co-accessible, renumbered in
-    their existing order; the language is unchanged."""
-    useful, out = nfa._coaccessible, nfa._outgoing
-    keep = set(nfa.initial & useful)
-    stack = list(keep)
-    while stack:
-        for dsts in out[stack.pop()].values():
-            for d in dsts:
-                if d in useful and d not in keep:
-                    keep.add(d)
-                    stack.append(d)
-    new = {q: i for i, q in enumerate(sorted(keep))}
-    return Nfa(
-        alphabet=nfa.alphabet,
-        n_states=len(new),
-        transitions=tuple((new[s], sym, new[d]) for s, sym, d in nfa.transitions
-                          if s in new and d in new),
-        initial=frozenset(new[q] for q in nfa.initial if q in new),
-        accepting=frozenset(new[q] for q in nfa.accepting if q in new),
-    )
-
-
 def _epsilon_free(alphabet, n_states, transitions, initial, accepting) -> Nfa:
     """The Nfa of an automaton given by its parts, whose transitions may
     carry the symbol None, an epsilon move.  Each state takes the letter
     moves and the acceptance of its epsilon closure, so the language is
-    unchanged.  This is the only place an epsilon closure is computed."""
+    unchanged.  In the library only the reader, :func:`nfa_from_json`,
+    meets epsilon moves, and this is the only place a closure is
+    computed."""
     if any(sym is None for _, sym, _ in transitions):
         out = [dict() for _ in range(n_states)]
         for src, sym, dst in transitions:
@@ -567,37 +386,54 @@ def verify_structure_report(
     st._check_letter_evals(sem)
     if max_len < 0:
         raise InputError(f"max_len {max_len} is negative")
+    evals = {w: st.eval_word(sem, w) for w in st.acceptor.enumerate_words(max_len)}
+    reached = set(evals.values())
+    if reached < set(elems) and any(
+            len(w) > max_len for w in st.acceptor.iter_words()):
+        raise BoundExceeded(
+            f"elements {sorted(set(elems) - reached)} have no acceptor word of"
+            f" length at most max_len {max_len}, and the acceptor has longer"
+            " words")
+    failure, _pairs = _semantic_failure(
+        st, sem, elems, evals, lambda nfa: nfa.enumerate_words(max_len))
+    return (False, failure) if failure else (True, "ok")
+
+
+def _semantic_failure(st, sem, elems, evals, listed):
+    """Compare a structure with its semantic definition over the acceptor
+    words ``evals`` lists, in shortlex order, with their evaluations.
+
+    The words must evaluate onto ``elems``, and each multiplier's strings,
+    as ``listed(nfa)`` gives them, must be exactly the convolutions of its
+    semantic pairs: the listed (u, v) whose evaluations satisfy
+    eval(v) = eval(u)·a for key a, or eval(v) = eval(u) for key "".  Keys
+    are checked in order and each distinct automaton is listed once.
+    Returns the first failure's message, or None, and the pair set each
+    checked multiplier accepts, by key."""
     elem_set = set(elems)
-    words = st.acceptor.enumerate_words(max_len)
-    evals = {}
-    for w in words:
-        e = st.eval_word(sem, w)
+    for w, e in evals.items():
         if e not in elem_set:
-            return False, f"acceptor word {w} evaluates outside the target"
-        evals[w] = e
+            return f"acceptor word {w} evaluates outside the target", {}
     if set(evals.values()) != elem_set:
         missing = sorted(elem_set - set(evals.values()))
-        if any(len(w) > max_len for w in st.acceptor.iter_words()):
-            raise BoundExceeded(
-                f"elements {missing} have no acceptor word of length at most"
-                f" max_len {max_len}, and the acceptor has longer words")
-        return False, f"acceptor is not onto; missing elements {missing}"
-    position = {w: i for i, w in enumerate(words)}
+        return f"acceptor is not onto; missing elements {missing}", {}
+    position = {w: i for i, w in enumerate(evals)}
     by_eval: dict[int, list] = {}
-    for w in words:
-        by_eval.setdefault(evals[w], []).append(w)
+    for w, e in evals.items():
+        by_eval.setdefault(e, []).append(w)
     strings: dict[int, list] = {}  # by id(nfa): letters may share one
+    pair_sets: dict[str, set] = {}
     for key, rel in sorted(st.multipliers.items()):
         factor = st.letter_eval[key] if key else sem.order
         semantic = {
-            (u, v) for u in words
-            for v in by_eval.get(sem.mul1(evals[u], factor), ())
+            (u, v) for u, e in evals.items()
+            for v in by_eval.get(sem.mul1(e, factor), ())
         }
-        # one enumeration gives the accepted pairs and the first stray string
+        # one listing gives the accepted pairs and the first stray string
         accepted = set()
         stray = None
         if id(rel.nfa) not in strings:
-            strings[id(rel.nfa)] = rel.nfa.enumerate_words(max_len)
+            strings[id(rel.nfa)] = listed(rel.nfa)
         for s in strings[id(rel.nfa)]:
             try:
                 u, v = deconvolve(s)
@@ -615,13 +451,14 @@ def verify_structure_report(
         wrong = semantic ^ accepted
         if wrong:
             u, v = min(wrong, key=lambda p: (position[p[0]], position[p[1]]))
-            return False, (
+            return (
                 f"multiplier {key!r} disagrees on pair ({u}, {v}):"
                 f" semantic={(u, v) in semantic} accepted={(u, v) in accepted}"
-            )
+            ), {}
         if stray is not None:
-            return False, stray
-    return True, "ok"
+            return stray, {}
+        pair_sets[key] = accepted
+    return None, pair_sets
 
 
 @dataclass(frozen=True)
@@ -674,63 +511,88 @@ def transfer_details(
 ) -> TransferResult:
     """Build an automatic structure for the subsemigroup from one for S.
 
-    The restricted relation pairs each acceptor word evaluating into T with
-    its unique transferred word, named by the two-pass push, with letters
-    evaluating to the adjoined identity dropped; it is built pair by pair.
-    The structure keeps the letters that occur in some transferred word,
-    which are exactly the letters on accepting paths of the new acceptor.
-    The new acceptor is the right projection of that relation, and
-    each multiplier is the original multiplier of a word for the letter,
-    conjugated through the relation; every composition is trimmed.  A
-    letter evaluating outside S is ``OutOfRange``.
+    The input must have a finite acceptor language, and it is checked
+    exactly against S over that language: the acceptor must be onto S, and
+    each multiplier must accept exactly its semantic pairs of acceptor
+    words, no other string, and nothing longer than the longest acceptor
+    word.  The first failure is an ``InputError``; a letter evaluating
+    outside S is ``OutOfRange``.
+
+    The restricted relation R pairs each acceptor word evaluating into T
+    with its unique transferred word, named by the two-pass push, with
+    letters evaluating to the adjoined identity dropped; it is built pair
+    by pair.  The structure keeps the letters that occur in some transferred
+    word, and its acceptor lists the transferred words.  The multiplier of
+    a letter b is R⁻¹ ∘ M_w ∘ R, for w the shortlex-first acceptor word of
+    b's evaluation: the checked pair sets are joined along w, so M_w(u) is
+    followed through them, and each pair (R(u), R(u')) with u and u' in the
+    domain of R is kept.  Letters with one evaluation share one multiplier.
     """
     sem = green.sem
     st._check_letter_evals(sem)
     green._check_built_from(sub, conn=conn)
     letters = _transfer_letters(st, green, conn)
 
-    # Pair every acceptor word with its transferred word, and note the
+    words = _finite_language(st.acceptor)
+    longest = max(map(len, words), default=0)
+
+    def listed(nfa):
+        # a string longer than every acceptor word ends the listing: it
+        # cannot be an acceptor pair, so the check refuses it as a stray
+        out = []
+        for s in nfa.iter_words():
+            out.append(s)
+            if len(s) > longest:
+                break
+        return out
+
+    evals = {u: st.eval_word(sem, u) for u in words}
+    failure, pair_sets = _semantic_failure(st, sem, sem.elements, evals, listed)
+    if failure:
+        raise InputError(f"structure does not verify against S: {failure}")
+
+    # Pair every acceptor word in T with its transferred word, and note the
     # shortlex-first word of each evaluation.
     pairs = []
     first_word: dict[int, tuple] = {}
-    for u in _finite_language(st.acceptor):
-        first_word.setdefault(st.eval_word(sem, u), u)
+    for u in words:
+        first_word.setdefault(evals[u], u)
         pair = _rewrite_pair(st, green, conn, letters, u)
         if pair is not None:
             pairs.append(pair)
     used = {b for _u, v in pairs for b in v}
     kept = tuple(a for a in letters.names if a in used)
     restricted = PaddedRelationNfa.from_pairs(st.alphabet, kept, pairs)
+    partner = dict(pairs)
 
-    acceptor = determinize(project(restricted, 2))
-    evals = {a: letters.evals[a] for a in kept}
-    multipliers: dict[str, PaddedRelationNfa] = {}
-    inv = invert(restricted)
-    multipliers[""] = compose_relations(
-        inv, compose_relations(st.multipliers[""], restricted))
-    # Letters with one evaluation share the multiplier of its first word,
-    # ((M_w0 . M_w1) . ...), each prefix of a first word composed once.
+    # each checked multiplier as a successor map over the acceptor words;
+    # conjugate(w) follows every u in the domain of R through w's maps
+    succ: dict[str, dict[tuple, list]] = {}
+    for key, accepted in pair_sets.items():
+        succ[key] = {}
+        for u, v in accepted:
+            succ[key].setdefault(u, []).append(v)
+
+    def conjugate(w):
+        out = []
+        for u, ru in partner.items():
+            ends = {u}
+            for a in w:
+                ends = {v for x in ends for v in succ[a].get(x, ())}
+            out.extend((ru, partner[v]) for v in ends if v in partner)
+        return PaddedRelationNfa.from_pairs(kept, kept, out)
+
+    multipliers = {"": conjugate(("",))}
     by_eval: dict[int, PaddedRelationNfa] = {}
-    chain = {(a,): st.multipliers[a] for a in st.alphabet}
     for b in kept:
-        target = evals[b]
+        target = letters.evals[b]
         if target not in by_eval:
-            w = first_word.get(target)
-            if w is None:
-                raise InternalInconsistency(
-                    f"no acceptor word evaluates to {target}"
-                )
-            for k in range(2, len(w) + 1):
-                if w[:k] not in chain:
-                    chain[w[:k]] = compose_relations(
-                        chain[w[:k - 1]], st.multipliers[w[k - 1]])
-            by_eval[target] = compose_relations(
-                inv, compose_relations(chain[w], restricted))
+            by_eval[target] = conjugate(first_word[target])
         multipliers[b] = by_eval[target]
     structure = AutomaticStructure(
         alphabet=kept,
-        letter_eval=evals,
-        acceptor=acceptor,
+        letter_eval={a: letters.evals[a] for a in kept},
+        acceptor=nfa_from_words(kept, partner.values()),
         multipliers=multipliers,
     )
     return TransferResult(
@@ -810,7 +672,8 @@ def nfa_from_json(data: dict) -> Nfa:
     """Read an automaton written by :func:`nfa_to_json`.  A transition's
     null symbol is an epsilon move, removed on reading by
     :func:`_epsilon_free`.  Raises ``InputError`` unless ``states`` is a
-    nonnegative int (not a bool), every state id an int in [0, states), the
+    nonnegative int (not a bool), every state id an int in [0, states),
+    ``states`` at most one more than the largest state id that occurs, the
     alphabet, transitions, initial and accepting states lists, and every
     other symbol a string or a two-string pair."""
     n = data.get("states") if isinstance(data, dict) else None
@@ -836,8 +699,14 @@ def nfa_from_json(data: dict) -> Nfa:
         return frozenset(_check_index(q, n, f"{key} state")
                          for q in _field(data, key, list, "automaton"))
 
-    return _epsilon_free(alphabet, n, tuple(trans), states("initial"),
-                         states("accepting"))
+    initial, accepting = states("initial"), states("accepting")
+    # a state no id names is never used, and each one costs memory
+    used = 1 + max([q for s, _sym, d in trans for q in (s, d)]
+                   + [*initial, *accepting], default=-1)
+    if n > used:
+        raise InputError(
+            f"automaton 'states' {n} is more than the {used} its state ids use")
+    return _epsilon_free(alphabet, n, tuple(trans), initial, accepting)
 
 
 def structure_to_json(st: AutomaticStructure) -> dict:

@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import functools
 import random
+from dataclasses import replace
 
 from greenindex import (
     automatic, core, factories, growth, present, relgreen, schutz,
 )
-from greenindex.automatic import PAD
+from greenindex.automatic import (
+    PAD,
+    Nfa,
+    PaddedRelationNfa,
+    PairAlphabet,
+    _epsilon_free,
+)
 from greenindex.errors import (
+    AlphabetMismatch,
     EmptyGenerators,
     GreenIndexError,
     HypothesisFails,
@@ -439,6 +447,272 @@ def reference_determinize(alphabet, transitions, initial, accepting):
         accepting=frozenset(index[s] for s in order
                             if not s.isdisjoint(accepting)),
     )
+
+
+# The rational-relation algebra: the paper's construction of a transferred
+# structure, R^-1 . M_w . R composed as automata.  automatic.transfer_details
+# joins finite pair sets instead; reference_transfer below is its
+# differential reference.
+
+
+def determinize(nfa: Nfa) -> Nfa:
+    """Complete subset-construction DFA (a dead sink is added if needed);
+    state numbering follows BFS discovery, so the result is canonical."""
+    start = frozenset(nfa.initial)
+    index = {start: 0}
+    order = [start]
+    trans = []
+    pos = 0
+    while pos < len(order):
+        cur = order[pos]
+        for sym in nfa.alphabet:
+            tgt = nfa.step(cur, sym)
+            if tgt not in index:
+                index[tgt] = len(order)
+                order.append(tgt)
+            trans.append((index[cur], sym, index[tgt]))
+        pos += 1
+    accepting = frozenset(
+        index[s] for s in order if s & nfa.accepting
+    )
+    return Nfa(
+        alphabet=nfa.alphabet,
+        n_states=len(order),
+        transitions=tuple(trans),
+        initial=frozenset({0}),
+        accepting=accepting,
+    )
+
+
+def invert(rel: PaddedRelationNfa) -> PaddedRelationNfa:
+    rel.nfa._outgoing  # refuses an epsilon move
+    swapped = tuple(
+        (s, (sym[1], sym[0]), d) for s, sym, d in rel.nfa.transitions
+    )
+    return PaddedRelationNfa(
+        left_alphabet=rel.right_alphabet,
+        right_alphabet=rel.left_alphabet,
+        nfa=Nfa(
+            alphabet=PairAlphabet(rel.right_alphabet, rel.left_alphabet),
+            n_states=rel.nfa.n_states,
+            transitions=swapped,
+            initial=rel.nfa.initial,
+            accepting=rel.nfa.accepting,
+        ),
+    )
+
+
+def project(rel: PaddedRelationNfa, track: int) -> Nfa:
+    """Language of one track.  A padded position of that track reads no
+    letter: it is an epsilon move, removed by ``automatic._epsilon_free``."""
+    if track not in (1, 2):
+        raise InputError("track must be 1 or 2")
+    base = rel.left_alphabet if track == 1 else rel.right_alphabet
+    rel.nfa._outgoing  # refuses an epsilon move
+    trans = []
+    for s, sym, d in rel.nfa.transitions:
+        comp = sym[track - 1]
+        trans.append((s, None if comp == PAD else comp, d))
+    return _epsilon_free(tuple(base), rel.nfa.n_states, tuple(trans),
+                         rel.nfa.initial, rel.nfa.accepting)
+
+
+def compose_relations(
+    r1: PaddedRelationNfa, r2: PaddedRelationNfa
+) -> PaddedRelationNfa:
+    """Join two relations on their shared middle track.
+
+    A pair (u, w) is accepted iff some middle word v has (u, v) in the first
+    relation and (v, w) in the second.  Both component automata run in
+    lockstep over the output positions; when v is longer than both u and w
+    the machines keep running on silent steps.  The product is finite, so
+    every silent tail is found exactly and no bound on its length is needed.
+    """
+    if set(r1.right_alphabet) != set(r2.left_alphabet):
+        raise AlphabetMismatch("middle alphabets differ")
+    d1, d2 = r1.nfa, r2.nfa
+    out1, out2 = d1._outgoing, d2._outgoing
+    # second machine's transitions grouped by the middle-track component
+    by_mid: list[dict] = []
+    for q in range(d2.n_states):
+        grouped: dict = {}
+        for (y, z), dsts in out2[q].items():
+            grouped.setdefault(y, []).append((z, dsts))
+        by_mid.append(grouped)
+    out_alpha = PairAlphabet(r1.left_alphabet, r2.right_alphabet)
+
+    index: dict = {}
+    order: list = []
+    main_trans = []
+    eps_edges = []
+
+    def state_id(st):
+        if st not in index:
+            index[st] = len(order)
+            order.append(st)
+        return index[st]
+
+    for i1 in sorted(d1.initial):
+        for i2 in sorted(d2.initial):
+            state_id((i1, False, i2, False))
+    initials = frozenset(range(len(order)))
+
+    pos = 0
+    while pos < len(order):
+        q1, f1, q2, f2 = order[pos]
+        if not f1 and not f2:
+            # both machines consume one position of the middle track
+            for (x, y), dsts1 in out1[q1].items():
+                for z, dsts2 in by_mid[q2].get(y, ()):
+                    for t1 in sorted(dsts1):
+                        for t2 in sorted(dsts2):
+                            tid = state_id((t1, False, t2, False))
+                            if x == PAD and z == PAD:
+                                eps_edges.append((pos, tid))
+                            else:
+                                main_trans.append((pos, (x, z), tid))
+        if not f1 and (f2 or q2 in d2.accepting):
+            # the second machine is finished; its pair reads ($, $)
+            for (x, y), dsts1 in out1[q1].items():
+                if y == PAD and x != PAD:
+                    for t1 in sorted(dsts1):
+                        tid = state_id((t1, False, q2, True))
+                        main_trans.append((pos, (x, PAD), tid))
+        if (f1 or q1 in d1.accepting) and not f2:
+            # the first machine is finished; its pair reads ($, $)
+            for (y, z), dsts2 in out2[q2].items():
+                if y == PAD and z != PAD:
+                    for t2 in sorted(dsts2):
+                        tid = state_id((q1, True, t2, False))
+                        main_trans.append((pos, (PAD, z), tid))
+        pos += 1
+
+    # A state accepts iff silent steps lead it to a configuration where
+    # both machines are done.
+    back: dict[int, list[int]] = {}
+    for s, d in eps_edges:
+        back.setdefault(d, []).append(s)
+    accepting = {i for i, (q1, f1, q2, f2) in enumerate(order)
+                 if (f1 or q1 in d1.accepting) and (f2 or q2 in d2.accepting)}
+    stack = list(accepting)
+    while stack:
+        for s in back.get(stack.pop(), ()):
+            if s not in accepting:
+                accepting.add(s)
+                stack.append(s)
+    nfa = Nfa(
+        alphabet=out_alpha,
+        n_states=len(order),
+        transitions=tuple(dict.fromkeys(main_trans)),
+        initial=initials,
+        accepting=frozenset(accepting),
+    )
+    return PaddedRelationNfa(
+        left_alphabet=r1.left_alphabet,
+        right_alphabet=r2.right_alphabet,
+        nfa=trim(nfa),
+    )
+
+
+def trim(nfa: Nfa) -> Nfa:
+    """The states that are both accessible and co-accessible, renumbered in
+    their existing order; the language is unchanged."""
+    useful, out = nfa._coaccessible, nfa._outgoing
+    keep = set(nfa.initial & useful)
+    stack = list(keep)
+    while stack:
+        for dsts in out[stack.pop()].values():
+            for d in dsts:
+                if d in useful and d not in keep:
+                    keep.add(d)
+                    stack.append(d)
+    new = {q: i for i, q in enumerate(sorted(keep))}
+    return Nfa(
+        alphabet=nfa.alphabet,
+        n_states=len(new),
+        transitions=tuple((new[s], sym, new[d]) for s, sym, d in nfa.transitions
+                          if s in new and d in new),
+        initial=frozenset(new[q] for q in nfa.initial if q in new),
+        accepting=frozenset(new[q] for q in nfa.accepting if q in new),
+    )
+
+
+def reference_transfer(st, green, conn):
+    """The transferred structure by composition of relations, without the
+    input check.  R pairs each acceptor word in T with its partner from
+    ``reference_rewrite_pair``, and the kept letters are those on some
+    partner.  The acceptor is the determinized right projection of R, and
+    the multiplier of each kept letter b is R^-1 . M_w . R, for w the
+    shortlex-first acceptor word of b's evaluation and M_w the composed
+    chain of its letters' multipliers."""
+    letters = automatic._transfer_letters(st, green, conn)
+    pairs, first_word = [], {}
+    for u in st.acceptor.iter_words():
+        first_word.setdefault(st.eval_word(green.sem, u), u)
+        pair = reference_rewrite_pair(st, green, conn, letters, u)
+        if pair is not None:
+            pairs.append(pair)
+    used = {b for _u, v in pairs for b in v}
+    kept = tuple(b for b in letters.names if b in used)
+    restricted = PaddedRelationNfa.from_pairs(st.alphabet, kept, pairs)
+    inv = invert(restricted)
+
+    def conjugate(rel):
+        return compose_relations(inv, compose_relations(rel, restricted))
+
+    multipliers = {"": conjugate(st.multipliers[""])}
+    for b in kept:
+        w = first_word[letters.evals[b]]
+        rel = st.multipliers[w[0]]
+        for a in w[1:]:
+            rel = compose_relations(rel, st.multipliers[a])
+        multipliers[b] = conjugate(rel)
+    return automatic.AutomaticStructure(
+        alphabet=kept,
+        letter_eval={b: letters.evals[b] for b in kept},
+        acceptor=determinize(project(restricted, 2)),
+        multipliers=multipliers,
+    )
+
+
+def invalid_transfer_inputs():
+    """Structures for Z6 from the letter a1 -> 1 that ``transfer_details``
+    must refuse, by name, each with the failure its check names.  The valid
+    structure's longest acceptor word is a1^6.  "dropped" lacks the first
+    pair of a1's multiplier, "outside" adds the pair ((), a1), "longer"
+    loops (a1, a1) on the start of a1's multiplier, which adds only
+    semantically right pairs, all longer than a1^6, and "not_onto" drops
+    a1 from the acceptor."""
+    z6 = factories.zmod(6)
+    st = automatic.structure_for_finite(z6, [1])
+    alpha = st.alphabet
+    pairs = st.multipliers["a1"].pairs(6)
+    trie = st.multipliers["a1"].nfa
+    looped = Nfa(alphabet=trie.alphabet, n_states=trie.n_states,
+                 transitions=trie.transitions + ((0, ("a1", "a1"), 0),),
+                 initial=trie.initial, accepting=trie.accepting)
+    a1 = {
+        "dropped": PaddedRelationNfa.from_pairs(alpha, alpha, pairs[1:]),
+        "outside": PaddedRelationNfa.from_pairs(
+            alpha, alpha, pairs + [((), ("a1",))]),
+        "longer": PaddedRelationNfa(alpha, alpha, looped),
+    }
+    out = {name: replace(st, multipliers={**st.multipliers, "a1": rel})
+           for name, rel in a1.items()}
+    out["not_onto"] = replace(st, acceptor=automatic.nfa_from_words(
+        alpha, st.acceptor.enumerate_words(6)[1:]))
+    seven = ("a1",) * 7
+    reasons = {
+        "dropped": "multiplier 'a1' disagrees on pair (('a1',), ('a1', 'a1')):"
+                   " semantic=True accepted=False",
+        "outside": "multiplier 'a1' accepts pair outside the acceptor"
+                   " ((), ('a1',))",
+        "longer": "multiplier 'a1' accepts pair outside the acceptor"
+                  f" ({seven[1:]}, {seven})",
+        "not_onto": "acceptor is not onto; missing elements [1]",
+    }
+    return {name: (out[name], f"structure does not verify against S: {why}")
+            for name, why in reasons.items()}
 
 
 def transfer_relation(st, green, conn, letters):

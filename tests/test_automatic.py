@@ -4,17 +4,24 @@ from itertools import product
 
 import pytest
 from helpers import (
+    compose_relations,
+    determinize,
     fixed_instances,
+    invalid_transfer_inputs,
+    invert,
     is_padding_valid,
     nonperm_ideal,
+    project,
     random_pairs,
     reference_accepts,
     reference_determinize,
     reference_rewrite_pair,
+    reference_transfer,
     reference_transfer_relation,
     reference_verify_structure_report,
     small_tables,
     transfer_relation,
+    trim,
     tuple_pair_alphabet,
 )
 from hypothesis import given, settings
@@ -68,7 +75,7 @@ def test_determinize_accepts_same_words_and_is_deterministic():
         "transitions": [list(t) for t in trans],
         "initial": [0], "accepting": [2]})
     for nfa in (words, branching):
-        dfa = au.determinize(nfa)
+        dfa = determinize(nfa)
         for w in words_upto(("a", "b"), 6):
             assert dfa.accepts(w) == nfa.accepts(w), w
         assert len(dfa.initial) == 1
@@ -83,9 +90,9 @@ def test_invert_is_involution():
     rel = au.PaddedRelationNfa.from_pairs(
         ("a",), ("b",), [(("a",), ("b", "b")), (("a", "a"), ())]
     )
-    double = au.invert(au.invert(rel))
+    double = invert(invert(rel))
     assert sorted(double.pairs(6)) == sorted(rel.pairs(6))
-    assert au.invert(rel).accepts_pair(("b", "b"), ("a",))
+    assert invert(rel).accepts_pair(("b", "b"), ("a",))
 
 
 def test_padding_validity():
@@ -153,7 +160,7 @@ def test_epsilon_moves_are_refused():
     start = frozenset({0})
     for op in (lambda: nfa.step(start, "a"), lambda: nfa.accepts(("a",)),
                nfa.is_empty, lambda: next(nfa.iter_words()),
-               lambda: nfa.enumerate_words(2), lambda: au.determinize(nfa)):
+               lambda: nfa.enumerate_words(2), lambda: determinize(nfa)):
         with pytest.raises(InputError, match="epsilon"):
             op()
     pairs = au.PairAlphabet(("a",), ("a",))
@@ -162,9 +169,9 @@ def test_epsilon_moves_are_refused():
         transitions=((0, ("a", "a"), 1), (1, None, 0)),
         initial=frozenset({0}), accepting=frozenset({1})))
     fine = au.PaddedRelationNfa.from_pairs(("a",), ("a",), [(("a",), ("a",))])
-    for op in (lambda: au.invert(rel), lambda: au.project(rel, 1),
-               lambda: au.compose_relations(rel, fine),
-               lambda: au.compose_relations(fine, rel)):
+    for op in (lambda: invert(rel), lambda: project(rel, 1),
+               lambda: compose_relations(rel, fine),
+               lambda: compose_relations(fine, rel)):
         with pytest.raises(InputError, match="epsilon"):
             op()
 
@@ -184,9 +191,11 @@ def epsilon_automata(draw):
 @settings(max_examples=200, deadline=None)
 @given(epsilon_automata())
 def test_reader_removes_epsilon_moves(parts):
-    n, trans, initial, accepting = parts
+    _n, trans, initial, accepting = parts
+    # the reader refuses states that no id names
+    ids = [q for s, _sym, d in trans for q in (s, d)] + [*initial, *accepting]
     nfa = au.nfa_from_json({
-        "states": n, "alphabet": ["a", "b"],
+        "states": 1 + max(ids, default=-1), "alphabet": ["a", "b"],
         "transitions": [list(t) for t in trans],
         "initial": sorted(initial), "accepting": sorted(accepting)})
     assert all(sym is not None for _s, sym, _d in nfa.transitions)
@@ -204,21 +213,21 @@ def test_projected_convolutions_determinize_as_with_closures(pairs):
     # epsilon-free projection is the one built from closed subsets
     rel = au.PaddedRelationNfa.from_pairs(("a", "b"), ("x", "y"), pairs)
     for track in (1, 2):
-        proj = au.project(rel, track)
+        proj = project(rel, track)
         assert all(sym is not None for _s, sym, _d in proj.transitions)
         raw = tuple((s, None if sym[track - 1] == au.PAD else sym[track - 1], d)
                     for s, sym, d in rel.nfa.transitions)
         want = reference_determinize(proj.alphabet, raw, rel.nfa.initial,
                                      rel.nfa.accepting)
-        assert au.nfa_to_json(au.determinize(proj)) == au.nfa_to_json(want)
+        assert au.nfa_to_json(determinize(proj)) == au.nfa_to_json(want)
 
 
 def test_projection_tracks():
     rel = au.PaddedRelationNfa.from_pairs(
         ("a",), ("b",), [(("a",), ("b", "b")), (("a", "a", "a"), ("b",))]
     )
-    left = au.project(rel, 1)
-    right = au.project(rel, 2)
+    left = project(rel, 1)
+    right = project(rel, 2)
     assert set(left.enumerate_words(5)) == {("a",), ("a", "a", "a")}
     assert set(right.enumerate_words(5)) == {("b", "b"), ("b",)}
 
@@ -232,12 +241,12 @@ def test_compose_matches_brute_force_join(z6):
     st = au.structure_for_finite(z6, [1])
     rel = st.multipliers["a1"]
     ident = st.multipliers[""]
-    comp = au.compose_relations(ident, rel)
+    comp = compose_relations(ident, rel)
     assert sorted(comp.pairs(7)) == sorted(rel.pairs(7))
-    twice = au.compose_relations(rel, rel)
+    twice = compose_relations(rel, rel)
     assert sorted(twice.pairs(7)) == brute_compose(rel, rel, 8)
-    inv = au.invert(rel)
-    round_trip = au.compose_relations(rel, inv)
+    inv = invert(rel)
+    round_trip = compose_relations(rel, inv)
     for u, _v in rel.pairs(7):
         assert round_trip.accepts_pair(u, u)
 
@@ -270,10 +279,10 @@ def test_compose_long_middle_needs_delay():
     # the middle word b^5 outlives both outer words by a silent tail of 4
     r1 = au.PaddedRelationNfa.from_pairs(("a",), ("b",), [(("a",), ("b",) * 5)])
     r2 = au.PaddedRelationNfa.from_pairs(("b",), ("a",), [(("b",) * 5, ("a",))])
-    composed = au.compose_relations(r1, r2)
+    composed = compose_relations(r1, r2)
     assert composed.pairs(4) == brute_compose(r1, r2, 5) == [(("a",), ("a",))]
     with pytest.raises(AlphabetMismatch):
-        au.compose_relations(r1, r1)
+        compose_relations(r1, r1)
 
 
 def test_structure_for_trivial_semigroup():
@@ -467,51 +476,19 @@ def test_shared_multiplier_is_composed_from_first_word(t3_transfer):
     st, _ideal, green, res = t3_transfer
     sem = green.sem
     restricted = res.restricted_relation
-    inv = au.invert(restricted)
+    inv = invert(restricted)
+    longest = max(map(len, au._finite_language(res.structure.acceptor)))
     for b in res.structure.alphabet:
         target = res.structure.letter_eval[b]
         w = next(c for c in st.acceptor.iter_words()
                  if st.eval_word(sem, c) == target)
         rel = st.multipliers[w[0]]
         for a in w[1:]:
-            rel = au.compose_relations(rel, st.multipliers[a])
-        want = au.compose_relations(
-            inv, au.compose_relations(rel, restricted))
+            rel = compose_relations(rel, st.multipliers[a])
+        want = compose_relations(
+            inv, compose_relations(rel, restricted))
         got = res.structure.multipliers[b]
-        assert au.nfa_to_json(got.nfa) == au.nfa_to_json(want.nfa), b
-
-
-def test_transfer_composes_each_first_word_prefix_once(monkeypatch):
-    # first words sharing a prefix share its composed chain; each chain
-    # used to be composed from scratch
-    t3, ideal = nonperm_ideal(3)
-    calls = []
-    real = au.compose_relations
-
-    def counting(r1, r2):
-        calls.append(None)
-        out = real(r1, r2)
-        assert is_trim(out.nfa)
-        return out
-
-    monkeypatch.setattr(au, "compose_relations", counting)
-    chains = 0
-    for names in (("021", "102", "122"), ("021", "112", "210", "220"),
-                  ("001", "021", "120", "200", "212")):
-        st, green, conn = transfer_setup(
-            t3, ideal, [t3.names.index(m) for m in names])
-        calls.clear()
-        res = au.transfer_details(st, ideal, green, conn)
-        first = {}
-        for w in st.acceptor.iter_words():
-            first.setdefault(st.eval_word(t3, w), w)
-        targets = set(res.structure.letter_eval.values())
-        prefixes = {first[t][:k] for t in targets
-                    for k in range(2, len(first[t]) + 1)}
-        # two more compositions conjugate each distinct multiplier, ""'s too
-        assert len(calls) == len(prefixes) + 2 * (len(targets) + 1)
-        chains += len(prefixes)
-    assert chains == 43
+        assert sorted(got.pairs(longest)) == sorted(want.pairs(longest)), b
 
 
 def useful_states(nfa):
@@ -553,7 +530,7 @@ def letter_automata(draw):
 @settings(max_examples=200, deadline=None)
 @given(letter_automata())
 def test_trim_keeps_the_useful_states_in_order(nfa):
-    trimmed = au._trim(nfa)
+    trimmed = trim(nfa)
     for w in words_upto(("a", "b"), 4):
         assert trimmed.accepts(w) == reference_accepts(
             nfa.transitions, nfa.initial, nfa.accepting, w), w
@@ -565,21 +542,13 @@ def test_trim_keeps_the_useful_states_in_order(nfa):
         (s, sym, d) for s, sym, d in nfa.transitions if s in old and d in old]
     assert {old[q] for q in trimmed.initial} == nfa.initial & set(old)
     assert {old[q] for q in trimmed.accepting} == nfa.accepting & set(old)
-    assert au._trim(trimmed) == trimmed
+    assert trim(trimmed) == trimmed
 
 
-def test_transfers_of_random_pairs_write_small_structures(monkeypatch):
+def test_transfers_of_random_pairs_write_small_structures():
     # pairs 17 and 23 kept 507 and 1344 letters, and writing their
     # structures ran out of memory under a 1.5 GB cap; a transfer keeps only
-    # the letters of its transferred words, and trims every composition
-    real = au.compose_relations
-
-    def checked(r1, r2):
-        out = real(r1, r2)
-        assert is_trim(out.nfa)
-        return out
-
-    monkeypatch.setattr(au, "compose_relations", checked)
+    # the letters of its transferred words
     for sem, sub in random_pairs(25):
         struct, green, conn = transfer_setup(
             sem, sub, schutz.find_generating_set(sem))
@@ -589,6 +558,52 @@ def test_transfers_of_random_pairs_write_small_structures(monkeypatch):
         assert {b for w in words for b in w} == set(res.alphabet)
         longest = max(map(len, words))
         assert au.verify_structure_report(res, sub, longest) == (True, "ok")
+
+
+def _join_cases():
+    """(S, T, generators of S): T3 over its ideal from the benchmark's sets
+    and from ``find_generating_set``, the fixed instances from their CLI
+    golden generators, ``random_pairs(25)`` from ``find_generating_set``,
+    and S4 over <(12)>."""
+    t3, ideal = nonperm_ideal(3)
+    for names in BENCH_T3_SETS:
+        yield t3, ideal, [t3.names.index(m) for m in names]
+    yield t3, ideal, list(schutz.find_generating_set(t3))
+    for _n, sem, sub, a_gens, _b in fixed_instances():
+        yield sem, sub, list(a_gens)
+    for sem, sub in random_pairs(25):
+        yield sem, sub, list(schutz.find_generating_set(sem))
+    s4 = factories.symmetric_group(4)
+    yield s4, core.closure(s4, [s4.names.index("1023")]), [0, 1, 2, 6]
+
+
+def test_transfer_joins_as_the_reference_composes():
+    cases = 0
+    for sem, sub, gens in _join_cases():
+        struct, green, conn = transfer_setup(sem, sub, gens)
+        got = au.transfer_details(struct, sub, green, conn).structure
+        want = reference_transfer(struct, green, conn)
+        assert got.alphabet == want.alphabet
+        assert got.letter_eval == want.letter_eval
+        words = au._finite_language(got.acceptor)
+        assert words == au._finite_language(want.acceptor)
+        longest = max(map(len, words))
+        for key, rel in want.multipliers.items():
+            assert sorted(got.multipliers[key].pairs(longest)) == \
+                sorted(rel.pairs(longest)), key
+        cases += 1
+    assert cases == 3 + 1 + 4 + 25 + 1
+
+
+@pytest.mark.parametrize("case", sorted(invalid_transfer_inputs()))
+def test_transfer_refuses_a_structure_that_does_not_verify(z6, t03, case):
+    # each of these used to transfer without complaint, and the dropped
+    # pair gave a transferred structure that does not verify
+    bad, message = invalid_transfer_inputs()[case]
+    green = relgreen.relative_green(z6, t03)
+    with pytest.raises(InputError) as info:
+        au.transfer_details(bad, t03, green, relgreen.connectors(green))
+    assert str(info.value) == message
 
 
 def _t3_ideal_setups():
@@ -877,7 +892,7 @@ def test_multiplier_projections_fall_inside_acceptor(z6):
     l_words = set(st_z6.acceptor.enumerate_words(8))
     for key, rel in st_z6.multipliers.items():
         for track in (1, 2):
-            proj = au.project(rel, track)
+            proj = project(rel, track)
             assert set(proj.enumerate_words(8)) <= l_words
 
 
@@ -885,9 +900,26 @@ def test_padding_validity_preserved_by_operations(z6):
     st_z6 = au.structure_for_finite(z6, [1])
     rel = st_z6.multipliers["a1"]
     assert is_padding_valid(rel)
-    assert is_padding_valid(au.invert(rel))
-    composed = au.compose_relations(rel, au.invert(rel))
+    assert is_padding_valid(invert(rel))
+    composed = compose_relations(rel, invert(rel))
     assert is_padding_valid(composed)
+
+
+def test_reader_refuses_states_that_no_id_names(z6):
+    # 10**9 declared states used to allocate a transition map each and run
+    # out of memory
+    data = au.nfa_to_json(au.structure_for_finite(z6, [1]).acceptor)
+    assert au.nfa_from_json(data).n_states == data["states"] == 7
+    for n in (8, 10 ** 9):
+        with pytest.raises(InputError, match=f"^automaton 'states' {n} is"
+                                             " more than the 7 its state ids"
+                                             " use$"):
+            au.nfa_from_json({**data, "states": n})
+    empty = {"states": 1, "alphabet": [], "transitions": [], "initial": [],
+             "accepting": []}
+    with pytest.raises(InputError, match="'states' 1 is more than the 0"):
+        au.nfa_from_json(empty)
+    assert au.nfa_from_json({**empty, "states": 0}).is_empty()
 
 
 def test_nfa_json_round_trip(z6):

@@ -7,7 +7,7 @@ import resource
 import shlex
 
 import pytest
-from helpers import nonperm_ideal
+from helpers import invalid_transfer_inputs, nonperm_ideal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -428,6 +428,8 @@ STRUCTURE_DEFECTS = {
     "letter-eval-list": _set(("letter_eval",), []),
     # these were converted: 7.7 states read as 7, "0" and true as state 0
     "float-states": _set(("acceptor", "states"), 7.7),
+    # this ran out of memory
+    "unused-states": _set(("acceptor", "states"), 10 ** 9),
     "string-initial": _set(("acceptor", "initial"), ["0"]),
     "bool-initial": _set(("acceptor", "initial"), [True]),
     "negative-accepting": _set(("acceptor", "accepting"), [-1]),
@@ -455,6 +457,21 @@ def test_auto_refuses_malformed_structures(files, capsys, command, defect):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("input error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", sorted(invalid_transfer_inputs()))
+def test_auto_transfer_refuses_a_structure_that_does_not_verify(files, capsys,
+                                                                 case):
+    # these used to exit 0
+    sem_path, sub_path, tmp_path = files
+    bad, message = invalid_transfer_inputs()[case]
+    st_path = tmp_path / "st_invalid.json"
+    st_path.write_text(json.dumps(automatic.structure_to_json(bad)))
+    code = cli.main(["auto", "transfer", "--structure", str(st_path),
+                     "--semigroup", sem_path, "--sub", sub_path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 def _over(nfa_key, symbol):

@@ -130,8 +130,8 @@ GOLDEN = {
         'auto-build json': '9f2b8e5ee2daafe12c5cef6c157636d8b4d32294200cb5d11dc6e32a4f49aabc 0',
         'auto-verify human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
-        'auto-transfer human': '9dcbdff275ecf0c11993ccc8cc9d943dc04667eded3a2be24f53a442bb4b5172 0',
-        'auto-transfer json': '9dcbdff275ecf0c11993ccc8cc9d943dc04667eded3a2be24f53a442bb4b5172 0',
+        'auto-transfer human': 'e429263634d242e3361e5c51fe7dce4b4169b7dde58956b1c30775e977cc671e 0',
+        'auto-transfer json': 'e429263634d242e3361e5c51fe7dce4b4169b7dde58956b1c30775e977cc671e 0',
         'auto-verify-sub human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify-sub json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
     },
@@ -176,8 +176,8 @@ GOLDEN = {
         'auto-build json': '065428f4ef30e2853f5cb4bfef292a8c889c9d5eb692a6a778109a45ed5358a7 0',
         'auto-verify human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
-        'auto-transfer human': 'f23d2d81bca42dde36cb8bd223faa5ed57dcb17ebb9cc3365b779caa8f6326c7 0',
-        'auto-transfer json': 'f23d2d81bca42dde36cb8bd223faa5ed57dcb17ebb9cc3365b779caa8f6326c7 0',
+        'auto-transfer human': '132ac5df2f06c196cb705044e521b5e314d1eef62d8b6470a0c01538717c3802 0',
+        'auto-transfer json': '132ac5df2f06c196cb705044e521b5e314d1eef62d8b6470a0c01538717c3802 0',
         'auto-verify-sub human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify-sub json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
     },
@@ -222,8 +222,8 @@ GOLDEN = {
         'auto-build json': 'e7681b20d610e5ca8dc9723b0c7102c8fdb31294a7d8d6f04ed6be5c1cff9e46 0',
         'auto-verify human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
-        'auto-transfer human': 'f7c25977b1d56e9febd54aec2d643534f75d65c7d19e2bda3cbc0e1bb0c131c8 0',
-        'auto-transfer json': 'f7c25977b1d56e9febd54aec2d643534f75d65c7d19e2bda3cbc0e1bb0c131c8 0',
+        'auto-transfer human': 'd5023af0882a967faf1f745cf540b0197a8eec2939e3da69b9319a7664eda0e7 0',
+        'auto-transfer json': 'd5023af0882a967faf1f745cf540b0197a8eec2939e3da69b9319a7664eda0e7 0',
         'auto-verify-sub human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify-sub json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
     },
@@ -268,8 +268,8 @@ GOLDEN = {
         'auto-build json': '81b026787238c8786fe2b55870a911425572a71e604e98f20a866a834b67a738 0',
         'auto-verify human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
-        'auto-transfer human': 'd5508741e4ba62dc3d2d2051dbd3765f2bc074710a59241004a64f7eb92ccd2b 0',
-        'auto-transfer json': 'd5508741e4ba62dc3d2d2051dbd3765f2bc074710a59241004a64f7eb92ccd2b 0',
+        'auto-transfer human': '66d17f4eca594c58656eb3031bbe85627eb4430efb4dafbef38688632432ae15 0',
+        'auto-transfer json': '66d17f4eca594c58656eb3031bbe85627eb4430efb4dafbef38688632432ae15 0',
         'auto-verify-sub human': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
         'auto-verify-sub json': '541be8261417cf6f6976aed21606b30fdc8c1025137d9c01450a8239404e1f3d 0',
     },

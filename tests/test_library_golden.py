@@ -179,13 +179,13 @@ def enumeration_fingerprints() -> dict:
 
 
 GOLDEN_TRANSFER = {
-    '021,102,122 structure': '1b43f7b436c34409fa07f958749e4f4d69bc63d34b475aca2e34f8021f3229a2',
+    '021,102,122 structure': '4d90eddf1b7a5300f01421492f2c21e88dd6ce26c7746b494128223c62bf804c',
     '021,102,122 restricted': '0423dc654770b004bc0b81050d11ae2a16ab2c15b78d379334e57b0ddf45ea56',
     '021,102,122 verify': '15bded7e55bfcbcbe08373d5531ae6781668d6cf257bbc6c73471c8b8b734a2f',
-    '021,112,210,220 structure': '1a677fa510d2098d38d703ba2ed3a64a865c9531b904ef798ace73db725d6400',
+    '021,112,210,220 structure': 'c733b38b9d5799828723d168ba7185d2062800f4f986765c81997eef69092b39',
     '021,112,210,220 restricted': 'd4e20b7eaac8c8b61a200e8b519abfec54226886c73bec42d38afad08f811e6e',
     '021,112,210,220 verify': '15bded7e55bfcbcbe08373d5531ae6781668d6cf257bbc6c73471c8b8b734a2f',
-    '001,021,120,200,212 structure': '7265094bf1cb824eb4987ed20244ce1972bdc41f1d705c790c0ecbb59c4fba13',
+    '001,021,120,200,212 structure': 'e1d6e5687d2e621a30ea2a02b4154c83acb3e46c3f3135fe1cbdf10b539cd0dc',
     '001,021,120,200,212 restricted': '39008b629b5cc11fa1ea4c32d7319e8f5f9fbaf8077ae2793dbbe471512f04c0',
     '001,021,120,200,212 verify': '15bded7e55bfcbcbe08373d5531ae6781668d6cf257bbc6c73471c8b8b734a2f',
 }

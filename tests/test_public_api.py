@@ -30,7 +30,6 @@ EXPORTS = [
     "check_L_R_transport",
     "class_group",
     "closure",
-    "compose_relations",
     "connectors",
     "convolve",
     "deconvolve",
@@ -40,13 +39,11 @@ EXPORTS = [
     "extended_generators",
     "generated",
     "growth_function",
-    "invert",
     "is_cancellative",
     "is_group",
     "lambda_data",
     "out_ball",
     "presentation_from_table",
-    "project",
     "push_left",
     "push_right",
     "rees_index",
@@ -73,15 +70,11 @@ DEFINED = {
         "PairAlphabet",
         "TransferLetters",
         "TransferResult",
-        "compose_relations",
         "convolve",
         "deconvolve",
-        "determinize",
-        "invert",
         "nfa_from_json",
         "nfa_from_words",
         "nfa_to_json",
-        "project",
         "structure_for_finite",
         "structure_from_json",
         "structure_to_json",
