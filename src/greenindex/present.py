@@ -2,6 +2,12 @@
 verification, and synthesis of a presentation for S out of presentations for
 T and the complement Schutzenberger groups.
 
+Verification certifies a presentation whose relations contain the rules of
+its letters (Froidure and Pin's rules: each letter, and each shortlex tree
+word times each letter, equals a tree word) with no enumeration.  Every
+table presentation is of this kind.  Any other presentation is enumerated,
+and only such a presentation can hit the enumerator's bound.
+
 The enumerator is an HLT-style coset table on the right Cayley graph of the
 free monoid.  A sweep traces the relations from each node in turn until the
 table is total; rounds then trace them from all nodes at once and merge the
@@ -16,6 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 from .core import (
     FiniteSemigroup,
+    Generated,
     SubSemigroup,
     _target_domain,
     generated,
@@ -385,34 +392,55 @@ def verify_presentation(
 
     True iff every letter is assigned an element of the target, every
     relation holds under the assignment, the assigned letters generate the
-    whole target, and the enumerated quotient has exactly as many classes as
-    the target has elements with a bijective induced map.  The default
-    class bound grows with the target's size.  Raises ``InvalidLetter`` for
-    an unassigned letter, ``InputError`` for an index outside the (parent)
-    semigroup, and ``BoundExceeded`` when the enumeration cannot close
-    within ``max_classes`` classes.
+    whole target, and the presented semigroup has exactly as many elements
+    as the target, mapped bijectively.  When the relations contain the
+    rules of the letters (see :func:`_presents`), as every table
+    presentation's do, that last fact needs no enumeration; otherwise the
+    enumerated quotient is counted.  The default class bound grows with the
+    target's size.  Raises ``InvalidLetter`` for an unassigned letter,
+    ``InputError`` for an index outside the (parent) semigroup or a
+    ``max_classes`` below 1, and ``BoundExceeded`` when a presentation
+    without the rules cannot be enumerated within ``max_classes`` classes.
     """
     sem, elems = _target_domain(target)
-    _check_assignment(pres, assignment, sem.order)
-    images = {assignment[a] for a in pres.alphabet}
-    if generated(sem, sorted(images)).members != frozenset(elems):
+    over, spell = _spelling(pres, sem, assignment)
+    if over.members != frozenset(elems):
         return False
-    return _presents(pres, sem, assignment, len(elems), max_classes)
+    return _presents(pres, sem, assignment, over, spell, max_classes)
 
 
 def _presents(
     pres: Presentation,
     sem: FiniteSemigroup,
     assignment: Mapping[str, int],
-    size: int,
+    over: Generated,
+    spell: Callable[[int], Word],
     max_classes: int | None,
 ) -> bool:
     """:func:`verify_presentation` once the letters are known to generate
-    the target of ``size`` elements: every relation holds, and the
-    enumerated quotient closes with ``size`` classes mapped bijectively."""
+    the target, the members of ``over``: every relation holds, and the
+    presented semigroup has as many elements as the target.
+
+    The rules of the letters certify the count without an enumeration.
+    With w(x) the tree word ``spell(x)`` of each element x and s the
+    element of a letter a, they pair (a) with w(s) for every letter, and
+    w(x)a with w(xs) for every element x and letter a.  Each pair must be
+    one word or a relation, read either way.  With them every word
+    rewrites to a tree word, so there are at most |target| classes; the
+    relations hold and the letters generate, so the induced map is onto
+    and hence a bijection.  A presentation without all of them is
+    enumerated: its quotient must close within ``max_classes`` with as
+    many classes as the target, mapped bijectively, and only then can the
+    bound be hit.  The bound is checked first, whichever way is taken.
+    """
+    if max_classes is not None and max_classes <= 0:
+        raise InputError("max_classes must be positive")
     for u, v in pres.relations:
         if evaluate_word(sem, assignment, u) != evaluate_word(sem, assignment, v):
             return False
+    if _has_rules(pres, sem, assignment, over, spell):
+        return True
+    size = len(over.words)
     if max_classes is None:
         max_classes = max(4 * size, 64)
     result = enumerate_presentation(pres, max_classes)
@@ -424,28 +452,59 @@ def _presents(
     return len(set(evals)) == size
 
 
-def _letter_factorizer(
-    sub: SubSemigroup, q_pres: Presentation, q_assign: Mapping[str, int]
-) -> Callable[[int], Word]:
-    """Shortlex words over the base letters, from one BFS: each element is
-    spelled by its least letter, and the adjoined identity by the empty
-    word.  Every base letter must be assigned an element of S, and the
-    letters must generate exactly T (``BadInputPresentation`` otherwise)."""
-    sem = sub.parent
-    _check_assignment(q_pres, q_assign, sem.order)
-    letter_of: dict[int, str] = {}
-    for a in sorted(q_pres.alphabet):
-        letter_of.setdefault(q_assign[a], a)
-    over_q = generated(sem, sorted(letter_of))
-    if over_q.members != sub.members:
-        raise BadInputPresentation("the base presentation does not present T")
+def _has_rules(
+    pres: Presentation,
+    sem: FiniteSemigroup,
+    assignment: Mapping[str, int],
+    over: Generated,
+    spell: Callable[[int], Word],
+) -> bool:
+    """Whether every rule of the letters (see :func:`_presents`) is one
+    word or a relation of ``pres``."""
+    rels = set(pres.relations)
 
-    def word(elt: int) -> Word:
+    def holds(u: Word, v: Word) -> bool:
+        return u == v or (u, v) in rels or (v, u) in rels
+
+    tree = {x: spell(x) for x in over.words}
+    letters = [(a, assignment[a]) for a in pres.alphabet]
+    if not all(holds((a,), tree[s]) for a, s in letters):
+        return False
+    tab = sem.table
+    return all(holds(w + (a,), tree[tab[x][s]])
+               for x, w in tree.items() for a, s in letters)
+
+
+def _spelling(
+    pres: Presentation, sem: FiniteSemigroup, assignment: Mapping[str, int]
+) -> tuple[Generated, Callable[[int], Word]]:
+    """The shortlex BFS over the letters' elements, and the words it
+    spells: each element's word with every generator written as its least
+    letter, and the adjoined identity as the empty word.  Every letter must
+    be assigned an element index of ``sem``."""
+    _check_assignment(pres, assignment, sem.order)
+    letter_of: dict[int, str] = {}
+    for a in sorted(pres.alphabet):
+        letter_of.setdefault(assignment[a], a)
+    over = generated(sem, sorted(letter_of))
+
+    def spell(elt: int) -> Word:
         if elt == sem.order:
             return ()
-        return tuple(letter_of[e] for e in over_q.word(elt))
+        return tuple(letter_of[e] for e in over.word(elt))
 
-    return word
+    return over, spell
+
+
+def _letter_factorizer(
+    sub: SubSemigroup, q_pres: Presentation, q_assign: Mapping[str, int]
+) -> tuple[Generated, Callable[[int], Word]]:
+    """:func:`_spelling` of the base letters, which must generate exactly
+    T (``BadInputPresentation`` otherwise)."""
+    over, spell = _spelling(q_pres, sub.parent, q_assign)
+    if over.members != sub.members:
+        raise BadInputPresentation("the base presentation does not present T")
+    return over, spell
 
 
 @dataclass(frozen=True)
@@ -481,7 +540,7 @@ def build_schutz_packs(
     """
     green._check_built_from(sub, sem)
     n = sem.order
-    lift_word = _letter_factorizer(sub, q_pres, q_assign)
+    _, lift_word = _letter_factorizer(sub, q_pres, q_assign)
     by_l: dict[int, list[int]] = {}
     for i in range(1, green.class_count):
         by_l.setdefault(green.l_id[green.rep_of(i)], []).append(i)
@@ -565,8 +624,8 @@ def synthesize_presentation(
     """
     green._check_built_from(conn=conn)
     sem = green.sem
-    factor_word = _letter_factorizer(green.sub, q_pres, q_assign)
-    if not _presents(q_pres, sem, q_assign, len(green.sub), max_classes):
+    over_q, factor_word = _letter_factorizer(green.sub, q_pres, q_assign)
+    if not _presents(q_pres, sem, q_assign, over_q, factor_word, max_classes):
         raise BadInputPresentation("the base presentation does not present T")
     for i, pack in packs.items():
         if not verify_presentation(pack.presentation, pack.schutz.group,

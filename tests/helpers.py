@@ -18,6 +18,7 @@ from greenindex.automatic import (
 )
 from greenindex.errors import (
     AlphabetMismatch,
+    BoundExceeded,
     EmptyGenerators,
     GreenIndexError,
     HypothesisFails,
@@ -948,6 +949,29 @@ def reference_verify_sub_presentation(pres, assignment, sub, **bounds):
         return False
     local = {a: back[assignment[a]] for a in pres.alphabet}
     return present.verify_presentation(pres, sem, local, **bounds)
+
+
+def reference_verify_by_enumeration(pres, target, assignment, max_classes):
+    """``present.verify_presentation`` by enumeration alone: the letters
+    generate the target, every relation holds, and the quotient closes
+    within ``max_classes`` with one class per element of the target, mapped
+    bijectively.  ``BoundExceeded`` when the enumeration does not close."""
+    if isinstance(target, core.SubSemigroup):
+        sem, elems = target.parent, target.members
+    else:
+        sem, elems = target, frozenset(target.elements)
+
+    def value(word):
+        return sem.prod1(assignment[a] for a in word)
+
+    if reference_closure(sem, [assignment[a] for a in pres.alphabet]) != elems:
+        return False
+    if any(value(u) != value(v) for u, v in pres.relations):
+        return False
+    result = present.enumerate_presentation(pres, max_classes)
+    if not result.complete:
+        raise BoundExceeded(result.reason)
+    return result.size == len(elems) and {value(w) for w in result.reps} == elems
 
 
 def reference_parse_word(raw: str, alphabet):

@@ -11,7 +11,7 @@ from helpers import invalid_transfer_inputs, nonperm_ideal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenindex import automatic, cli, core, factories
+from greenindex import automatic, cli, core, factories, present
 
 
 @pytest.fixture()
@@ -143,6 +143,22 @@ def test_present_pipeline(files, capsys, tmp_path):
                     str(bad_path), "--semigroup", sem_path)
     assert code == 1 and json.loads(out)["verified"] is False
     assert json.loads(out)["violated_relation"] is not None
+
+
+@pytest.mark.parametrize("command", ["verify", "synth"])
+def test_present_refuses_a_class_bound_below_one(files, capsys, z6, command):
+    # Z6's table presentation certifies by its rules without enumerating,
+    # and the enumerator used to be the only check of the bound
+    sem_path, sub_path, tmp_path = files
+    pres, assign = present.presentation_from_table(z6)
+    pres_path = tmp_path / "table.json"
+    pres_path.write_text(json.dumps(pres.to_json_dict(assignment=assign)))
+    args = {"verify": ["--presentation", str(pres_path), "--semigroup", sem_path],
+            "synth": ["--semigroup", sem_path, "--sub", sub_path]}[command]
+    code = cli.main(["present", command, *args, "--max-classes", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: max_classes must be positive\n"
 
 
 def test_present_verify_witness_keeps_multi_character_letters(files, capsys):

@@ -2,14 +2,17 @@ import functools
 
 import pytest
 from helpers import (
+    fixed_instances,
     nonperm_ideal,
     outcome,
+    random_pairs,
     reference_enumerate_presentation,
     reference_parse_word,
+    reference_verify_by_enumeration,
     reference_verify_sub_presentation,
     small_tables,
 )
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from greenindex import core, factories, present, relgreen, rewrite
@@ -278,9 +281,199 @@ def test_quotient_with_long_representatives_is_refuted(z6):
 
 
 def test_verify_presentation_raises_on_tight_bounds(z6):
-    pres, assign = present.presentation_from_table(z6)
+    # <b | b^13 = b, b^9 = b^3> presents Z6 with b -> 1, but the rule
+    # b^6 b = b is no relation, so the enumerator decides, within its bound
+    pres = present.Presentation(
+        ("b",), ((("b",) * 13, ("b",)), (("b",) * 9, ("b",) * 3)))
     with pytest.raises(BoundExceeded):
-        present.verify_presentation(pres, z6, assign, max_classes=2)
+        present.verify_presentation(pres, z6, {"b": 1}, max_classes=2)
+    assert present.verify_presentation(pres, z6, {"b": 1}) is True
+
+
+@pytest.fixture()
+def enumerations(monkeypatch):
+    """Counts ``present.enumerate_presentation`` calls."""
+    calls = []
+    real = present.enumerate_presentation
+
+    def counted(pres, max_classes):
+        calls.append(pres)
+        return real(pres, max_classes)
+
+    monkeypatch.setattr(present, "enumerate_presentation", counted)
+    return calls
+
+
+def test_table_presentation_certifies_by_its_rules(z6, enumerations):
+    # Z6's table presentation used to be BoundExceeded at max_classes=2;
+    # its relations are its rules, read either way round
+    pres, assign = present.presentation_from_table(z6)
+    flipped = present.Presentation(
+        pres.alphabet, tuple((v, u) for u, v in pres.relations))
+    for p in (pres, flipped):
+        assert present.verify_presentation(p, z6, assign, max_classes=2) is True
+    assert enumerations == []
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_verification_refuses_a_bound_below_one(z6, t03, bound):
+    # a presentation with its rules never reaches the enumerator, which
+    # used to be the only check of the bound
+    pres, assign = present.presentation_from_table(z6)
+    with pytest.raises(InputError, match="^max_classes must be positive$"):
+        present.verify_presentation(pres, z6, assign, max_classes=bound)
+    with pytest.raises(InputError, match="^max_classes must be positive$"):
+        synth(z6, t03, max_classes=bound)
+
+
+def _ladder_pairs():
+    """The bench ladder's (S, T) pairs: the four standing instances, T3
+    over its ideal and over its constants, S4 over <(12)>, and T3 x Z_m
+    over ideal x Z_m for m = 2, 3."""
+    out = [(sem, sub) for _n, sem, sub, _a, _b in fixed_instances()]
+    t3, ideal = nonperm_ideal(3)
+    consts = frozenset(i for i, m in enumerate(t3.names) if len(set(m)) == 1)
+    s4 = factories.symmetric_group(4)
+    out += [(t3, ideal), (t3, core.SubSemigroup(parent=t3, members=consts)),
+            (s4, core.closure(s4, [s4.names.index("1023")]))]
+    for m in (2, 3):
+        prod = factories.direct_product(t3, factories.zmod(m))
+        members = frozenset(x for x in prod.elements if x // m in ideal)
+        out.append((prod, core.SubSemigroup(parent=prod, members=members)))
+    return out
+
+
+def _rule_cases():
+    """(presentation, target, assignment, is_table) for every table
+    presentation the ladder builds (each T base and each class-group pack),
+    each synthesized S presentation, and the table presentations of Z_n
+    for n <= 64."""
+    for sem, sub in _ladder_pairs():
+        green = relgreen.relative_green(sem, sub)
+        q, qa = present.sub_table_presentation(sem, sub)
+        yield q, sub, qa, True
+        packs = present.build_schutz_packs(sem, sub, green, q, qa)
+        for pack in packs.values():
+            yield (pack.presentation, pack.schutz.group, pack.letter_to_group,
+                   True)
+        pres, assign = present.synthesize_presentation(
+            q, qa, packs, green, relgreen.connectors(green))
+        yield pres, sem, assign, False
+    for n in range(1, 65):
+        z = factories.zmod(n)
+        pres, assign = present.presentation_from_table(z)
+        yield pres, z, assign, True
+
+
+def _near_misses(pres, target, assign, is_table):
+    """(kind, presentation, assignment) one step short of the rules: the
+    first or the last relation dropped, a relation whose right-hand side
+    is another element's letter, the assignment's values rotated, and, for
+    a table presentation, a second letter y for the first letter's element
+    e with the relations ay = (ae), ya = (ea) and yy = (ee) but not y = e."""
+    sem = target.parent if isinstance(target, core.SubSemigroup) else target
+    letters, rels = pres.alphabet, pres.relations
+    yield "dropped", present.Presentation(letters, rels[1:]), assign
+    yield "dropped", present.Presentation(letters, rels[:-1]), assign
+    (u, v), rest = rels[0], rels[1:]
+    other = [a for a in letters
+             if assign[a] != present.evaluate_word(sem, assign, v)]
+    if other:
+        wrong = present.Presentation(letters, ((u, (other[0],)),) + rest)
+        yield "wrong", wrong, assign
+    values = [assign[a] for a in letters]
+    yield "rotated", pres, dict(zip(letters, values[1:] + values[:1]))
+    if is_table:
+        letter_of = {assign[a]: a for a in letters}
+        e = assign[letters[0]]
+        extra = tuple(
+            pair for a in letters for pair in (
+                ((a, "y"), (letter_of[sem.mul(assign[a], e)],)),
+                (("y", a), (letter_of[sem.mul(e, assign[a])],))))
+        extra += ((("y", "y"), (letter_of[sem.mul(e, e)],)),)
+        yield "second letter", present.Presentation(
+            letters + ("y",), rels + extra), {**assign, "y": e}
+
+
+def _order(target):
+    return len(target) if isinstance(target, core.SubSemigroup) else target.order
+
+
+def _against_enumerator(pres, target, assign, enumerations):
+    """``verify_presentation``'s outcome, which must be the enumerator's
+    under a bound of 32 classes per element, and whether it enumerated."""
+    bound = 32 * _order(target) + 32
+    enumerations.clear()
+    got = outcome(present.verify_presentation, pres, target, assign, bound)
+    enumerated = bool(enumerations)
+    assert got == outcome(reference_verify_by_enumeration,
+                          pres, target, assign, bound)
+    return got, enumerated
+
+
+def _check_rules_against_enumerator(cases, enumerations) -> int:
+    """Every case verifies, each table presentation without enumerating;
+    on targets of at most 32 elements, a dropped rule and a second letter
+    fall through to the enumerator, and every near miss gets its verdict.
+    Returns how many cases certified by their rules."""
+    recognized = 0
+    for pres, target, assign, is_table in cases:
+        got, enumerated = _against_enumerator(pres, target, assign, enumerations)
+        assert got is True
+        assert not (is_table and enumerated)
+        recognized += not enumerated
+        if _order(target) > 32:
+            continue  # enumerating near misses of the larger ones takes seconds
+        for kind, near, near_assign in _near_misses(pres, target, assign,
+                                                    is_table):
+            got, enumerated = _against_enumerator(
+                near, target, near_assign, enumerations)
+            if kind in ("dropped", "second letter"):
+                assert enumerated
+            if kind == "second letter":
+                assert got is False
+    return recognized
+
+
+def test_rules_agree_with_the_enumerator(enumerations):
+    cases = list(_rule_cases())
+    recognized = _check_rules_against_enumerator(cases, enumerations)
+    # the synthesized S presentations of T3 over its ideal and over its
+    # constants, and of T3 x Z_m, certify by their rules too
+    tables = sum(is_table for *_case, is_table in cases)
+    assert recognized >= tables + 4
+
+
+# the fixture's count is cleared before each verification
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 3), st.integers(0, 10 ** 9), st.data())
+def test_rules_agree_with_the_enumerator_on_drawn_semigroups(
+        enumerations, n, pick, data):
+    if data.draw(st.booleans()):
+        tables = small_tables(n)
+        sem = core.validate_table(tables[pick % len(tables)])
+    else:
+        sem = random_pairs(1, seed=pick)[0][0]
+    gens = data.draw(st.lists(st.integers(0, sem.order - 1),
+                              min_size=1, max_size=3))
+    sub = core.closure(sem, gens)
+    pres, assign = present.presentation_from_table(sem)
+    q, qa = present.sub_table_presentation(sem, sub)
+    cases = [(pres, sem, assign, True), (q, sub, qa, True)]
+    assert _check_rules_against_enumerator(cases, enumerations) == 2
+
+
+def test_the_ladder_certifies_exactly_under_default_bounds():
+    # each of these was BoundExceeded while every table presentation was
+    # enumerated
+    for n in (32, 48, 64):
+        z = factories.zmod(n)
+        pres, assign = present.presentation_from_table(z)
+        assert present.verify_presentation(pres, z, assign)
+    for sem, sub in _ladder_pairs()[-2:]:
+        pres, assign = synth(sem, sub)
+        assert present.verify_presentation(pres, sem, assign)
 
 
 def test_compact_subsemigroup_presentation(z6, t03):

@@ -183,6 +183,17 @@ def test_presentation_layers_derive_forms_once(instances, bfs_calls):
         assert _once_each(bfs_calls)
 
 
+def test_verification_derives_forms_once(instances, bfs_calls):
+    # the generation check's BFS also spells the rules of the letters
+    for sem, sub in _cases(instances):
+        for pres, assign, target in (
+                (*present.presentation_from_table(sem), sem),
+                (*present.sub_table_presentation(sem, sub), sub)):
+            bfs_calls.clear()
+            assert present.verify_presentation(pres, target, assign)
+            assert _once_each(bfs_calls)
+
+
 def test_schreier_factorizer_derives_forms_once(instances, bfs_calls):
     for sem, sub in _cases(instances):
         green = relgreen.relative_green(sem, sub)
