@@ -610,10 +610,10 @@ def _rewrite_pair(st, green, conn, letters, u):
     elems = [st.letter_eval[a] for a in u]
     if green.sem.prod1(elems) not in green.sub.members:
         return None
-    first, second = _two_pass(elems, conn)
-    if second.output_class != IDENTITY_CLASS:
+    left, _out, right = _two_pass(elems, conn)
+    if right[-1] != IDENTITY_CLASS:
         raise InternalInconsistency("rewrite of a T word did not close")
-    out = (f"b{second.steps[k]}_{a}_{first.steps[k + 1]}"
+    out = (f"b{right[k]}_{a}_{left[k + 1]}"
            for k, a in enumerate(u))
     return tuple(u), tuple(b for b in out if b not in letters.excluded)
 

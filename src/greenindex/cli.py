@@ -9,6 +9,7 @@ fails or a bound or memory runs out, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import resource
 import sys
@@ -480,9 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of :func:`main` and then reused:
+    parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InputError, OSError, json.JSONDecodeError) as exc:

@@ -57,9 +57,13 @@ class FiniteSemigroup:
     def prod1(self, xs: Iterable[int]) -> int:
         """Evaluate a word of S^1 indices; the empty word gives the adjoined
         identity."""
-        acc = self.order
+        n, table = self.order, self.table
+        acc = n
         for x in xs:
-            acc = self.mul1(acc, x)
+            if acc == n:
+                acc = x
+            elif x != n:
+                acc = table[acc][x]
         return acc
 
     @property

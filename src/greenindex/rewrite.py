@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .core import FiniteSemigroup, _generating
+from .core import FiniteSemigroup, _check_index, _generating
 from .errors import (
     InternalInconsistency,
     InvalidLetter,
@@ -39,53 +39,66 @@ class RewriteTrace:
     steps: tuple[int, ...]
 
 
+def _scan_right(i: int, word: Sequence[int], conn: ConnectorTables):
+    """The right push, unchecked: (output letters, classes), where
+    classes[k] is the class after consuming k letters."""
+    factor, klass = conn.right_factor, conn.right_class
+    out = []
+    classes = [i]
+    for s in word:
+        out.append(factor[i][s])
+        i = klass[i][s]
+        classes.append(i)
+    return out, classes
+
+
+def _scan_left(i: int, word: Sequence[int], conn: ConnectorTables):
+    """The left push, unchecked: (output letters, classes), where
+    classes[k] is the class sitting right of position k, so classes[0] is
+    the output class and classes[-1] = i."""
+    factor, klass = conn.left_factor, conn.left_class
+    out = []
+    classes = [i]
+    for s in reversed(word):
+        out.append(factor[s][i])
+        i = klass[s][i]
+        classes.append(i)
+    out.reverse()
+    classes.reverse()
+    return out, classes
+
+
+def _checked(i: int, word: Sequence[int], conn: ConnectorTables) -> tuple[int, ...]:
+    """``word`` as a tuple, once class i and every letter are in range."""
+    _check_index(i, conn.green.class_count, "class")
+    word = tuple(word)
+    for s in word:
+        _check_index(s, conn.green.sem.order + 1, "letter")
+    return word
+
+
 def push_right(i: int, word: Sequence[int], conn: ConnectorTables) -> RewriteTrace:
     """Move the representative of class i through ``word`` left to right."""
-    steps = [i]
-    out = []
-    cur = i
-    for s in word:
-        out.append(conn.right_factor[cur][s])
-        cur = conn.right_class[cur][s]
-        steps.append(cur)
-    return RewriteTrace(
-        input_class=i,
-        word=tuple(word),
-        output_word=tuple(out),
-        output_class=cur,
-        steps=tuple(steps),
-    )
+    word = _checked(i, word, conn)
+    out, classes = _scan_right(i, word, conn)
+    return RewriteTrace(i, word, tuple(out), classes[-1], tuple(classes))
 
 
 def push_left(i: int, word: Sequence[int], conn: ConnectorTables) -> RewriteTrace:
     """Move the representative of class i through ``word`` right to left."""
-    steps = [i]
-    out = []
-    cur = i
-    for s in reversed(word):
-        out.append(conn.left_factor[s][cur])
-        cur = conn.left_class[s][cur]
-        steps.append(cur)
-    out.reverse()
-    steps.reverse()
-    return RewriteTrace(
-        input_class=i,
-        word=tuple(word),
-        output_word=tuple(out),
-        output_class=cur,
-        steps=tuple(steps),
-    )
+    word = _checked(i, word, conn)
+    out, classes = _scan_left(i, word, conn)
+    return RewriteTrace(i, word, tuple(out), classes[0], tuple(classes))
 
 
-def _two_pass(
-    word: Sequence[int], conn: ConnectorTables
-) -> tuple[RewriteTrace, RewriteTrace]:
+def _two_pass(word: Sequence[int], conn: ConnectorTables):
     """Push the adjoined identity through ``word`` right to left, then the
-    resulting representative through that output left to right, so that
-    word = second.output_word * rep(second.output_class).  Returns both
-    traces, the left push first."""
-    first = push_left(IDENTITY_CLASS, word, conn)
-    return first, push_right(first.output_class, first.output_word, conn)
+    resulting representative through that output left to right.  Returns
+    (left classes, output, right classes) with
+    word = output * rep(right classes[-1])."""
+    first, left = _scan_left(IDENTITY_CLASS, word, conn)
+    out, right = _scan_right(left[0], first, conn)
+    return left, out, right
 
 
 def _schreier_value(conn: ConnectorTables, j: int, s: int, i: int) -> int:
@@ -118,12 +131,12 @@ def schreier_generators(
     def factorizer(t: int) -> tuple[int, ...]:
         if t not in sub.members:
             raise NotInSubsemigroup(f"{t} is not in the subsemigroup")
-        _first, pushed = _two_pass(over_a.word(t), conn)
-        if pushed.output_class != IDENTITY_CLASS:
+        _left, out, right = _two_pass(over_a.word(t), conn)
+        if right[-1] != IDENTITY_CLASS:
             raise InternalInconsistency(
                 "two-pass rewrite of a T element did not land back in T"
             )
-        return tuple(b for b in pushed.output_word if b != n)
+        return tuple(b for b in out if b != n)
 
     return frozenset(bset), factorizer
 
@@ -162,21 +175,21 @@ def _signature(word: tuple[str, ...], ctx: WordProblemContext):
     cached = ctx._sig_cache.get(word)
     if cached is not None:
         return cached
-    for letter in word:
-        if letter not in ctx.letter_eval:
-            raise InvalidLetter(f"unknown letter {letter!r}")
+    letter_eval = ctx.letter_eval
+    try:
+        elems = [letter_eval[a] for a in word]
+    except KeyError as exc:
+        raise InvalidLetter(f"unknown letter {exc.args[0]!r}") from None
     sem = ctx.green.sem
-    elems = tuple(ctx.letter_eval[a] for a in word)
     if not elems:
         sig = ("empty", sem.order)
     else:
-        _first, pushed = _two_pass(elems, ctx.conn)
-        if pushed.output_class == IDENTITY_CLASS:
-            sig = ("sub", sem.prod1(pushed.output_word))
+        _left, out, right = _two_pass(elems, ctx.conn)
+        if right[-1] == IDENTITY_CLASS:
+            sig = ("sub", sem.prod1(out))
         else:
-            back = push_left(pushed.output_class, pushed.output_word, ctx.conn)
-            residual = sem.prod1(back.output_word)
-            sig = ("class", back.output_class, residual)
+            back, classes = _scan_left(right[-1], out, ctx.conn)
+            sig = ("class", classes[0], sem.prod1(back))
     ctx._sig_cache[word] = sig
     return sig
 

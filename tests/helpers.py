@@ -68,6 +68,23 @@ def nonperm_ideal(k):
     return tk, ideal
 
 
+def ladder_pairs():
+    """The bench ladder's (S, T) pairs: the four standing instances, T3
+    over its ideal and over its constants, S4 over <(12)>, and T3 x Z_m
+    over ideal x Z_m for m = 2, 3."""
+    out = [(sem, sub) for _n, sem, sub, _a, _b in fixed_instances()]
+    t3, ideal = nonperm_ideal(3)
+    consts = frozenset(i for i, m in enumerate(t3.names) if len(set(m)) == 1)
+    s4 = factories.symmetric_group(4)
+    out += [(t3, ideal), (t3, core.SubSemigroup(parent=t3, members=consts)),
+            (s4, core.closure(s4, [s4.names.index("1023")]))]
+    for m in (2, 3):
+        prod = factories.direct_product(t3, factories.zmod(m))
+        members = frozenset(x for x in prod.elements if x // m in ideal)
+        out.append((prod, core.SubSemigroup(parent=prod, members=members)))
+    return out
+
+
 _POOL_CACHE = None
 
 
@@ -894,6 +911,54 @@ def wp_context(sem, sub):
     green = relgreen.relative_green(sem, sub)
     return present.word_problem_context(
         sem, sub, green=green, conn=relgreen.connectors(green))
+
+
+def _reference_push(conn, i, word, direction):
+    """(output word, output class) of a push, one connector lookup per
+    letter: "right" moves rep(i) through ``word`` left to right, "left"
+    right to left."""
+    out = []
+    if direction == "right":
+        for s in word:
+            out.append(conn.right_factor[i][s])
+            i = conn.right_class[i][s]
+    else:
+        for s in reversed(word):
+            out.insert(0, conn.left_factor[s][i])
+            i = conn.left_class[s][i]
+    return out, i
+
+
+def reference_signature(word, ctx):
+    """``rewrite._signature`` by separate pushes and ``mul1`` folds: the
+    identity pushed left through the word, its class pushed right through
+    the output, and for a word landing outside T a third left push of the
+    final class through that output; each T^1 product is folded one
+    ``mul1`` call at a time.  Caches in ``ctx._sig_cache``."""
+    cached = ctx._sig_cache.get(word)
+    if cached is not None:
+        return cached
+    for letter in word:
+        if letter not in ctx.letter_eval:
+            raise InvalidLetter(f"unknown letter {letter!r}")
+    sem, conn = ctx.green.sem, ctx.conn
+    elems = tuple(ctx.letter_eval[a] for a in word)
+
+    def fold(xs):
+        return functools.reduce(sem.mul1, xs, sem.order)
+
+    if not elems:
+        sig = ("empty", sem.order)
+    else:
+        first, i = _reference_push(conn, 0, elems, "left")
+        pushed, j = _reference_push(conn, i, first, "right")
+        if j == 0:
+            sig = ("sub", fold(pushed))
+        else:
+            back, k = _reference_push(conn, j, pushed, "left")
+            sig = ("class", k, fold(back))
+    ctx._sig_cache[word] = sig
+    return sig
 
 
 def reference_rewrite_pair(st, green, conn, letters, u):

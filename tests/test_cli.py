@@ -85,6 +85,30 @@ def test_eggbox(files, capsys):
     assert code == 0
 
 
+def test_main_keeps_no_parsed_state_between_calls(files, capsys):
+    sem_path, sub_path, _ = files
+    plain = ["eggbox", "--semigroup", sem_path, "--sub", sub_path]
+    code, highlighted = run(capsys, *plain, "--relative")
+    assert code == 0
+    code, out = run(capsys, *plain)
+    assert code == 0 and out != highlighted
+    args = cli.build_parser().parse_args(plain)
+    assert args.relative is False
+    assert args.fn(args) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_main_builds_the_parser_once(files, capsys, monkeypatch):
+    sem_path, _sub_path, _ = files
+    assert run(capsys, "validate", "--semigroup", sem_path)[0] == 0
+
+    def rebuilt():
+        raise AssertionError("main built the parser again")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert run(capsys, "validate", "--semigroup", sem_path)[0] == 0
+
+
 def test_connectors_and_rewrite(files, capsys):
     sem_path, sub_path, _ = files
     code, out = run(capsys, "connectors", "--semigroup", sem_path,
@@ -649,11 +673,13 @@ def test_present_refutes_a_quotient_with_long_representatives(files, capsys):
 
 def test_running_out_of_memory_is_a_bounded_error(files, capsys, monkeypatch):
     # An infinite quotient under a huge --max-classes fills memory before
-    # the node bound fires; that ends as an error on stderr, not a traceback
-    def exhausting(args):
+    # the node bound fires; that ends as an error on stderr, not a traceback.
+    # main reuses its parser, whose handlers are bound when it is built, so
+    # the error is raised from the enumerator the handler calls
+    def exhausting(pres, max_classes):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "cmd_present_enumerate", exhausting)
+    monkeypatch.setattr(present, "enumerate_presentation", exhausting)
     pres_path = _write_presentation(files[2], alphabet=["a", "b"],
                                     relations=[["ab", "ba"]])
     argv = ["present", "enumerate", "--presentation", pres_path,

@@ -1,4 +1,6 @@
+import functools
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,25 @@ from greenindex.errors import (
 
 from helpers import (
     fixed_instances,
+    ladder_pairs,
     random_pairs,
     reference_validate_table,
     small_tables,
 )
+
+
+def test_prod1_is_the_mul1_fold_on_the_ladder():
+    for k, (sem, _sub) in enumerate(ladder_pairs()):
+        rng = random.Random(k)
+        n = sem.order
+        words = [(), (n,), (n, n)]
+        for _ in range(200):
+            word = rng.choices(range(n), k=rng.randrange(12))
+            for _ in range(rng.randrange(4)):
+                word.insert(rng.randrange(len(word) + 1), n)
+            words.append(tuple(word))
+        for word in words:
+            assert sem.prod1(word) == functools.reduce(sem.mul1, word, n)
 
 
 def test_validate_right_zero():

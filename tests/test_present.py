@@ -2,7 +2,7 @@ import functools
 
 import pytest
 from helpers import (
-    fixed_instances,
+    ladder_pairs,
     nonperm_ideal,
     outcome,
     random_pairs,
@@ -326,29 +326,12 @@ def test_verification_refuses_a_bound_below_one(z6, t03, bound):
         synth(z6, t03, max_classes=bound)
 
 
-def _ladder_pairs():
-    """The bench ladder's (S, T) pairs: the four standing instances, T3
-    over its ideal and over its constants, S4 over <(12)>, and T3 x Z_m
-    over ideal x Z_m for m = 2, 3."""
-    out = [(sem, sub) for _n, sem, sub, _a, _b in fixed_instances()]
-    t3, ideal = nonperm_ideal(3)
-    consts = frozenset(i for i, m in enumerate(t3.names) if len(set(m)) == 1)
-    s4 = factories.symmetric_group(4)
-    out += [(t3, ideal), (t3, core.SubSemigroup(parent=t3, members=consts)),
-            (s4, core.closure(s4, [s4.names.index("1023")]))]
-    for m in (2, 3):
-        prod = factories.direct_product(t3, factories.zmod(m))
-        members = frozenset(x for x in prod.elements if x // m in ideal)
-        out.append((prod, core.SubSemigroup(parent=prod, members=members)))
-    return out
-
-
 def _rule_cases():
     """(presentation, target, assignment, is_table) for every table
     presentation the ladder builds (each T base and each class-group pack),
     each synthesized S presentation, and the table presentations of Z_n
     for n <= 64."""
-    for sem, sub in _ladder_pairs():
+    for sem, sub in ladder_pairs():
         green = relgreen.relative_green(sem, sub)
         q, qa = present.sub_table_presentation(sem, sub)
         yield q, sub, qa, True
@@ -471,7 +454,7 @@ def test_the_ladder_certifies_exactly_under_default_bounds():
         z = factories.zmod(n)
         pres, assign = present.presentation_from_table(z)
         assert present.verify_presentation(pres, z, assign)
-    for sem, sub in _ladder_pairs()[-2:]:
+    for sem, sub in ladder_pairs()[-2:]:
         pres, assign = synth(sem, sub)
         assert present.verify_presentation(pres, sem, assign)
 

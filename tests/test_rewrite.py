@@ -1,7 +1,18 @@
+import math
+import random
 from itertools import product
 
 import pytest
-from helpers import wp_context
+from helpers import (
+    _base_pool,
+    fixed_instances,
+    ladder_pairs,
+    nonperm_ideal,
+    reference_signature,
+    wp_context,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenindex import core, factories, relgreen, rewrite
 from greenindex.errors import (
@@ -9,6 +20,7 @@ from greenindex.errors import (
     InvalidLetter,
     NotGenerating,
     NotInSubsemigroup,
+    OutOfRange,
 )
 
 
@@ -33,6 +45,24 @@ def test_push_right_z6_example(z6, t03):
     # 1 + 3 = 4 stays in the class {1, 4}
     assert tr.output_class == i
     assert z6.mul1(tr.output_word[0], green.rep_of(i)) == 4
+
+
+@pytest.mark.parametrize("push", [rewrite.push_right, rewrite.push_left],
+                         ids=["right", "left"])
+@pytest.mark.parametrize("i, word", [
+    (0, [-1]),    # read as the adjoined identity 6
+    (-1, [1]),    # read as class 2
+    (0, [True]),  # read as letter 1
+    (0, [7]),     # a bare IndexError
+    (True, [1]),
+    (3, []),
+], ids=["letter -1", "class -1", "letter True", "letter 7", "class True",
+        "class 3"])
+def test_pushes_refuse_out_of_range_values(z6, t03, push, i, word):
+    # Z6 over {0, 3} has 3 classes and letters 0..6 (6 is the identity)
+    _green, conn = setup_tables(z6, t03)
+    with pytest.raises(OutOfRange):
+        push(i, word, conn)
 
 
 def test_equations_exhaustive_length_4(instances):
@@ -198,3 +228,72 @@ def test_schreier_generators_refuses_other_green_data(z6, t03):
     green, conn = setup_tables(z6, core.closure(z6, [2]))
     with pytest.raises(InputError, match="^subsemigroup does not match"):
         rewrite.schreier_generators(z6, [1], t03, green, conn)
+
+
+def _assert_matches_reference(sem, sub, words):
+    """Each word's signature and the full verdict on each pair of words
+    agree with ``reference_signature``, which gets a context of its own."""
+    ctx, ref_ctx = wp_context(sem, sub), wp_context(sem, sub)
+    pairs = list(product(words, repeat=2))
+    for w in words:
+        assert rewrite._signature(w, ctx) == reference_signature(w, ref_ctx)
+    verdicts = [rewrite.word_equality_report(a, b, ctx) for a, b in pairs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrite, "_signature", reference_signature)
+        expected = [rewrite.word_equality_report(a, b, ref_ctx)
+                    for a, b in pairs]
+    assert verdicts == expected
+
+
+@pytest.mark.parametrize("inst", fixed_instances(), ids=lambda inst: inst[0])
+def test_signature_matches_reference_on_short_words(inst):
+    _name, sem, sub, _a, _b = inst
+    letters = sorted(wp_context(sem, sub).letter_eval)
+    words = [w for k in range(4) for w in product(letters, repeat=k)]
+    _assert_matches_reference(sem, sub, words)
+
+
+def _long_words(letters, class_letters, rng, count):
+    """Words over all letters and over the class letters alone, of
+    log-uniform length up to 400."""
+    out = []
+    for pool in (letters, class_letters or letters):
+        for _ in range(count):
+            k = int(math.exp(rng.uniform(0.0, math.log(401)))) - 1
+            out.append(tuple(rng.choices(pool, k=k)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "k", range(10),
+    ids=[f"ladder{k}" for k in range(9)] + ["t4_ideal"])
+def test_signature_matches_reference_on_long_words(k):
+    sem, sub = (ladder_pairs() + [nonperm_ideal(4)])[k]
+    letter_eval = wp_context(sem, sub).letter_eval
+    letters = sorted(letter_eval)
+    class_letters = [a for a in letters if letter_eval[a] not in sub.members]
+    words = _long_words(letters, class_letters, random.Random(k), 30)
+    _assert_matches_reference(sem, sub, words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9), st.data())
+def test_signature_matches_reference_on_random_semigroups(pick, data):
+    pool = _base_pool()
+    sem = pool[pick % len(pool)]
+    gens = data.draw(st.lists(st.integers(0, sem.order - 1),
+                              min_size=1, max_size=3))
+    sub = core.closure(sem, gens)
+    letters = sorted(wp_context(sem, sub).letter_eval)
+    words = data.draw(st.lists(
+        st.lists(st.sampled_from(letters), max_size=12).map(tuple),
+        min_size=1, max_size=8))
+    _assert_matches_reference(sem, sub, words)
+
+
+def test_unknown_letter_is_named_and_not_cached(z6, t03):
+    ctx = wp_context(z6, t03)
+    word = ("t3", "nope", "zap")
+    with pytest.raises(InvalidLetter, match="^unknown letter 'nope'$"):
+        rewrite.word_equality_report(word, ("t3",), ctx)
+    assert word not in ctx._sig_cache
