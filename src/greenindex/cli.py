@@ -157,8 +157,7 @@ def cmd_rewrite(args) -> int:
     sem, sub, green = _green(args)
     conn = rg.connectors(green)
     word = [_check_index(s, sem.order + 1, "--word letter") for s in _ints(args.word)]
-    if not 0 <= args.class_index < green.class_count:
-        raise InputError("class index out of range")
+    _check_index(args.class_index, green.class_count, "--class-index")
     push = rw.push_right if args.direction == "right" else rw.push_left
     tr = push(args.class_index, word, conn)
     out = {

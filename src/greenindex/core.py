@@ -202,6 +202,10 @@ class SubSemigroup:
                     raise NotClosed(
                         f"not closed: {x}*{y} = {tab[x][y]} is outside"
                     )
+        # T^1, computed once and set like a field: a write through
+        # __dict__ would take attribute reads off CPython's fast path
+        object.__setattr__(
+            self, "_t_one", self.sorted_members() + (self.parent.order,))
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -213,8 +217,8 @@ class SubSemigroup:
         return tuple(sorted(self.members))
 
     def t_one(self) -> tuple[int, ...]:
-        """T^1: the sorted members followed by the adjoined identity n."""
-        return self.sorted_members() + (self.parent.order,)
+        """T^1: the sorted members, then the adjoined identity n."""
+        return self._t_one
 
     def complement(self) -> frozenset[int]:
         return frozenset(self.parent.elements) - self.members
@@ -231,6 +235,17 @@ def _target_domain(
     if isinstance(target, SubSemigroup):
         return target.parent, sorted(target.members)
     return target, list(target.elements)
+
+
+def _first_witnesses(sem, sub, xs, *, left: bool = False) -> list[dict[int, int]]:
+    """For each x in ``xs``, each product x * t (t * x when ``left``) over
+    t in T^1 mapped to its first t in T^1 order: the one owner of first
+    T^1 witnesses."""
+    rev = sub.t_one()[::-1]  # an earlier t overwrites a later one
+    mul1 = sem.mul1
+    if left:
+        return [{mul1(t, x): t for t in rev} for x in xs]
+    return [{mul1(x, t): t for t in rev} for x in xs]
 
 
 def _check_index(x, limit: int, what: str) -> int:

@@ -13,6 +13,7 @@ from .core import (
     FiniteSemigroup,
     SubSemigroup,
     _check_index,
+    _first_witnesses,
     _generating,
     generated,
 )
@@ -160,9 +161,9 @@ def domination_check(
             raise InputError(f"R element {r} is not an S^1 index")
     # the first (r, t) in R x T^1 order for each product r * t
     decomposition: dict[int, tuple[int, int]] = {}
-    for r in r_sorted:
-        for t in sub.t_one():
-            decomposition.setdefault(sem.mul1(r, t), (r, t))
+    for r, firsts in zip(r_sorted, _first_witnesses(sem, sub, r_sorted)):
+        for p, t in firsts.items():
+            decomposition.setdefault(p, (r, t))
     for s in range(n + 1):
         if s not in decomposition:
             raise HypothesisFails(f"element {s} has no decomposition r * t")

@@ -539,7 +539,6 @@ def build_schutz_packs(
     class, or the empty word when only the adjoined identity remains.
     """
     green._check_built_from(sub, sem)
-    n = sem.order
     _, lift_word = _letter_factorizer(sub, q_pres, q_assign)
     by_l: dict[int, list[int]] = {}
     for i in range(1, green.class_count):
@@ -552,20 +551,14 @@ def build_schutz_packs(
         pres, _ = _table_presentation(
             lead_grp.group, range(lead_grp.order), f"c{leader}_"
         )
-        letters = pres.alphabet
-        lifts: dict[str, Word] = {}
-        for g in range(lead_grp.order):
-            cands = [
-                t for t in lead_grp.stabilizer
-                if t != n and lead_grp.quotient[t] == g
-            ]
-            lifts[letters[g]] = lift_word(min(cands) if cands else n)
+        # each congruence class's least element: n only when alone in it
+        lift_elts = {a: vs[0] for a, vs in
+                     zip(pres.alphabet, lead_grp.gamma_classes)}
+        lifts = {a: lift_word(v) for a, v in lift_elts.items()}
         for i in members:
             grp = class_group(green, i)
-            letter_to_group = {}
-            for a in letters:
-                elt = sem.prod1(q_assign[x] for x in lifts[a])
-                letter_to_group[a] = grp.quotient_index(elt)
+            letter_to_group = {a: grp.quotient_index(v)
+                               for a, v in lift_elts.items()}
             packs[i] = ClassPack(
                 class_index=i,
                 leader=leader,

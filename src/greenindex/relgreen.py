@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteSemigroup, SubSemigroup, _check_index
+from .core import FiniteSemigroup, SubSemigroup, _check_index, _first_witnesses
 from .errors import InputError, InternalInconsistency
 
 IDENTITY_CLASS = 0
@@ -46,7 +46,9 @@ class GreenData:
 
     def rep_of(self, i: int) -> int:
         """Representative element of class index i; class 0 is represented
-        by the adjoined identity."""
+        by the adjoined identity (``OutOfRange`` for an index outside
+        [0, class_count))."""
+        _check_index(i, self.class_count, "class index")
         if i == IDENTITY_CLASS:
             return self.sem.order
         return self.reps[i - 1]
@@ -168,27 +170,21 @@ class ConnectorTables:
 
 def connectors(green: GreenData) -> ConnectorTables:
     """Materialize the four transport tables for all of S^1 x I^1.  Each
-    class j has two first-witness indexes, built in one pass over T^1 in
-    order: h_j * t to the first such t, and t * h_j to the first such t."""
-    sem = green.sem
+    class j has two first-witness indexes (``core._first_witnesses``):
+    h_j * t to the first such t, and t * h_j to the first such t."""
+    sem, sub = green.sem, green.sub
     n = sem.order
     k = len(green.complement_classes)
-    t_one = green.sub.t_one()
-    left_by: list[dict[int, int]] = [{} for _ in range(k + 1)]
-    right_by: list[dict[int, int]] = [{} for _ in range(k + 1)]
-    for j in range(k + 1):
-        rep = green.rep_of(j)
-        for t in t_one:
-            left_by[j].setdefault(sem.mul1(rep, t), t)
-            right_by[j].setdefault(sem.mul1(t, rep), t)
+    reps = [green.rep_of(j) for j in range(k + 1)]
+    left_by = _first_witnesses(sem, sub, reps)
+    right_by = _first_witnesses(sem, sub, reps, left=True)
 
     lc = [[0] * (k + 1) for _ in range(n + 1)]
     lf = [[0] * (k + 1) for _ in range(n + 1)]
     rc = [[0] * (n + 1) for _ in range(k + 1)]
     rf = [[0] * (n + 1) for _ in range(k + 1)]
 
-    for i in range(k + 1):
-        rep = green.rep_of(i)
+    for i, rep in enumerate(reps):
         for s in range(n + 1):
             p = sem.mul1(s, rep)
             j = green.class_of(p)
@@ -220,8 +216,9 @@ def connectors(green: GreenData) -> ConnectorTables:
 
 
 def _witness(index: dict[int, int], product: int) -> int:
+    """``index[product]``, or ``InternalInconsistency`` when it is missing."""
     if product not in index:
-        raise InternalInconsistency("no connector witness; GreenData is broken")
+        raise InternalInconsistency("no T^1 witness; GreenData is broken")
     return index[product]
 
 

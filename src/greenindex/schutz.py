@@ -15,6 +15,7 @@ from typing import Sequence
 from .core import (
     FiniteSemigroup,
     SubSemigroup,
+    _first_witnesses,
     _generating,
     generated,
     is_group,
@@ -26,7 +27,7 @@ from .errors import (
     NotComparable,
     OutOfRange,
 )
-from .relgreen import GreenData
+from .relgreen import GreenData, _witness
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,18 @@ class SchutzGroup:
         return self.group.order
 
 
+def _h_class_arg(sem, sub, green: GreenData, h_class, basepoint: int):
+    """``h_class`` as a frozenset, once it is the relative H-class of
+    ``basepoint`` in ``green`` (``NotAnHClass`` otherwise)."""
+    green._check_built_from(sub, sem)
+    h_class = frozenset(h_class)
+    if basepoint not in h_class:
+        raise NotAnHClass("basepoint must belong to the class")
+    if h_class != green.h_class_of(basepoint):
+        raise NotAnHClass("the given set is not a single relative H-class")
+    return h_class
+
+
 def schutz_group(
     sem: FiniteSemigroup,
     sub: SubSemigroup,
@@ -68,33 +81,32 @@ def schutz_group(
     *,
     green: GreenData,
 ) -> SchutzGroup:
-    """Build the Schutzenberger group of an H-class (inside or outside T),
-    given the Green data of (S, T)."""
-    green._check_built_from(sub, sem)
-    h_class = frozenset(h_class)
-    if basepoint not in h_class:
-        raise NotAnHClass("basepoint must belong to the class")
-    if h_class != green.h_class_of(basepoint):
-        raise NotAnHClass("the given set is not a single relative H-class")
+    """The Schutzenberger group of an H-class (inside or outside T), given
+    the Green data of (S, T); built once per basepoint and kept there."""
+    h_class = _h_class_arg(sem, sub, green, h_class, basepoint)
+    groups = green.__dict__.setdefault("_group_cache", {})
+    if basepoint not in groups:
+        groups[basepoint] = _build_group(green, h_class, basepoint)
+    return groups[basepoint]
 
+
+def _build_group(green: GreenData, h_class: frozenset[int], basepoint: int):
+    """The one builder of Schutzenberger groups, behind :func:`schutz_group`."""
+    sem = green.sem
     carrier = tuple(sorted(h_class))
     pos = {h: p for p, h in enumerate(carrier)}
 
-    stab = []
-    perm_of: dict[int, tuple[int, ...]] = {}
-    for t in sub.t_one():
-        if sem.mul1(basepoint, t) in h_class:
-            stab.append(t)
-            perm_of[t] = tuple(pos[sem.mul1(h, t)] for h in carrier)
+    # the stabilizer, in T^1 order, with each element's translation of H
+    perm_of = {t: tuple(pos[sem.mul1(h, t)] for h in carrier)
+               for t in green.sub.t_one() if sem.mul1(basepoint, t) in h_class}
 
     perms = sorted(set(perm_of.values()))
     perm_index = {p: i for i, p in enumerate(perms)}
-    quotient = {t: perm_index[perm_of[t]] for t in stab}
+    quotient = {t: perm_index[p] for t, p in perm_of.items()}
 
-    gamma: dict[int, list[int]] = {}
-    for t in stab:
-        gamma.setdefault(quotient[t], []).append(t)
-    gamma_classes = tuple(tuple(gamma[g]) for g in sorted(gamma))
+    gamma: list[list[int]] = [[] for _ in perms]
+    for t, g in quotient.items():
+        gamma[g].append(t)
 
     table = [
         [perm_index[tuple(g[p] for p in f)] for g in perms] for f in perms
@@ -106,8 +118,8 @@ def schutz_group(
         h_class=h_class,
         basepoint=basepoint,
         carrier=carrier,
-        stabilizer=tuple(stab),
-        gamma_classes=gamma_classes,
+        stabilizer=tuple(perm_of),
+        gamma_classes=tuple(map(tuple, gamma)),
         group=group,
         perms=tuple(perms),
         quotient=quotient,
@@ -116,16 +128,14 @@ def schutz_group(
 
 def class_group(green: GreenData, i: int) -> SchutzGroup:
     """The Schutzenberger group of complement class i, based at the class
-    representative; built on first use and kept with ``green``."""
+    representative: :func:`schutz_group`'s, read straight from its cache
+    once built, since a class index names a valid H-class."""
     if not 1 <= i < green.class_count:
         raise OutOfRange(f"complement class {i} not in [1, {green.class_count})")
-    groups = green.__dict__.setdefault("_group_cache", {})
-    if i not in groups:
-        groups[i] = schutz_group(
-            green.sem, green.sub, green.complement_classes[i - 1],
-            green.rep_of(i), green=green,
-        )
-    return groups[i]
+    rep = green.reps[i - 1]
+    built = green.__dict__.get("_group_cache", {}).get(rep)
+    return built or schutz_group(green.sem, green.sub,
+                                 green.complement_classes[i - 1], rep, green=green)
 
 
 @dataclass(frozen=True)
@@ -158,32 +168,28 @@ def lambda_data(
     basepoint: int,
 ) -> HClassFamily:
     """Collect the H-classes R-related to the given one, with connecting
-    witnesses chosen smallest-first."""
-    green._check_built_from(sub, sem)
-    h_class = frozenset(h_class)
-    if basepoint not in h_class or h_class != green.h_class_of(basepoint):
-        raise NotAnHClass("the given set is not a single relative H-class")
-    rid = green.r_id[basepoint]
-    by_h: dict[int, set[int]] = {}
-    for u in sem.elements:
-        if green.r_id[u] == rid:
-            by_h.setdefault(green.h_id[u], set()).add(u)
-    classes = tuple(frozenset(c) for c in sorted(by_h.values(), key=min))
+    witnesses chosen smallest-first.  By the relative Green's lemma, h * t
+    is R-related to h exactly when H * t is the H-class of h * t, so T^1
+    acts on the family through one point per class."""
+    h_class = _h_class_arg(sem, sub, green, h_class, basepoint)
+    r_id, h_id = green.r_id, green.h_id
+    # _h_classes lists the H-classes in order of their least members
+    classes = tuple(c for c in green._h_classes.values()
+                    if r_id[next(iter(c))] == r_id[basepoint])
     base_pos = classes.index(h_class)
+    mins = [min(c) for c in classes]
 
-    t_one = sub.t_one()
+    from_base, *from_mins = _first_witnesses(sem, sub, [basepoint, *mins])
     to_w, back_w = zip(*(
         (sem.order, sem.order) if p == base_pos
-        else _connecting_witnesses(sem, t_one, basepoint, min(cls))
-        for p, cls in enumerate(classes)
+        else (_witness(from_base, m), _witness(from_mins[p], basepoint))
+        for p, m in enumerate(mins)
     ))
 
-    action: dict[tuple[int, int], int | None] = {}
-    sets = {cls: p for p, cls in enumerate(classes)}
-    for p, cls in enumerate(classes):
-        for t in t_one:
-            image = frozenset(sem.mul1(h, t) for h in cls)
-            action[(p, t)] = sets.get(image)
+    pos = {h_id[m]: p for p, m in enumerate(mins)}
+    mul1, t_one = sem.mul1, sub.t_one()
+    action = {(p, t): pos.get(h_id[mul1(m, t)])
+              for p, m in enumerate(mins) for t in t_one}
     return HClassFamily(
         sem=sem,
         sub=sub,
@@ -193,17 +199,6 @@ def lambda_data(
         back_witness=back_w,
         action=action,
     )
-
-
-def _connecting_witnesses(
-    sem: FiniteSemigroup, t_one, x: int, y: int
-) -> tuple[int, int]:
-    """The first T^1 elements t and t' with x * t = y and y * t' = x."""
-    fwd = next((t for t in t_one if sem.mul1(x, t) == y), None)
-    bck = next((t for t in t_one if sem.mul1(y, t) == x), None)
-    if fwd is None or bck is None:
-        raise InternalInconsistency("R-related classes without witnesses")
-    return fwd, bck
 
 
 def schutz_generators(
@@ -220,9 +215,7 @@ def schutz_generators(
             q = family.act(p, b)
             if q is None:
                 continue
-            elt = sem.mul1(
-                sem.mul1(family.to_witness[p], b), family.back_witness[q]
-            )
+            elt = sem.prod1((family.to_witness[p], b, family.back_witness[q]))
             out.add(grp.quotient_index(elt))
     return frozenset(out)
 
@@ -258,21 +251,21 @@ class TransportReport:
 
 
 def check_L_R_transport(green: GreenData, i: int, j: int) -> TransportReport:
-    """Compare the Schutzenberger data of two complement classes.
+    """Compare the Schutzenberger data of two complement classes (each
+    index in [1, class_count), else ``OutOfRange``).
 
     L-related classes must share the stabilizer and its congruence
     partition.  R-related classes get the isomorphism of the relative
     Green's lemma, certified: it is a bijection, and each translation of
     H_j it yields is the one of H_i conjugated through h -> h * t, so it
     respects the group tables.  A failed certificate means ``green`` is
-    broken (``InternalInconsistency``).
-    """
-    ri, rj = green.rep_of(i), green.rep_of(j)
+    broken (``InternalInconsistency``)."""
+    gi, gj = class_group(green, i), class_group(green, j)
+    ri, rj = gi.basepoint, gj.basepoint
     l_related = green.l_id[ri] == green.l_id[rj]
     r_related = green.r_id[ri] == green.r_id[rj]
     if not l_related and not r_related:
         raise NotComparable("classes are neither L-related nor R-related")
-    gi, gj = class_group(green, i), class_group(green, j)
 
     stab_eq = gamma_eq = iso = None
     if l_related:
@@ -282,7 +275,8 @@ def check_L_R_transport(green: GreenData, i: int, j: int) -> TransportReport:
         gamma_eq = parts_i == parts_j
     if r_related:
         sem = green.sem
-        t, back = _connecting_witnesses(sem, green.sub.t_one(), ri, rj)
+        from_i, from_j = _first_witnesses(sem, green.sub, (ri, rj))
+        t, back = _witness(from_i, rj), _witness(from_j, ri)
         pos = {h: p for p, h in enumerate(gj.carrier)}
         sigma = [pos.get(sem.mul1(h, t), -1) for h in gi.carrier]
         iso = tuple(gj.quotient_index(sem.prod1((back, vs[0], t)))

@@ -191,6 +191,13 @@ def small_tables(n: int) -> tuple:
     return tuple(semigroup_tables(n))
 
 
+@functools.lru_cache(maxsize=None)
+def small_pool() -> tuple:
+    """The pool semigroups of order <= 40 and every table of order <= 3."""
+    return tuple(_base_pool()) + tuple(
+        core.validate_table(t) for n in (1, 2, 3) for t in small_tables(n))
+
+
 def tuple_pair_alphabet(left, right) -> tuple:
     """The padded pair alphabet listed symbol by symbol: the reference for
     ``automatic.PairAlphabet``."""
@@ -999,6 +1006,15 @@ def reference_h_class_of(green, x):
     elements sharing x's H-class id."""
     hid = green.h_id[x]
     return frozenset(u for u in green.sem.elements if green.h_id[u] == hid)
+
+
+def reference_family_action(sem, sub, classes):
+    """``schutz.lambda_data``'s action by its definition: the image of each
+    class's whole set under right translation by t in T^1, looked up among
+    the classes (None when it is none of them)."""
+    sets = {cls: p for p, cls in enumerate(classes)}
+    return {(p, t): sets.get(frozenset(sem.mul1(h, t) for h in cls))
+            for p, cls in enumerate(classes) for t in sub.t_one()}
 
 
 def reference_verify_sub_presentation(pres, assignment, sub, **bounds):

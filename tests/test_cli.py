@@ -354,7 +354,12 @@ def test_growth_dominate_rejects_a_negative_max(files, capsys):
      "--word letter 99 not in [0, 7)"),
     (["rewrite", "--class-index", "0", "--word", "3,-2"],
      "--word letter -2 not in [0, 7)"),
-], ids=["class-of-too-big", "class-of-negative", "word-too-big", "word-negative"])
+    (["rewrite", "--class-index", "3", "--word", "3"],
+     "--class-index 3 not in [0, 3)"),
+    (["rewrite", "--class-index", "-1", "--word", "3"],
+     "--class-index -1 not in [0, 3)"),
+], ids=["class-of-too-big", "class-of-negative", "word-too-big", "word-negative",
+        "class-index-too-big", "class-index-negative"])
 def test_element_indices_out_of_range(files, capsys, argv, message):
     # too big used to end in an IndexError; negative silently wrapped
     sem_path, sub_path, _ = files

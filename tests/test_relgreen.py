@@ -1,17 +1,15 @@
-import functools
-
 import pytest
 
 from greenindex import core, factories, relgreen
 from greenindex.errors import InputError, OutOfRange
 
 from helpers import (
-    _base_pool,
     fixed_instances,
     nonperm_ideal,
     random_pairs,
     reference_connectors,
     reference_h_class_of,
+    small_pool,
     small_tables,
 )
 from hypothesis import given, settings
@@ -191,6 +189,15 @@ def test_h_class_of_refuses_indices_outside_s(z6, t03):
             g.h_class_of(x)
 
 
+def test_rep_of_refuses_indices_outside_the_classes(z6, t03):
+    # -1 used to return reps[-2], the last complement class's representative
+    g = relgreen.relative_green(z6, t03)
+    assert [g.rep_of(i) for i in range(g.class_count)] == [6, 1, 2]
+    for i in (-1, 3, 1.0, True):
+        with pytest.raises(OutOfRange, match="^class index"):
+            g.rep_of(i)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 10 ** 9), st.data())
 def test_h_class_of_matches_scan_on_small_tables(n, pick, data):
@@ -229,17 +236,10 @@ def test_connectors_match_linear_scan(inst):
     _assert_connectors_match_reference(sem, sub)
 
 
-@functools.lru_cache(maxsize=None)
-def _connector_pool():
-    """The helpers' semigroups of order <= 40 and every table of order <= 3."""
-    return tuple(_base_pool()) + tuple(
-        core.validate_table(t) for n in (1, 2, 3) for t in small_tables(n))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9), st.data())
 def test_connectors_match_linear_scan_on_random_subsemigroups(pick, data):
-    pool = _connector_pool()
+    pool = small_pool()
     sem = pool[pick % len(pool)]
     gens = data.draw(st.lists(st.integers(0, sem.order - 1),
                               min_size=1, max_size=3))

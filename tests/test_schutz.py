@@ -4,10 +4,15 @@ from dataclasses import replace
 import pytest
 from helpers import (
     fixed_instances,
+    ladder_pairs,
     nonperm_ideal,
     random_pairs,
+    reference_family_action,
     reference_groups_isomorphic,
+    small_pool,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenindex import core, factories, present, relgreen, rewrite, schutz
 from greenindex.errors import (
@@ -159,6 +164,46 @@ def test_lambda_witness_equations_everywhere(instances):
                 ) == target
 
 
+def _assert_family_matches_reference(sem, sub):
+    """``lambda_data`` at every H-class, inside T and outside it, against
+    the S rescan, the set-image action and first-match linear scans."""
+    g = green_of(sem, sub)
+    t_one = sub.t_one()
+    for h_class in {g.h_class_of(x) for x in sem.elements}:
+        base = min(h_class)
+        fam = schutz.lambda_data(sem, sub, g, h_class, base)
+        family = sorted((g.h_class_of(u) for u in sem.elements
+                         if g.r_id[u] == g.r_id[base]), key=min)
+        assert list(fam.classes) == list(dict.fromkeys(family))
+        assert fam.action == reference_family_action(sem, sub, fam.classes)
+        for p, cls in enumerate(fam.classes):
+            if p == fam.base_pos:
+                assert fam.to_witness[p] == fam.back_witness[p] == sem.order
+                continue
+            assert fam.to_witness[p] == next(
+                t for t in t_one if sem.mul1(base, t) == min(cls))
+            assert fam.back_witness[p] == next(
+                t for t in t_one if sem.mul1(min(cls), t) == base)
+
+
+def test_lambda_data_matches_reference_on_the_ladder():
+    cases = [(sem, sub) for _n, sem, sub, _a, _b in fixed_instances()]
+    cases += ladder_pairs() + [nonperm_ideal(3), nonperm_ideal(4)]
+    cases += random_pairs(60)
+    for sem, sub in cases:
+        _assert_family_matches_reference(sem, sub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.data())
+def test_lambda_data_matches_reference_on_random_subsemigroups(pick, data):
+    pool = small_pool()
+    sem = pool[pick % len(pool)]
+    gens = data.draw(st.lists(st.integers(0, sem.order - 1),
+                              min_size=1, max_size=3))
+    _assert_family_matches_reference(sem, core.closure(sem, gens))
+
+
 def test_schutz_generators_z6(z6, t03):
     g = green_of(z6, t03)
     grp = schutz.schutz_group(z6, t03, {1, 4}, 1, green=g)
@@ -278,14 +323,14 @@ def test_class_group_is_built_once_and_kept(instances):
 
 def test_each_class_group_built_once_per_green_data(instances, monkeypatch):
     built = Counter()
-    real = schutz.schutz_group
+    real = schutz._build_group
 
-    def counting(sem, sub, h_class, basepoint, green=None):
+    def counting(green, h_class, basepoint):
         built[basepoint] += 1
-        return real(sem, sub, h_class, basepoint, green=green)
+        return real(green, h_class, basepoint)
 
-    monkeypatch.setattr(schutz, "schutz_group", counting)
-    for _name, sem, sub, _a, _b in instances:
+    monkeypatch.setattr(schutz, "_build_group", counting)
+    for _name, sem, sub, _a, b_gens in instances:
         built.clear()
         g = green_of(sem, sub)
         conn = relgreen.connectors(g)
@@ -302,7 +347,17 @@ def test_each_class_group_built_once_per_green_data(instances, monkeypatch):
                     schutz.check_L_R_transport(g, i, j)
                 except NotComparable:
                     pass
-        assert built == Counter(g.reps)
+        for _ in range(2):
+            # certify's generators task, then the CLI's schutz command at
+            # an H-class inside T
+            for i in range(1, g.class_count):
+                cls, rep = g.complement_classes[i - 1], g.rep_of(i)
+                grp = schutz.schutz_group(sem, sub, cls, rep, green=g)
+                fam = schutz.lambda_data(sem, sub, g, cls, rep)
+                schutz.schutz_generators(b_gens, fam, grp)
+            inner = g.h_class_of(min(sub.members))
+            schutz.schutz_group(sem, sub, inner, min(inner), green=g)
+        assert built == Counter([*g.reps, min(inner)])
 
 
 def _r_related_pairs(g):
@@ -333,6 +388,15 @@ def _s3_times_z25():
     return green_of(sem, core.closure(sem, [swap * 25, 1]))
 
 
+def test_transport_refuses_class_indices_outside_the_complement(z6, t03):
+    # these used to end in a bare IndexError, or for -1 wrap around to
+    # the last class
+    g = green_of(z6, t03)
+    for i, j in ((0, 1), (1, 0), (3, 1), (1, 3), (-1, 1)):
+        with pytest.raises(OutOfRange, match="^complement class"):
+            schutz.check_L_R_transport(g, i, j)
+
+
 def test_transport_certifies_order_25_groups():
     g = _s3_times_z25()
     assert g.green_index == 5
@@ -354,7 +418,7 @@ def test_transport_refuses_a_broken_class_group():
     grp = schutz.class_group(g, j)
     swap = {0: 1, 1: 0}
     quotient = {t: swap.get(q, q) for t, q in grp.quotient.items()}
-    g.__dict__["_group_cache"][j] = replace(grp, quotient=quotient)
+    g.__dict__["_group_cache"][g.rep_of(j)] = replace(grp, quotient=quotient)
     with pytest.raises(InternalInconsistency, match="not an isomorphism"):
         schutz.check_L_R_transport(g, i, j)
 
