@@ -40,7 +40,7 @@ from .relgreen import IDENTITY_CLASS, ConnectorTables, GreenData
 from .rewrite import _schreier_value, _two_pass
 
 PAD = "$"
-_LANGUAGE_BOUND = 10_000_000  # the most words _finite_language lists
+_LANGUAGE_BOUND = 10_000_000  # the most words _listed lists
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,8 @@ class Nfa:
             level = nxt
 
     def enumerate_words(self, max_len: int) -> list[tuple]:
-        out = []
-        for w in self.iter_words():
-            if len(w) > max_len:
-                break
-            out.append(w)
-        return out
+        return [w for w in _listed(self, max_len, "automaton")
+                if len(w) <= max_len]
 
 
 def nfa_from_words(alphabet, words: Iterable[tuple]) -> Nfa:
@@ -279,7 +275,8 @@ class PaddedRelationNfa:
         return self.nfa.accepts(convolve(u, v))
 
     def pairs(self, max_len: int) -> list[tuple[tuple, tuple]]:
-        return [deconvolve(w) for w in self.nfa.enumerate_words(max_len)]
+        return [deconvolve(w) for w in _listed(self.nfa, max_len, "relation")
+                if len(w) <= max_len]
 
 
 def _epsilon_free(alphabet, n_states, transitions, initial, accepting) -> Nfa:
@@ -376,47 +373,47 @@ def structure_for_finite(sem: FiniteSemigroup, gens: Sequence[int]) -> Automatic
 def verify_structure_report(
     st: AutomaticStructure, target, max_len: int
 ) -> tuple[bool, str]:
-    """Check a structure against a semigroup (or subsemigroup) on all words
-    up to max_len: the acceptor must evaluate onto the target, and each
-    multiplier must agree with its semantic definition both ways.  A letter
-    evaluating outside the semigroup is ``OutOfRange`` and a negative
-    ``max_len`` an ``InputError``; an element missed within ``max_len``
-    while longer words exist is ``BoundExceeded``."""
+    """Check a structure exactly against a semigroup (or subsemigroup) when
+    every acceptor word has length at most max_len: the acceptor must
+    evaluate onto the target, and each multiplier must accept exactly its
+    semantic pairs and no other string (:func:`_semantic_failure`).  An
+    acceptor word longer than max_len, as in any infinite language, is
+    ``BoundExceeded``; a letter evaluating outside the semigroup is
+    ``OutOfRange`` and a negative ``max_len`` an ``InputError``."""
     sem, elems = _target_domain(target)
     st._check_letter_evals(sem)
     if max_len < 0:
         raise InputError(f"max_len {max_len} is negative")
-    evals = {w: st.eval_word(sem, w) for w in st.acceptor.enumerate_words(max_len)}
-    reached = set(evals.values())
-    if reached < set(elems) and any(
-            len(w) > max_len for w in st.acceptor.iter_words()):
+    words = list(_listed(st.acceptor, max_len))
+    if words and len(words[-1]) > max_len:
         raise BoundExceeded(
-            f"elements {sorted(set(elems) - reached)} have no acceptor word of"
-            f" length at most max_len {max_len}, and the acceptor has longer"
-            " words")
-    failure, _pairs = _semantic_failure(
-        st, sem, elems, evals, lambda nfa: nfa.enumerate_words(max_len))
+            f"the acceptor has a word longer than max_len {max_len}")
+    failure, _evals, _pairs = _semantic_failure(st, sem, elems, words)
     return (False, failure) if failure else (True, "ok")
 
 
-def _semantic_failure(st, sem, elems, evals, listed):
-    """Compare a structure with its semantic definition over the acceptor
-    words ``evals`` lists, in shortlex order, with their evaluations.
+def _semantic_failure(st, sem, elems, words):
+    """Compare a structure with its semantic definition over its acceptor
+    language ``words``, listed in shortlex order.
 
-    The words must evaluate onto ``elems``, and each multiplier's strings,
-    as ``listed(nfa)`` gives them, must be exactly the convolutions of its
-    semantic pairs: the listed (u, v) whose evaluations satisfy
-    eval(v) = eval(u)·a for key a, or eval(v) = eval(u) for key "".  Keys
-    are checked in order and each distinct automaton is listed once.
-    Returns the first failure's message, or None, and the pair set each
-    checked multiplier accepts, by key."""
+    The words must evaluate onto ``elems``, and each multiplier must accept
+    exactly the convolutions of its semantic pairs: the (u, v) of acceptor
+    words whose evaluations satisfy eval(v) = eval(u)·a for key a, or
+    eval(v) = eval(u) for key "".  A multiplier is listed up to its first
+    string longer than the longest acceptor word, which cannot be a pair of
+    acceptor words, so any other string it accepts is seen.  Keys are
+    checked in order and each distinct automaton is listed once.  Returns
+    the first failure's message, or None, the evaluation of each word, and
+    the pair set each checked multiplier accepts, by key."""
+    evals = {w: st.eval_word(sem, w) for w in words}
     elem_set = set(elems)
     for w, e in evals.items():
         if e not in elem_set:
-            return f"acceptor word {w} evaluates outside the target", {}
+            return f"acceptor word {w} evaluates outside the target", evals, {}
     if set(evals.values()) != elem_set:
         missing = sorted(elem_set - set(evals.values()))
-        return f"acceptor is not onto; missing elements {missing}", {}
+        return f"acceptor is not onto; missing elements {missing}", evals, {}
+    longest = max(map(len, words), default=0)
     position = {w: i for i, w in enumerate(evals)}
     by_eval: dict[int, list] = {}
     for w, e in evals.items():
@@ -433,7 +430,8 @@ def _semantic_failure(st, sem, elems, evals, listed):
         accepted = set()
         stray = None
         if id(rel.nfa) not in strings:
-            strings[id(rel.nfa)] = listed(rel.nfa)
+            strings[id(rel.nfa)] = list(
+                _listed(rel.nfa, longest, f"multiplier {key!r}"))
         for s in strings[id(rel.nfa)]:
             try:
                 u, v = deconvolve(s)
@@ -454,11 +452,11 @@ def _semantic_failure(st, sem, elems, evals, listed):
             return (
                 f"multiplier {key!r} disagrees on pair ({u}, {v}):"
                 f" semantic={(u, v) in semantic} accepted={(u, v) in accepted}"
-            ), {}
+            ), evals, {}
         if stray is not None:
-            return stray, {}
+            return stray, evals, {}
         pair_sets[key] = accepted
-    return None, pair_sets
+    return None, evals, pair_sets
 
 
 @dataclass(frozen=True)
@@ -534,20 +532,7 @@ def transfer_details(
     letters = _transfer_letters(st, green, conn)
 
     words = _finite_language(st.acceptor)
-    longest = max(map(len, words), default=0)
-
-    def listed(nfa):
-        # a string longer than every acceptor word ends the listing: it
-        # cannot be an acceptor pair, so the check refuses it as a stray
-        out = []
-        for s in nfa.iter_words():
-            out.append(s)
-            if len(s) > longest:
-                break
-        return out
-
-    evals = {u: st.eval_word(sem, u) for u in words}
-    failure, pair_sets = _semantic_failure(st, sem, sem.elements, evals, listed)
+    failure, evals, pair_sets = _semantic_failure(st, sem, sem.elements, words)
     if failure:
         raise InputError(f"structure does not verify against S: {failure}")
 
@@ -618,18 +603,27 @@ def _rewrite_pair(st, green, conn, letters, u):
     return tuple(u), tuple(b for b in out if b not in letters.excluded)
 
 
+def _listed(nfa: Nfa, longest: int, what: str = "word acceptor") -> Iterator[tuple]:
+    """The accepted words in shortlex order, up to and including the first
+    one longer than ``longest``, so the listing ends on every language;
+    ``BoundExceeded`` past ``_LANGUAGE_BOUND`` words, naming ``what``."""
+    for count, w in enumerate(nfa.iter_words(), 1):
+        if count > _LANGUAGE_BOUND:
+            raise BoundExceeded(f"{what} language exceeds the bound"
+                                f" of {_LANGUAGE_BOUND} listed words")
+        yield w
+        if len(w) > longest:
+            return
+
+
 def _finite_language(nfa: Nfa) -> list[tuple]:
     """All words of a finite language, shortlex; raises InputError if the
-    language is infinite, and BoundExceeded past ``_LANGUAGE_BOUND`` words."""
-    out = []
-    for w in nfa.iter_words():
-        if len(w) > nfa.n_states:
-            raise InputError("word acceptor language is not finite")
-        out.append(w)
-        if len(out) > _LANGUAGE_BOUND:
-            raise BoundExceeded("word acceptor language exceeds the bound"
-                                f" of {_LANGUAGE_BOUND} listed words")
-    return out
+    language is infinite, and BoundExceeded past ``_LANGUAGE_BOUND`` words.
+    A word longer than the state count passes a cycle of useful states."""
+    words = list(_listed(nfa, nfa.n_states))
+    if words and len(words[-1]) > nfa.n_states:
+        raise InputError("word acceptor language is not finite")
+    return words
 
 
 def nfa_to_json(nfa: Nfa) -> dict:

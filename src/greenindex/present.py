@@ -24,6 +24,7 @@ from .core import (
     FiniteSemigroup,
     Generated,
     SubSemigroup,
+    _check_index,
     _target_domain,
     generated,
 )
@@ -373,12 +374,12 @@ def evaluate_word(sem: FiniteSemigroup, assignment: Mapping[str, int], word: Wor
 def _check_assignment(
     pres: Presentation, assignment: Mapping[str, int], n: int
 ) -> None:
-    """Every letter must be assigned an element index in [0, n)."""
+    """Every letter must be assigned an element index in [0, n): an int,
+    not a bool (``OutOfRange`` otherwise, naming the letter)."""
     for a in pres.alphabet:
         if a not in assignment:
             raise InvalidLetter(f"letter {a!r} has no assigned element")
-        if not 0 <= assignment[a] < n:
-            raise InputError(f"assignment of {a!r} is out of range")
+        _check_index(assignment[a], n, f"assignment of {a!r}")
 
 
 def verify_presentation(

@@ -10,8 +10,7 @@ of the adjoined identity.  The Green index is k + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .core import FiniteSemigroup, SubSemigroup, _check_index, _first_witnesses
 from .errors import InputError, InternalInconsistency
@@ -26,7 +25,8 @@ class GreenData:
 
     ``r_id``, ``l_id`` and ``h_id`` assign an arbitrary-but-deterministic
     class id to every element of S.  ``complement_classes[p]`` is the class
-    with index p + 1; ``reps[p]`` is its smallest element.
+    with index p + 1; ``reps[p]`` is its smallest element.  Both are read
+    off one scan of S, at construction.
     """
 
     sem: FiniteSemigroup
@@ -34,9 +34,31 @@ class GreenData:
     r_id: tuple[int, ...]
     l_id: tuple[int, ...]
     h_id: tuple[int, ...]
-    complement_classes: tuple[frozenset[int], ...]
-    reps: tuple[int, ...]
-    green_index: int
+    complement_classes: tuple[frozenset[int], ...] = field(init=False)
+    reps: tuple[int, ...] = field(init=False)
+    green_index: int = field(init=False)
+
+    def __post_init__(self):
+        # scanning S in order lists the H-classes by their least members,
+        # each least member first; a class lies wholly inside T or outside
+        members: dict[int, list[int]] = {}
+        for u in self.sem.elements:
+            members.setdefault(self.h_id[u], []).append(u)
+        h_classes = {hid: frozenset(c) for hid, c in members.items()}
+        classes = tuple(c for hid, c in h_classes.items()
+                        if members[hid][0] not in self.sub.members)
+        class_index = dict.fromkeys(self.sub.t_one(), IDENTITY_CLASS)
+        class_index.update(
+            (x, p + 1) for p, cls in enumerate(classes) for x in cls)
+        # set like fields: a write through __dict__ would take attribute
+        # reads off CPython's fast path
+        for name, value in (("complement_classes", classes),
+                            ("reps", tuple(min(c) for c in classes)),
+                            ("green_index", len(classes) + 1),
+                            ("_h_classes", h_classes),
+                            ("_class_index", class_index),
+                            ("_group_cache", {})):
+            object.__setattr__(self, name, value)
 
     @property
     def class_count(self) -> int:
@@ -56,22 +78,7 @@ class GreenData:
     def class_of(self, x: int) -> int:
         """Class index of an S^1 element: 0 for members of T^1, otherwise
         the index of the complement H-class containing x."""
-        if x == self.sem.order or x in self.sub.members:
-            return IDENTITY_CLASS
-        return self._complement_index[x]
-
-    @cached_property
-    def _complement_index(self) -> dict[int, int]:
-        return {x: p + 1 for p, cls in enumerate(self.complement_classes)
-                for x in cls}
-
-    @cached_property
-    def _h_classes(self) -> dict[int, frozenset[int]]:
-        """Each H-class id's members."""
-        members: dict[int, set[int]] = {}
-        for u in self.sem.elements:
-            members.setdefault(self.h_id[u], set()).add(u)
-        return {hid: frozenset(c) for hid, c in members.items()}
+        return self._class_index[x]
 
     def h_class_of(self, x: int) -> frozenset[int]:
         """The relative H-class of an element of S (``OutOfRange`` for an
@@ -119,25 +126,7 @@ def relative_green(sem: FiniteSemigroup, sub: SubSemigroup) -> GreenData:
     r_id = class_ids(right_keys)
     l_id = class_ids(left_keys)
     h_id = class_ids(list(zip(r_id, l_id)))
-
-    by_class: dict[int, set[int]] = {}
-    for u in sem.elements:
-        if u not in sub.members:
-            by_class.setdefault(h_id[u], set()).add(u)
-    classes = tuple(
-        frozenset(c) for c in sorted(by_class.values(), key=min)
-    )
-    reps = tuple(min(c) for c in classes)
-    return GreenData(
-        sem=sem,
-        sub=sub,
-        r_id=r_id,
-        l_id=l_id,
-        h_id=h_id,
-        complement_classes=classes,
-        reps=reps,
-        green_index=len(classes) + 1,
-    )
+    return GreenData(sem=sem, sub=sub, r_id=r_id, l_id=l_id, h_id=h_id)
 
 
 def rees_index(sem: FiniteSemigroup, sub: SubSemigroup) -> int:

@@ -84,7 +84,7 @@ def schutz_group(
     """The Schutzenberger group of an H-class (inside or outside T), given
     the Green data of (S, T); built once per basepoint and kept there."""
     h_class = _h_class_arg(sem, sub, green, h_class, basepoint)
-    groups = green.__dict__.setdefault("_group_cache", {})
+    groups = green._group_cache
     if basepoint not in groups:
         groups[basepoint] = _build_group(green, h_class, basepoint)
     return groups[basepoint]
@@ -133,7 +133,7 @@ def class_group(green: GreenData, i: int) -> SchutzGroup:
     if not 1 <= i < green.class_count:
         raise OutOfRange(f"complement class {i} not in [1, {green.class_count})")
     rep = green.reps[i - 1]
-    built = green.__dict__.get("_group_cache", {}).get(rep)
+    built = green._group_cache.get(rep)
     return built or schutz_group(green.sem, green.sub,
                                  green.complement_classes[i - 1], rep, green=green)
 

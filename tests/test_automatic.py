@@ -750,6 +750,40 @@ def test_verify_names_a_max_len_that_is_too_small(z6):
     assert not ok and "onto" in reason
 
 
+@pytest.mark.parametrize("case", sorted(invalid_transfer_inputs()))
+def test_verify_agrees_with_transfer_on_invalid_inputs(z6, case):
+    # "longer" used to verify as ok: its strays are longer than max_len
+    bad, message = invalid_transfer_inputs()[case]
+    reason = message.removeprefix("structure does not verify against S: ")
+    assert reason != message
+    assert au.verify_structure_report(bad, z6, 6) == (False, reason)
+
+
+def test_verify_never_says_ok_past_max_len(z6):
+    # both used to verify as ok at max_len 6
+    st = au.structure_for_finite(z6, [1])
+    acc = st.acceptor
+    states = [acc.initial]
+    for _ in range(6):
+        states.append(acc.step(states[-1], "a1"))
+    (q1,), (q6,) = states[1], states[6]
+    looped = replace(st, acceptor=replace(
+        acc, transitions=acc.transitions + ((q6, "a1", q1),)))
+    seven = ("a1",) * 7
+    longer = replace(st, acceptor=au.nfa_from_words(
+        st.alphabet, acc.enumerate_words(6) + [seven]))
+    for max_len in (6, 7, 8):
+        with pytest.raises(BoundExceeded, match=f"max_len {max_len}$"):
+            au.verify_structure_report(looped, z6, max_len)
+    with pytest.raises(BoundExceeded, match="max_len 6$"):
+        au.verify_structure_report(longer, z6, 6)
+    # with a1^7 within max_len the verdict is exact: "" misses (a1, a1^7)
+    for max_len in (7, 8):
+        assert au.verify_structure_report(longer, z6, max_len) == (
+            False, f"multiplier '' disagrees on pair (('a1',), {seven}):"
+                   " semantic=True accepted=False")
+
+
 def test_transferred_multipliers_are_padding_valid(t3_transfer):
     res = t3_transfer[-1]
     for rel in res.structure.multipliers.values():
@@ -783,16 +817,16 @@ def test_loaded_structure_shares_equal_multipliers(t3_transfer, monkeypatch):
         for b in mults:
             assert (mults[a] is mults[b]) == (as_json[a] == as_json[b])
     assert json.dumps(au.structure_to_json(loaded)) == text
-    enumerated = []
-    real = au.Nfa.enumerate_words
+    listed = []
+    real = au._listed
 
-    def counted(nfa, max_len):
-        enumerated.append(id(nfa))
-        return real(nfa, max_len)
+    def counted(nfa, *args):
+        listed.append(id(nfa))
+        return real(nfa, *args)
 
-    monkeypatch.setattr(au.Nfa, "enumerate_words", counted)
+    monkeypatch.setattr(au, "_listed", counted)
     assert au.verify_structure_report(loaded, ideal, 3) == (True, "ok")
-    assert len(enumerated) == 1 + 19  # the acceptor, then each multiplier
+    assert len(listed) == 1 + 19  # the acceptor, then each multiplier
 
 
 def broken_variants(st, key, max_len):

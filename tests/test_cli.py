@@ -519,6 +519,20 @@ def test_auto_transfer_refuses_a_structure_that_does_not_verify(files, capsys,
     assert captured.err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("case", sorted(invalid_transfer_inputs()))
+def test_auto_verify_refutes_what_transfer_refuses(files, capsys, case):
+    # "longer" used to print "verified": true at --max-len 6
+    sem_path, _, tmp_path = files
+    bad, message = invalid_transfer_inputs()[case]
+    st_path = tmp_path / "st_invalid.json"
+    st_path.write_text(json.dumps(automatic.structure_to_json(bad)))
+    code, out = run(capsys, "auto", "verify", "--structure", str(st_path),
+                    "--semigroup", sem_path, "--max-len", "6")
+    assert code == 1 and '"verified": false' in out
+    reason = message.removeprefix("structure does not verify against S: ")
+    assert json.loads(out) == {"verified": False, "reason": reason}
+
+
 def _over(nfa_key, symbol):
     """Replace every symbol of one automaton by ``symbol``."""
     def edit(doc):
@@ -648,9 +662,9 @@ def test_present_rejects_malformed_presentations(files, capsys, command,
 
 @pytest.mark.parametrize("assignment, message", [
     ({}, "letter 'b' has no assigned element"),
-    ({"b": 99}, "assignment of 'b' is out of range"),
-    ({"b": 6}, "assignment of 'b' is out of range"),
-    ({"b": -1}, "assignment of 'b' is out of range"),
+    ({"b": 99}, "assignment of 'b' 99 not in [0, 6)"),
+    ({"b": 6}, "assignment of 'b' 6 not in [0, 6)"),
+    ({"b": -1}, "assignment of 'b' -1 not in [0, 6)"),
 ], ids=["missing", "too-big", "identity", "negative"])
 def test_present_synth_requires_assigned_letters(files, capsys, assignment,
                                                  message):
@@ -881,14 +895,20 @@ def test_generator_flags_exit_with_a_documented_code(files, command):
         assert code == 0 or out.getvalue() == "", (argv, out.getvalue())
 
 
-def test_readme_cli_examples_parse():
+def test_readme_cli_examples_parse(files, capsys, monkeypatch):
+    # every example runs, in order, over Z6 and {0, 3}; a "> file" redirect
+    # writes stdout to that file, as the shell would
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
     block = block.split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines()
              if line.startswith("greenindex ")]
     assert lines
-    parser = cli.build_parser()
+    monkeypatch.chdir(files[2])
     for line in lines:
-        argv = shlex.split(line.split(">", 1)[0])[1:]
-        parser.parse_args(argv)
+        command, _, target = line.partition(">")
+        code = cli.main(shlex.split(command)[1:])
+        out = capsys.readouterr().out
+        assert code == 0, line
+        if target:
+            pathlib.Path(target.strip()).write_text(out, encoding="utf-8")

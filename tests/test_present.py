@@ -22,6 +22,7 @@ from greenindex.errors import (
     DaggerViolation,
     InputError,
     InvalidLetter,
+    OutOfRange,
 )
 
 
@@ -468,6 +469,12 @@ def test_compact_subsemigroup_presentation(z6, t03):
         present.verify_presentation(compact, t03, {})
     with pytest.raises(InputError):
         present.verify_presentation(compact, t03, {"b": 6})
+    # a bool or a float used to pass this check and be refused later,
+    # without the letter's name
+    for value in (True, 3.0):
+        with pytest.raises(OutOfRange, match=rf"^assignment of 'b' {value}"
+                                             r" not in \[0, 6\)$"):
+            present.verify_presentation(compact, t03, {"b": value})
 
 
 def synth(sem, sub, q=None, qa=None, **kw):

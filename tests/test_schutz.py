@@ -418,7 +418,7 @@ def test_transport_refuses_a_broken_class_group():
     grp = schutz.class_group(g, j)
     swap = {0: 1, 1: 0}
     quotient = {t: swap.get(q, q) for t, q in grp.quotient.items()}
-    g.__dict__["_group_cache"][g.rep_of(j)] = replace(grp, quotient=quotient)
+    g._group_cache[g.rep_of(j)] = replace(grp, quotient=quotient)
     with pytest.raises(InternalInconsistency, match="not an isomorphism"):
         schutz.check_L_R_transport(g, i, j)
 
