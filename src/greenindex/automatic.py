@@ -100,9 +100,6 @@ class Nfa:
                 return False
         return bool(cur & self.accepting)
 
-    def is_empty(self) -> bool:
-        return self.initial.isdisjoint(self._coaccessible)
-
     @cached_property
     def _rank(self):
         """Key giving each symbol's position in the alphabet."""
@@ -130,10 +127,6 @@ class Nfa:
                     if t:
                         nxt.append((word + (sym,), t))
             level = nxt
-
-    def enumerate_words(self, max_len: int) -> list[tuple]:
-        return [w for w in _listed(self, max_len, "automaton")
-                if len(w) <= max_len]
 
 
 def nfa_from_words(alphabet, words: Iterable[tuple]) -> Nfa:
@@ -268,11 +261,6 @@ class PaddedRelationNfa:
             right_alphabet=tuple(right_alphabet),
             nfa=nfa_from_words(alpha, words),
         )
-
-    def accepts_pair(self, u, v) -> bool:
-        if not u and not v:
-            return self.nfa.accepts(())
-        return self.nfa.accepts(convolve(u, v))
 
     def pairs(self, max_len: int) -> list[tuple[tuple, tuple]]:
         return [deconvolve(w) for w in _listed(self.nfa, max_len, "relation")

@@ -2,8 +2,10 @@
 
 One executable with subcommands; every command reads JSON files, prints
 either a human summary or schema-stable JSON (byte-identical across runs for
-identical inputs), and exits 0 on success, 1 when a mathematical verification
-fails or a bound or memory runs out, 2 on input errors.
+identical inputs) through :func:`_emit`, and exits 0 on success, 1 when a
+mathematical verification fails or a bound or memory runs out, 2 on input
+errors.  Index flags are checked by the library, whose ``OutOfRange`` is an
+input error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .core import (
     BlackBoxSemigroup,
     FiniteSemigroup,
     SubSemigroup,
-    _check_index,
     generated,
     is_cancellative,
     is_group,
@@ -34,6 +35,12 @@ from .errors import GreenIndexError, InputError, NotAssociative, OutOfRange
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _emit(args, out, human=None) -> None:
+    """Print ``out`` as JSON, or ``human`` when it is given and
+    ``--format human`` was asked for."""
+    print(human if human is not None and args.format == "human" else _dump(out))
 
 
 def _load_json(path: str) -> dict:
@@ -77,21 +84,18 @@ def cmd_validate(args) -> int:
     try:
         sem = FiniteSemigroup.from_json_dict(data)
     except (OutOfRange,) as exc:
-        print(_dump({"valid": False, "error": str(exc)}))
+        _emit(args, {"valid": False, "error": str(exc)})
         return 1
     except GreenIndexError as exc:
         witness = getattr(exc, "witness", None)
-        print(_dump({"valid": False, "error": str(exc),
-                     "witness": list(witness) if witness else None}))
+        _emit(args, {"valid": False, "error": str(exc),
+                     "witness": list(witness) if witness else None})
         return 1
     out = {"valid": True, "order": sem.order, "identity": sem.identity,
            "group": is_group(sem), "cancellative": is_cancellative(sem)}
-    if args.format == "json":
-        print(_dump(out))
-    else:
-        print(f"valid semigroup of order {sem.order};"
-              f" identity: {sem.identity}; group: {out['group']};"
-              f" cancellative: {out['cancellative']}")
+    _emit(args, out, f"valid semigroup of order {sem.order};"
+                     f" identity: {sem.identity}; group: {out['group']};"
+                     f" cancellative: {out['cancellative']}")
     return 0
 
 
@@ -103,13 +107,12 @@ def cmd_green_index(args) -> int:
         "complement_classes": [sorted(c) for c in green.complement_classes],
         "representatives": list(green.reps),
     }
-    if args.format == "json":
-        print(_dump(out))
-    else:
-        print(f"Green index: {out['green_index']}")
-        print(f"Rees index:  {out['rees_index']}")
-        for i, cls in enumerate(out["complement_classes"], start=1):
-            print(f"  class {i}: {cls} (representative {out['representatives'][i-1]})")
+    _emit(args, out, "\n".join([
+        f"Green index: {out['green_index']}",
+        f"Rees index:  {out['rees_index']}",
+        *(f"  class {i}: {cls} (representative {rep})" for i, (cls, rep) in
+          enumerate(zip(out["complement_classes"], out["representatives"]), 1)),
+    ]))
     return 0
 
 
@@ -123,10 +126,7 @@ def cmd_eggbox(args) -> int:
         sub = SubSemigroup(parent=sem, members=frozenset(sem.elements))
     green = rg.relative_green(sem, sub)
     dot = rg.eggbox_dot(green, highlight_complement=args.relative)
-    if args.format == "json":
-        print(_dump({"dot": dot}))
-    else:
-        print(dot)
+    _emit(args, {"dot": dot}, dot)
     return 0
 
 
@@ -141,25 +141,21 @@ def cmd_connectors(args) -> int:
         "right_class": [list(r) for r in conn.right_class],
         "right_factor": [list(r) for r in conn.right_factor],
     }
-    if args.format == "json":
-        print(_dump(out))
-    else:
-        print(f"classes (index 0 = adjoined identity): {out['representatives']}")
-        print("s * h_i = h_[left_class[s][i]] * left_factor[s][i]")
-        print("h_i * s = right_factor[i][s] * h_[right_class[i][s]]")
-        for s in range(sem.order + 1):
-            print(f"  s={s}: classes {conn.left_class[s]},"
-                  f" factors {conn.left_factor[s]}")
+    _emit(args, out, "\n".join([
+        f"classes (index 0 = adjoined identity): {out['representatives']}",
+        "s * h_i = h_[left_class[s][i]] * left_factor[s][i]",
+        "h_i * s = right_factor[i][s] * h_[right_class[i][s]]",
+        *(f"  s={s}: classes {klass}, factors {factor}" for s, (klass, factor)
+          in enumerate(zip(conn.left_class, conn.left_factor))),
+    ]))
     return 0
 
 
 def cmd_rewrite(args) -> int:
     sem, sub, green = _green(args)
     conn = rg.connectors(green)
-    word = [_check_index(s, sem.order + 1, "--word letter") for s in _ints(args.word)]
-    _check_index(args.class_index, green.class_count, "--class-index")
     push = rw.push_right if args.direction == "right" else rw.push_left
-    tr = push(args.class_index, word, conn)
+    tr = push(args.class_index, _ints(args.word), conn)
     out = {
         "direction": args.direction,
         "input_class": tr.input_class,
@@ -168,14 +164,11 @@ def cmd_rewrite(args) -> int:
         "output_class": tr.output_class,
         "steps": list(tr.steps),
     }
-    if args.format == "json":
-        print(_dump(out))
-    else:
-        lhs = ([green.rep_of(tr.input_class), *tr.word]
-               if args.direction == "right" else [*tr.word, green.rep_of(tr.input_class)])
-        rhs = ([*tr.output_word, green.rep_of(tr.output_class)]
-               if args.direction == "right" else [green.rep_of(tr.output_class), *tr.output_word])
-        print(f"{lhs} = {rhs} (classes visited: {list(tr.steps)})")
+    lhs = ([green.rep_of(tr.input_class), *tr.word]
+           if args.direction == "right" else [*tr.word, green.rep_of(tr.input_class)])
+    rhs = ([*tr.output_word, green.rep_of(tr.output_class)]
+           if args.direction == "right" else [green.rep_of(tr.output_class), *tr.output_word])
+    _emit(args, out, f"{lhs} = {rhs} (classes visited: {list(tr.steps)})")
     return 0
 
 
@@ -190,18 +183,16 @@ def cmd_schreier(args) -> int:
     }
     out = {"generators": sorted(bset), "closure_is_subsemigroup": closed,
            "factorizations": samples}
-    if args.format == "json":
-        print(_dump(out))
-    else:
-        print(f"generators of T: {sorted(bset)} (closure equals T: {closed})")
-        for t, w in samples.items():
-            print(f"  {t} = product{tuple(w)}")
+    _emit(args, out, "\n".join([
+        f"generators of T: {sorted(bset)} (closure equals T: {closed})",
+        *(f"  {t} = product{tuple(w)}" for t, w in samples.items()),
+    ]))
     return 0
 
 
 def cmd_schutz(args) -> int:
     sem, sub, green = _green(args)
-    h_class = green.h_class_of(_check_index(args.class_of, sem.order, "--class-of"))
+    h_class = green.h_class_of(args.class_of)
     grp = sc.schutz_group(sem, sub, h_class, min(h_class), green=green)
     fam = sc.lambda_data(sem, sub, green, h_class, min(h_class))
     b_gens = _ints(args.sub_gens) if args.sub_gens else list(sub.sorted_members())
@@ -215,13 +206,10 @@ def cmd_schutz(args) -> int:
         "group_table": [list(r) for r in grp.group.table],
         "generators": sorted(gens),
     }
-    if args.format == "json":
-        print(_dump(out))
-    else:
-        print(f"H-class {out['h_class']}, stabilizer {out['stabilizer']}")
-        print(f"gamma classes: {out['gamma_classes']}")
-        print(f"group of order {grp.order}; table {out['group_table']}")
-        print(f"generator images: {out['generators']}")
+    _emit(args, out, f"H-class {out['h_class']}, stabilizer {out['stabilizer']}\n"
+                     f"gamma classes: {out['gamma_classes']}\n"
+                     f"group of order {grp.order}; table {out['group_table']}\n"
+                     f"generator images: {out['generators']}")
     return 0
 
 
@@ -239,7 +227,7 @@ def cmd_present_synth(args) -> int:
     packs = pr.build_schutz_packs(sem, sub, green, q_pres, q_assign)
     pres, assign = pr.synthesize_presentation(
         q_pres, q_assign, packs, green, conn, max_classes=args.max_classes)
-    print(_dump(pres.to_json_dict(assignment=assign)))
+    _emit(args, pres.to_json_dict(assignment=assign))
     return 0
 
 
@@ -247,14 +235,13 @@ def cmd_present_enumerate(args) -> int:
     pres, _ = pr.Presentation.from_json_dict(_load_json(args.presentation))
     result = pr.enumerate_presentation(pres, args.max_classes)
     if not result.complete:
-        print(_dump({"complete": False, "reason": result.reason}))
+        _emit(args, {"complete": False, "reason": result.reason})
         return 0
-    out = {
+    _emit(args, {
         "complete": True,
         "size": result.size,
         "representatives": list(map(pres._word_encoder(), result.reps)),
-    }
-    print(_dump(out))
+    })
     return 0
 
 
@@ -272,7 +259,7 @@ def cmd_present_verify(args) -> int:
                     != pr.evaluate_word(sem, assign, v)):
                 witness = list(map(pres._word_encoder(), (u, v)))
                 break
-    print(_dump({"verified": ok, "violated_relation": witness}))
+    _emit(args, {"verified": ok, "violated_relation": witness})
     return 0 if ok else 1
 
 
@@ -284,11 +271,8 @@ def cmd_wp(args) -> int:
     verdict = rw.word_equality_report(w1, w2, ctx)
     out = {"equal": verdict.equal, "branch": verdict.branch,
            "detail": verdict.detail}
-    if args.format == "json":
-        print(_dump(out))
-    else:
-        print(f"branch: {verdict.branch}")
-        print(f"equal: {verdict.equal} ({verdict.detail})")
+    _emit(args, out, f"branch: {verdict.branch}\n"
+                     f"equal: {verdict.equal} ({verdict.detail})")
     return 0
 
 
@@ -307,18 +291,13 @@ def cmd_growth_series(args) -> int:
         if not args.semigroup:
             raise InputError("need --semigroup or --blackbox")
         sem = _load_semigroup(args.semigroup)
-        gens = [_check_index(g, sem.order + 1, "--gens element") for g in _ints(args.gens)]
-        series = gr.growth_function(sem, gens, args.max)
+        series = gr.growth_function(sem, _ints(args.gens), args.max)
         disclaimer = None
     out = {"series": list(series)}
     if disclaimer:
         out["disclaimer"] = disclaimer
-    if args.format == "json":
-        print(_dump(out))
-    else:
-        if disclaimer:
-            print(f"note: {disclaimer}")
-        print(" ".join(str(v) for v in series))
+    note = f"note: {disclaimer}\n" if disclaimer else ""
+    _emit(args, out, note + " ".join(map(str, series)))
     return 0
 
 
@@ -333,20 +312,18 @@ def cmd_growth_dominate(args) -> int:
         "rows": [list(r) for r in rep.rows],
         "holds": rep.holds,
     }
-    if args.format == "json":
-        print(_dump(out))
-    else:
-        print(f"k1 = {rep.k1}, k2 = {rep.k2}, R = {list(rep.r_set)}")
-        for m, gs, bound in rep.rows:
-            print(f"  n={m}: g_S={gs} <= {bound}")
-        print(f"inequality holds: {rep.holds}")
+    _emit(args, out, "\n".join([
+        f"k1 = {rep.k1}, k2 = {rep.k2}, R = {out['r_set']}",
+        *(f"  n={m}: g_S={gs} <= {bound}" for m, gs, bound in rep.rows),
+        f"inequality holds: {rep.holds}",
+    ]))
     return 0 if rep.holds else 1
 
 
 def cmd_auto_build(args) -> int:
     sem = _load_semigroup(args.semigroup)
     st = au.structure_for_finite(sem, _ints(args.gens))
-    print(_dump(au.structure_to_json(st)))
+    _emit(args, au.structure_to_json(st))
     return 0
 
 
@@ -355,7 +332,7 @@ def cmd_auto_verify(args) -> int:
     st = au.structure_from_json(_load_json(args.structure))
     target = _load_sub(sem, args.sub) if args.sub else sem
     ok, reason = au.verify_structure_report(st, target, args.max_len)
-    print(_dump({"verified": ok, "reason": reason}))
+    _emit(args, {"verified": ok, "reason": reason})
     return 0 if ok else 1
 
 
@@ -368,7 +345,7 @@ def cmd_auto_transfer(args) -> int:
     res = au.transfer_details(st, sub, green, conn)
     out = au.structure_to_json(res.structure)
     out["excluded_letters"] = sorted(res.letters.excluded)
-    print(_dump(out))
+    _emit(args, out)
     return 0
 
 
@@ -378,6 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Green index computations for finite semigroups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the shared flags, declared once: S alone, and S with T
+    on_s = argparse.ArgumentParser(add_help=False)
+    on_s.add_argument("--semigroup", required=True)
+    on_t = argparse.ArgumentParser(add_help=False, parents=[on_s])
+    on_t.add_argument("--sub", required=True)
 
     def add(name, fn, group=sub, fmt="human", **kw):
         p = group.add_parser(name, **kw)
@@ -385,46 +367,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["human", "json"], default=fmt)
         return p
 
-    p = add("validate", cmd_validate, help="validate a Cayley table")
-    p.add_argument("--semigroup", required=True)
+    add("validate", cmd_validate, parents=[on_s], help="validate a Cayley table")
+    add("green-index", cmd_green_index, parents=[on_t],
+        help="relative classes and index")
 
-    p = add("green-index", cmd_green_index, help="relative classes and index")
-    p.add_argument("--semigroup", required=True)
-    p.add_argument("--sub", required=True)
-
-    p = add("eggbox", cmd_eggbox, help="egg-box diagram as DOT")
-    p.add_argument("--semigroup", required=True)
+    p = add("eggbox", cmd_eggbox, parents=[on_s], help="egg-box diagram as DOT")
     p.add_argument("--sub")
     p.add_argument("--relative", action="store_true")
 
-    p = add("connectors", cmd_connectors, help="transport tables")
-    p.add_argument("--semigroup", required=True)
-    p.add_argument("--sub", required=True)
+    add("connectors", cmd_connectors, parents=[on_t], help="transport tables")
 
-    p = add("rewrite", cmd_rewrite, help="push a representative through a word")
-    p.add_argument("--semigroup", required=True)
-    p.add_argument("--sub", required=True)
+    p = add("rewrite", cmd_rewrite, parents=[on_t],
+            help="push a representative through a word")
     p.add_argument("--class-index", type=int, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--direction", choices=["right", "left"], default="right")
 
-    p = add("schreier", cmd_schreier, help="subsemigroup generators from S generators")
-    p.add_argument("--semigroup", required=True)
-    p.add_argument("--sub", required=True)
+    p = add("schreier", cmd_schreier, parents=[on_t],
+            help="subsemigroup generators from S generators")
     p.add_argument("--gens", required=True)
 
-    p = add("schutz", cmd_schutz, help="Schutzenberger group of an H-class")
-    p.add_argument("--semigroup", required=True)
-    p.add_argument("--sub", required=True)
+    p = add("schutz", cmd_schutz, parents=[on_t],
+            help="Schutzenberger group of an H-class")
     p.add_argument("--class-of", type=int, required=True)
     p.add_argument("--sub-gens")
 
     pres = sub.add_parser("present", help="presentation tools")
     pres_sub = pres.add_subparsers(dest="subcommand", required=True)
 
-    p = add("synth", cmd_present_synth, pres_sub, "json")
-    p.add_argument("--semigroup", required=True)
-    p.add_argument("--sub", required=True)
+    p = add("synth", cmd_present_synth, pres_sub, "json", parents=[on_t])
     p.add_argument("--presentation")
     p.add_argument("--max-classes", type=int, default=None)
 
@@ -432,14 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presentation", required=True)
     p.add_argument("--max-classes", type=int, default=1000)
 
-    p = add("verify", cmd_present_verify, pres_sub, "json")
+    p = add("verify", cmd_present_verify, pres_sub, "json", parents=[on_s])
     p.add_argument("--presentation", required=True)
-    p.add_argument("--semigroup", required=True)
     p.add_argument("--max-classes", type=int, default=None)
 
-    p = add("wp", cmd_wp, help="decide equality of two words")
-    p.add_argument("--semigroup", required=True)
-    p.add_argument("--sub", required=True)
+    p = add("wp", cmd_wp, parents=[on_t], help="decide equality of two words")
     p.add_argument("--word1", required=True)
     p.add_argument("--word2", required=True)
 
@@ -452,9 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, default=20)
     p.add_argument("--blackbox")
 
-    p = add("dominate", cmd_growth_dominate, grw_sub)
-    p.add_argument("--semigroup", required=True)
-    p.add_argument("--sub", required=True)
+    p = add("dominate", cmd_growth_dominate, grw_sub, parents=[on_t])
     p.add_argument("--r", required=True)
     p.add_argument("--sub-gens", required=True)
     p.add_argument("--max", type=int, default=12)
@@ -462,20 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
     aut = sub.add_parser("auto", help="automatic structures")
     aut_sub = aut.add_subparsers(dest="subcommand", required=True)
 
-    p = add("build", cmd_auto_build, aut_sub, "json")
-    p.add_argument("--semigroup", required=True)
+    p = add("build", cmd_auto_build, aut_sub, "json", parents=[on_s])
     p.add_argument("--gens", required=True)
 
-    p = add("verify", cmd_auto_verify, aut_sub, "json")
+    p = add("verify", cmd_auto_verify, aut_sub, "json", parents=[on_s])
     p.add_argument("--structure", required=True)
-    p.add_argument("--semigroup", required=True)
     p.add_argument("--sub")
     p.add_argument("--max-len", type=int, default=6)
 
-    p = add("transfer", cmd_auto_transfer, aut_sub, "json")
+    p = add("transfer", cmd_auto_transfer, aut_sub, "json", parents=[on_t])
     p.add_argument("--structure", required=True)
-    p.add_argument("--semigroup", required=True)
-    p.add_argument("--sub", required=True)
 
     return parser
 

@@ -163,14 +163,17 @@ def _light_associative(rows) -> bool:
     return True
 
 
-def _right_generators(rows) -> list[int]:
+def _right_generators(rows, candidates=None) -> list[int]:
     """A set A from which right multiplication reaches every element:
-    candidates by decreasing |x*S| (ties by index), each added if not yet
-    reached.  Adding e reaches e and x*e for each x reached so far; each
-    newly reached y then reaches y*a for every a in A."""
+    ``candidates`` in order (by default by decreasing |x*S|, ties by
+    index), each added if not yet reached.  Adding e reaches e and x*e for
+    each x reached so far; each newly reached y then reaches y*a for every
+    a in A."""
+    if candidates is None:
+        candidates = sorted(range(len(rows)), key=lambda x: -len(set(rows[x])))
     reached: dict[int, None] = {}  # insertion-ordered set
     gens: list[int] = []
-    for e in sorted(range(len(rows)), key=lambda x: -len(set(rows[x]))):
+    for e in candidates:
         if e in reached:
             continue
         gens.append(e)

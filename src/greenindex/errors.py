@@ -12,8 +12,8 @@ class InputError(GreenIndexError):
 
 class OutOfRange(InputError):
     """An index is not in its range: a Cayley table entry, a generator,
-    member or letter evaluation that is not an element index, an automaton
-    state id, or a CLI index flag."""
+    member, element, letter or letter evaluation that is not an element
+    index, a class index, or an automaton state id."""
 
 
 class NotAssociative(GreenIndexError):

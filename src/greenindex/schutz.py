@@ -17,7 +17,7 @@ from .core import (
     SubSemigroup,
     _first_witnesses,
     _generating,
-    generated,
+    _right_generators,
     is_group,
     validate_table,
 )
@@ -221,16 +221,9 @@ def schutz_generators(
 
 
 def find_generating_set(sem: FiniteSemigroup) -> tuple[int, ...]:
-    """A small (not minimal) generating set, chosen deterministically."""
-    gens: list[int] = []
-    have: frozenset[int] = frozenset()
-    for x in sem.elements:
-        if x not in have:
-            gens.append(x)
-            have = generated(sem, gens).members
-            if len(have) == sem.order:
-                break
-    return tuple(gens)
+    """A small (not minimal) generating set, chosen deterministically: the
+    elements in index order, each kept if those before do not generate it."""
+    return tuple(_right_generators(sem.table, sem.elements))
 
 
 @dataclass(frozen=True)

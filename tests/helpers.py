@@ -209,12 +209,28 @@ def tuple_pair_alphabet(left, right) -> tuple:
     )
 
 
+def is_empty(nfa: Nfa) -> bool:
+    """Whether ``nfa`` accepts no word."""
+    return nfa.initial.isdisjoint(nfa._coaccessible)
+
+
+def enumerate_words(nfa: Nfa, max_len: int) -> list[tuple]:
+    """The accepted words of length at most ``max_len``, in shortlex order."""
+    return [w for w in automatic._listed(nfa, max_len, "automaton")
+            if len(w) <= max_len]
+
+
+def accepts_pair(rel: PaddedRelationNfa, u, v) -> bool:
+    """Whether the padded relation ``rel`` accepts the pair (u, v)."""
+    return rel.nfa.accepts(automatic.convolve(u, v))
+
+
 def reference_verify_structure_report(st, target, max_len):
     """``automatic.verify_structure_report`` by its definition: every word
     pair is tested against every multiplier, one acceptance run each."""
     sem, elems = core._target_domain(target)
     elem_set = set(elems)
-    words = st.acceptor.enumerate_words(max_len)
+    words = enumerate_words(st.acceptor, max_len)
     evals = {}
     for w in words:
         e = st.eval_word(sem, w)
@@ -235,13 +251,13 @@ def reference_verify_structure_report(st, target, max_len):
         for u in words:
             for v in words:
                 semantic = sem.mul1(evals[u], factor) == evals[v]
-                accepted = rel.accepts_pair(u, v)
+                accepted = accepts_pair(rel, u, v)
                 if semantic != accepted:
                     return False, (
                         f"multiplier {key!r} disagrees on pair ({u}, {v}):"
                         f" semantic={semantic} accepted={accepted}"
                     )
-        for s in rel.nfa.enumerate_words(max_len):
+        for s in enumerate_words(rel.nfa, max_len):
             try:
                 u, v = automatic.deconvolve(s)
             except InputError:
@@ -274,6 +290,21 @@ def reference_closure(sem, gens):
                         new.append(p)
         frontier = new
     return frozenset(seen)
+
+
+def reference_find_generating_set(sem):
+    """``schutz.find_generating_set`` by rebuilding ``core.generated``
+    after each addition: elements in index order, each kept if the set so
+    far does not generate it."""
+    gens: list[int] = []
+    have: frozenset[int] = frozenset()
+    for x in sem.elements:
+        if x not in have:
+            gens.append(x)
+            have = core.generated(sem, gens).members
+            if len(have) == sem.order:
+                break
+    return tuple(gens)
 
 
 def reference_shortlex_forms(sem, gens):
@@ -725,7 +756,7 @@ def invalid_transfer_inputs():
     out = {name: replace(st, multipliers={**st.multipliers, "a1": rel})
            for name, rel in a1.items()}
     out["not_onto"] = replace(st, acceptor=automatic.nfa_from_words(
-        alpha, st.acceptor.enumerate_words(6)[1:]))
+        alpha, enumerate_words(st.acceptor, 6)[1:]))
     seven = ("a1",) * 7
     reasons = {
         "dropped": "multiplier 'a1' disagrees on pair (('a1',), ('a1', 'a1')):"

@@ -16,6 +16,8 @@ from greenindex import automatic as au
 from greenindex import core, factories, growth, present, relgreen, rewrite, schutz
 
 from helpers import (
+    accepts_pair,
+    enumerate_words,
     fixed_instances,
     random_pairs,
     semigroup_tables,
@@ -240,9 +242,8 @@ def test_criterion_08_automatic_transfer(fixed):
         assert ok, f"{name}: {reason}"
 
         # the acceptor covers exactly the subsemigroup
-        m_words = res.structure.acceptor.enumerate_words(
-            res.structure.acceptor.n_states + 1
-        )
+        m_words = enumerate_words(res.structure.acceptor,
+                                  res.structure.acceptor.n_states + 1)
         assert {res.structure.eval_word(sem, w) for w in m_words} == sub.members
 
         # full-relation properties on enumerated pairs
@@ -293,7 +294,7 @@ def test_criterion_08_automatic_transfer(fixed):
         for length in range(1, 4):
             for v in product(letters.names, repeat=length):
                 u = tuple(letters.info[b][1] for b in v)
-                assert rel.accepts_pair(u, v) == consistent(v)
+                assert accepts_pair(rel, u, v) == consistent(v)
     report(8, "transferred structures verify to length 6;"
               " relation properties hold on enumerated pairs")
 

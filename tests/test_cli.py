@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -107,6 +108,55 @@ def test_main_builds_the_parser_once(files, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", rebuilt)
     assert run(capsys, "validate", "--semigroup", sem_path)[0] == 0
+
+
+# subcommand -> (required option strings, optional option strings); a flag
+# added, dropped or made (un)required has to edit this table
+FLAGS = {
+    "auto build": (["--gens", "--semigroup"], ["--format"]),
+    "auto transfer": (["--semigroup", "--structure", "--sub"], ["--format"]),
+    "auto verify": (["--semigroup", "--structure"],
+                    ["--format", "--max-len", "--sub"]),
+    "connectors": (["--semigroup", "--sub"], ["--format"]),
+    "eggbox": (["--semigroup"], ["--format", "--relative", "--sub"]),
+    "green-index": (["--semigroup", "--sub"], ["--format"]),
+    "growth dominate": (["--r", "--semigroup", "--sub", "--sub-gens"],
+                        ["--format", "--max"]),
+    "growth series": ([], ["--blackbox", "--format", "--gens", "--max",
+                           "--semigroup"]),
+    "present enumerate": (["--presentation"], ["--format", "--max-classes"]),
+    "present synth": (["--semigroup", "--sub"],
+                      ["--format", "--max-classes", "--presentation"]),
+    "present verify": (["--presentation", "--semigroup"],
+                       ["--format", "--max-classes"]),
+    "rewrite": (["--class-index", "--semigroup", "--sub", "--word"],
+                ["--direction", "--format"]),
+    "schreier": (["--gens", "--semigroup", "--sub"], ["--format"]),
+    "schutz": (["--class-of", "--semigroup", "--sub"], ["--format", "--sub-gens"]),
+    "validate": (["--semigroup"], ["--format"]),
+    "wp": (["--semigroup", "--sub", "--word1", "--word2"], ["--format"]),
+}
+
+
+def _flag_surface(parser, prefix=""):
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                out.update(_flag_surface(child, f"{prefix}{name} "))
+    if prefix and not out:
+        flags = [a for a in parser._actions
+                 if not isinstance(a, argparse._HelpAction)]
+        out[prefix.strip()] = tuple(
+            sorted(s for a in flags if a.required == required
+                   for s in a.option_strings)
+            for required in (True, False))
+    return out
+
+
+def test_flag_surface():
+    assert _flag_surface(cli.build_parser()) == {
+        name: tuple(flags) for name, flags in FLAGS.items()}
 
 
 def test_connectors_and_rewrite(files, capsys):
@@ -348,16 +398,16 @@ def test_growth_dominate_rejects_a_negative_max(files, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["schutz", "--class-of", "9"], "--class-of 9 not in [0, 6)"),
-    (["schutz", "--class-of", "-1"], "--class-of -1 not in [0, 6)"),
+    (["schutz", "--class-of", "9"], "element 9 not in [0, 6)"),
+    (["schutz", "--class-of", "-1"], "element -1 not in [0, 6)"),
     (["rewrite", "--class-index", "0", "--word", "3,99"],
-     "--word letter 99 not in [0, 7)"),
+     "letter 99 not in [0, 7)"),
     (["rewrite", "--class-index", "0", "--word", "3,-2"],
-     "--word letter -2 not in [0, 7)"),
+     "letter -2 not in [0, 7)"),
     (["rewrite", "--class-index", "3", "--word", "3"],
-     "--class-index 3 not in [0, 3)"),
+     "class 3 not in [0, 3)"),
     (["rewrite", "--class-index", "-1", "--word", "3"],
-     "--class-index -1 not in [0, 3)"),
+     "class -1 not in [0, 3)"),
 ], ids=["class-of-too-big", "class-of-negative", "word-too-big", "word-negative",
         "class-index-too-big", "class-index-negative"])
 def test_element_indices_out_of_range(files, capsys, argv, message):
@@ -376,7 +426,7 @@ def test_growth_series_rejects_generators_out_of_range(files, capsys):
                          "--gens", gens, "--max", "3"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("input error: --gens element")
+        assert captured.err == f"input error: generator {gens} not in [0, 7)\n"
     # the adjoined identity (index 6) is an S^1 element and stays accepted
     code, out = run(capsys, "growth", "series", "--semigroup", sem_path,
                     "--gens", "1,6", "--max", "3", "--format", "json")

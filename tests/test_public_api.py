@@ -205,9 +205,8 @@ DEFINED = {
 # are left out
 MEMBERS = {
     "automatic.AutomaticStructure": ["eval_word"],
-    "automatic.Nfa": [
-        "accepts", "enumerate_words", "is_empty", "iter_words", "step"],
-    "automatic.PaddedRelationNfa": ["accepts_pair", "from_pairs", "pairs"],
+    "automatic.Nfa": ["accepts", "iter_words", "step"],
+    "automatic.PaddedRelationNfa": ["from_pairs", "pairs"],
     "automatic.PairAlphabet": ["rank"],
     "core.BlackBoxSemigroup": ["encode", "spot_check_associativity"],
     "core.FiniteSemigroup": [

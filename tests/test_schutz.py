@@ -8,6 +8,7 @@ from helpers import (
     nonperm_ideal,
     random_pairs,
     reference_family_action,
+    reference_find_generating_set,
     reference_groups_isomorphic,
     small_pool,
 )
@@ -202,6 +203,14 @@ def test_lambda_data_matches_reference_on_random_subsemigroups(pick, data):
     gens = data.draw(st.lists(st.integers(0, sem.order - 1),
                               min_size=1, max_size=3))
     _assert_family_matches_reference(sem, core.closure(sem, gens))
+
+
+def test_find_generating_set_matches_the_rebuilding_reference():
+    sems = [sem for sem, _sub in ladder_pairs() + random_pairs(25)]
+    sems += [factories.zmod(n) for n in (8, 16, 24, 32, 48, 64)]
+    sems.append(factories.full_transformation_monoid(4))
+    for sem in sems:
+        assert schutz.find_generating_set(sem) == reference_find_generating_set(sem)
 
 
 def test_schutz_generators_z6(z6, t03):
