@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -126,13 +127,16 @@ def validate_table(
             raise InputError(f"table row {i} is not a list")
         if len(row) != n:
             raise InputError("table is not square")
-    for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InputError(f"entry table[{i}][{j}] = {v!r} is not an integer")
-            if not 0 <= v < n:
-                raise OutOfRange(f"entry table[{i}][{j}] = {v} not in [0, {n})")
-    rows = tuple(tuple(row) for row in table)
+    rows = tuple(map(tuple, table))
+    # checked in C; the scan names the first bad entry or passes int subclasses
+    if not (set(map(type, chain.from_iterable(rows))) <= {int}
+            and set(chain.from_iterable(rows)).issubset(range(n))):
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise InputError(f"entry table[{i}][{j}] = {v!r} is not an integer")
+                if not 0 <= v < n:
+                    raise OutOfRange(f"entry table[{i}][{j}] = {v} not in [0, {n})")
     if names is not None and len(names) != n:
         raise InputError("names length != order")
     if n > 1 and not _light_associative(rows):
@@ -199,16 +203,22 @@ class SubSemigroup:
         tab = self.parent.table
         for x in self.members:
             _check_index(x, self.parent.order, "member")
-        for x in self.members:
-            for y in self.members:
-                if tab[x][y] not in self.members:
-                    raise NotClosed(
-                        f"not closed: {x}*{y} = {tab[x][y]} is outside"
-                    )
-        # T^1, computed once and set like a field: a write through
+        members = self.sorted_members()
+        # the greedy B reaches every member, so T lies in <B>; T*B in T
+        # then gives <B> in T, and T is closed
+        gens = _right_generators(tab, members)
+        pick = itemgetter(gens[0], *gens)  # two indices: always a tuple
+        if not all(self.members.issuperset(pick(tab[x])) for x in members):
+            for x in self.members:
+                for y in self.members:
+                    if tab[x][y] not in self.members:
+                        raise NotClosed(
+                            f"not closed: {x}*{y} = {tab[x][y]} is outside"
+                        )
+        # T^1 and B, computed once and set like fields: a write through
         # __dict__ would take attribute reads off CPython's fast path
-        object.__setattr__(
-            self, "_t_one", self.sorted_members() + (self.parent.order,))
+        object.__setattr__(self, "_t_one", members + (self.parent.order,))
+        object.__setattr__(self, "_t_gens", tuple(gens))
 
     def __contains__(self, x: int) -> bool:
         return x in self.members

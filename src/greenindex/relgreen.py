@@ -2,20 +2,26 @@
 
 All relations are taken relative to a fixed subsemigroup T of S: two elements
 are R-related when their right principal sets u*T^1 agree, L-related when the
-left principal sets agree, and H-related when both do.  Every class lies
-wholly inside T or wholly inside the complement; the complement H-classes are
-indexed 1..k by their smallest member, and index 0 stands for the class {1}
-of the adjoined identity.  The Green index is k + 1.
+left principal sets agree, and H-related when both do.  R and L are computed
+as strongly connected components of Cayley graphs of S whose arcs are labelled
+by T's greedy generators, the set over which ``SubSemigroup`` certifies
+closure.  Every class lies wholly inside T or wholly inside the complement;
+the complement H-classes are indexed 1..k by their smallest member, and
+index 0 stands for the class {1} of the adjoined identity.  The Green index
+is k + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
+from operator import itemgetter
 
 from .core import FiniteSemigroup, SubSemigroup, _check_index, _first_witnesses
 from .errors import InputError, InternalInconsistency
 
 IDENTITY_CLASS = 0
+_NO_WITNESS = "no T^1 witness; GreenData is broken"
 
 
 @dataclass(frozen=True)
@@ -103,30 +109,60 @@ class GreenData:
 
 
 def relative_green(sem: FiniteSemigroup, sub: SubSemigroup) -> GreenData:
-    """Compute the relative Green's relations by comparing principal sets."""
+    """Compute the relative Green's relations as strongly connected
+    components over T's greedy generators B: the elements that u reaches by
+    arcs u -> u*b are exactly u*T^1, so u R^T v iff u and v reach each
+    other; L^T is the same with arcs u -> b*u (Froidure & Pin 1997)."""
     if sub.parent is not sem and sub.parent != sem:
         raise InputError("subsemigroup belongs to another semigroup")
-    members = sub.sorted_members()
-
-    def class_ids(keys):
-        seen: dict = {}
-        out = []
-        for k in keys:
-            if k not in seen:
-                seen[k] = len(seen)
-            out.append(seen[k])
-        return tuple(out)
-
-    right_keys = [
-        frozenset(sem.mul(u, t) for t in members) | {u} for u in sem.elements
-    ]
-    left_keys = [
-        frozenset(sem.mul(t, u) for t in members) | {u} for u in sem.elements
-    ]
-    r_id = class_ids(right_keys)
-    l_id = class_ids(left_keys)
-    h_id = class_ids(list(zip(r_id, l_id)))
+    rows, gens = sem.table, sub._t_gens
+    pick = itemgetter(gens[0], *gens)  # two indices: always a tuple
+    left = [rows[b] for b in gens]
+    r_id = _components(sem.order, lambda u: pick(rows[u]))
+    l_id = _components(sem.order, lambda u: [row[u] for row in left])
+    h_id = _first_occurrence(zip(r_id, l_id))
     return GreenData(sem=sem, sub=sub, r_id=r_id, l_id=l_id, h_id=h_id)
+
+
+def _components(n: int, successors) -> tuple[int, ...]:
+    """The strongly connected components of the graph on range(n) with
+    arcs u -> v for v in ``successors(u)``, numbered by first occurrence in
+    element order: an iterative Tarjan (1972)."""
+    order, low = [0] * n, [0] * n  # DFS numbers count from 1
+    root = [-1] * n  # each element's component root, once it is complete
+    stack, ticks = [], count(1)
+
+    def enter(w):
+        order[w] = low[w] = next(ticks)
+        stack.append(w)
+        return w, iter(successors(w))
+
+    for start in range(n):
+        path = [] if order[start] else [enter(start)]
+        while path:
+            v, arcs = path[-1]
+            for w in arcs:
+                if not order[w]:
+                    path.append(enter(w))
+                    break
+                if root[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if low[v] == order[v]:  # v is a root: pop its component
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        root[w] = v
+                elif low[v] < low[path[-1][0]]:  # so v has a parent
+                    low[path[-1][0]] = low[v]
+    return _first_occurrence(root)
+
+
+def _first_occurrence(keys) -> tuple[int, ...]:
+    """Each key's id, numbering the distinct keys by first occurrence."""
+    seen: dict = {}
+    return tuple(seen.setdefault(k, len(seen)) for k in keys)
 
 
 def rees_index(sem: FiniteSemigroup, sub: SubSemigroup) -> int:
@@ -162,52 +198,43 @@ def connectors(green: GreenData) -> ConnectorTables:
     class j has two first-witness indexes (``core._first_witnesses``):
     h_j * t to the first such t, and t * h_j to the first such t."""
     sem, sub = green.sem, green.sub
-    n = sem.order
-    k = len(green.complement_classes)
-    reps = [green.rep_of(j) for j in range(k + 1)]
+    n, rows = sem.order, sem.table
+    reps = [green.rep_of(j) for j in range(green.class_count)]
     left_by = _first_witnesses(sem, sub, reps)
     right_by = _first_witnesses(sem, sub, reps, left=True)
+    class_of = green._class_index.__getitem__
+    lc, lf, rc, rf = [], [], [], []  # lc and lf by column, rc and rf by row
 
-    lc = [[0] * (k + 1) for _ in range(n + 1)]
-    lf = [[0] * (k + 1) for _ in range(n + 1)]
-    rc = [[0] * (n + 1) for _ in range(k + 1)]
-    rf = [[0] * (n + 1) for _ in range(k + 1)]
-
-    for i, rep in enumerate(reps):
-        for s in range(n + 1):
-            p = sem.mul1(s, rep)
-            j = green.class_of(p)
-            lc[s][i] = j
-            if s == n:
-                lf[s][i] = n
-            elif j == IDENTITY_CLASS:
-                lf[s][i] = p
-            else:
-                lf[s][i] = _witness(left_by[j], p)
-
-            q = sem.mul1(rep, s)
-            j2 = green.class_of(q)
-            rc[i][s] = j2
-            if s == n:
-                rf[i][s] = n
-            elif j2 == IDENTITY_CLASS:
-                rf[i][s] = q
-            else:
-                rf[i][s] = _witness(right_by[j2], q)
+    for rep in reps:
+        # s * rep and rep * s over s in S; s = 1 gives rep and the factor 1
+        if rep == n:
+            left = right = range(n)
+        else:
+            left, right = list(map(itemgetter(rep), rows)), rows[rep]
+        for products, by, classes, factors in (
+                (left, left_by, lc, lf), (right, right_by, rc, rf)):
+            js = list(map(class_of, products))
+            classes.append(js + [class_of(rep)])
+            # by[IDENTITY_CLASS] maps each t in T^1 to itself
+            try:
+                factors.append(
+                    [*map(dict.__getitem__, map(by.__getitem__, js), products), n])
+            except KeyError:
+                raise InternalInconsistency(_NO_WITNESS) from None
 
     return ConnectorTables(
         green=green,
-        left_class=tuple(tuple(r) for r in lc),
-        left_factor=tuple(tuple(r) for r in lf),
-        right_class=tuple(tuple(r) for r in rc),
-        right_factor=tuple(tuple(r) for r in rf),
+        left_class=tuple(zip(*lc)),
+        left_factor=tuple(zip(*lf)),
+        right_class=tuple(map(tuple, rc)),
+        right_factor=tuple(map(tuple, rf)),
     )
 
 
 def _witness(index: dict[int, int], product: int) -> int:
     """``index[product]``, or ``InternalInconsistency`` when it is missing."""
     if product not in index:
-        raise InternalInconsistency("no T^1 witness; GreenData is broken")
+        raise InternalInconsistency(_NO_WITNESS)
     return index[product]
 
 

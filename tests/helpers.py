@@ -292,6 +292,35 @@ def reference_closure(sem, gens):
     return frozenset(seen)
 
 
+def reference_relative_green(sem, sub):
+    """``relative_green``'s ``(r_id, l_id, h_id)`` by the definition: u and
+    v are R^T-related iff the principal sets u*T^1 and v*T^1 agree, L^T
+    dually, H^T when both are; ids number the classes by first occurrence
+    in element order."""
+    members = sub.sorted_members()
+
+    def ids(keys):
+        seen: dict = {}
+        return tuple(seen.setdefault(k, len(seen)) for k in keys)
+
+    r_id = ids(frozenset(sem.mul(u, t) for t in members) | {u}
+               for u in sem.elements)
+    l_id = ids(frozenset(sem.mul(t, u) for t in members) | {u}
+               for u in sem.elements)
+    return r_id, l_id, ids(zip(r_id, l_id))
+
+
+def reference_not_closed(sem, members):
+    """The ``NotClosed`` message of a pairwise |T|^2 scan of ``members`` in
+    frozenset iteration order, or None when they are closed."""
+    members = frozenset(members)
+    for x in members:
+        for y in members:
+            if sem.table[x][y] not in members:
+                return f"not closed: {x}*{y} = {sem.table[x][y]} is outside"
+    return None
+
+
 def reference_find_generating_set(sem):
     """``schutz.find_generating_set`` by rebuilding ``core.generated``
     after each addition: elements in index order, each kept if the set so

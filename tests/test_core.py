@@ -1,3 +1,4 @@
+import enum
 import functools
 import operator
 import random
@@ -22,7 +23,9 @@ from helpers import (
     fixed_instances,
     ladder_pairs,
     random_pairs,
+    reference_not_closed,
     reference_validate_table,
+    small_pool,
     small_tables,
 )
 
@@ -134,6 +137,44 @@ def test_validate_matches_cubic_reference_on_zero_tables(n):
         assert core.validate_table(table) == reference_validate_table(table)
 
 
+Digit = enum.IntEnum("Digit", [(f"d{v}", v) for v in range(5)])
+Z5 = [[(x + y) % 5 for y in range(5)] for x in range(5)]
+BAD_ENTRIES = [
+    (True, InputError, "= True is not an integer"),
+    (2.0, InputError, "= 2.0 is not an integer"),
+    ("1", InputError, "= '1' is not an integer"),
+    (-1, OutOfRange, "= -1 not in [0, 5)"),
+    (5, OutOfRange, "= 5 not in [0, 5)"),
+    (10 ** 20, OutOfRange, f"= {10 ** 20} not in [0, 5)"),
+]
+
+
+@pytest.mark.parametrize("row_type", [list, tuple])
+@pytest.mark.parametrize("cell", [(0, 0), (2, 3), (4, 4)])
+@pytest.mark.parametrize("value, kind, text", BAD_ENTRIES)
+def test_validate_names_the_bad_entry(value, kind, text, cell, row_type):
+    i, j = cell
+    for later in (None, "later"):
+        table = [list(row) for row in Z5]
+        if later is not None and cell != (4, 4):
+            table[4][4] = later  # a later bad entry does not hide the first
+        table[i][j] = value
+        with pytest.raises(InputError) as exc:
+            core.validate_table([row_type(row) for row in table])
+        assert exc.type is kind
+        assert str(exc.value) == f"entry table[{i}][{j}] {text}"
+
+
+def test_validate_accepts_int_subclass_entries():
+    plain = core.validate_table(Z5)
+    assert core.validate_table([[Digit(v) for v in row] for row in Z5]) == plain
+    mixed = [list(row) for row in Z5]
+    mixed[2][3] = Digit(mixed[2][3])
+    assert core.validate_table(mixed) == plain
+    with pytest.raises(NotAssociative):
+        core.validate_table([[Digit(0), Digit(1)], [Digit(0), Digit(0)]])
+
+
 def test_light_generators_on_t4_and_zero_tables():
     t4 = factories.full_transformation_monoid(4)
     gens = core._right_generators(t4.table)
@@ -186,6 +227,55 @@ def test_subsemigroup_validation(z6):
     sub = core.SubSemigroup(parent=z6, members=frozenset({0, 3}))
     assert core._target_domain(sub) == (z6, [0, 3])
     assert core._target_domain(z6) == (z6, list(range(6)))
+
+
+def _assert_subsemigroup_matches_pairwise_scan(sem, members):
+    expected = reference_not_closed(sem, members)
+    if expected is None:
+        sub = core.SubSemigroup(parent=sem, members=members)
+        assert sub.members == members
+        assert core.generated(sem, sub._t_gens).members == members
+    else:
+        with pytest.raises(NotClosed) as exc:
+            core.SubSemigroup(parent=sem, members=members)
+        assert str(exc.value) == expected
+
+
+def test_subsemigroup_matches_pairwise_scan_on_every_small_table():
+    for n in (1, 2, 3):
+        for table in small_tables(n):
+            sem = core.validate_table(table)
+            for mask in range(1, 1 << n):
+                members = frozenset(x for x in range(n) if mask >> x & 1)
+                _assert_subsemigroup_matches_pairwise_scan(sem, members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 9), st.data())
+def test_subsemigroup_matches_pairwise_scan_on_random_subsets(pick, data):
+    # a closure, one element more or less, or any subset: both verdicts
+    pool = small_pool()
+    sem = pool[pick % len(pool)]
+    elt = st.integers(0, sem.order - 1)
+    members = set(core.closure(sem, data.draw(
+        st.lists(elt, min_size=1, max_size=3))).members)
+    how = data.draw(st.sampled_from(["closure", "add", "drop", "subset"]))
+    if how == "add":
+        members.add(data.draw(elt))
+    elif how == "drop" and len(members) > 1:
+        members.discard(data.draw(st.sampled_from(sorted(members))))
+    elif how == "subset":
+        members = data.draw(st.sets(elt, min_size=1))
+    _assert_subsemigroup_matches_pairwise_scan(sem, frozenset(members))
+
+
+def test_subsemigroup_checks_emptiness_and_members_before_closure(z6):
+    with pytest.raises(NotClosed, match=r"^subsemigroup is empty$"):
+        core.SubSemigroup(parent=z6, members=frozenset())
+    for bad in (6, -1, 2.0):  # {1, bad} is not closed either
+        with pytest.raises(OutOfRange) as exc:
+            core.SubSemigroup(parent=z6, members=frozenset({1, bad}))
+        assert str(exc.value) == f"member {bad!r} not in [0, 6)"
 
 
 def test_homomorphism_validation():

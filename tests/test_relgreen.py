@@ -1,27 +1,21 @@
 import pytest
 
 from greenindex import core, factories, relgreen
-from greenindex.errors import InputError, OutOfRange
+from greenindex.errors import InputError, InternalInconsistency, OutOfRange
 
 from helpers import (
     fixed_instances,
+    ladder_pairs,
     nonperm_ideal,
     random_pairs,
     reference_connectors,
     reference_h_class_of,
+    reference_relative_green,
     small_pool,
     small_tables,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-
-def principal_right(sem, sub, u):
-    return frozenset(sem.mul(u, t) for t in sub.members) | {u}
-
-
-def principal_left(sem, sub, u):
-    return frozenset(sem.mul(t, u) for t in sub.members) | {u}
 
 
 def test_z6_example(z6, t03):
@@ -50,16 +44,36 @@ def test_semilattice_instance_has_index_two():
     assert relgreen.rees_index(s, t) == 1
 
 
-def test_class_ids_match_principal_sets(instances):
-    for _name, sem, sub, _a, _b in instances:
-        g = relgreen.relative_green(sem, sub)
-        for u in sem.elements:
-            for v in sem.elements:
-                same_r = principal_right(sem, sub, u) == principal_right(sem, sub, v)
-                same_l = principal_left(sem, sub, u) == principal_left(sem, sub, v)
-                assert (g.r_id[u] == g.r_id[v]) == same_r
-                assert (g.l_id[u] == g.l_id[v]) == same_l
-                assert (g.h_id[u] == g.h_id[v]) == (same_r and same_l)
+def _edge_pairs():
+    """T = S, |T| = 1, and T whose greedy generators are a single element:
+    a monogenic S over itself and over <a^2>."""
+    z6, mono = factories.zmod(6), factories.monogenic(2, 3)
+    return [(z6, core.SubSemigroup(parent=z6, members=frozenset(range(6)))),
+            (z6, core.closure(z6, [0])), (z6, core.closure(z6, [3])),
+            (mono, core.closure(mono, [0])), (mono, core.closure(mono, [1]))]
+
+
+def _assert_ids_match_reference(sem, sub):
+    g = relgreen.relative_green(sem, sub)
+    assert (g.r_id, g.l_id, g.h_id) == reference_relative_green(sem, sub)
+
+
+def test_class_ids_match_principal_sets():
+    edges = _edge_pairs()
+    for sem, sub in ladder_pairs() + [nonperm_ideal(4)] + edges:
+        _assert_ids_match_reference(sem, sub)
+    sizes = {(len(sub), len(sub._t_gens)) for _sem, sub in edges}
+    assert {(1, 1), (4, 1), (3, 1)} <= sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9), st.data())
+def test_class_ids_match_principal_sets_on_random_subsemigroups(pick, data):
+    pool = small_pool()
+    sem = pool[pick % len(pool)]
+    gens = data.draw(st.lists(st.integers(0, sem.order - 1),
+                              min_size=1, max_size=3))
+    _assert_ids_match_reference(sem, core.closure(sem, gens))
 
 
 def test_classes_respect_subsemigroup(instances):
@@ -223,6 +237,16 @@ def test_relative_green_refuses_a_subsemigroup_of_another_semigroup():
 def _assert_connectors_match_reference(sem, sub):
     g = relgreen.relative_green(sem, sub)
     assert relgreen.connectors(g) == reference_connectors(g)
+
+
+def test_connectors_refuse_green_data_without_a_witness(z6, t03):
+    # 2 joins 1's class, but 1 + {0, 3, 1} never reaches 2
+    g = relgreen.relative_green(z6, t03)
+    broken = relgreen.GreenData(sem=z6, sub=t03, r_id=g.r_id, l_id=g.l_id,
+                                h_id=(0, 1, 1, 2, 3, 4))
+    with pytest.raises(InternalInconsistency,
+                       match=r"^no T\^1 witness; GreenData is broken$"):
+        relgreen.connectors(broken)
 
 
 @pytest.mark.parametrize(
