@@ -254,11 +254,19 @@ def _first_witnesses(sem, sub, xs, *, left: bool = False) -> list[dict[int, int]
     """For each x in ``xs``, each product x * t (t * x when ``left``) over
     t in T^1 mapped to its first t in T^1 order: the one owner of first
     T^1 witnesses."""
+    n, rows = sem.order, sem.table
     rev = sub.t_one()[::-1]  # an earlier t overwrites a later one
-    mul1 = sem.mul1
-    if left:
-        return [{mul1(t, x): t for t in rev} for x in xs]
-    return [{mul1(x, t): t for t in rev} for x in xs]
+    ts = rev[1:]  # rev[0] is n, and x * n = n * x = x
+    cols = [rows[t] for t in ts] if left else None
+
+    def products(x):  # x * t (t * x) over t in rev, from x's row (column)
+        if x == n:
+            return rev
+        if left:
+            return [x, *map(itemgetter(x), cols)]
+        return [x, *map(rows[x].__getitem__, ts)]
+
+    return [dict(zip(products(x), rev)) for x in xs]
 
 
 def _check_index(x, limit: int, what: str) -> int:

@@ -95,8 +95,12 @@ def _two_pass(word: Sequence[int], conn: ConnectorTables):
     """Push the adjoined identity through ``word`` right to left, then the
     resulting representative through that output left to right.  Returns
     (left classes, output, right classes) with
-    word = output * rep(right classes[-1])."""
+    word = output * rep(right classes[-1]).  When the left push ends in
+    class 0 the right push is not run: from class 0 it would stay there and
+    fix every letter of T^1."""
     first, left = _scan_left(IDENTITY_CLASS, word, conn)
+    if left[0] == IDENTITY_CLASS:
+        return left, first, [IDENTITY_CLASS] * len(left)
     out, right = _scan_right(left[0], first, conn)
     return left, out, right
 
@@ -180,16 +184,29 @@ def _signature(word: tuple[str, ...], ctx: WordProblemContext):
         elems = [letter_eval[a] for a in word]
     except KeyError as exc:
         raise InvalidLetter(f"unknown letter {exc.args[0]!r}") from None
-    sem = ctx.green.sem
+    sem, conn = ctx.green.sem, ctx.conn
+    n = sem.order
     if not elems:
-        sig = ("empty", sem.order)
+        sig = ("empty", n)
     else:
-        _left, out, right = _two_pass(elems, ctx.conn)
-        if right[-1] == IDENTITY_CLASS:
-            sig = ("sub", sem.prod1(out))
+        # The pushes of _two_pass, then a back push when the word ends
+        # outside T.  The adjoined identity n acts trivially in both
+        # directions (it keeps the class and comes out as n), and from
+        # class 0 the right push fixes every T^1 letter; so dropping n
+        # between pushes, and skipping the right push after a left push
+        # that ends in class 0, leave every class chain end and every
+        # prod1 fold as they were.
+        first, left = _scan_left(IDENTITY_CLASS, elems, conn)
+        if left[0] == IDENTITY_CLASS:
+            sig = ("sub", sem.prod1(first))
         else:
-            back, classes = _scan_left(right[-1], out, ctx.conn)
-            sig = ("class", classes[0], sem.prod1(back))
+            out, right = _scan_right(left[0], [b for b in first if b != n], conn)
+            if right[-1] == IDENTITY_CLASS:
+                sig = ("sub", sem.prod1(out))
+            else:
+                back, classes = _scan_left(
+                    right[-1], [b for b in out if b != n], conn)
+                sig = ("class", classes[0], sem.prod1(back))
     ctx._sig_cache[word] = sig
     return sig
 

@@ -7,7 +7,7 @@ import random
 from dataclasses import replace
 
 from greenindex import (
-    automatic, core, factories, growth, present, relgreen, schutz,
+    automatic, core, factories, growth, present, relgreen, rewrite, schutz,
 )
 from greenindex.automatic import (
     PAD,
@@ -994,6 +994,15 @@ def _reference_push(conn, i, word, direction):
             out.insert(0, conn.left_factor[s][i])
             i = conn.left_class[s][i]
     return out, i
+
+
+def reference_two_pass(word, conn):
+    """``rewrite._two_pass`` with both scans always run: the identity pushed
+    left through ``word``, then the class it ends in pushed right through
+    the whole output, even from class 0."""
+    first, left = rewrite._scan_left(relgreen.IDENTITY_CLASS, word, conn)
+    out, right = rewrite._scan_right(left[0], first, conn)
+    return left, out, right
 
 
 def reference_signature(word, ctx):

@@ -236,7 +236,17 @@ def test_relative_green_refuses_a_subsemigroup_of_another_semigroup():
 
 def _assert_connectors_match_reference(sem, sub):
     g = relgreen.relative_green(sem, sub)
-    assert relgreen.connectors(g) == reference_connectors(g)
+    conn = relgreen.connectors(g)
+    assert conn == reference_connectors(g)
+    # what rewrite's pushes skip: the adjoined identity n acts trivially,
+    # and the right push from class 0 fixes every letter of T^1
+    n, zero = sem.order, relgreen.IDENTITY_CLASS
+    for i in range(g.class_count):
+        assert conn.left_class[n][i] == i and conn.left_factor[n][i] == n
+        assert conn.right_class[i][n] == i and conn.right_factor[i][n] == n
+    for t in sub.t_one():
+        assert conn.right_class[zero][t] == zero
+        assert conn.right_factor[zero][t] == t
 
 
 def test_connectors_refuse_green_data_without_a_witness(z6, t03):

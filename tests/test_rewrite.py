@@ -5,10 +5,12 @@ from itertools import product
 import pytest
 from helpers import (
     _base_pool,
+    _reference_push,
     fixed_instances,
     ladder_pairs,
     nonperm_ideal,
     reference_signature,
+    reference_two_pass,
     wp_context,
 )
 from hypothesis import given, settings
@@ -255,13 +257,32 @@ def test_signature_matches_reference_on_short_words(inst):
 
 def _long_words(letters, class_letters, rng, count):
     """Words over all letters and over the class letters alone, of
-    log-uniform length up to 400."""
-    out = []
-    for pool in (letters, class_letters or letters):
-        for _ in range(count):
-            k = int(math.exp(rng.uniform(0.0, math.log(401)))) - 1
-            out.append(tuple(rng.choices(pool, k=k)))
+    log-uniform length up to 400, then a nonempty word over the class
+    letters followed by one over all letters, each half as long, so that
+    more left pushes end outside class 0."""
+    class_letters = class_letters or letters
+
+    def length():
+        return int(math.exp(rng.uniform(0.0, math.log(401)))) - 1
+
+    out = [tuple(rng.choices(pool, k=length()))
+           for pool in (letters, class_letters) for _ in range(count)]
+    out += [tuple(rng.choices(class_letters, k=length() // 2 + 1)
+                  + rng.choices(letters, k=length() // 2))
+            for _ in range(count)]
     return out
+
+
+def _signature_exit(word, ctx):
+    """Where ``rewrite._signature`` ends for a nonempty word, by the
+    reference pushes: "left" when the left push ends in class 0, "right"
+    when the right push lands in T, else "back"."""
+    first, i = _reference_push(ctx.conn, 0, [ctx.letter_eval[a] for a in word],
+                               "left")
+    if i == 0:
+        return "left"
+    _out, j = _reference_push(ctx.conn, i, first, "right")
+    return "right" if j == 0 else "back"
 
 
 @pytest.mark.parametrize(
@@ -269,11 +290,31 @@ def _long_words(letters, class_letters, rng, count):
     ids=[f"ladder{k}" for k in range(9)] + ["t4_ideal"])
 def test_signature_matches_reference_on_long_words(k):
     sem, sub = (ladder_pairs() + [nonperm_ideal(4)])[k]
-    letter_eval = wp_context(sem, sub).letter_eval
-    letters = sorted(letter_eval)
-    class_letters = [a for a in letters if letter_eval[a] not in sub.members]
+    ctx = wp_context(sem, sub)
+    letters = sorted(ctx.letter_eval)
+    class_letters = [a for a in letters if ctx.letter_eval[a] not in sub.members]
     words = _long_words(letters, class_letters, random.Random(k), 30)
     _assert_matches_reference(sem, sub, words)
+    if k == 9:  # the T4 sample takes every exit of _signature
+        exits = {_signature_exit(w, ctx) for w in words if w}
+        assert exits == {"left", "right", "back"}
+
+
+@pytest.mark.parametrize(
+    "k", range(10),
+    ids=[f"ladder{k}" for k in range(9)] + ["t4_ideal"])
+def test_two_pass_matches_unconditional_scans(k):
+    sem, sub = (ladder_pairs() + [nonperm_ideal(4)])[k]
+    _green, conn = setup_tables(sem, sub)
+    rng = random.Random(k)
+    letters = [*sem.elements, sem.order]
+    words = [()] + [tuple(rng.choices(letters, k=rng.randrange(1, 60)))
+                    for _ in range(200)]
+    results = [rewrite._two_pass(w, conn) for w in words]
+    assert results == [reference_two_pass(w, conn) for w in words]
+    # both branches: the left push ends in class 0, and outside it
+    assert {left[0] == relgreen.IDENTITY_CLASS
+            for left, _out, _right in results} == {True, False}
 
 
 @settings(max_examples=40, deadline=None)
