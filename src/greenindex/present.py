@@ -5,8 +5,10 @@ T and the complement Schutzenberger groups.
 Verification certifies a presentation whose relations contain the rules of
 its letters (Froidure and Pin's rules: each letter, and each shortlex tree
 word times each letter, equals a tree word) with no enumeration.  Every
-table presentation is of this kind.  Any other presentation is enumerated,
-and only such a presentation can hit the enumerator's bound.
+table presentation is of this kind.  A relation that is a rule holds by
+construction, so only the other relations are evaluated.  Any other
+presentation is enumerated, and only such a presentation can hit the
+enumerator's bound.
 
 The enumerator is an HLT-style coset table on the right Cayley graph of the
 free monoid.  A sweep traces the relations from each node in turn until the
@@ -18,6 +20,7 @@ closed quotient of the presentation, unless a bound was hit first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from .core import (
@@ -55,6 +58,9 @@ class Presentation:
         letters = set(self.alphabet)
         if len(letters) != len(self.alphabet):
             raise InputError("duplicate letters in alphabet")
+        if all(u and v for u, v in self.relations) and letters.issuperset(
+                chain.from_iterable(chain.from_iterable(self.relations))):
+            return  # otherwise the loop below names the first bad word
         for u, v in self.relations:
             for w in (u, v):
                 if not w:
@@ -159,8 +165,10 @@ def _table_presentation(
     one relation per cell of their table in row-major order, and the
     assignment of each letter to its element."""
     letters = {e: f"{prefix}{e}" for e in elems}
+    ends = {e: (a,) for e, a in letters.items()}
+    tab = sem.table
     rels = tuple(
-        ((letters[a], letters[b]), (letters[sem.mul(a, b)],))
+        ((letters[a], letters[b]), ends[tab[a][b]])
         for a in elems
         for b in elems
     )
@@ -394,9 +402,10 @@ def verify_presentation(
     True iff every letter is assigned an element of the target, every
     relation holds under the assignment, the assigned letters generate the
     whole target, and the presented semigroup has exactly as many elements
-    as the target, mapped bijectively.  When the relations contain the
-    rules of the letters (see :func:`_presents`), as every table
-    presentation's do, that last fact needs no enumeration; otherwise the
+    as the target, mapped bijectively.  A relation that is a rule of the
+    letters (see :func:`_presents`) holds by construction; only the others
+    are evaluated.  When the relations contain every rule, as every table
+    presentation's do, the count needs no enumeration either; otherwise the
     enumerated quotient is counted.  The default class bound grows with the
     target's size.  Raises ``InvalidLetter`` for an unassigned letter,
     ``InputError`` for an index outside the (parent) semigroup or a
@@ -404,29 +413,31 @@ def verify_presentation(
     without the rules cannot be enumerated within ``max_classes`` classes.
     """
     sem, elems = _target_domain(target)
-    over, spell = _spelling(pres, sem, assignment)
+    over, tree = _spelling(pres, sem, assignment)
     if over.members != frozenset(elems):
         return False
-    return _presents(pres, sem, assignment, over, spell, max_classes)
+    return _presents(pres, sem, assignment, tree, max_classes)
 
 
 def _presents(
     pres: Presentation,
     sem: FiniteSemigroup,
     assignment: Mapping[str, int],
-    over: Generated,
-    spell: Callable[[int], Word],
+    tree: Mapping[int, Word],
     max_classes: int | None,
 ) -> bool:
     """:func:`verify_presentation` once the letters are known to generate
-    the target, the members of ``over``: every relation holds, and the
-    presented semigroup has as many elements as the target.
+    the target, the elements of ``tree`` but the adjoined identity: every
+    relation holds, and the presented semigroup has as many elements as
+    the target.
 
-    The rules of the letters certify the count without an enumeration.
-    With w(x) the tree word ``spell(x)`` of each element x and s the
-    element of a letter a, they pair (a) with w(s) for every letter, and
-    w(x)a with w(xs) for every element x and letter a.  Each pair must be
-    one word or a relation, read either way.  With them every word
+    With w(x) the tree word of x in T^1 and s the element of a letter a,
+    the rules of the letters pair w(x)a with w(xs); for the identity, whose
+    word is empty, that is (a) with w(s).  A rule holds by construction:
+    w(x) is the shortlex BFS word of x, so w(x)a and w(xs) both give xs.
+    The rules are walked up to the first that is neither one word nor a
+    relation, read either way, and the relations met are marked; only the
+    unmarked relations are evaluated.  With every rule present, every word
     rewrites to a tree word, so there are at most |target| classes; the
     relations hold and the letters generate, so the induced map is onto
     and hence a bijection.  A presentation without all of them is
@@ -436,12 +447,26 @@ def _presents(
     """
     if max_classes is not None and max_classes <= 0:
         raise InputError("max_classes must be positive")
-    for u, v in pres.relations:
-        if evaluate_word(sem, assignment, u) != evaluate_word(sem, assignment, v):
+    ruled = dict.fromkeys(pres.relations, False)
+    letters = [(a, assignment[a]) for a in pres.alphabet]
+    rows = (*sem.table, sem.elements)  # the adjoined identity's row last
+    has_rules = True
+    for u, v in ((w + (a,), tree[rows[x][s]])
+                 for x, w in tree.items() for a, s in letters):
+        if (u, v) in ruled:
+            ruled[u, v] = True
+        elif (v, u) in ruled:
+            ruled[v, u] = True
+        elif u != v:
+            has_rules = False
+            break
+    for (u, v), holds in ruled.items():
+        if not holds and (evaluate_word(sem, assignment, u)
+                          != evaluate_word(sem, assignment, v)):
             return False
-    if _has_rules(pres, sem, assignment, over, spell):
+    if has_rules:
         return True
-    size = len(over.words)
+    size = len(tree) - 1
     if max_classes is None:
         max_classes = max(4 * size, 64)
     result = enumerate_presentation(pres, max_classes)
@@ -453,59 +478,33 @@ def _presents(
     return len(set(evals)) == size
 
 
-def _has_rules(
-    pres: Presentation,
-    sem: FiniteSemigroup,
-    assignment: Mapping[str, int],
-    over: Generated,
-    spell: Callable[[int], Word],
-) -> bool:
-    """Whether every rule of the letters (see :func:`_presents`) is one
-    word or a relation of ``pres``."""
-    rels = set(pres.relations)
-
-    def holds(u: Word, v: Word) -> bool:
-        return u == v or (u, v) in rels or (v, u) in rels
-
-    tree = {x: spell(x) for x in over.words}
-    letters = [(a, assignment[a]) for a in pres.alphabet]
-    if not all(holds((a,), tree[s]) for a, s in letters):
-        return False
-    tab = sem.table
-    return all(holds(w + (a,), tree[tab[x][s]])
-               for x, w in tree.items() for a, s in letters)
-
-
 def _spelling(
     pres: Presentation, sem: FiniteSemigroup, assignment: Mapping[str, int]
-) -> tuple[Generated, Callable[[int], Word]]:
-    """The shortlex BFS over the letters' elements, and the words it
-    spells: each element's word with every generator written as its least
-    letter, and the adjoined identity as the empty word.  Every letter must
-    be assigned an element index of ``sem``."""
+) -> tuple[Generated, dict[int, Word]]:
+    """The shortlex BFS over the letters' elements, and the tree it spells:
+    the adjoined identity first, as the empty word, then each element's
+    word with every generator written as its least letter.  Every letter
+    must be assigned an element index of ``sem``."""
     _check_assignment(pres, assignment, sem.order)
     letter_of: dict[int, str] = {}
     for a in sorted(pres.alphabet):
         letter_of.setdefault(assignment[a], a)
     over = generated(sem, sorted(letter_of))
-
-    def spell(elt: int) -> Word:
-        if elt == sem.order:
-            return ()
-        return tuple(letter_of[e] for e in over.word(elt))
-
-    return over, spell
+    tree: dict[int, Word] = {sem.order: ()}
+    for x, word in over.words.items():
+        tree[x] = tuple([letter_of[e] for e in word])
+    return over, tree
 
 
 def _letter_factorizer(
     sub: SubSemigroup, q_pres: Presentation, q_assign: Mapping[str, int]
-) -> tuple[Generated, Callable[[int], Word]]:
-    """:func:`_spelling` of the base letters, which must generate exactly
-    T (``BadInputPresentation`` otherwise)."""
-    over, spell = _spelling(q_pres, sub.parent, q_assign)
+) -> dict[int, Word]:
+    """The spelled tree of :func:`_spelling` over the base letters, which
+    must generate exactly T (``BadInputPresentation`` otherwise)."""
+    over, tree = _spelling(q_pres, sub.parent, q_assign)
     if over.members != sub.members:
         raise BadInputPresentation("the base presentation does not present T")
-    return over, spell
+    return tree
 
 
 @dataclass(frozen=True)
@@ -540,7 +539,7 @@ def build_schutz_packs(
     class, or the empty word when only the adjoined identity remains.
     """
     green._check_built_from(sub, sem)
-    _, lift_word = _letter_factorizer(sub, q_pres, q_assign)
+    tree = _letter_factorizer(sub, q_pres, q_assign)
     by_l: dict[int, list[int]] = {}
     for i in range(1, green.class_count):
         by_l.setdefault(green.l_id[green.rep_of(i)], []).append(i)
@@ -555,7 +554,7 @@ def build_schutz_packs(
         # each congruence class's least element: n only when alone in it
         lift_elts = {a: vs[0] for a, vs in
                      zip(pres.alphabet, lead_grp.gamma_classes)}
-        lifts = {a: lift_word(v) for a, v in lift_elts.items()}
+        lifts = {a: tree[v] for a, v in lift_elts.items()}
         for i in members:
             grp = class_group(green, i)
             letter_to_group = {a: grp.quotient_index(v)
@@ -618,8 +617,8 @@ def synthesize_presentation(
     """
     green._check_built_from(conn=conn)
     sem = green.sem
-    over_q, factor_word = _letter_factorizer(green.sub, q_pres, q_assign)
-    if not _presents(q_pres, sem, q_assign, over_q, factor_word, max_classes):
+    tree = _letter_factorizer(green.sub, q_pres, q_assign)
+    if not _presents(q_pres, sem, q_assign, tree, max_classes):
         raise BadInputPresentation("the base presentation does not present T")
     for i, pack in packs.items():
         if not verify_presentation(pack.presentation, pack.schutz.group,
@@ -653,7 +652,7 @@ def synthesize_presentation(
         for i in range(k + 1):
             lhs = (a,) + d_word(i)
             j = conn.left_class[s][i]
-            rhs = d_word(j) + factor_word(conn.left_factor[s][i])
+            rhs = d_word(j) + tree[conn.left_factor[s][i]]
             if lhs != rhs:
                 rels.append((lhs, rhs))
     for b in q_pres.alphabet:
@@ -661,7 +660,7 @@ def synthesize_presentation(
         for i in range(k + 1):
             lhs = d_word(i) + (b,)
             j = conn.right_class[i][t]
-            rhs = factor_word(conn.right_factor[i][t]) + d_word(j)
+            rhs = tree[conn.right_factor[i][t]] + d_word(j)
             if lhs != rhs:
                 rels.append((lhs, rhs))
     for i in range(1, k + 1):

@@ -1124,6 +1124,45 @@ def reference_verify_by_enumeration(pres, target, assignment, max_classes):
     return result.size == len(elems) and {value(w) for w in result.reps} == elems
 
 
+def reference_presents(pres, sem, assignment, max_classes):
+    """``present._presents`` in its old order: evaluate every relation,
+    then look each rule of the letters up among the relations, read either
+    way, and enumerate when one is missing.  The rules pair (a) with w(s)
+    for every letter a of element s, and w(x)a with w(xs) for every
+    element x, where w spells the shortlex words of ``core.generated`` over
+    the least letter of each element."""
+    if max_classes is not None and max_classes <= 0:
+        raise InputError("max_classes must be positive")
+
+    def value(word):
+        return present.evaluate_word(sem, assignment, word)
+
+    if any(value(u) != value(v) for u, v in pres.relations):
+        return False
+    letter_of = {}
+    for a in sorted(pres.alphabet):
+        letter_of.setdefault(assignment[a], a)
+    over = core.generated(sem, sorted(letter_of))
+    tree = {x: tuple(letter_of[g] for g in w) for x, w in over.words.items()}
+    rels = set(pres.relations)
+
+    def holds(u, v):
+        return u == v or (u, v) in rels or (v, u) in rels
+
+    letters = [(a, assignment[a]) for a in pres.alphabet]
+    if all(holds((a,), tree[s]) for a, s in letters) and all(
+            holds(w + (a,), tree[sem.mul(x, s)])
+            for x, w in tree.items() for a, s in letters):
+        return True
+    size = len(tree)
+    if max_classes is None:
+        max_classes = max(4 * size, 64)
+    result = present.enumerate_presentation(pres, max_classes)
+    if not result.complete:
+        raise BoundExceeded(result.reason or "enumeration incomplete")
+    return result.size == size and len({value(w) for w in result.reps}) == size
+
+
 def reference_parse_word(raw: str, alphabet):
     """``present.parse_word`` on a joined string by its definition: a
     recursive search, longest letter first, that returns the first

@@ -8,6 +8,7 @@ from helpers import (
     random_pairs,
     reference_enumerate_presentation,
     reference_parse_word,
+    reference_presents,
     reference_verify_by_enumeration,
     reference_verify_sub_presentation,
     small_tables,
@@ -53,6 +54,25 @@ def test_presentation_validation():
         present.Presentation(("a",), ((("a",), ("b",)),))
     with pytest.raises(InputError):
         present.Presentation(("a", "a"), ())
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_presentation_names_its_first_bad_word(at):
+    # a bad word first, in the middle or last of three relations; before
+    # the last, a bad word of the other kind follows it there
+    ok = (("a", "b"), ("b",))
+    empty = (("a",), ())
+    unknown = (("a",), ("b", "z"))
+    for bad, later, error, message in (
+            (empty, unknown, InputError, "relation words must be nonempty"),
+            (unknown, empty, InvalidLetter, "relation uses unknown letter 'z'")):
+        rels = [ok, ok, later if at < 2 else ok]
+        rels[at] = bad
+        with pytest.raises(error, match=f"^{message}$") as info:
+            present.Presentation(("a", "b"), tuple(rels))
+        assert info.type is error
+    with pytest.raises(InputError, match="^duplicate letters in alphabet$"):
+        present.Presentation(("a", "b", "a"), (ok,))
 
 
 def test_json_round_trip():
@@ -316,6 +336,23 @@ def test_table_presentation_certifies_by_its_rules(z6, enumerations):
     assert enumerations == []
 
 
+def test_rule_relations_are_never_evaluated(monkeypatch):
+    # every relation of these is a rule, which holds by construction, so
+    # neither synthesis nor verification evaluates one
+    def evaluated(*args):
+        raise AssertionError("a relation word was evaluated")
+
+    monkeypatch.setattr(present, "evaluate_word", evaluated)
+    z64 = factories.zmod(64)
+    t4, ideal = nonperm_ideal(4)
+    prod, prod_ideal = ladder_pairs()[-1]
+    for (pres, assign), target in (
+            (present.presentation_from_table(z64), z64),
+            (present.sub_table_presentation(t4, ideal), ideal),
+            (synth(prod, prod_ideal), prod)):
+        assert present.verify_presentation(pres, target, assign) is True
+
+
 @pytest.mark.parametrize("bound", [0, -1])
 def test_verification_refuses_a_bound_below_one(z6, t03, bound):
     # a presentation with its rules never reaches the enumerator, which
@@ -350,21 +387,34 @@ def _rule_cases():
 
 
 def _near_misses(pres, target, assign, is_table):
-    """(kind, presentation, assignment) one step short of the rules: the
-    first or the last relation dropped, a relation whose right-hand side
-    is another element's letter, the assignment's values rotated, and, for
-    a table presentation, a second letter y for the first letter's element
-    e with the relations ay = (ae), ya = (ea) and yy = (ee) but not y = e."""
+    """(kind, presentation, assignment) one step short of the rules, or
+    beside them: the first or the last relation dropped, every relation
+    reversed, the middle relation given twice, a relation whose right-hand
+    side is another element's letter, the same false relation added in the
+    middle beside the rule it shares a left side with, the assignment's
+    values rotated, and, for a table presentation, a second letter y for
+    the first letter's element e with the relations ay = (ae), ya = (ea)
+    and yy = (ee) but not y = e."""
     sem = target.parent if isinstance(target, core.SubSemigroup) else target
     letters, rels = pres.alphabet, pres.relations
     yield "dropped", present.Presentation(letters, rels[1:]), assign
     yield "dropped", present.Presentation(letters, rels[:-1]), assign
-    (u, v), rest = rels[0], rels[1:]
-    other = [a for a in letters
-             if assign[a] != present.evaluate_word(sem, assign, v)]
-    if other:
-        wrong = present.Presentation(letters, ((u, (other[0],)),) + rest)
-        yield "wrong", wrong, assign
+    yield "reversed", present.Presentation(
+        letters, tuple((v, u) for u, v in rels)), assign
+    mid = len(rels) // 2
+    yield "duplicated", present.Presentation(
+        letters, rels[:mid + 1] + rels[mid:]), assign
+
+    def falsified(u, v):
+        """(u, (a,)) for the first letter a whose element is not v's."""
+        value = present.evaluate_word(sem, assign, v)
+        return next((((u, (a,)),) for a in letters if assign[a] != value), ())
+
+    wrong = falsified(*rels[0])
+    if wrong:  # the letters' elements are not all one
+        yield "wrong", present.Presentation(letters, wrong + rels[1:]), assign
+        yield "false extra", present.Presentation(
+            letters, rels[:mid] + falsified(*rels[mid]) + rels[mid:]), assign
     values = [assign[a] for a in letters]
     yield "rotated", pres, dict(zip(letters, values[1:] + values[:1]))
     if is_table:
@@ -385,21 +435,34 @@ def _order(target):
 
 def _against_enumerator(pres, target, assign, enumerations):
     """``verify_presentation``'s outcome, which must be the enumerator's
-    under a bound of 32 classes per element, and whether it enumerated."""
+    under a bound of 32 classes per element, and whether it enumerated.
+    ``present._presents`` must also agree with ``reference_presents``,
+    which evaluates every relation before it looks the rules up, on the
+    outcome and on whether to enumerate."""
     bound = 32 * _order(target) + 32
     enumerations.clear()
     got = outcome(present.verify_presentation, pres, target, assign, bound)
     enumerated = bool(enumerations)
     assert got == outcome(reference_verify_by_enumeration,
                           pres, target, assign, bound)
+    sem = target.parent if isinstance(target, core.SubSemigroup) else target
+    tree = present._spelling(pres, sem, assign)[1]
+    enumerations.clear()
+    new = outcome(present._presents, pres, sem, assign, tree, bound)
+    new_enumerated = bool(enumerations)
+    enumerations.clear()
+    assert new == outcome(reference_presents, pres, sem, assign, bound)
+    assert new_enumerated == bool(enumerations)
     return got, enumerated
 
 
 def _check_rules_against_enumerator(cases, enumerations) -> int:
     """Every case verifies, each table presentation without enumerating;
     on targets of at most 32 elements, a dropped rule and a second letter
-    fall through to the enumerator, and every near miss gets its verdict.
-    Returns how many cases certified by their rules."""
+    fall through to the enumerator, reversed or duplicated relations
+    change nothing, a false relation beside the rules is refused without
+    enumerating, and every near miss gets its verdict.  Returns how many
+    cases certified by their rules."""
     recognized = 0
     for pres, target, assign, is_table in cases:
         got, enumerated = _against_enumerator(pres, target, assign, enumerations)
@@ -410,12 +473,16 @@ def _check_rules_against_enumerator(cases, enumerations) -> int:
             continue  # enumerating near misses of the larger ones takes seconds
         for kind, near, near_assign in _near_misses(pres, target, assign,
                                                     is_table):
-            got, enumerated = _against_enumerator(
+            near_got, near_enumerated = _against_enumerator(
                 near, target, near_assign, enumerations)
             if kind in ("dropped", "second letter"):
-                assert enumerated
+                assert near_enumerated
             if kind == "second letter":
-                assert got is False
+                assert near_got is False
+            if kind in ("reversed", "duplicated"):
+                assert (near_got, near_enumerated) == (True, enumerated)
+            if kind == "false extra":
+                assert (near_got, near_enumerated) == (False, False)
     return recognized
 
 
