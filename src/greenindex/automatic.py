@@ -7,6 +7,10 @@ structure reader removes them on reading, in ``_epsilon_free``.
 
 A pair alphabet is never listed: ``PairAlphabet`` holds the two track
 alphabets and answers iteration, length, membership and rank from them.
+Each automaton looks up the rank of each symbol it uses once.  A trie
+(``nfa_from_words``, ``PaddedRelationNfa.from_pairs``) states what it
+knows when it is built: every state is useful, and each state's out-edges,
+so listing it derives neither.
 
 Transfer reads structures with a finite acceptor language over a finite
 semigroup, so it first checks its input exactly, and every multiplier is
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -59,7 +64,8 @@ class Nfa:
 
     @cached_property
     def _outgoing(self) -> list[dict]:
-        """Per-state map symbol -> set(dst)."""
+        """Per-state map symbol -> its targets: a set, or a one-tuple in
+        a trie (:func:`_trie`)."""
         out = [dict() for _ in range(self.n_states)]
         for src, sym, dst in self.transitions:
             if sym is None:
@@ -101,23 +107,37 @@ class Nfa:
         return bool(cur & self.accepting)
 
     @cached_property
-    def _rank(self):
-        """Key giving each symbol's position in the alphabet."""
+    def _rank(self) -> dict:
+        """Each symbol on a transition, by its position in the alphabet."""
+        symbols = set().union(*self._outgoing)
         if isinstance(self.alphabet, PairAlphabet):
-            return self.alphabet.rank
-        return {sym: i for i, sym in enumerate(self.alphabet)}.get
+            return {sym: self.alphabet.rank(sym) for sym in symbols}
+        pos = {sym: i for i, sym in enumerate(self.alphabet)}
+        return {sym: pos.get(sym) for sym in symbols}
 
     def iter_words(self) -> Iterator[tuple]:
         """Accepted words in shortlex order (alphabet order as given);
         possibly infinite.  Prefixes that cannot reach acceptance are
         pruned, so the iterator terminates on finite languages."""
-        useful, out, rank = self._coaccessible, self._outgoing, self._rank
-        cur = self.initial & useful
-        level = [((), cur)]
+        useful, out, accepting = self._coaccessible, self._outgoing, self.accepting
+        rank = self._rank.__getitem__
+        trimmed = len(useful) == self.n_states
+        level = [((), self.initial & useful)]
         while level:
             nxt = []
             for word, states in level:
-                if states & self.accepting:
+                if len(states) == 1:
+                    # one state: read its edges, with no set to merge
+                    (q,) = states
+                    if q in accepting:
+                        yield word
+                    edges = out[q]
+                    for sym in sorted(edges, key=rank):
+                        t = edges[sym] if trimmed else useful.intersection(edges[sym])
+                        if t:
+                            nxt.append((word + (sym,), t))
+                    continue
+                if not accepting.isdisjoint(states):
                     yield word
                 symbols = set()
                 for q in states:
@@ -129,29 +149,67 @@ class Nfa:
             level = nxt
 
 
+def _shortlex(word) -> tuple:
+    return len(word), word
+
+
 def nfa_from_words(alphabet, words: Iterable[tuple]) -> Nfa:
-    """Trie acceptor for a finite set of words."""
+    """Trie acceptor for a finite set of words; ``AlphabetMismatch`` names
+    the first symbol not in the alphabet, in shortlex order of the words."""
     if not isinstance(alphabet, PairAlphabet):
         alphabet = tuple(alphabet)
-    nodes = {(): 0}
-    accepting = set()
-    trans = []
-    for w in sorted(words, key=lambda w: (len(w), w)):
-        for i, sym in enumerate(w):
+    words = sorted(words, key=_shortlex)
+    try:
+        known = all(sym in alphabet for sym in set().union(*words))
+    except TypeError:  # an unhashable symbol
+        known = False
+    if not known:
+        _first_stray(alphabet, words)
+    return _trie(alphabet, words)
+
+
+def _first_stray(alphabet, words) -> None:
+    """``AlphabetMismatch`` for the first symbol of ``words`` not in
+    ``alphabet``, if there is one."""
+    for w in words:
+        for sym in w:
             if sym not in alphabet:
                 raise AlphabetMismatch(f"word symbol {sym!r} not in alphabet")
-            pre, ext = w[:i], w[: i + 1]
-            if ext not in nodes:
-                nodes[ext] = len(nodes)
-                trans.append((nodes[pre], sym, nodes[ext]))
-        accepting.add(nodes[w])
-    return Nfa(
+
+
+def _trie(alphabet, words: list) -> Nfa:
+    """The trie of ``words``, sorted shortlex and over ``alphabet``.  States
+    are numbered as their prefixes are first met, and a prefix is extended
+    through its state's out-edges by symbol.  Every state starts a path to
+    acceptance and has one target per symbol, so the Nfa is given its
+    useful states and its out-edges, each target as a one-tuple, rather
+    than deriving them (unless a symbol is None, an epsilon move its first
+    read must refuse)."""
+    out: list[dict] = [{}]
+    trans = []
+    accepting = set()
+    for w in words:
+        q = 0
+        for sym in w:
+            edges = out[q]
+            if sym in edges:
+                (q,) = edges[sym]
+            else:
+                edges[sym] = (len(out),)
+                trans.append((q, sym, len(out)))
+                q = len(out)
+                out.append({})
+        accepting.add(q)
+    nfa = Nfa(
         alphabet=alphabet,
-        n_states=len(nodes),
+        n_states=len(out),
         transitions=tuple(trans),
         initial=frozenset({0}),
         accepting=frozenset(accepting),
     )
+    if all(None not in edges for edges in out):
+        nfa.__dict__.update(_outgoing=out, _coaccessible=frozenset(range(len(out))))
+    return nfa
 
 
 @dataclass(frozen=True)
@@ -214,11 +272,7 @@ class PairAlphabet:
 
 def convolve(u: Sequence[str], v: Sequence[str]) -> tuple:
     """Synchronous padded encoding of a word pair."""
-    m, n = len(u), len(v)
-    out = []
-    for i in range(max(m, n)):
-        out.append((u[i] if i < m else PAD, v[i] if i < n else PAD))
-    return tuple(out)
+    return tuple(zip_longest(u, v, fillvalue=PAD))
 
 
 def deconvolve(word: Sequence) -> tuple[tuple, tuple]:
@@ -254,17 +308,28 @@ class PaddedRelationNfa:
 
     @staticmethod
     def from_pairs(left_alphabet, right_alphabet, pairs) -> "PaddedRelationNfa":
-        alpha = PairAlphabet(left_alphabet, right_alphabet)
-        words = [convolve(u, v) for u, v in pairs]
-        return PaddedRelationNfa(
-            left_alphabet=tuple(left_alphabet),
-            right_alphabet=tuple(right_alphabet),
-            nfa=nfa_from_words(alpha, words),
-        )
+        """The trie relation of a finite set of word pairs; ``AlphabetMismatch``
+        names the first pair symbol not in the padded pair alphabet, in
+        shortlex order of the convolutions."""
+        return _relation(PairAlphabet(left_alphabet, right_alphabet), pairs)
 
-    def pairs(self, max_len: int) -> list[tuple[tuple, tuple]]:
-        return [deconvolve(w) for w in _listed(self.nfa, max_len, "relation")
-                if len(w) <= max_len]
+
+def _relation(alpha: PairAlphabet, pairs) -> PaddedRelationNfa:
+    """:meth:`PaddedRelationNfa.from_pairs` over a built pair alphabet.  The
+    letters are checked once per track; only a failing check scans the
+    convolutions symbol by symbol, so a letter that is the pad symbol still
+    passes where its pair symbol is in the alphabet."""
+    pairs = list(pairs)
+    words = sorted((convolve(u, v) for u, v in pairs), key=_shortlex)
+    try:
+        known = (set().union(*(u for u, _v in pairs)) <= set(alpha.left)
+                 and set().union(*(v for _u, v in pairs)) <= set(alpha.right))
+    except TypeError:  # an unhashable letter
+        known = False
+    if not known:
+        _first_stray(alpha, words)
+    return PaddedRelationNfa(left_alphabet=alpha.left, right_alphabet=alpha.right,
+                             nfa=_trie(alpha, words))
 
 
 def _epsilon_free(alphabet, n_states, transitions, initial, accepting) -> Nfa:
@@ -546,6 +611,8 @@ def transfer_details(
         for u, v in accepted:
             succ[key].setdefault(u, []).append(v)
 
+    kept_pairs = PairAlphabet(kept, kept)
+
     def conjugate(w):
         out = []
         for u, ru in partner.items():
@@ -553,7 +620,7 @@ def transfer_details(
             for a in w:
                 ends = {v for x in ends for v in succ[a].get(x, ())}
             out.extend((ru, partner[v]) for v in ends if v in partner)
-        return PaddedRelationNfa.from_pairs(kept, kept, out)
+        return _relation(kept_pairs, out)
 
     multipliers = {"": conjugate(("",))}
     by_eval: dict[int, PaddedRelationNfa] = {}

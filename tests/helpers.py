@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import replace
 
@@ -218,6 +219,21 @@ def enumerate_words(nfa: Nfa, max_len: int) -> list[tuple]:
     """The accepted words of length at most ``max_len``, in shortlex order."""
     return [w for w in automatic._listed(nfa, max_len, "automaton")
             if len(w) <= max_len]
+
+
+def reference_words(nfa: Nfa, max_len: int) -> list[tuple]:
+    """``enumerate_words`` by its definition: every string over the
+    alphabet of length at most ``max_len``, in shortlex order by symbol
+    rank, kept when ``Nfa.accepts`` it.  It never calls ``iter_words``."""
+    return [w for k in range(max_len + 1)
+            for w in itertools.product(nfa.alphabet, repeat=k)
+            if nfa.accepts(w)]
+
+
+def relation_pairs(rel: PaddedRelationNfa, max_len: int) -> list[tuple]:
+    """The pairs (u, v) that ``rel`` accepts whose convolution has length
+    at most ``max_len``, in shortlex order of the convolutions."""
+    return [automatic.deconvolve(w) for w in enumerate_words(rel.nfa, max_len)]
 
 
 def accepts_pair(rel: PaddedRelationNfa, u, v) -> bool:
@@ -771,7 +787,7 @@ def invalid_transfer_inputs():
     z6 = factories.zmod(6)
     st = automatic.structure_for_finite(z6, [1])
     alpha = st.alphabet
-    pairs = st.multipliers["a1"].pairs(6)
+    pairs = relation_pairs(st.multipliers["a1"], 6)
     trie = st.multipliers["a1"].nfa
     looped = Nfa(alphabet=trie.alphabet, n_states=trie.n_states,
                  transitions=trie.transitions + ((0, ("a1", "a1"), 0),),

@@ -20,6 +20,7 @@ from helpers import (
     enumerate_words,
     fixed_instances,
     random_pairs,
+    relation_pairs,
     semigroup_tables,
     transfer_relation,
     wp_context,
@@ -250,7 +251,7 @@ def test_criterion_08_automatic_transfer(fixed):
         letters = res.letters
         rel = transfer_relation(st, g, conn, letters)
         max_len = 5
-        pairs = rel.pairs(max_len)
+        pairs = relation_pairs(rel, max_len)
         by_u = {}
         seen_v = set()
         for u, v in pairs:

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -22,6 +23,8 @@ from helpers import (
     reference_transfer,
     reference_transfer_relation,
     reference_verify_structure_report,
+    reference_words,
+    relation_pairs,
     small_tables,
     transfer_relation,
     trim,
@@ -94,7 +97,7 @@ def test_invert_is_involution():
         ("a",), ("b",), [(("a",), ("b", "b")), (("a", "a"), ())]
     )
     double = invert(invert(rel))
-    assert sorted(double.pairs(6)) == sorted(rel.pairs(6))
+    assert sorted(relation_pairs(double, 6)) == sorted(relation_pairs(rel, 6))
     assert accepts_pair(invert(rel), ("b", "b"), ("a",))
 
 
@@ -151,7 +154,7 @@ def test_iter_words_with_epsilon_moves():
         want = [w for k in range(4) for w in product(nfa.alphabet, repeat=k)
                 if reference_accepts(*_epsilon_parts(*args), w)]
         assert enumerate_words(nfa, 3) == want
-    assert _epsilon_relation().pairs(2) == [
+    assert relation_pairs(_epsilon_relation(), 2) == [
         ((), ()), (("a",), ("a",)), ((), ("b",)),
         (("a", "a"), ("a", "a")), (("a",), ("a", "b")), ((), ("b", "b"))]
 
@@ -236,7 +239,7 @@ def test_projection_tracks():
 
 
 def brute_compose(r1, r2, max_len):
-    p1, p2 = r1.pairs(max_len), r2.pairs(max_len)
+    p1, p2 = relation_pairs(r1, max_len), relation_pairs(r2, max_len)
     return sorted({(u, w) for u, v in p1 for v2, w in p2 if v == v2})
 
 
@@ -245,12 +248,12 @@ def test_compose_matches_brute_force_join(z6):
     rel = st.multipliers["a1"]
     ident = st.multipliers[""]
     comp = compose_relations(ident, rel)
-    assert sorted(comp.pairs(7)) == sorted(rel.pairs(7))
+    assert sorted(relation_pairs(comp, 7)) == sorted(relation_pairs(rel, 7))
     twice = compose_relations(rel, rel)
-    assert sorted(twice.pairs(7)) == brute_compose(rel, rel, 8)
+    assert sorted(relation_pairs(twice, 7)) == brute_compose(rel, rel, 8)
     inv = invert(rel)
     round_trip = compose_relations(rel, inv)
-    for u, _v in rel.pairs(7):
+    for u, _v in relation_pairs(rel, 7):
         assert accepts_pair(round_trip, u, u)
 
 
@@ -283,7 +286,7 @@ def test_compose_long_middle_needs_delay():
     r1 = au.PaddedRelationNfa.from_pairs(("a",), ("b",), [(("a",), ("b",) * 5)])
     r2 = au.PaddedRelationNfa.from_pairs(("b",), ("a",), [(("b",) * 5, ("a",))])
     composed = compose_relations(r1, r2)
-    assert composed.pairs(4) == brute_compose(r1, r2, 5) == [(("a",), ("a",))]
+    assert relation_pairs(composed, 4) == brute_compose(r1, r2, 5) == [(("a",), ("a",))]
     with pytest.raises(AlphabetMismatch):
         compose_relations(r1, r1)
 
@@ -292,7 +295,7 @@ def test_structure_for_trivial_semigroup():
     triv = factories.trivial()
     st = au.structure_for_finite(triv, [0])
     assert enumerate_words(st.acceptor, 3) == [("a0",)]
-    assert st.multipliers["a0"].pairs(3) == [((("a0",), ("a0",)))]
+    assert relation_pairs(st.multipliers["a0"], 3) == [((("a0",), ("a0",)))]
     assert au.verify_structure_report(st, triv, 3) == (True, "ok")
 
 
@@ -301,7 +304,7 @@ def test_structure_for_z6(z6):
     words = enumerate_words(st.acceptor, 10)
     assert len(words) == 6
     assert sorted(len(w) for w in words) == [1, 2, 3, 4, 5, 6]
-    assert len(st.multipliers[""].pairs(8)) == 6
+    assert len(relation_pairs(st.multipliers[""], 8)) == 6
     assert au.verify_structure_report(st, z6, 8) == (True, "ok")
     with pytest.raises(NotGenerating):
         au.structure_for_finite(z6, [2])
@@ -310,7 +313,7 @@ def test_structure_for_z6(z6):
 def test_verify_structure_detects_defects(z6):
     st = au.structure_for_finite(z6, [1])
     # drop one multiplier pair
-    pairs = st.multipliers["a1"].pairs(8)
+    pairs = relation_pairs(st.multipliers["a1"], 8)
     broken_rel = au.PaddedRelationNfa.from_pairs(
         st.alphabet, st.alphabet, pairs[:-1]
     )
@@ -413,7 +416,7 @@ def test_transfer_relation_properties(z6, t03):
     letters = au._transfer_letters(st, green, conn)
     rel = transfer_relation(st, green, conn, letters)
     max_len = 5
-    pairs = rel.pairs(max_len)
+    pairs = relation_pairs(rel, max_len)
     # every pair has equal length, matching middle subscripts, and equal
     # evaluations inside the subsemigroup
     by_u = {}
@@ -443,8 +446,8 @@ def test_full_relation_restricted_to_acceptor_matches(z6, t03):
     res = au.transfer_details(st, t03, green, conn)
     l_words = set(enumerate_words(st.acceptor, 10))
     full = transfer_relation(st, green, conn, res.letters)
-    full_on_l = sorted((u, v) for u, v in full.pairs(8) if u in l_words)
-    assert full_on_l == sorted(res.restricted_relation.pairs(8))
+    full_on_l = sorted((u, v) for u, v in relation_pairs(full, 8) if u in l_words)
+    assert full_on_l == sorted(relation_pairs(res.restricted_relation, 8))
 
 
 @pytest.fixture(scope="module")
@@ -491,7 +494,8 @@ def test_shared_multiplier_is_composed_from_first_word(t3_transfer):
         want = compose_relations(
             inv, compose_relations(rel, restricted))
         got = res.structure.multipliers[b]
-        assert sorted(got.pairs(longest)) == sorted(want.pairs(longest)), b
+        assert sorted(relation_pairs(got, longest)) == \
+            sorted(relation_pairs(want, longest)), b
 
 
 def useful_states(nfa):
@@ -592,8 +596,8 @@ def test_transfer_joins_as_the_reference_composes():
         assert words == au._finite_language(want.acceptor)
         longest = max(map(len, words))
         for key, rel in want.multipliers.items():
-            assert sorted(got.multipliers[key].pairs(longest)) == \
-                sorted(rel.pairs(longest)), key
+            assert sorted(relation_pairs(got.multipliers[key], longest)) == \
+                sorted(relation_pairs(rel, longest)), key
         cases += 1
     assert cases == 3 + 1 + 4 + 25 + 1
 
@@ -837,7 +841,7 @@ def broken_variants(st, key, max_len):
     two wrong pairs, gains a pair outside the acceptor, accepts a malformed
     string, or both drops a pair and accepts a malformed string."""
     alpha = st.alphabet
-    pairs = st.multipliers[key].pairs(max_len)
+    pairs = relation_pairs(st.multipliers[key], max_len)
     words = enumerate_words(st.acceptor, max_len)
     wrong = [(u, v) for u in words for v in words if (u, v) not in set(pairs)]
     outside = next(w for w in words_upto(alpha, max_len)
@@ -981,3 +985,200 @@ def test_nfa_json_round_trip(z6):
     for value in ([], None, "x"):
         with pytest.raises(InputError):
             au.nfa_from_json(value)
+
+
+def _derived(nfa):
+    """The same automaton with nothing stated: its facts come from its
+    transitions."""
+    return au.Nfa(alphabet=nfa.alphabet, n_states=nfa.n_states,
+                  transitions=nfa.transitions, initial=nfa.initial,
+                  accepting=nfa.accepting)
+
+
+def _library_tries(struct, res):
+    """Tries the library builds, by name: those of the structure ``struct``
+    and of its transfer ``res``, and tries built directly over tuple and
+    pair alphabets."""
+    out = {"restricted": res.restricted_relation.nfa}
+    for name, s in (("S", struct), ("T", res.structure)):
+        out[f"{name} acceptor"] = s.acceptor
+        for key, rel in s.multipliers.items():
+            out[f"{name} multiplier {key!r}"] = rel.nfa
+    out["words"] = au.nfa_from_words((2, 1, 0), [(0, 1), (2,), (1, 1, 0), ()])
+    out["pairs"] = au.PaddedRelationNfa.from_pairs(
+        ("b", "a"), ("y", "x"),
+        [(("a", "b"), ("x",)), ((), ("y", "y")), (("b",), ("x", "y"))]).nfa
+    return out
+
+
+def test_tries_state_the_facts_their_transitions_give(t3_transfer):
+    struct, _ideal, _green, res = t3_transfer
+    for name, nfa in _library_tries(struct, res).items():
+        derived = _derived(nfa)
+        assert nfa._coaccessible == derived._coaccessible, name
+        # one target per symbol, as a one-tuple
+        assert all(len(dsts) == 1 for edges in nfa._outgoing
+                   for dsts in edges.values()), name
+        assert [{sym: set(dsts) for sym, dsts in edges.items()}
+                for edges in nfa._outgoing] == derived._outgoing, name
+        assert enumerate_words(nfa, 12) == enumerate_words(derived, 12), name
+    fresh = au.nfa_from_words(("a", "b"), [("a", "b"), ("b",)])
+    assert {"_outgoing", "_coaccessible"} <= set(vars(fresh))
+
+
+def test_listing_a_transfer_derives_no_trie_facts(monkeypatch):
+    # the tries state their useful states and out-edges when built, so no
+    # reverse search or transition scan runs on any of them
+    derived = []
+    for name in ("_coaccessible", "_outgoing"):
+        real = getattr(au.Nfa, name).func
+
+        def counting(self, real=real, name=name):
+            derived.append(name)
+            return real(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(au.Nfa, name)
+        monkeypatch.setattr(au.Nfa, name, prop)
+    listed = []
+    real_iter = au.Nfa.iter_words
+
+    def counting_iter(self):
+        listed.append(self)
+        return real_iter(self)
+
+    monkeypatch.setattr(au.Nfa, "iter_words", counting_iter)
+    t3, ideal = nonperm_ideal(3)
+    gens = [t3.names.index(m) for m in BENCH_T3_SETS[0]]
+    struct, green, conn = transfer_setup(t3, ideal, gens)
+    res = au.transfer_details(struct, ideal, green, conn)
+    assert au.verify_structure_report(res.structure, ideal, 3) == (True, "ok")
+    assert len(listed) > 10
+    assert derived == []
+
+
+def _automaton(alphabet, n, trans, initial, accepting):
+    return au.Nfa(alphabet=alphabet, n_states=n, transitions=tuple(trans),
+                  initial=frozenset(initial), accepting=frozenset(accepting))
+
+
+def test_listing_matches_every_string_accepted():
+    # over (2, 1, 0) a set of symbols iterates against rank order, so the
+    # order of each level rests on the sort
+    rev = (2, 1, 0)
+    cases = {
+        "trie": au.nfa_from_words(rev, [(0, 1), (2,), (1, 1, 0), (), (0, 0)]),
+        "pair trie": au.PaddedRelationNfa.from_pairs(
+            ("b", "a"), ("a",),
+            [(("a", "b"), ("a",)), ((), ("a", "a")), (("b",), ())]).nfa,
+        # two initial states whose words overlap, so levels hold state sets
+        "initials": _automaton(rev, 4, [(0, 0, 2), (0, 2, 2), (1, 0, 2),
+                                        (1, 1, 3), (1, 2, 3), (2, 1, 3),
+                                        (3, 0, 1), (2, 2, 0)],
+                               {0, 1}, {2, 3}),
+        # state 2 is dead (no way to acceptance), state 3 unreachable
+        "dead and unreachable": _automaton(rev, 4, [(0, 2, 1), (1, 1, 0),
+                                                    (0, 0, 2), (2, 2, 2),
+                                                    (3, 0, 0), (1, 0, 1)],
+                                           {0}, {1}),
+        "branching": _automaton(("b", "a"), 3, [(0, "a", 0), (0, "b", 0),
+                                               (0, "a", 1), (1, "b", 2)],
+                                {0}, {2}),
+        "epsilon relation": _epsilon_relation().nfa,
+        "epsilon": au.nfa_from_json({
+            "states": 3, "alphabet": ["c", "b", "a"],
+            "transitions": [[0, None, 1], [1, "a", 1], [1, None, 2],
+                            [2, "b", 0], [0, "c", 2]],
+            "initial": [0], "accepting": [2]}),
+    }
+    for name, nfa in cases.items():
+        words = reference_words(nfa, 4)
+        assert words, name
+        assert enumerate_words(nfa, 4) == words, name
+
+
+@st.composite
+def small_automata(draw):
+    """A random automaton over (2, 1, 0), read by ``nfa_from_json`` when
+    it has epsilon moves (None)."""
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    trans = draw(st.lists(st.tuples(state, st.sampled_from([None, 2, 1, 0]),
+                                    state), max_size=12))
+    initial = draw(st.frozensets(state, max_size=3))
+    accepting = draw(st.frozensets(state, max_size=3))
+    if any(sym is None for _s, sym, _d in trans):
+        return au._epsilon_free((2, 1, 0), n, tuple(trans), initial, accepting)
+    return _automaton((2, 1, 0), n, trans, initial, accepting)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_automata())
+def test_listing_matches_every_string_accepted_random(nfa):
+    assert enumerate_words(nfa, 4) == reference_words(nfa, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from("ab"), max_size=3),
+                          st.lists(st.sampled_from("xyz"), max_size=3)),
+                max_size=6))
+def test_pair_trie_lists_its_pairs(pairs):
+    pairs = [(tuple(u), tuple(v)) for u, v in pairs]
+    rel = au.PaddedRelationNfa.from_pairs(("b", "a"), ("z", "y", "x"), pairs)
+    words = reference_words(rel.nfa, 3)
+    assert enumerate_words(rel.nfa, 3) == words
+    assert sorted(relation_pairs(rel, 3)) == sorted(set(pairs))
+    prefixes = {w[:k] for u, v in pairs
+                for w in [au.convolve(u, v)] for k in range(1, len(w) + 1)}
+    assert rel.nfa.n_states == 1 + len(prefixes)
+
+
+def _refused(build, message):
+    with pytest.raises(AlphabetMismatch) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_trie_builders_name_the_first_stray_symbol():
+    # the first stray symbol in shortlex order of the words, wherever it is
+    ab = ("a", "b")
+    for words, bad in [
+        ([("a", "b"), ("z",), ("b", "b", "a")], "'z'"),
+        ([("a",), ("b", "y"), ("b", "a", "a")], "'y'"),
+        ([("a",), ("b", "a"), ("b", "a", "x")], "'x'"),
+        ([("a", "q", "p"), ("a", "a")], "'q'"),
+        ([("a", "q"), ("p",)], "'p'"),
+        ([("a", "b"), (["a"],)], "['a']"),
+    ]:
+        _refused(lambda: au.nfa_from_words(ab, words),
+                 f"word symbol {bad} not in alphabet")
+    pair = au.PairAlphabet(("a",), ("b",))
+    _refused(lambda: au.nfa_from_words(pair, [(("a", "b"),), (("$", "$"),)]),
+             "word symbol ('$', '$') not in alphabet")
+    # from_pairs: a left letter outside the left track, a right letter
+    # outside the right track, first, in the middle and last
+    for pairs, bad in [
+        ([(("z",), ("b",)), (("a",), ("b", "b")), (("a", "a"), ("b",))],
+         "('z', 'b')"),
+        ([(("a",), ()), (("a", "z"), ("b", "b")), (("a", "a"), ("b", "b", "b"))],
+         "('z', 'b')"),
+        ([(("a",), ()), (("a",), ("b",)), (("a", "a"), ("b", "b", "y"))],
+         "('$', 'y')"),
+        ([(("a",), ("y",)), ((), ())], "('a', 'y')"),
+        ([(("a", "b"), ("b", "a"))], "('b', 'a')"),
+        ([(("a",), ("b",)), (("$",), ())], "('$', '$')"),
+        ([((["a"],), ("b",))], "(['a'], 'b')"),
+    ]:
+        _refused(lambda: au.PaddedRelationNfa.from_pairs(("a",), ("b",), pairs),
+                 f"word symbol {bad} not in alphabet")
+    # a letter that is the pad symbol passes where its pair symbol is one
+    padded = au.PaddedRelationNfa.from_pairs(("a",), ("b",), [(("$",), ("b",))])
+    assert padded.nfa.accepts((("$", "b"),))
+
+
+def test_a_trie_with_a_none_symbol_is_refused_on_its_first_read():
+    for read in (lambda nfa: nfa.accepts(("a",)), lambda nfa: next(nfa.iter_words()),
+                 lambda nfa: nfa.step(nfa.initial, "a")):
+        nfa = au.nfa_from_words(("a", None), [("a", None), ("a",)])
+        with pytest.raises(InputError, match="epsilon move"):
+            read(nfa)

@@ -38,7 +38,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import fixed_instances, nonperm_ideal  # noqa: E402
+from helpers import fixed_instances, nonperm_ideal, relation_pairs  # noqa: E402
 
 from greenindex import automatic as au  # noqa: E402
 from greenindex import factories, present, relgreen, rewrite  # noqa: E402
@@ -102,7 +102,7 @@ def transfer_semantics() -> dict:
         by_digest: dict = {}
         for key, rel in sorted(res.structure.multipliers.items()):
             if id(rel) not in pair_digest:
-                pair_digest[id(rel)] = _digest(sorted(rel.pairs(longest)))
+                pair_digest[id(rel)] = _digest(sorted(relation_pairs(rel, longest)))
             by_digest.setdefault(pair_digest[id(rel)], []).append(key)
         out[name] = {"acceptor": _digest(words), "multipliers": by_digest}
     return out

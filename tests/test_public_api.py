@@ -206,7 +206,7 @@ DEFINED = {
 MEMBERS = {
     "automatic.AutomaticStructure": ["eval_word"],
     "automatic.Nfa": ["accepts", "iter_words", "step"],
-    "automatic.PaddedRelationNfa": ["from_pairs", "pairs"],
+    "automatic.PaddedRelationNfa": ["from_pairs"],
     "automatic.PairAlphabet": ["rank"],
     "core.BlackBoxSemigroup": ["encode", "spot_check_associativity"],
     "core.FiniteSemigroup": [
