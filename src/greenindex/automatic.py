@@ -13,12 +13,13 @@ knows when it is built: every state is useful, and each state's out-edges,
 so listing it derives neither.
 
 Transfer reads structures with a finite acceptor language over a finite
-semigroup, so it first checks its input exactly, and every multiplier is
-then a finite set of pairs of acceptor words.  The paper's conjugation of
-each multiplier through the rewriting relation is a join of those finite
-sets, and no relation is composed as an automaton.  A transferred structure
-keeps only the letters that occur in some transferred word, and every
-letter with one evaluation shares one multiplier.
+semigroup, so it first checks its input exactly: every multiplier then
+accepts exactly the pairs of acceptor words its evaluations prescribe.
+The paper's conjugation of each multiplier through the rewriting relation
+is read off those evaluations, and no relation is composed as an
+automaton.  A transferred structure keeps only the letters that occur in
+some transferred word, and every letter with one evaluation shares one
+multiplier.
 """
 
 from __future__ import annotations
@@ -441,7 +442,7 @@ def verify_structure_report(
     if words and len(words[-1]) > max_len:
         raise BoundExceeded(
             f"the acceptor has a word longer than max_len {max_len}")
-    failure, _evals, _pairs = _semantic_failure(st, sem, elems, words)
+    failure, _evals = _semantic_failure(st, sem, elems, words)
     return (False, failure) if failure else (True, "ok")
 
 
@@ -456,23 +457,22 @@ def _semantic_failure(st, sem, elems, words):
     string longer than the longest acceptor word, which cannot be a pair of
     acceptor words, so any other string it accepts is seen.  Keys are
     checked in order and each distinct automaton is listed once.  Returns
-    the first failure's message, or None, the evaluation of each word, and
-    the pair set each checked multiplier accepts, by key."""
+    the first failure's message, or None, and the evaluation of each
+    word."""
     evals = {w: st.eval_word(sem, w) for w in words}
     elem_set = set(elems)
     for w, e in evals.items():
         if e not in elem_set:
-            return f"acceptor word {w} evaluates outside the target", evals, {}
+            return f"acceptor word {w} evaluates outside the target", evals
     if set(evals.values()) != elem_set:
         missing = sorted(elem_set - set(evals.values()))
-        return f"acceptor is not onto; missing elements {missing}", evals, {}
+        return f"acceptor is not onto; missing elements {missing}", evals
     longest = max(map(len, words), default=0)
     position = {w: i for i, w in enumerate(evals)}
     by_eval: dict[int, list] = {}
     for w, e in evals.items():
         by_eval.setdefault(e, []).append(w)
     strings: dict[int, list] = {}  # by id(nfa): letters may share one
-    pair_sets: dict[str, set] = {}
     for key, rel in sorted(st.multipliers.items()):
         factor = st.letter_eval[key] if key else sem.order
         semantic = {
@@ -505,11 +505,10 @@ def _semantic_failure(st, sem, elems, words):
             return (
                 f"multiplier {key!r} disagrees on pair ({u}, {v}):"
                 f" semantic={(u, v) in semantic} accepted={(u, v) in accepted}"
-            ), evals, {}
+            ), evals
         if stray is not None:
-            return stray, evals, {}
-        pair_sets[key] = accepted
-    return None, evals, pair_sets
+            return stray, evals
+    return None, evals
 
 
 @dataclass(frozen=True)
@@ -574,10 +573,12 @@ def transfer_details(
     letters evaluating to the adjoined identity dropped; it is built pair
     by pair.  The structure keeps the letters that occur in some transferred
     word, and its acceptor lists the transferred words.  The multiplier of
-    a letter b is R⁻¹ ∘ M_w ∘ R, for w the shortlex-first acceptor word of
-    b's evaluation: the checked pair sets are joined along w, so M_w(u) is
-    followed through them, and each pair (R(u), R(u')) with u and u' in the
-    domain of R is kept.  Letters with one evaluation share one multiplier.
+    a letter b is R⁻¹ ∘ M_w ∘ R, for w an acceptor word of b's evaluation.
+    The check proves each M_a exact and the acceptor onto S, so M_w(u) is
+    every acceptor word v with eval(v) = eval(u)·eval(b), and the multiplier
+    is read off the evaluations: every (R(u), R(v)) with u and v in the
+    domain of R and eval(v) = eval(u)·eval(b), the adjoined identity for the
+    key "".  Letters with one evaluation share one multiplier.
     """
     sem = green.sem
     st._check_letter_evals(sem)
@@ -585,54 +586,40 @@ def transfer_details(
     letters = _transfer_letters(st, green, conn)
 
     words = _finite_language(st.acceptor)
-    failure, evals, pair_sets = _semantic_failure(st, sem, sem.elements, words)
+    failure, evals = _semantic_failure(st, sem, sem.elements, words)
     if failure:
         raise InputError(f"structure does not verify against S: {failure}")
 
-    # Pair every acceptor word in T with its transferred word, and note the
-    # shortlex-first word of each evaluation.
+    # Pair every acceptor word in T with its transferred word.
     pairs = []
-    first_word: dict[int, tuple] = {}
     for u in words:
-        first_word.setdefault(evals[u], u)
         pair = _rewrite_pair(st, green, conn, letters, u)
         if pair is not None:
             pairs.append(pair)
     used = {b for _u, v in pairs for b in v}
     kept = tuple(a for a in letters.names if a in used)
     restricted = PaddedRelationNfa.from_pairs(st.alphabet, kept, pairs)
-    partner = dict(pairs)
 
-    # each checked multiplier as a successor map over the acceptor words;
-    # conjugate(w) follows every u in the domain of R through w's maps
-    succ: dict[str, dict[tuple, list]] = {}
-    for key, accepted in pair_sets.items():
-        succ[key] = {}
-        for u, v in accepted:
-            succ[key].setdefault(u, []).append(v)
-
+    # the partners of each evaluation; conjugate(factor) pairs R(u) with
+    # the partner of every v in T with eval(v) = eval(u)·factor
+    partners_of: dict[int, list] = {}
+    for u, ru in pairs:
+        partners_of.setdefault(evals[u], []).append(ru)
     kept_pairs = PairAlphabet(kept, kept)
 
-    def conjugate(w):
-        out = []
-        for u, ru in partner.items():
-            ends = {u}
-            for a in w:
-                ends = {v for x in ends for v in succ[a].get(x, ())}
-            out.extend((ru, partner[v]) for v in ends if v in partner)
-        return _relation(kept_pairs, out)
+    def conjugate(factor):
+        return _relation(kept_pairs, [
+            (ru, rv) for u, ru in pairs
+            for rv in partners_of.get(sem.mul1(evals[u], factor), ())])
 
-    multipliers = {"": conjugate(("",))}
-    by_eval: dict[int, PaddedRelationNfa] = {}
-    for b in kept:
-        target = letters.evals[b]
-        if target not in by_eval:
-            by_eval[target] = conjugate(first_word[target])
-        multipliers[b] = by_eval[target]
+    letter_eval = {b: letters.evals[b] for b in kept}
+    by_eval = {e: conjugate(e) for e in set(letter_eval.values())}
+    multipliers = {"": conjugate(sem.order)}
+    multipliers.update((b, by_eval[e]) for b, e in letter_eval.items())
     structure = AutomaticStructure(
         alphabet=kept,
-        letter_eval={a: letters.evals[a] for a in kept},
-        acceptor=nfa_from_words(kept, partner.values()),
+        letter_eval=letter_eval,
+        acceptor=nfa_from_words(kept, (ru for _u, ru in pairs)),
         multipliers=multipliers,
     )
     return TransferResult(

@@ -552,8 +552,8 @@ def reference_determinize(alphabet, transitions, initial, accepting):
 
 # The rational-relation algebra: the paper's construction of a transferred
 # structure, R^-1 . M_w . R composed as automata.  automatic.transfer_details
-# joins finite pair sets instead; reference_transfer below is its
-# differential reference.
+# reads each conjugate off the evaluations of the checked acceptor words
+# instead; reference_transfer below is its differential reference.
 
 
 def determinize(nfa: Nfa) -> Nfa:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from functools import cached_property
@@ -257,23 +258,30 @@ def test_compose_matches_brute_force_join(z6):
         assert accepts_pair(round_trip, u, u)
 
 
+def cyclic_structure(n, lengths):
+    """The structure for Z_n with a1 -> 1 whose acceptor is a1^k for k in
+    ``lengths``, each multiplier listed pair by pair; an element with
+    several lengths has several acceptor words."""
+    alpha = ("a1",)
+    words = [("a1",) * k for k in lengths]
+
+    def listed(shift):
+        return au.PaddedRelationNfa.from_pairs(alpha, alpha, [
+            (u, v) for u in words for v in words
+            if (len(u) + shift - len(v)) % n == 0])
+
+    return au.AutomaticStructure(
+        alphabet=alpha, letter_eval={"a1": 1},
+        acceptor=au.nfa_from_words(alpha, words),
+        multipliers={"": listed(0), "a1": listed(1)})
+
+
 def test_transfer_composes_through_long_silent_tails():
     # Z2 with a1 -> 1 and the acceptor {a1, a1^2, a1^3, a1^8}: composing the
     # transferred multipliers needs a silent tail of 5, which the default
     # delay bound |S| + 1 = 3 used to refuse
     z2 = factories.zmod(2)
-    alpha = ("a1",)
-    words = [("a1",) * k for k in (1, 2, 3, 8)]
-
-    def listed(shift):
-        return au.PaddedRelationNfa.from_pairs(alpha, alpha, [
-            (u, v) for u in words for v in words
-            if (len(u) + shift - len(v)) % 2 == 0])
-
-    st = au.AutomaticStructure(
-        alphabet=alpha, letter_eval={"a1": 1},
-        acceptor=au.nfa_from_words(alpha, words),
-        multipliers={"": listed(0), "a1": listed(1)})
+    st = cyclic_structure(2, (1, 2, 3, 8))
     assert au.verify_structure_report(st, z2, 8) == (True, "ok")
     sub = core.SubSemigroup(parent=z2, members=frozenset({0}))
     green = relgreen.relative_green(z2, sub)
@@ -367,8 +375,8 @@ def test_transfer_z6(z6, t03):
 
 
 def test_transfer_walks_the_acceptor_once(z6, t03, monkeypatch):
-    # the first word of each letter's evaluation is read off the listed
-    # language, not found by a second walk of the acceptor
+    # the evaluation of each acceptor word is read off the listed language,
+    # not found by a second walk of the acceptor
     st, green, conn = transfer_setup(z6, t03, [1])
     walks = []
     real = au.Nfa.iter_words
@@ -478,6 +486,31 @@ def test_transfer_t3_ideal(t3_transfer):
             assert (mults[a] is mults[b]) == (evals[a] == evals[b])
 
 
+def test_transfer_t4_ideal_is_pinned():
+    # T4 over its ideal of non-permutations from the five letters of
+    # core._right_generators; composing the reference takes tens of
+    # seconds, so the output is pinned by the digests test_library_golden
+    # uses (sha256 of the sorted-key JSON)
+    def digest(obj):
+        return hashlib.sha256(
+            json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+
+    t4, ideal = nonperm_ideal(4)
+    gens = core._right_generators(t4.table)
+    assert [t4.names[g] for g in gens] == [
+        "0123", "0132", "0213", "1023", "0012"]
+    st, green, conn = transfer_setup(t4, ideal, gens)
+    res = au.transfer_details(st, ideal, green, conn)
+    assert digest(au.structure_to_json(res.structure)) == (
+        "e376d488d855abeb3fb2d11fa366927d4ac360021d58e19ebaae8000ec689674")
+    assert digest(au.nfa_to_json(res.restricted_relation.nfa)) == (
+        "d4bacfc0cf50c711df7efcb5fc33a09fc55dd6e954449789a52057d57e5b4711")
+    mults = res.structure.multipliers
+    assert len(res.structure.alphabet) == 144
+    assert len({id(m) for m in mults.values()}) == 145
+    assert au.verify_structure_report(res.structure, ideal, 3) == (True, "ok")
+
+
 def test_shared_multiplier_is_composed_from_first_word(t3_transfer):
     st, _ideal, green, res = t3_transfer
     sem = green.sem
@@ -568,26 +601,39 @@ def test_transfers_of_random_pairs_write_small_structures():
 
 
 def _join_cases():
-    """(S, T, generators of S): T3 over its ideal from the benchmark's sets
-    and from ``find_generating_set``, the fixed instances from their CLI
-    golden generators, ``random_pairs(25)`` from ``find_generating_set``,
-    and S4 over <(12)>."""
+    """(S, T, structure for S): ``structure_for_finite`` for T3 over its
+    ideal from the benchmark's sets and from ``find_generating_set``, the
+    fixed instances from their CLI golden generators, ``random_pairs(25)``
+    from ``find_generating_set``, and S4 over <(12)>; then acceptors with
+    several words per element: Z2 over {0} from a1, a1^2, a1^3, a1^8, and
+    Z6 over {0, 3} and {0, 2, 4} from a1^1 to a1^12."""
+    def finite(sem, sub, gens):
+        return sem, sub, au.structure_for_finite(sem, gens)
+
     t3, ideal = nonperm_ideal(3)
     for names in BENCH_T3_SETS:
-        yield t3, ideal, [t3.names.index(m) for m in names]
-    yield t3, ideal, list(schutz.find_generating_set(t3))
+        yield finite(t3, ideal, [t3.names.index(m) for m in names])
+    yield finite(t3, ideal, schutz.find_generating_set(t3))
     for _n, sem, sub, a_gens, _b in fixed_instances():
-        yield sem, sub, list(a_gens)
+        yield finite(sem, sub, a_gens)
     for sem, sub in random_pairs(25):
-        yield sem, sub, list(schutz.find_generating_set(sem))
+        yield finite(sem, sub, schutz.find_generating_set(sem))
     s4 = factories.symmetric_group(4)
-    yield s4, core.closure(s4, [s4.names.index("1023")]), [0, 1, 2, 6]
+    yield finite(s4, core.closure(s4, [s4.names.index("1023")]), [0, 1, 2, 6])
+    z2 = factories.zmod(2)
+    yield (z2, core.SubSemigroup(parent=z2, members=frozenset({0})),
+           cyclic_structure(2, (1, 2, 3, 8)))
+    z6 = factories.zmod(6)
+    for members in ({0, 3}, {0, 2, 4}):
+        yield (z6, core.SubSemigroup(parent=z6, members=frozenset(members)),
+               cyclic_structure(6, range(1, 13)))
 
 
 def test_transfer_joins_as_the_reference_composes():
     cases = 0
-    for sem, sub, gens in _join_cases():
-        struct, green, conn = transfer_setup(sem, sub, gens)
+    for sem, sub, struct in _join_cases():
+        green = relgreen.relative_green(sem, sub)
+        conn = relgreen.connectors(green)
         got = au.transfer_details(struct, sub, green, conn).structure
         want = reference_transfer(struct, green, conn)
         assert got.alphabet == want.alphabet
@@ -599,7 +645,7 @@ def test_transfer_joins_as_the_reference_composes():
             assert sorted(relation_pairs(got.multipliers[key], longest)) == \
                 sorted(relation_pairs(rel, longest)), key
         cases += 1
-    assert cases == 3 + 1 + 4 + 25 + 1
+    assert cases == 3 + 1 + 4 + 25 + 1 + 3
 
 
 @pytest.mark.parametrize("case", sorted(invalid_transfer_inputs()))
