@@ -9,11 +9,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .core import FiniteSemigroup, _check_index, _generating
-from .errors import (
-    InternalInconsistency,
-    InvalidLetter,
-    NotInSubsemigroup,
-)
+from .errors import InternalInconsistency, InvalidLetter, NotInSubsemigroup
 from .relgreen import IDENTITY_CLASS, ConnectorTables, GreenData
 from .schutz import class_group
 
@@ -159,13 +155,17 @@ class WordProblemContext:
     """Everything the word-equality decider needs about A = B u {d_i}.
 
     ``letter_eval`` maps letters to S elements (class letters to the class
-    representatives).
+    representatives); ``OutOfRange`` otherwise.
     """
 
     green: GreenData
     conn: ConnectorTables
     letter_eval: dict[str, int]
     _sig_cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        for v in self.letter_eval.values():
+            _check_index(v, self.green.sem.order, "letter_eval entry")
 
 
 @dataclass(frozen=True)
@@ -189,24 +189,23 @@ def _signature(word: tuple[str, ...], ctx: WordProblemContext):
     if not elems:
         sig = ("empty", n)
     else:
-        # The pushes of _two_pass, then a back push when the word ends
-        # outside T.  The adjoined identity n acts trivially in both
-        # directions (it keeps the class and comes out as n), and from
-        # class 0 the right push fixes every T^1 letter; so dropping n
-        # between pushes, and skipping the right push after a left push
-        # that ends in class 0, leave every class chain end and every
-        # prod1 fold as they were.
-        first, left = _scan_left(IDENTITY_CLASS, elems, conn)
-        if left[0] == IDENTITY_CLASS:
-            sig = ("sub", sem.prod1(first))
+        # The pushes end in class 0 exactly when the value is in T, and their
+        # output then folds to it; so only other words are pushed, with the
+        # adjoined identity n, which keeps the class, dropped between pushes.
+        value, table = elems[0], sem.table
+        for x in elems[1:]:
+            value = table[value][x]
+        if value in ctx.green.sub.members:
+            sig = ("sub", value)
         else:
+            first, left = _scan_left(IDENTITY_CLASS, elems, conn)
             out, right = _scan_right(left[0], [b for b in first if b != n], conn)
             if right[-1] == IDENTITY_CLASS:
-                sig = ("sub", sem.prod1(out))
-            else:
-                back, classes = _scan_left(
-                    right[-1], [b for b in out if b != n], conn)
-                sig = ("class", classes[0], sem.prod1(back))
+                raise InternalInconsistency(
+                    f"a word valued {value} outside T was pushed into T")
+            back, classes = _scan_left(
+                right[-1], [b for b in out if b != n], conn)
+            sig = ("class", classes[0], sem.prod1(back))
     ctx._sig_cache[word] = sig
     return sig
 
@@ -216,10 +215,10 @@ def word_equality_report(
 ) -> WordVerdict:
     """Decide whether two words over B u {d_i} represent the same element.
 
-    Both words are rewritten to the form (T-word, final class).  If both
-    final classes are 0 the words are compared inside T; if exactly one is 0
-    they differ; otherwise the class indices are compared and then the
-    Schutzenberger-group images of the residual words.
+    A word valued in T is evaluated, any other pushed to the form (final
+    class, T-word).  If both words land in T their values are compared; if
+    exactly one does they differ; otherwise the class indices are compared
+    and then the Schutzenberger-group images of the residual words.
     """
     s1 = _signature(tuple(w1), ctx)
     s2 = _signature(tuple(w2), ctx)

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 from itertools import product
 
 import pytest
@@ -9,6 +11,7 @@ from helpers import (
     fixed_instances,
     ladder_pairs,
     nonperm_ideal,
+    random_pairs,
     reference_signature,
     reference_two_pass,
     wp_context,
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from greenindex import core, factories, relgreen, rewrite
 from greenindex.errors import (
     InputError,
+    InternalInconsistency,
     InvalidLetter,
     NotGenerating,
     NotInSubsemigroup,
@@ -274,15 +278,32 @@ def _long_words(letters, class_letters, rng, count):
 
 
 def _signature_exit(word, ctx):
-    """Where ``rewrite._signature`` ends for a nonempty word, by the
-    reference pushes: "left" when the left push ends in class 0, "right"
-    when the right push lands in T, else "back"."""
+    """Where the reference pushes of a nonempty word end: "left" when the
+    left push ends in class 0, "right" when the right push lands in T, else
+    "back"."""
     first, i = _reference_push(ctx.conn, 0, [ctx.letter_eval[a] for a in word],
                                "left")
     if i == 0:
         return "left"
     _out, j = _reference_push(ctx.conn, i, first, "right")
     return "right" if j == 0 else "back"
+
+
+def _assert_pushes_end_in_t_exactly_on_t_values(sem, sub, conn, words):
+    """For each nonempty word of S elements: the left push of the identity
+    and the right push of its class end in class 0 exactly when the word's
+    value is in T, and the pushed output then folds to that value.  Returns
+    how many words valued in T have a left push ending outside class 0."""
+    late = 0
+    for elems in words:
+        value = sem.prod1(elems)
+        first, i = _reference_push(conn, 0, elems, "left")
+        pushed, j = _reference_push(conn, i, first, "right")
+        assert (j == 0) == (value in sub.members)
+        if j == 0:
+            assert sem.prod1(pushed) == value
+            late += i != 0
+    return late
 
 
 @pytest.mark.parametrize(
@@ -295,9 +316,13 @@ def test_signature_matches_reference_on_long_words(k):
     class_letters = [a for a in letters if ctx.letter_eval[a] not in sub.members]
     words = _long_words(letters, class_letters, random.Random(k), 30)
     _assert_matches_reference(sem, sub, words)
-    if k == 9:  # the T4 sample takes every exit of _signature
+    late = _assert_pushes_end_in_t_exactly_on_t_values(
+        sem, sub, ctx.conn,
+        [[ctx.letter_eval[a] for a in w] for w in words if w])
+    if k == 9:  # the T4 sample takes every exit of the reference pushes
         exits = {_signature_exit(w, ctx) for w in words if w}
         assert exits == {"left", "right", "back"}
+        assert late > 0  # words in T that only the fold decides at once
 
 
 @pytest.mark.parametrize(
@@ -338,3 +363,54 @@ def test_unknown_letter_is_named_and_not_cached(z6, t03):
     with pytest.raises(InvalidLetter, match="^unknown letter 'nope'$"):
         rewrite.word_equality_report(word, ("t3",), ctx)
     assert word not in ctx._sig_cache
+
+
+def test_pushes_land_in_t_exactly_when_the_value_does_on_random_pairs():
+    rng = random.Random(27)
+    for sem, sub in random_pairs(25):
+        _green, conn = setup_tables(sem, sub)
+        words = [rng.choices(sem.elements, k=rng.randrange(1, 30))
+                 for _ in range(40)]
+        _assert_pushes_end_in_t_exactly_on_t_values(sem, sub, conn, words)
+
+
+@pytest.mark.parametrize("value", [-1, 6, True, "3"])
+def test_hand_built_context_refuses_values_outside_s(z6, t03, value):
+    ctx = wp_context(z6, t03)
+    letter_eval = {**ctx.letter_eval, "x": value}
+    message = re.escape(f"letter_eval entry {value!r} not in [0, 6)")
+    with pytest.raises(OutOfRange, match=f"^{message}$"):
+        rewrite.WordProblemContext(ctx.green, ctx.conn, letter_eval)
+
+
+def test_hand_built_context_keeps_values_in_s(z6, t03):
+    for sem, sub in ladder_pairs():
+        ctx = wp_context(sem, sub)
+        rebuilt = rewrite.WordProblemContext(
+            ctx.green, ctx.conn, dict(ctx.letter_eval))
+        assert rebuilt == ctx
+    ctx = wp_context(z6, t03)
+    extra = rewrite.WordProblemContext(
+        ctx.green, ctx.conn, {**ctx.letter_eval, "x": 3})
+    assert rewrite.word_equality_report(("x",), ("t3",), extra) == \
+        rewrite.WordVerdict(True, "both_in_sub", "compared 3 and 3 in T")
+
+
+def test_pushes_that_land_in_t_for_a_word_outside_t_raise(z6, t03):
+    ctx = wp_context(z6, t03)
+    conn = ctx.conn
+
+    def zeros(rows):
+        return tuple((0,) * len(row) for row in rows)
+
+    broken = rewrite.WordProblemContext(ctx.green, dataclasses.replace(
+        conn, left_class=zeros(conn.left_class),
+        right_class=zeros(conn.right_class)), ctx.letter_eval)
+    word = next((a,) for a, v in sorted(ctx.letter_eval.items()) if v == 1)
+    with pytest.raises(InternalInconsistency,
+                       match="^a word valued 1 outside T was pushed into T$"):
+        rewrite.word_equality_report(word, word, broken)
+    assert word not in broken._sig_cache
+    # a word valued in T is still decided by its value alone
+    assert rewrite.word_equality_report(("t3", "t3"), ("t0",), broken) == \
+        rewrite.WordVerdict(True, "both_in_sub", "compared 0 and 0 in T")
