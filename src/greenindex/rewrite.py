@@ -6,7 +6,8 @@ generating sets, and a decision procedure for word equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .core import FiniteSemigroup, _check_index, _generating
 from .errors import InternalInconsistency, InvalidLetter, NotInSubsemigroup
@@ -62,6 +63,17 @@ def _scan_left(i: int, word: Sequence[int], conn: ConnectorTables):
     out.reverse()
     classes.reverse()
     return out, classes
+
+
+def _left_ends(i: int, word: Sequence, factor, klass, n: int):
+    """A left push that keeps no class chain: (output class, output letters
+    other than n, right to left); ``factor`` and ``klass`` take word letters."""
+    out = []
+    for s in reversed(word):
+        if (b := factor[s][i]) != n:
+            out.append(b)
+        i = klass[s][i]
+    return i, out
 
 
 def _checked(i: int, word: Sequence[int], conn: ConnectorTables) -> tuple[int, ...]:
@@ -155,17 +167,26 @@ class WordProblemContext:
     """Everything the word-equality decider needs about A = B u {d_i}.
 
     ``letter_eval`` maps letters to S elements (class letters to the class
-    representatives); ``OutOfRange`` otherwise.
+    representatives); ``OutOfRange`` otherwise.  It is held as a read-only
+    copy, and ``conn`` must be built from ``green`` (``InputError`` otherwise).
     """
 
     green: GreenData
     conn: ConnectorTables
-    letter_eval: dict[str, int]
-    _sig_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    letter_eval: Mapping[str, int]
+    _sig_cache: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for v in self.letter_eval.values():
+        letter_eval = dict(self.letter_eval)
+        for v in letter_eval.values():
             _check_index(v, self.green.sem.order, "letter_eval entry")
+        self.green._check_built_from(conn=self.conn)
+        object.__setattr__(self, "letter_eval", MappingProxyType(letter_eval))
+        object.__setattr__(self, "_rows", tuple(  # each letter's rows
+            {a: rows[v] for a, v in letter_eval.items()} for rows in (
+                self.green.sem.table, self.conn.left_factor, self.conn.left_class)))
 
 
 @dataclass(frozen=True)
@@ -179,33 +200,32 @@ def _signature(word: tuple[str, ...], ctx: WordProblemContext):
     cached = ctx._sig_cache.get(word)
     if cached is not None:
         return cached
-    letter_eval = ctx.letter_eval
-    try:
-        elems = [letter_eval[a] for a in word]
-    except KeyError as exc:
-        raise InvalidLetter(f"unknown letter {exc.args[0]!r}") from None
-    sem, conn = ctx.green.sem, ctx.conn
-    n = sem.order
-    if not elems:
+    sem, conn, n = ctx.green.sem, ctx.conn, ctx.green.sem.order
+    if not word:
         sig = ("empty", n)
     else:
-        # The pushes end in class 0 exactly when the value is in T, and their
-        # output then folds to it; so only other words are pushed, with the
-        # adjoined identity n, which keeps the class, dropped between pushes.
-        value, table = elems[0], sem.table
-        for x in elems[1:]:
-            value = table[value][x]
+        # Fold right to left through each letter's row (the table is
+        # associative).  The pushes end in class 0 exactly when the value is
+        # in T, and their output then folds to it; so only other words are
+        # pushed, dropping the adjoined identity n, which keeps the class.
+        (rows, factor, klass), letters = ctx._rows, reversed(word)
+        try:
+            value = ctx.letter_eval[next(letters)]
+            for a in letters:
+                value = rows[a][value]
+        except KeyError:
+            bad = next(a for a in word if a not in ctx.letter_eval)
+            raise InvalidLetter(f"unknown letter {bad!r}") from None
         if value in ctx.green.sub.members:
             sig = ("sub", value)
         else:
-            first, left = _scan_left(IDENTITY_CLASS, elems, conn)
-            out, right = _scan_right(left[0], [b for b in first if b != n], conn)
+            i, first = _left_ends(IDENTITY_CLASS, word, factor, klass, n)
+            out, right = _scan_right(i, reversed(first), conn)
             if right[-1] == IDENTITY_CLASS:
                 raise InternalInconsistency(
                     f"a word valued {value} outside T was pushed into T")
-            back, classes = _scan_left(
-                right[-1], [b for b in out if b != n], conn)
-            sig = ("class", classes[0], sem.prod1(back))
+            k, back = _left_ends(right[-1], out, conn.left_factor, conn.left_class, n)
+            sig = ("class", k, sem.prod1(reversed(back)))
     ctx._sig_cache[word] = sig
     return sig
 

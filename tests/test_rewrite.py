@@ -358,11 +358,17 @@ def test_signature_matches_reference_on_random_semigroups(pick, data):
 
 
 def test_unknown_letter_is_named_and_not_cached(z6, t03):
+    # the fold runs right to left, yet the leftmost unknown letter is named
     ctx = wp_context(z6, t03)
-    word = ("t3", "nope", "zap")
-    with pytest.raises(InvalidLetter, match="^unknown letter 'nope'$"):
-        rewrite.word_equality_report(word, ("t3",), ctx)
-    assert word not in ctx._sig_cache
+    for word, name in [(("t3", "nope", "zap"), "nope"),  # two unknown letters
+                       (("t3", "d1", "nope"), "nope"),   # last
+                       (("nope", "t3", "d1"), "nope"),   # first
+                       (("nope",), "nope"),              # alone
+                       (("zap", "t3", "nope"), "zap")]:  # two, at both ends
+        with pytest.raises(InvalidLetter, match=f"^unknown letter '{name}'$"):
+            rewrite.word_equality_report(word, ("t3",), ctx)
+        assert word not in ctx._sig_cache
+    assert ctx._sig_cache == {}
 
 
 def test_pushes_land_in_t_exactly_when_the_value_does_on_random_pairs():
@@ -414,3 +420,93 @@ def test_pushes_that_land_in_t_for_a_word_outside_t_raise(z6, t03):
     # a word valued in T is still decided by its value alone
     assert rewrite.word_equality_report(("t3", "t3"), ("t0",), broken) == \
         rewrite.WordVerdict(True, "both_in_sub", "compared 0 and 0 in T")
+
+
+def test_letter_eval_is_a_read_only_copy(z6, t03):
+    ctx = wp_context(z6, t03)
+    with pytest.raises(TypeError):
+        ctx.letter_eval["x"] = -1
+    assert ctx.letter_eval == {"t0": 0, "t3": 3, "d1": 1, "d2": 2}
+    letter_eval = dict(ctx.letter_eval)
+    own = rewrite.WordProblemContext(ctx.green, ctx.conn, letter_eval)
+    assert own == ctx and own.letter_eval == letter_eval
+    letter_eval.update(d1=-1, t3=1, x=3)  # after the context is built
+    assert own == ctx
+    pairs = [(("d1", "t3"), ("d1",)), (("d1", "d2"), ("t3",)), (("t3",), ("t0",))]
+    assert [rewrite.word_equality_report(u, v, own) for u, v in pairs] == \
+        [rewrite.word_equality_report(u, v, ctx) for u, v in pairs]
+    with pytest.raises(InvalidLetter, match="^unknown letter 'x'$"):
+        rewrite.word_equality_report(("x",), ("t3",), own)
+    # a context replaced with other letters starts from an empty cache
+    moved = dataclasses.replace(own, letter_eval={**own.letter_eval, "d1": 3})
+    assert rewrite.word_equality_report(("d1",), ("t3",), moved).equal
+
+
+def test_hand_built_context_refuses_other_connectors(z6, t03):
+    # with the connectors of {0, 2, 4}, two-letter words of {0, 3} were
+    # pushed into InternalInconsistency
+    ctx = wp_context(z6, t03)
+    other = wp_context(z6, core.closure(z6, [2])).conn
+    with pytest.raises(InputError,
+                       match="^connector tables do not match the Green data$"):
+        rewrite.WordProblemContext(ctx.green, other, ctx.letter_eval)
+
+
+def _chain(conn, i, word, direction):
+    """The classes a push visits, one ``_reference_push`` per letter, in
+    ``RewriteTrace.steps`` order."""
+    chain = [i]
+    for s in (word if direction == "right" else reversed(word)):
+        chain.append(_reference_push(conn, chain[-1], [s], direction)[1])
+    return chain if direction == "right" else chain[::-1]
+
+
+def _assert_pushes_match_reference(sem, conn, words, classes):
+    """``push_right``/``push_left`` traces and the chain-free left push,
+    through the connector tables, against ``_reference_push`` and
+    ``_chain`` for each word of S^1 elements from each given class."""
+    n = sem.order
+    for word, i in product(words, classes):
+        for push, direction in ((rewrite.push_right, "right"),
+                                (rewrite.push_left, "left")):
+            out, j = _reference_push(conn, i, word, direction)
+            tr = push(i, word, conn)
+            assert (tr.output_word, tr.output_class, tr.steps) == \
+                (tuple(out), j, tuple(_chain(conn, i, word, direction)))
+        # out and j are now the reference left push's
+        assert rewrite._left_ends(i, word, conn.left_factor, conn.left_class,
+                                  n) == (j, [b for b in reversed(out) if b != n])
+
+
+@pytest.mark.parametrize(
+    "k", range(10),
+    ids=[f"ladder{k}" for k in range(9)] + ["t4_ideal"])
+def test_pushes_match_reference(k):
+    sem, sub = (ladder_pairs() + [nonperm_ideal(4)])[k]
+    ctx = wp_context(sem, sub)
+    rng = random.Random(k)
+    letters = [*sem.elements, sem.order]  # the adjoined identity included
+    words = [()] + [tuple(rng.choices(letters, k=rng.randrange(1, 120)))
+                    for _ in range(12)]
+    classes = rng.sample(range(ctx.green.class_count),
+                         min(4, ctx.green.class_count))
+    _assert_pushes_match_reference(sem, ctx.conn, words, classes)
+    # the chain-free left push through the context's letter-keyed rows
+    _rows, factor, klass = ctx._rows
+    for i in classes:
+        for word in _long_words(sorted(ctx.letter_eval), None, rng, 4):
+            out, j = _reference_push(
+                ctx.conn, i, [ctx.letter_eval[a] for a in word], "left")
+            assert rewrite._left_ends(i, word, factor, klass, sem.order) == \
+                (j, [b for b in reversed(out) if b != sem.order])
+
+
+def test_pushes_match_reference_on_random_pairs():
+    rng = random.Random(28)
+    for sem, sub in random_pairs(25):
+        _green, conn = setup_tables(sem, sub)
+        letters = [*sem.elements, sem.order]
+        words = [tuple(rng.choices(letters, k=rng.randrange(0, 30)))
+                 for _ in range(6)]
+        _assert_pushes_match_reference(
+            sem, conn, words, range(conn.green.class_count))
