@@ -696,7 +696,7 @@ def word_problem_context(
     ``green`` must be the Green data of ``sub`` in ``sem``, and ``conn`` its
     connector tables (``InputError`` otherwise).
     """
-    green._check_built_from(sub, sem, conn)
+    green._check_built_from(sub, sem)
     letter_eval = {f"t{m}": m for m in sub.sorted_members()}
     for i in range(1, green.class_count):
         letter_eval[f"d{i}"] = green.rep_of(i)

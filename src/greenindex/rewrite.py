@@ -6,6 +6,7 @@ generating sets, and a decision procedure for word equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -49,31 +50,26 @@ def _scan_right(i: int, word: Sequence[int], conn: ConnectorTables):
     return out, classes
 
 
-def _scan_left(i: int, word: Sequence[int], conn: ConnectorTables):
-    """The left push, unchecked: (output letters, classes), where
-    classes[k] is the class sitting right of position k, so classes[0] is
-    the output class and classes[-1] = i."""
-    factor, klass = conn.left_factor, conn.left_class
-    out = []
-    classes = [i]
-    for s in reversed(word):
-        out.append(factor[s][i])
-        i = klass[s][i]
-        classes.append(i)
-    out.reverse()
-    classes.reverse()
-    return out, classes
-
-
-def _left_ends(i: int, word: Sequence, factor, klass, n: int):
-    """A left push that keeps no class chain: (output class, output letters
-    other than n, right to left); ``factor`` and ``klass`` take word letters."""
+def _left_ends(i: int, word: Sequence, factor, klass, drop: int = -1):
+    """The one left push loop: (output class, output letters other than
+    ``drop``, right to left); ``factor`` and ``klass`` take word letters.
+    It keeps no class chain, and the default ``drop`` keeps every letter."""
     out = []
     for s in reversed(word):
-        if (b := factor[s][i]) != n:
+        if (b := factor[s][i]) != drop:
             out.append(b)
         i = klass[s][i]
     return i, out
+
+
+def _scan_left(i: int, word: Sequence[int], conn: ConnectorTables):
+    """The left push with its class chain: (output letters, classes), where
+    classes[k] is the class sitting right of position k, so classes[0] is
+    the output class and classes[-1] = i.  The chain is the class step
+    alone, accumulated; the output comes from ``_left_ends``."""
+    klass = conn.left_class
+    classes = [*accumulate(reversed(word), lambda c, s: klass[s][c], initial=i)]
+    return _left_ends(i, word, conn.left_factor, klass)[1][::-1], classes[::-1]
 
 
 def _checked(i: int, word: Sequence[int], conn: ConnectorTables) -> tuple[int, ...]:
@@ -168,7 +164,8 @@ class WordProblemContext:
 
     ``letter_eval`` maps letters to S elements (class letters to the class
     representatives); ``OutOfRange`` otherwise.  It is held as a read-only
-    copy, and ``conn`` must be built from ``green`` (``InputError`` otherwise).
+    copy, a ``mappingproxy`` in the repr (copies and pickles rebuild from a
+    dict); ``conn`` must be built from ``green``, ``InputError`` otherwise.
     """
 
     green: GreenData
@@ -187,6 +184,9 @@ class WordProblemContext:
         object.__setattr__(self, "_rows", tuple(  # each letter's rows
             {a: rows[v] for a, v in letter_eval.items()} for rows in (
                 self.green.sem.table, self.conn.left_factor, self.conn.left_class)))
+
+    def __reduce__(self):
+        return type(self), (self.green, self.conn, dict(self.letter_eval))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import re
 from itertools import product
@@ -437,6 +439,14 @@ def test_letter_eval_is_a_read_only_copy(z6, t03):
         [rewrite.word_equality_report(u, v, ctx) for u, v in pairs]
     with pytest.raises(InvalidLetter, match="^unknown letter 'x'$"):
         rewrite.word_equality_report(("x",), ("t3",), own)
+    # copies and pickles rebuild the context, read-only, from a plain dict
+    for copied in (copy.copy(own), copy.deepcopy(own),
+                   pickle.loads(pickle.dumps(own))):
+        assert copied == own and copied.letter_eval == ctx.letter_eval
+        with pytest.raises(TypeError):
+            copied.letter_eval["x"] = -1
+        assert [rewrite.word_equality_report(u, v, copied) for u, v in pairs] \
+            == [rewrite.word_equality_report(u, v, ctx) for u, v in pairs]
     # a context replaced with other letters starts from an empty cache
     moved = dataclasses.replace(own, letter_eval={**own.letter_eval, "d1": 3})
     assert rewrite.word_equality_report(("d1",), ("t3",), moved).equal
