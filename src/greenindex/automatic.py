@@ -593,7 +593,7 @@ def transfer_details(
     # Pair every acceptor word in T with its transferred word.
     pairs = []
     for u in words:
-        pair = _rewrite_pair(st, green, conn, letters, u)
+        pair = _rewrite_pair(st, conn, u, evals[u])
         if pair is not None:
             pairs.append(pair)
     used = {b for _u, v in pairs for b in v}
@@ -629,20 +629,20 @@ def transfer_details(
     )
 
 
-def _rewrite_pair(st, green, conn, letters, u):
-    """The unique partner of an acceptor word under the transfer relation,
-    or None when the word evaluates outside the subsemigroup.  Letter k of
-    the two-pass push becomes b<j>_<a>_<i>: j is the class the right push
-    holds before it, i the class the left push holds after it."""
-    elems = [st.letter_eval[a] for a in u]
-    if green.sem.prod1(elems) not in green.sub.members:
+def _rewrite_pair(st, conn, u, value):
+    """The unique partner of an acceptor word u of evaluation ``value``
+    under the transfer relation, or None when ``value`` is outside T.
+    Letter k of the two-pass push becomes b<j>_<a>_<i>: j is the class the
+    right push holds before it, i the class the left push holds after it;
+    it is dropped when the push outputs the adjoined identity for it."""
+    if value not in conn.green.sub.members:
         return None
-    left, _out, right = _two_pass(elems, conn)
+    left, out, right = _two_pass([st.letter_eval[a] for a in u], conn)
     if right[-1] != IDENTITY_CLASS:
         raise InternalInconsistency("rewrite of a T word did not close")
-    out = (f"b{right[k]}_{a}_{left[k + 1]}"
-           for k, a in enumerate(u))
-    return tuple(u), tuple(b for b in out if b not in letters.excluded)
+    n = conn.green.sem.order
+    return tuple(u), tuple(f"b{right[k]}_{a}_{left[k + 1]}"
+                           for k, a in enumerate(u) if out[k] != n)
 
 
 def _listed(nfa: Nfa, longest: int, what: str = "word acceptor") -> Iterator[tuple]:

@@ -125,7 +125,7 @@ def cmd_eggbox(args) -> int:
     else:
         sub = SubSemigroup(parent=sem, members=frozenset(sem.elements))
     green = rg.relative_green(sem, sub)
-    dot = rg.eggbox_dot(green, highlight_complement=args.relative)
+    dot = rg.eggbox_dot(green)
     _emit(args, {"dot": dot}, dot)
     return 0
 

@@ -158,21 +158,21 @@ def validate_table(
 
 def _light_associative(rows) -> bool:
     """Light's test: (x*a)*y = x*(a*y) for all x, y and every a in
-    ``_right_generators(rows)``.  Needs n > 1: itemgetter of a single index
-    returns an entry, not a tuple."""
-    for a in _right_generators(rows):
+    ``_right_generators(rows)[0]``.  Needs n > 1: itemgetter of a single
+    index returns an entry, not a tuple."""
+    for a in _right_generators(rows)[0]:
         a_then = itemgetter(*rows[a])  # row of x -> (x*(a*y) for y in S)
         if any(rows[rx[a]] != a_then(rx) for rx in rows):
             return False
     return True
 
 
-def _right_generators(rows, candidates=None) -> list[int]:
-    """A set A from which right multiplication reaches every element:
-    ``candidates`` in order (by default by decreasing |x*S|, ties by
-    index), each added if not yet reached.  Adding e reaches e and x*e for
-    each x reached so far; each newly reached y then reaches y*a for every
-    a in A."""
+def _right_generators(rows, candidates=None):
+    """(A, reached): ``candidates`` in order (by default by decreasing
+    |x*S|, ties by index), each added to A if not yet reached.  Adding e
+    reaches e and x*e for each x reached so far; each newly reached y then
+    reaches y*a for every a in A.  So reached is <A>, holding every
+    candidate."""
     if candidates is None:
         candidates = sorted(range(len(rows)), key=lambda x: -len(set(rows[x])))
     reached: dict[int, None] = {}  # insertion-ordered set
@@ -187,7 +187,7 @@ def _right_generators(rows, candidates=None) -> list[int]:
             if y not in reached:
                 reached[y] = None
                 queue.extend(map(rows[y].__getitem__, gens))
-    return gens
+    return gens, reached
 
 
 @dataclass(frozen=True)
@@ -204,11 +204,10 @@ class SubSemigroup:
         for x in self.members:
             _check_index(x, self.parent.order, "member")
         members = self.sorted_members()
-        # the greedy B reaches every member, so T lies in <B>; T*B in T
-        # then gives <B> in T, and T is closed
-        gens = _right_generators(tab, members)
-        pick = itemgetter(gens[0], *gens)  # two indices: always a tuple
-        if not all(self.members.issuperset(pick(tab[x])) for x in members):
+        # the greedy walk reaches <B>, which holds every member of T; T is
+        # closed exactly when <B> is T
+        gens, reached = _right_generators(tab, members)
+        if len(reached) != len(members):
             for x in self.members:
                 for y in self.members:
                     if tab[x][y] not in self.members:
@@ -360,9 +359,10 @@ class Homomorphism:
     def __post_init__(self):
         if len(self.mapping) != self.source.order:
             raise InvalidHomomorphism("mapping length != source order")
+        order = self.target.order
         for v in self.mapping:
-            if not 0 <= v < self.target.order:
-                raise InvalidHomomorphism(f"image {v} outside target")
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < order:
+                raise InvalidHomomorphism(f"image {v!r} outside target")
         m = self.mapping
         for x in self.source.elements:
             for y in self.source.elements:

@@ -167,6 +167,8 @@ def _first_occurrence(keys) -> tuple[int, ...]:
 
 def rees_index(sem: FiniteSemigroup, sub: SubSemigroup) -> int:
     """Cardinality of the complement S minus T."""
+    if sub.parent is not sem and sub.parent != sem:
+        raise InputError("subsemigroup belongs to another semigroup")
     return sem.order - len(sub.members)
 
 
@@ -238,7 +240,7 @@ def _witness(index: dict[int, int], product: int) -> int:
     return index[product]
 
 
-def eggbox_dot(green: GreenData, highlight_complement: bool = True) -> str:
+def eggbox_dot(green: GreenData) -> str:
     """Egg-box diagram as a DOT graph: rows are R-classes, columns are
     L-classes, cells are H-classes; complement cells are shaded."""
     sem = green.sem
@@ -260,7 +262,7 @@ def eggbox_dot(green: GreenData, highlight_complement: bool = True) -> str:
             elems = sorted(cells.get((rid, lid), []))
             text = " ".join(sem.name_of(u) for u in elems) or "&nbsp;"
             shaded = bool(elems) and elems[0] not in green.sub.members
-            attr = ' BGCOLOR="lightgrey"' if (shaded and highlight_complement) else ""
+            attr = ' BGCOLOR="lightgrey"' if shaded else ""
             row.append(f"<TD{attr}>{text}</TD>")
         row.append("</TR>")
         lines.append("".join(row))

@@ -99,12 +99,8 @@ def _two_pass(word: Sequence[int], conn: ConnectorTables):
     """Push the adjoined identity through ``word`` right to left, then the
     resulting representative through that output left to right.  Returns
     (left classes, output, right classes) with
-    word = output * rep(right classes[-1]).  When the left push ends in
-    class 0 the right push is not run: from class 0 it would stay there and
-    fix every letter of T^1."""
+    word = output * rep(right classes[-1])."""
     first, left = _scan_left(IDENTITY_CLASS, word, conn)
-    if left[0] == IDENTITY_CLASS:
-        return left, first, [IDENTITY_CLASS] * len(left)
     out, right = _scan_right(left[0], first, conn)
     return left, out, right
 

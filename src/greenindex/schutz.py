@@ -223,7 +223,7 @@ def schutz_generators(
 def find_generating_set(sem: FiniteSemigroup) -> tuple[int, ...]:
     """A small (not minimal) generating set, chosen deterministically: the
     elements in index order, each kept if those before do not generate it."""
-    return tuple(_right_generators(sem.table, sem.elements))
+    return tuple(_right_generators(sem.table, sem.elements)[0])
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import random
 from dataclasses import replace
 
 from greenindex import (
-    automatic, core, factories, growth, present, relgreen, rewrite, schutz,
+    automatic, core, factories, growth, present, relgreen, schutz,
 )
 from greenindex.automatic import (
     PAD,
@@ -1013,11 +1013,18 @@ def _reference_push(conn, i, word, direction):
 
 
 def reference_two_pass(word, conn):
-    """``rewrite._two_pass`` with both scans always run: the identity pushed
-    left through ``word``, then the class it ends in pushed right through
-    the whole output, even from class 0."""
-    first, left = rewrite._scan_left(relgreen.IDENTITY_CLASS, word, conn)
-    out, right = rewrite._scan_right(left[0], first, conn)
+    """``rewrite._two_pass`` by one connector lookup per letter, with both
+    pushes always run: the identity class pushed left through ``word``, then
+    the class it ends in pushed right through the whole output, even from
+    class 0.  Each push keeps its own class chain."""
+    first, left = [], [relgreen.IDENTITY_CLASS]
+    for s in reversed(word):
+        first.insert(0, conn.left_factor[s][left[0]])
+        left.insert(0, conn.left_class[s][left[0]])
+    out, right = [], [left[0]]
+    for t in first:
+        out.append(conn.right_factor[right[-1]][t])
+        right.append(conn.right_class[right[-1]][t])
     return left, out, right
 
 

@@ -496,7 +496,7 @@ def test_transfer_t4_ideal_is_pinned():
             json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
     t4, ideal = nonperm_ideal(4)
-    gens = core._right_generators(t4.table)
+    gens = core._right_generators(t4.table)[0]
     assert [t4.names[g] for g in gens] == [
         "0123", "0132", "0213", "1023", "0012"]
     st, green, conn = transfer_setup(t4, ideal, gens)
@@ -721,7 +721,8 @@ def _assert_rewrite_pairs_match_chains(struct, green, conn):
     letters = au._transfer_letters(struct, green, conn)
     words = au._finite_language(struct.acceptor)
     for u in words:
-        assert au._rewrite_pair(struct, green, conn, letters, u) == \
+        value = struct.eval_word(green.sem, u)
+        assert au._rewrite_pair(struct, conn, u, value) == \
             reference_rewrite_pair(struct, green, conn, letters, u), u
     return len(words)
 

@@ -23,6 +23,7 @@ from helpers import (
     fixed_instances,
     ladder_pairs,
     random_pairs,
+    reference_closure,
     reference_not_closed,
     reference_validate_table,
     small_pool,
@@ -177,12 +178,12 @@ def test_validate_accepts_int_subclass_entries():
 
 def test_light_generators_on_t4_and_zero_tables():
     t4 = factories.full_transformation_monoid(4)
-    gens = core._right_generators(t4.table)
+    gens = core._right_generators(t4.table)[0]
     assert len(gens) <= 5
     assert core.generated(t4, gens).members == frozenset(t4.elements)
     for n in range(1, 9):
         for table in _zero_tables(n):
-            assert sorted(core._right_generators(table)) == list(range(n))
+            assert sorted(core._right_generators(table)[0]) == list(range(n))
 
 
 def test_subsemigroup_refuses_members_that_are_not_indices(z6):
@@ -229,7 +230,18 @@ def test_subsemigroup_validation(z6):
     assert core._target_domain(z6) == (z6, list(range(6)))
 
 
+def _walk(sem, members):
+    """The greedy walk over the sorted members, checked to reach exactly
+    the closure of its generators and every member; the elements in the
+    order the walk reached them."""
+    gens, reached = core._right_generators(sem.table, sorted(members))
+    assert set(reached) == reference_closure(sem, gens)
+    assert members <= set(reached)
+    return list(reached)
+
+
 def _assert_subsemigroup_matches_pairwise_scan(sem, members):
+    _walk(sem, members)
     expected = reference_not_closed(sem, members)
     if expected is None:
         sub = core.SubSemigroup(parent=sem, members=members)
@@ -269,6 +281,27 @@ def test_subsemigroup_matches_pairwise_scan_on_random_subsets(pick, data):
     _assert_subsemigroup_matches_pairwise_scan(sem, frozenset(members))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10 ** 9), st.data())
+def test_subsemigroup_accepts_exactly_the_closed_subsets_of_small_tables(
+        n, pick, data):
+    tables = small_tables(n)
+    sem = core.validate_table(tables[pick % len(tables)])
+    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    if data.draw(st.booleans()):
+        members = core.closure(sem, members).members
+    _assert_subsemigroup_matches_pairwise_scan(sem, frozenset(members))
+
+
+def test_walk_that_leaves_t_before_reaching_every_member(z6):
+    # from 2 the walk reaches 4, outside T = {2, 3}, before 3 is added
+    members = frozenset({2, 3})
+    order = _walk(z6, members)
+    assert order.index(4) < order.index(3)
+    assert reference_not_closed(z6, members) is not None
+    _assert_subsemigroup_matches_pairwise_scan(z6, members)
+
+
 def test_subsemigroup_checks_emptiness_and_members_before_closure(z6):
     with pytest.raises(NotClosed, match=r"^subsemigroup is empty$"):
         core.SubSemigroup(parent=z6, members=frozenset())
@@ -284,6 +317,11 @@ def test_homomorphism_validation():
     assert [phi(x) for x in range(4)] == [0, 1, 0, 1]
     with pytest.raises(InvalidHomomorphism):
         core.Homomorphism(source=z4, target=z2, mapping=(0, 1, 1, 0))
+    for image in (True, 1.0, "1", -1, 2):  # not an index of Z2
+        with pytest.raises(InvalidHomomorphism) as exc:
+            core.Homomorphism(source=z2, target=z2, mapping=(0, image))
+        assert str(exc.value) == f"image {image!r} outside target"
+    assert core.Homomorphism(source=z2, target=z2, mapping=(0, 1))(1) == 1
 
 
 def test_strong_semilattice_example_orders():

@@ -34,6 +34,15 @@ def test_whole_semigroup_gives_index_one(z6):
     assert relgreen.rees_index(z6, full) == 0
 
 
+def test_rees_index_refuses_a_subsemigroup_of_another_semigroup():
+    foreign = core.SubSemigroup(
+        parent=factories.zmod(6), members=frozenset({0, 3}))
+    with pytest.raises(InputError, match="belongs to another semigroup"):
+        relgreen.rees_index(factories.zmod(4), foreign)
+    # an equal parent built apart is the same semigroup
+    assert relgreen.rees_index(factories.zmod(6), foreign) == 4
+
+
 def test_semilattice_instance_has_index_two():
     z2 = factories.zmod(2)
     s, t = core.strong_semilattice(
@@ -187,6 +196,8 @@ def test_eggbox_dot_deterministic(z6, t03):
     assert "digraph eggbox" in dot
     assert 'BGCOLOR="lightgrey"' in dot
     assert "0 3" in dot
+    full = core.SubSemigroup(parent=z6, members=frozenset(range(6)))
+    assert "BGCOLOR" not in relgreen.eggbox_dot(relgreen.relative_green(z6, full))
 
 
 def test_h_class_of_matches_scan_on_fixed_instances():

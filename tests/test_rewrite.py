@@ -339,7 +339,7 @@ def test_two_pass_matches_unconditional_scans(k):
                     for _ in range(200)]
     results = [rewrite._two_pass(w, conn) for w in words]
     assert results == [reference_two_pass(w, conn) for w in words]
-    # both branches: the left push ends in class 0, and outside it
+    # left pushes that end in class 0, and left pushes that end outside it
     assert {left[0] == relgreen.IDENTITY_CLASS
             for left, _out, _right in results} == {True, False}
 
