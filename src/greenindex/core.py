@@ -214,10 +214,11 @@ class SubSemigroup:
                         raise NotClosed(
                             f"not closed: {x}*{y} = {tab[x][y]} is outside"
                         )
-        # T^1 and B, computed once and set like fields: a write through
-        # __dict__ would take attribute reads off CPython's fast path
+        # T^1, B and the last check of T, set like fields outside them: a write
+        # through __dict__ would take attribute reads off CPython's fast path
         object.__setattr__(self, "_t_one", members + (self.parent.order,))
         object.__setattr__(self, "_t_gens", tuple(gens))
+        object.__setattr__(self, "_t_check", ((), None))
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -231,6 +232,15 @@ class SubSemigroup:
     def t_one(self) -> tuple[int, ...]:
         """T^1: the sorted members, then the adjoined identity n."""
         return self._t_one
+
+    def _generated_by(self, gens) -> Generated:
+        """T's ``_generating`` check, kept for the last passing all-int tuple."""
+        gens = tuple(gens)
+        key, over = self._t_check
+        if gens != key or {*map(type, gens)} != {int}:
+            over = _generating(self.parent, gens, self.members, "T")
+            object.__setattr__(self, "_t_check", (gens, over))
+        return over
 
     def complement(self) -> frozenset[int]:
         return frozenset(self.parent.elements) - self.members

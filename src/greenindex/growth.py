@@ -14,7 +14,6 @@ from .core import (
     SubSemigroup,
     _check_index,
     _first_witnesses,
-    _generating,
     generated,
 )
 from .errors import BudgetExceeded, HypothesisFails, InputError
@@ -144,11 +143,13 @@ def domination_check(
     longest generator-length of the T^1 parts mu(a1, a2) in the chosen
     decompositions of products of generators from A = B u R.  B must
     generate T (NotGenerating otherwise; ``OutOfRange`` for an index that is
-    not an element).  A negative ``m_max`` is an ``InputError``.
+    not an element); a negative ``m_max`` or T of another S is an ``InputError``.
     """
     if m_max < 0:
         raise InputError("m_max must be nonnegative")
-    over_b = _generating(sem, sorted(set(b_gens)), sub.members, "T")
+    if sub.parent is not sem and sub.parent != sem:
+        raise InputError("subsemigroup belongs to another semigroup")
+    over_b = sub._generated_by(sorted(set(b_gens)))
     n = sem.order
     for r in r_set:
         if isinstance(r, bool) or not isinstance(r, int):
@@ -169,17 +170,18 @@ def domination_check(
             raise HypothesisFails(f"element {s} has no decomposition r * t")
 
     a_gens = sorted(set(b_gens) | set(r_sorted))
-
-    k1 = len(r_sorted)
-    k2 = 1
-    for a1 in a_gens:
-        for a2 in a_gens:
-            _, mu = decomposition[sem.mul1(a1, a2)]
-            if mu != n:
-                k2 = max(k2, len(over_b.word(mu)))
-
     # A without the adjoined identity is B itself when R adds nothing else
     a_letters = tuple(g for g in a_gens if g != n)
+
+    # a1 * a2 over A x A: the letters and their products, since n is in A
+    products = set(a_letters)
+    for a1 in a_letters:
+        if len(products) == n:  # all of S: no row adds a product
+            break
+        products.update(map(sem.table[a1].__getitem__, a_letters))
+    k1 = len(r_sorted)
+    k2 = max([1] + [len(over_b.word(mu)) for mu in
+                    {decomposition[p][1] for p in products} - {n}])
     over_a = over_b if a_letters == over_b.gens else generated(sem, a_letters)
     g_s = _series(over_a.words, m_max)
     g_t = _series(over_b.words, k2 * m_max)

@@ -128,9 +128,11 @@ def schreier_generators(
     green._check_built_from(sub, sem, conn)
     n = sem.order
     over_a = _generating(sem, sorted(set(gens)), sem.elements, "S")
-    classes = range(green.class_count)
-    bset = {_schreier_value(conn, j, a, i)
-            for a in gens for j in classes for i in classes} - {n}
+    # _schreier_value over every j, a and i: the columns of right_factor
+    # at the distinct left factors
+    cols = list(zip(*conn.right_factor))
+    bset = set().union(*map(cols.__getitem__, {
+        t for a in gens for t in conn.left_factor[a]})) - {n}
 
     def factorizer(t: int) -> tuple[int, ...]:
         if t not in sub.members:
@@ -150,7 +152,7 @@ def extended_generators(
 ) -> frozenset[int]:
     """Generators of S from generators of T: adjoin the complement class
     representatives."""
-    _generating(green.sem, b_gens, green.sub.members, "T")
+    green.sub._generated_by(b_gens)
     return frozenset(b_gens) | set(green.reps)
 
 

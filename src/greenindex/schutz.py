@@ -16,7 +16,6 @@ from .core import (
     FiniteSemigroup,
     SubSemigroup,
     _first_witnesses,
-    _generating,
     _right_generators,
     is_group,
     validate_table,
@@ -206,9 +205,11 @@ def schutz_generators(
 ) -> frozenset[int]:
     """Group generators harvested from generators of T: conjugate each
     generator's translation through the class-connecting witnesses.  Returns
-    group element indices."""
+    group element indices; ``NotAnHClass`` for another class's group."""
     sem = family.sem
-    _generating(sem, b_gens, family.sub.members, "T")
+    family.sub._generated_by(b_gens)
+    if grp.h_class != family.classes[family.base_pos]:
+        raise NotAnHClass("the group is not that of the family's base class")
     out = set()
     for p in range(len(family.classes)):
         for b in sorted(set(b_gens)):

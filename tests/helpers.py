@@ -385,9 +385,10 @@ def reference_factorize_element(sem, gens, target):
 
 
 def reference_domination_check(sem, sub, r_set, b_gens, m_max):
-    """``growth.domination_check`` by its definition: each element's
-    decomposition is a fresh scan of R x T^1, each generator length a fresh
-    factorization, and each growth series entry a fresh out-ball."""
+    """``growth.domination_check`` by its definition: k2 is a double loop
+    over A x A, each element's decomposition a scan of R x T^1 (once per
+    element), each generator length read off one shortlex BFS over B, and
+    each growth series entry a fresh out-ball."""
     if not set(b_gens) <= sub.members or \
             reference_closure(sem, b_gens) != sub.members:
         raise NotGenerating("the given set does not generate T")
@@ -400,6 +401,7 @@ def reference_domination_check(sem, sub, r_set, b_gens, m_max):
             raise InputError(f"R element {r} is not an S^1 index")
     t_one = list(sub.sorted_members()) + [n]
 
+    @functools.cache
     def decompose(s):
         for r in r_sorted:
             for t in t_one:
@@ -413,11 +415,10 @@ def reference_domination_check(sem, sub, r_set, b_gens, m_max):
 
     a_gens = sorted(set(b_gens) | set(r_sorted))
     b_sorted = sorted(set(b_gens))
+    forms = reference_shortlex_forms(sem, b_sorted)
 
     def length_b(t):
-        if t == n:
-            return 0
-        return len(reference_factorize_element(sem, b_sorted, t))
+        return 0 if t == n else len(forms[t])
 
     k1 = len(r_sorted)
     k2 = 1
@@ -444,6 +445,25 @@ def reference_domination_check(sem, sub, r_set, b_gens, m_max):
         rows=tuple(rows),
         holds=holds,
     )
+
+
+def reference_schreier_set(gens, green, conn):
+    """The generators ``rewrite.schreier_generators`` harvests, by its
+    definition: right_factor[j][left_factor[a][i]] for every letter a and
+    classes j and i, the adjoined identity dropped."""
+    n, classes = green.sem.order, range(green.class_count)
+    return frozenset(conn.right_factor[j][conn.left_factor[a][i]]
+                     for a in gens for j in classes for i in classes) - {n}
+
+
+def class_pairs(sem, sub, green):
+    """(family, group) of each complement class, in class order."""
+    out = []
+    for i in range(1, green.class_count):
+        cls, rep = green.complement_classes[i - 1], green.rep_of(i)
+        out.append((schutz.lambda_data(sem, sub, green, cls, rep),
+                    schutz.schutz_group(sem, sub, cls, rep, green=green)))
+    return out
 
 
 def reference_balls(sem, gens, start, radius):

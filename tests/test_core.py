@@ -1,13 +1,16 @@
+import copy
+import dataclasses
 import enum
 import functools
 import operator
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenindex import core, factories
+from greenindex import core, factories, growth, relgreen, rewrite, schutz
 from greenindex.errors import (
     DomainMismatch,
     EmptyGenerators,
@@ -15,13 +18,16 @@ from greenindex.errors import (
     InvalidHomomorphism,
     NotAssociative,
     NotClosed,
+    NotGenerating,
     NotInSubsemigroup,
     OutOfRange,
 )
 
 from helpers import (
+    class_pairs,
     fixed_instances,
     ladder_pairs,
+    nonperm_ideal,
     random_pairs,
     reference_closure,
     reference_not_closed,
@@ -412,3 +418,100 @@ def test_json_round_trip(z6):
     assert again == z6
     with pytest.raises(InputError):
         core.FiniteSemigroup.from_json_dict({"order": 3, "table": [[0]]})
+
+
+def _count_generated(monkeypatch):
+    """The generating sets of every ``core.generated`` call from now on."""
+    calls, real = [], core.generated
+
+    def counting(sem, gens):
+        gens = list(gens)
+        calls.append(gens)
+        return real(sem, gens)
+
+    monkeypatch.setattr(core, "generated", counting)
+    return calls
+
+
+def _t3_ideal_classes():
+    sem, sub = nonperm_ideal(3)
+    green = relgreen.relative_green(sem, sub)
+    return sem, sub, green, class_pairs(sem, sub, green)
+
+
+def test_one_generation_check_of_t_per_rung(monkeypatch):
+    # certify's order: the extended generators, every class's harvest,
+    # then domination, all over the one B
+    sem, sub, green, classes = _t3_ideal_classes()
+    conn = relgreen.connectors(green)
+    b_gens = sorted(rewrite.schreier_generators(
+        sem, schutz.find_generating_set(sem), sub, green, conn)[0])
+    r_set = sorted(set(green.reps) | {sem.order})
+    calls = _count_generated(monkeypatch)
+    rewrite.extended_generators(b_gens, green)
+    for fam, grp in classes:
+        schutz.schutz_generators(b_gens, fam, grp)
+    growth.domination_check(sem, sub, r_set, b_gens, 4)
+    assert len(classes) == 6 and calls == [b_gens]
+
+
+def test_generation_memo_keeps_answers_and_no_failure(monkeypatch):
+    sem, sub, green, classes = _t3_ideal_classes()
+    r_set = sorted(set(green.reps) | {sem.order})
+    sets = [list(sub._t_gens), list(sub.sorted_members())]
+    fresh = [growth.domination_check(
+        sem, core.SubSemigroup(parent=sem, members=sub.members), r_set, b, 5)
+        for b in sets]
+    assert fresh[0] != fresh[1]
+    for k in range(6):  # alternating two generating sets
+        b = sets[k % 2]
+        assert sub._generated_by(b) == core.generated(sem, b)
+        assert growth.domination_check(sem, sub, r_set, b, 5) == fresh[k % 2]
+        assert rewrite.extended_generators(b, green) == frozenset(b) | set(green.reps)
+    bad = [min(sub.members)]
+    fam, grp = classes[0]
+    for _ in range(3):  # a failure is never kept, before or after a pass
+        for call in (lambda: rewrite.extended_generators(bad, green),
+                     lambda: schutz.schutz_generators(bad, fam, grp),
+                     lambda: growth.domination_check(sem, sub, r_set, bad, 3)):
+            with pytest.raises(NotGenerating, match="does not generate T"):
+                call()
+        assert sub._t_check[0] == tuple(sets[1])
+    calls = _count_generated(monkeypatch)
+    sub._generated_by(sets[1])
+    assert calls == []
+    # a bool equals its int, but is refused as a generator every time
+    z6 = factories.zmod(6)
+    whole = core.SubSemigroup(parent=z6, members=frozenset(z6.elements))
+    growth.domination_check(z6, whole, [z6.order], [1], 2)
+    with pytest.raises(OutOfRange):
+        growth.domination_check(z6, whole, [z6.order], [True], 2)
+
+
+def test_generation_memo_is_per_subsemigroup(monkeypatch):
+    sem, sub = nonperm_ideal(3)
+    b_gens = list(sub._t_gens)
+    sub._generated_by(b_gens)
+    twin = core.SubSemigroup(parent=sem, members=sub.members)
+    calls = _count_generated(monkeypatch)
+    assert twin._generated_by(b_gens) == sub._generated_by(b_gens)
+    assert calls == [b_gens]
+    consts = core.SubSemigroup(parent=sem, members=frozenset(
+        i for i, m in enumerate(sem.names) if len(set(m)) == 1))
+    with pytest.raises(NotGenerating):
+        consts._generated_by(b_gens)
+
+
+def test_generation_memo_leaves_the_dataclass_as_it_was():
+    sem, sub = nonperm_ideal(3)
+    twin = core.SubSemigroup(parent=sem, members=sub.members)
+    before = repr(sub), hash(sub)
+    sub._generated_by(sub._t_gens)
+    assert (repr(sub), hash(sub)) == before
+    assert sub == twin and hash(sub) == hash(twin)
+    assert [f.name for f in dataclasses.fields(sub)] == ["parent", "members"]
+    for clone in (copy.copy(sub), copy.deepcopy(sub),
+                  pickle.loads(pickle.dumps(sub))):
+        assert clone == sub and hash(clone) == hash(sub)
+        assert repr(clone) == repr(sub) and clone.t_one() == sub.t_one()
+        assert clone._generated_by(sub._t_gens).members == sub.members

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenindex import core, factories, growth, relgreen
+from greenindex import core, factories, growth, relgreen, rewrite, schutz
 from greenindex.errors import (
     BudgetExceeded,
     HypothesisFails,
@@ -12,6 +12,8 @@ from greenindex.errors import (
     NotGenerating,
 )
 from helpers import (
+    ladder_pairs,
+    nonperm_ideal,
     outcome,
     random_pairs,
     reference_balls,
@@ -237,3 +239,35 @@ def test_domination_matches_reference_on_random_pairs(seed, data):
     for r_set, gens in _domination_cases(sem, sub, extra, b_gens):
         assert outcome(growth.domination_check, sem, sub, r_set, gens, 4) == \
             outcome(reference_domination_check, sem, sub, r_set, gens, 4)
+
+
+def test_domination_matches_the_double_loop_over_harvested_generators():
+    # k2 over the distinct products of A against the reference's double
+    # loop over A x A, the whole report compared: the ladder, T4 over its
+    # ideal (|B| = |T| = 232) and random pairs; R is the representatives
+    # with the adjoined identity, then with extra elements; B is the
+    # Schreier harvest, reversed, and with a duplicate
+    for sem, sub in ladder_pairs() + [nonperm_ideal(4)] + random_pairs(25):
+        green = relgreen.relative_green(sem, sub)
+        conn = relgreen.connectors(green)
+        b_gens = sorted(rewrite.schreier_generators(
+            sem, schutz.find_generating_set(sem), sub, green, conn)[0])
+        n = sem.order
+        r_set = sorted(set(green.reps) | {n})
+        for r in (r_set, r_set + list(range(0, n, 3))):
+            for b in (b_gens, b_gens[::-1], b_gens + b_gens[:1]):
+                got = outcome(growth.domination_check, sem, sub, r, b, 4)
+                assert got == outcome(reference_domination_check,
+                                      sem, sub, r, b, 4), (n, r, b)
+
+
+def test_domination_refuses_a_subsemigroup_of_another_semigroup():
+    # T = {0, 2, 4} of Z6 is checked in its own parent, so Z8 is refused,
+    # and an equal copy of Z6 is not
+    z6 = factories.zmod(6)
+    t = core.closure(z6, [2])
+    with pytest.raises(InputError, match="^subsemigroup belongs to another semigroup$"):
+        growth.domination_check(factories.zmod(8), t, [8, 1, 3, 5, 7, 6], [2], 4)
+    copy = core.validate_table(z6.table)
+    assert growth.domination_check(copy, t, [6, 1], [2], 4) == \
+        growth.domination_check(z6, t, [6, 1], [2], 4)

@@ -14,6 +14,7 @@ from helpers import (
     ladder_pairs,
     nonperm_ideal,
     random_pairs,
+    reference_schreier_set,
     reference_signature,
     reference_two_pass,
     wp_context,
@@ -21,7 +22,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenindex import core, factories, relgreen, rewrite
+from greenindex import core, factories, relgreen, rewrite, schutz
 from greenindex.errors import (
     InputError,
     InternalInconsistency,
@@ -520,3 +521,16 @@ def test_pushes_match_reference_on_random_pairs():
                  for _ in range(6)]
         _assert_pushes_match_reference(
             sem, conn, words, range(conn.green.class_count))
+
+
+def test_schreier_set_matches_the_triple_loop():
+    # the columns of right_factor at the distinct left factors against
+    # right_factor[j][left_factor[a][i]] over every a, j and i, on the
+    # ladder, T4 over its ideal and random pairs; A is find_generating_set's,
+    # that set reversed with a duplicate, and all of S
+    for sem, sub in ladder_pairs() + [nonperm_ideal(4)] + random_pairs(25):
+        green, conn = setup_tables(sem, sub)
+        a_gens = list(schutz.find_generating_set(sem))
+        for gens in (a_gens, a_gens[::-1] + a_gens[:1], list(sem.elements)):
+            bset, _ = rewrite.schreier_generators(sem, gens, sub, green, conn)
+            assert bset == reference_schreier_set(gens, green, conn)

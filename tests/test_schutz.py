@@ -1,8 +1,11 @@
+import hashlib
+import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from helpers import (
+    class_pairs,
     fixed_instances,
     ladder_pairs,
     nonperm_ideal,
@@ -15,7 +18,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenindex import core, factories, present, relgreen, rewrite, schutz
+from greenindex import core, factories, growth, present, relgreen, rewrite, schutz
 from greenindex.errors import (
     InputError,
     InternalInconsistency,
@@ -467,3 +470,51 @@ def test_lambda_data_refuses_other_green_data(z6, t03):
     g024 = green_of(z6, core.closure(z6, [2]))
     with pytest.raises(InputError, match="^subsemigroup does not match"):
         schutz.lambda_data(z6, t03, g024, {1, 3, 5}, 1)
+
+
+@pytest.mark.parametrize("k", [6, 5], ids=["s4_c2", "t3_const"])
+def test_schutz_generators_refuses_the_group_of_another_class(k):
+    # S4 over <(12)> has class groups of order 2, T3 over its constants of
+    # order 1; a group from another class is the caller's error, and the
+    # matched pairs still harvest generators of their group
+    sem, sub = ladder_pairs()[k]
+    pairs = class_pairs(sem, sub, green_of(sem, sub))
+    b_gens = list(sub._t_gens)
+    for i, (fam, _) in enumerate(pairs):
+        for j, (_, grp) in enumerate(pairs):
+            if i != j:
+                with pytest.raises(NotAnHClass, match="family's base class"):
+                    schutz.schutz_generators(b_gens, fam, grp)
+                continue
+            gens = schutz.schutz_generators(b_gens, fam, grp)
+            reached = core.generated(grp.group, gens or [grp.group.identity])
+            assert reached.members == frozenset(range(grp.order))
+    assert max(grp.order for _, grp in pairs) == (2 if k == 6 else 1)
+
+
+def test_t4_ideal_generators_and_growth_are_pinned():
+    # T4 over its ideal from find_generating_set's 36 letters: the harvest
+    # B is all of T, so every class harvest and k2 run over |B| = |T| = 232,
+    # past the ladder; pinned by sha256 of the sorted-key JSON
+    t4, ideal = nonperm_ideal(4)
+    g = green_of(t4, ideal)
+    conn = relgreen.connectors(g)
+    b_gens = sorted(rewrite.schreier_generators(
+        t4, schutz.find_generating_set(t4), ideal, g, conn)[0])
+    harvests = [sorted(schutz.schutz_generators(b_gens, fam, grp))
+                for fam, grp in class_pairs(t4, ideal, g)]
+    report = growth.domination_check(
+        t4, ideal, sorted(set(g.reps) | {t4.order}), b_gens, 4)
+    assert len(b_gens) == len(ideal) == 232
+    assert (report.k1, report.k2, report.holds) == (25, 1, True)
+
+    def digest(obj):
+        return hashlib.sha256(
+            json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+
+    assert digest(b_gens) == (
+        "44a32326c8acc1441db8282ba8fdb18394f65f6af7fbca798ab8d301a6518795")
+    assert digest(harvests) == (
+        "5e3393def462e8228a8c31420b2ff02ef0fae506c917d4086cdd730360aec84a")
+    assert digest(asdict(report)) == (
+        "32ada0e705f50bd097ec8e1a66d1ec88177867163290a638719284b92eb5dd61")
