@@ -233,6 +233,12 @@ class SubSemigroup:
         """T^1: the sorted members, then the adjoined identity n."""
         return self._t_one
 
+    def _checked_parent(self, sem: FiniteSemigroup) -> FiniteSemigroup:
+        """``sem``, if it is T's parent or equal to it; ``InputError`` else."""
+        if self.parent is not sem and self.parent != sem:
+            raise InputError("subsemigroup belongs to another semigroup")
+        return sem
+
     def _generated_by(self, gens) -> Generated:
         """T's ``_generating`` check, kept for the last passing all-int tuple."""
         gens = tuple(gens)

@@ -147,10 +147,8 @@ def domination_check(
     """
     if m_max < 0:
         raise InputError("m_max must be nonnegative")
-    if sub.parent is not sem and sub.parent != sem:
-        raise InputError("subsemigroup belongs to another semigroup")
+    n = sub._checked_parent(sem).order
     over_b = sub._generated_by(sorted(set(b_gens)))
-    n = sem.order
     for r in r_set:
         if isinstance(r, bool) or not isinstance(r, int):
             raise InputError(f"R element {r!r} is not an S^1 index")

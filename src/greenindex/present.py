@@ -166,13 +166,11 @@ def _table_presentation(
     assignment of each letter to its element."""
     letters = {e: f"{prefix}{e}" for e in elems}
     ends = {e: (a,) for e, a in letters.items()}
-    tab = sem.table
-    rels = tuple(
-        ((letters[a], letters[b]), ends[tab[a][b]])
-        for a in elems
-        for b in elems
-    )
-    return Presentation(alphabet=tuple(letters.values()), relations=rels), {
+    rels: list[tuple[Word, Word]] = []
+    for e, a in letters.items():
+        row = sem.table[e]
+        rels += [((a, b), ends[row[f]]) for f, b in letters.items()]
+    return Presentation(alphabet=tuple(letters.values()), relations=tuple(rels)), {
         a: e for e, a in letters.items()
     }
 
@@ -307,8 +305,7 @@ def enumerate_presentation(
     definition was due after max(64, 8 * ``max_classes``) nodes besides
     the root, or the quotient closed with over ``max_classes`` classes.
     """
-    if max_classes <= 0:
-        raise InputError("max_classes must be positive")
+    _check_max_classes(max_classes)
     letter_pos = {a: i for i, a in enumerate(pres.alphabet)}
     rels = [
         (tuple(letter_pos[a] for a in u), tuple(letter_pos[a] for a in v))
@@ -379,6 +376,15 @@ def evaluate_word(sem: FiniteSemigroup, assignment: Mapping[str, int], word: Wor
     return sem.prod1([assignment[a] for a in word])
 
 
+def _check_max_classes(max_classes) -> None:
+    """A class bound is an int, not a bool, of at least 1 (``InputError``
+    otherwise), checked before any other work."""
+    if isinstance(max_classes, bool) or not isinstance(max_classes, int):
+        raise InputError(f"max_classes must be an integer, not {max_classes!r}")
+    if max_classes <= 0:
+        raise InputError("max_classes must be positive")
+
+
 def _check_assignment(
     pres: Presentation, assignment: Mapping[str, int], n: int
 ) -> None:
@@ -409,9 +415,12 @@ def verify_presentation(
     enumerated quotient is counted.  The default class bound grows with the
     target's size.  Raises ``InvalidLetter`` for an unassigned letter,
     ``InputError`` for an index outside the (parent) semigroup or a
-    ``max_classes`` below 1, and ``BoundExceeded`` when a presentation
-    without the rules cannot be enumerated within ``max_classes`` classes.
+    ``max_classes`` that is not an int of at least 1, checked first, and
+    ``BoundExceeded`` when a presentation without the rules cannot be
+    enumerated within ``max_classes`` classes.
     """
+    if max_classes is not None:
+        _check_max_classes(max_classes)
     sem, elems = _target_domain(target)
     over, tree = _spelling(pres, sem, assignment)
     if over.members != frozenset(elems):
@@ -436,46 +445,44 @@ def _presents(
     word is empty, that is (a) with w(s).  A rule holds by construction:
     w(x) is the shortlex BFS word of x, so w(x)a and w(xs) both give xs.
     The rules are walked up to the first that is neither one word nor a
-    relation, read either way, and the relations met are marked; only the
-    unmarked relations are evaluated.  With every rule present, every word
-    rewrites to a tree word, so there are at most |target| classes; the
-    relations hold and the letters generate, so the induced map is onto
-    and hence a bijection.  A presentation without all of them is
-    enumerated: its quotient must close within ``max_classes`` with as
-    many classes as the target, mapped bijectively, and only then can the
-    bound be hit.  The bound is checked first, whichever way is taken.
+    relation: each pops itself, or else its reverse, from a dict of the
+    relations.  None is popped twice: distinct (x, a) give distinct words
+    w(x)a, and w(x)a is a tree word only in a trivial rule, so a reversed
+    pop meets no other rule's key.  The relations left are evaluated.  With
+    every rule present, every word rewrites to a tree word, so there are
+    at most |target| classes; the relations hold and the letters generate,
+    so the induced map is onto and hence a bijection.  A presentation
+    without all of them is enumerated: its quotient must close within
+    ``max_classes`` with as many classes as the target, mapped
+    bijectively, and only then can the bound be hit.
     """
-    if max_classes is not None and max_classes <= 0:
-        raise InputError("max_classes must be positive")
-    ruled = dict.fromkeys(pres.relations, False)
-    letters = [(a, assignment[a]) for a in pres.alphabet]
+    unruled = dict.fromkeys(pres.relations)
+    pop = unruled.pop
+    letters = [((a,), assignment[a]) for a in pres.alphabet]
     rows = (*sem.table, sem.elements)  # the adjoined identity's row last
-    has_rules = True
-    for u, v in ((w + (a,), tree[rows[x][s]])
-                 for x, w in tree.items() for a, s in letters):
-        if (u, v) in ruled:
-            ruled[u, v] = True
-        elif (v, u) in ruled:
-            ruled[v, u] = True
-        elif u != v:
-            has_rules = False
+    missing = False
+    for x, w in tree.items():
+        row = rows[x]
+        for a, s in letters:
+            u, v = w + a, tree[row[s]]
+            # a present key pops its value None; an absent one gives 1
+            if pop((u, v), 1) and pop((v, u), 1) and u != v:
+                missing = True
+                break
+        if missing:
             break
-    for (u, v), holds in ruled.items():
-        if not holds and (evaluate_word(sem, assignment, u)
-                          != evaluate_word(sem, assignment, v)):
+    for u, v in unruled:
+        if evaluate_word(sem, assignment, u) != evaluate_word(sem, assignment, v):
             return False
-    if has_rules:
+    if not missing:
         return True
     size = len(tree) - 1
-    if max_classes is None:
-        max_classes = max(4 * size, 64)
-    result = enumerate_presentation(pres, max_classes)
+    result = enumerate_presentation(pres, max_classes or max(4 * size, 64))
     if not result.complete:
         raise BoundExceeded(result.reason or "enumeration incomplete")
     if result.size != size:
         return False
-    evals = [evaluate_word(sem, assignment, w) for w in result.reps]
-    return len(set(evals)) == size
+    return len({evaluate_word(sem, assignment, w) for w in result.reps}) == size
 
 
 def _spelling(
@@ -576,9 +583,7 @@ def _check_dagger(green: GreenData, packs: Mapping[int, ClassPack]) -> None:
         if i not in packs:
             raise BadInputPresentation(f"missing pack for class {i}")
     for i in idx:
-        for j in idx:
-            if i >= j:
-                continue
+        for j in range(i + 1, green.class_count):
             pi, pj = packs[i], packs[j]
             related = green.l_id[green.rep_of(i)] == green.l_id[green.rep_of(j)]
             if related:
@@ -613,8 +618,11 @@ def synthesize_presentation(
     group relations prefixed by their class letter.  The class letter for
     index 0 denotes the empty word and is elided at emission time.  The
     base presentation, every group presentation and every letter lift are
-    verified first (``BadInputPresentation`` otherwise).
+    verified first (``BadInputPresentation`` otherwise), after the base's
+    class bound ``max_classes``.
     """
+    if max_classes is not None:
+        _check_max_classes(max_classes)
     green._check_built_from(conn=conn)
     sem = green.sem
     tree = _letter_factorizer(green.sub, q_pres, q_assign)
@@ -635,46 +643,35 @@ def synthesize_presentation(
     _check_dagger(green, packs)
 
     k = green.class_count - 1
-    d_letter = {i: f"d{i}" for i in range(1, k + 1)}
-    if set(d_letter.values()) & set(q_pres.alphabet):
+    d_letters = tuple(f"d{i}" for i in range(1, k + 1))
+    d_words = [()] + [(d,) for d in d_letters]  # class 0's word is empty
+    if set(d_letters) & set(q_pres.alphabet):
         raise BadInputPresentation("base alphabet collides with class letters")
-    alphabet = q_pres.alphabet + tuple(d_letter[i] for i in range(1, k + 1))
+    alphabet = q_pres.alphabet + d_letters
     assignment: Assignment = {a: q_assign[a] for a in q_pres.alphabet}
-    for i in range(1, k + 1):
-        assignment[d_letter[i]] = green.rep_of(i)
-
-    def d_word(i: int) -> Word:
-        return (d_letter[i],) if i else ()
+    assignment.update(zip(d_letters, map(green.rep_of, range(1, k + 1))))
 
     rels: list[tuple[Word, Word]] = list(q_pres.relations)
     for a in alphabet:
         s = assignment[a]
+        classes, factors = conn.left_class[s], conn.left_factor[s]
         for i in range(k + 1):
-            lhs = (a,) + d_word(i)
-            j = conn.left_class[s][i]
-            rhs = d_word(j) + tree[conn.left_factor[s][i]]
+            lhs = (a,) + d_words[i]
+            rhs = d_words[classes[i]] + tree[factors[i]]
             if lhs != rhs:
                 rels.append((lhs, rhs))
     for b in q_pres.alphabet:
         t = assignment[b]
         for i in range(k + 1):
-            lhs = d_word(i) + (b,)
-            j = conn.right_class[i][t]
-            rhs = tree[conn.right_factor[i][t]] + d_word(j)
+            lhs = d_words[i] + (b,)
+            rhs = tree[conn.right_factor[i][t]] + d_words[conn.right_class[i][t]]
             if lhs != rhs:
                 rels.append((lhs, rhs))
     for i in range(1, k + 1):
-        pack = packs[i]
-
-        def lifted(w: Word) -> Word:
-            out: list[str] = []
-            for c in w:
-                out.extend(pack.lift[c])
-            return tuple(out)
-
-        for u, v in pack.presentation.relations:
-            lhs = d_word(i) + lifted(u)
-            rhs = d_word(i) + lifted(v)
+        lift = packs[i].lift
+        for u, v in packs[i].presentation.relations:
+            lhs = d_words[i] + tuple(chain.from_iterable([lift[c] for c in u]))
+            rhs = d_words[i] + tuple(chain.from_iterable([lift[c] for c in v]))
             if lhs != rhs:
                 rels.append((lhs, rhs))
 

@@ -113,9 +113,7 @@ def relative_green(sem: FiniteSemigroup, sub: SubSemigroup) -> GreenData:
     components over T's greedy generators B: the elements that u reaches by
     arcs u -> u*b are exactly u*T^1, so u R^T v iff u and v reach each
     other; L^T is the same with arcs u -> b*u (Froidure & Pin 1997)."""
-    if sub.parent is not sem and sub.parent != sem:
-        raise InputError("subsemigroup belongs to another semigroup")
-    rows, gens = sem.table, sub._t_gens
+    rows, gens = sub._checked_parent(sem).table, sub._t_gens
     pick = itemgetter(gens[0], *gens)  # two indices: always a tuple
     left = [rows[b] for b in gens]
     r_id = _components(sem.order, lambda u: pick(rows[u]))
@@ -167,9 +165,7 @@ def _first_occurrence(keys) -> tuple[int, ...]:
 
 def rees_index(sem: FiniteSemigroup, sub: SubSemigroup) -> int:
     """Cardinality of the complement S minus T."""
-    if sub.parent is not sem and sub.parent != sem:
-        raise InputError("subsemigroup belongs to another semigroup")
-    return sem.order - len(sub.members)
+    return sub._checked_parent(sem).order - len(sub.members)
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,19 @@ def test_present_refuses_a_class_bound_below_one(files, capsys, z6, command):
     assert captured.err == "input error: max_classes must be positive\n"
 
 
+def test_present_verify_refuses_a_class_bound_below_one_first(files, capsys):
+    # 2 does not generate Z6: this printed "verified": false and exited 1
+    sem_path, _, tmp_path = files
+    pres_path = tmp_path / "pres.json"
+    pres_path.write_text(json.dumps({
+        "alphabet": ["a"], "relations": [["aaaa", "a"]], "assignment": {"a": 2}}))
+    code = cli.main(["present", "verify", "--presentation", str(pres_path),
+                     "--semigroup", sem_path, "--max-classes", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: max_classes must be positive\n"
+
+
 def test_present_verify_witness_keeps_multi_character_letters(files, capsys):
     # a a = aa with a -> 1, aa -> 3 over Z6 fails (2 != 3); joined, both
     # sides would read "aa", the trivial relation aa = aa

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import pytest
 from helpers import (
@@ -364,6 +365,36 @@ def test_verification_refuses_a_bound_below_one(z6, t03, bound):
         synth(z6, t03, max_classes=bound)
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_a_bound_below_one_is_refused_before_generation(t03, bound):
+    # 2 does not generate Z4, which used to return False before the bound
+    # was looked at; a base that does not present T used to raise
+    # BadInputPresentation first
+    z4 = factories.zmod(4)
+    pres = present.Presentation(("x2",), ((("x2", "x2"), ("x2",)),))
+    with pytest.raises(InputError, match="^max_classes must be positive$"):
+        present.verify_presentation(pres, z4, {"x2": 2}, max_classes=bound)
+    with pytest.raises(InputError, match="^max_classes must be positive$"):
+        present.enumerate_presentation(pres, bound)
+    bad = present.Presentation(("b",), ((("b", "b"), ("b",)),))
+    with pytest.raises(InputError, match="^max_classes must be positive$"):
+        synth(t03.parent, t03, bad, {"b": 3}, max_classes=bound)
+
+
+@pytest.mark.parametrize("bound", [True, 2.5, "3", None])
+def test_a_bound_that_is_not_an_int_is_refused(z6, t03, bound):
+    message = f"^max_classes must be an integer, not {re.escape(repr(bound))}$"
+    pres, assign = present.presentation_from_table(z6)
+    with pytest.raises(InputError, match=message):
+        present.enumerate_presentation(pres, bound)
+    if bound is None:  # no bound: verification and synthesis pick their own
+        return
+    with pytest.raises(InputError, match=message):
+        present.verify_presentation(pres, z6, assign, max_classes=bound)
+    with pytest.raises(InputError, match=message):
+        synth(z6, t03, max_classes=bound)
+
+
 def _rule_cases():
     """(presentation, target, assignment, is_table) for every table
     presentation the ladder builds (each T base and each class-group pack),
@@ -484,6 +515,51 @@ def _check_rules_against_enumerator(cases, enumerations) -> int:
             if kind == "false extra":
                 assert (near_got, near_enumerated) == (False, False)
     return recognized
+
+
+def _walk_edge_cases():
+    """(name, presentation, expected outcome, whether it enumerates) over
+    Z3 with a and b both assigned 1.  The tree spells 1, 2, 0 as a, aa,
+    aaa; every rule but aaaa = a and those of b is trivial, and the walk
+    meets b = a, ab = aa, aab = aaa, aaaa = a, aaab = a in that order."""
+    a, b = ("a",), ("b",)
+    rules = ((b, a), (a + b, a * 2), (a * 2 + b, a * 3), (a * 4, a),
+             (a * 3 + b, a))
+    yield "two letters for one element", rules, True, False
+    yield "with its reverse", rules[:2] + ((a * 2, a + b),) + rules[2:], \
+        True, False
+    yield "duplicated", rules[:3] + rules[2:], True, False
+    yield "trivial", ((a, a),) + rules + ((a + b, a + b),), True, False
+    yield "only reversed", rules[:4] + ((a, a * 3 + b),), True, False
+    # ab = aa is missing: the relations after it, rules among them, are
+    # evaluated, and a false one refutes without enumerating
+    yield "missing mid-walk", rules[:1] + rules[2:], True, True
+    yield "missing mid-walk, false after", \
+        rules[:1] + rules[2:] + ((a * 2 + b, a),), False, False
+    # without b = a, b is a fourth class
+    yield "b = a missing", rules[1:] + ((b * 2, a * 2), (b + a, a * 2)), \
+        False, True
+
+
+@pytest.mark.parametrize("case", list(_walk_edge_cases()),
+                         ids=lambda case: case[0])
+def test_rule_walk_edge_cases_agree_with_the_references(enumerations, case):
+    _name, rels, verdict, enumerates = case
+    pres = present.Presentation(("a", "b"), rels)
+    got = _against_enumerator(pres, factories.zmod(3), {"a": 1, "b": 1},
+                              enumerations)
+    assert got == (verdict, enumerates)
+
+
+def test_ladder_tables_verify_without_evaluating_or_enumerating(
+        monkeypatch, enumerations):
+    tables = [case[:3] for case in _rule_cases() if case[3]]
+    evaluated = []
+    monkeypatch.setattr(present, "evaluate_word",
+                        lambda *args: evaluated.append(args))
+    for pres, target, assign in tables:
+        assert present.verify_presentation(pres, target, assign) is True
+    assert len(tables) > 64 and evaluated == [] and enumerations == []
 
 
 def test_rules_agree_with_the_enumerator(enumerations):
