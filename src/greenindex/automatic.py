@@ -399,8 +399,8 @@ def structure_for_finite(sem: FiniteSemigroup, gens: Sequence[int]) -> Automatic
     """The canonical automatic structure of a finite semigroup: shortlex
     normal forms as the word acceptor, multiplier relations listed pair by
     pair."""
-    gens = sorted(set(gens))
-    forms = _generating(sem, gens, sem.elements, "the semigroup").words
+    over = _generating(sem, gens, sem.elements, "the semigroup")
+    gens, forms = over.gens, over.words
     letters = {g: f"a{g}" for g in gens}
     alphabet = tuple(letters[g] for g in gens)
     rep = {

@@ -26,7 +26,7 @@ from .core import (
     BlackBoxSemigroup,
     FiniteSemigroup,
     SubSemigroup,
-    generated,
+    _generated,
     is_cancellative,
     is_group,
 )
@@ -177,7 +177,7 @@ def cmd_schreier(args) -> int:
     conn = rg.connectors(green)
     gens = _ints(args.gens)
     bset, factorizer = rw.schreier_generators(sem, gens, sub, green, conn)
-    closed = bool(bset) and generated(sem, bset).members == sub.members
+    closed = bool(bset) and _generated(sem, bset).members == sub.members
     samples = {
         str(t): list(factorizer(t)) for t in sub.sorted_members()
     }

@@ -42,6 +42,10 @@ class FiniteSemigroup:
     identity: int | None = None
     names: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        # ``_generated``'s last letters and BFS, set as SubSemigroup sets T^1
+        object.__setattr__(self, "_last_generated", (None, None))
+
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
@@ -214,11 +218,10 @@ class SubSemigroup:
                         raise NotClosed(
                             f"not closed: {x}*{y} = {tab[x][y]} is outside"
                         )
-        # T^1, B and the last check of T, set like fields outside them: a write
-        # through __dict__ would take attribute reads off CPython's fast path
+        # T^1 and B, set like fields outside them: a write through __dict__
+        # would take attribute reads off CPython's fast path
         object.__setattr__(self, "_t_one", members + (self.parent.order,))
         object.__setattr__(self, "_t_gens", tuple(gens))
-        object.__setattr__(self, "_t_check", ((), None))
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -238,15 +241,6 @@ class SubSemigroup:
         if self.parent is not sem and self.parent != sem:
             raise InputError("subsemigroup belongs to another semigroup")
         return sem
-
-    def _generated_by(self, gens) -> Generated:
-        """T's ``_generating`` check, kept for the last passing all-int tuple."""
-        gens = tuple(gens)
-        key, over = self._t_check
-        if gens != key or {*map(type, gens)} != {int}:
-            over = _generating(self.parent, gens, self.members, "T")
-            object.__setattr__(self, "_t_check", (gens, over))
-        return over
 
     def complement(self) -> frozenset[int]:
         return frozenset(self.parent.elements) - self.members
@@ -350,10 +344,20 @@ def generated(sem: FiniteSemigroup, gens: Iterable[int]) -> Generated:
     return Generated(gens=gens, words=words)
 
 
+def _generated(sem: FiniteSemigroup, gens) -> Generated:
+    """``generated`` over the distinct ``gens`` in increasing order, kept on
+    ``sem`` for the last letters: the library's one BFS entry.  Letters are
+    checked first, a failure is never kept, and callers only read the result."""
+    letters = tuple(sorted({_check_index(g, sem.order, "generator") for g in gens}))
+    if letters != sem._last_generated[0]:
+        object.__setattr__(sem, "_last_generated", (letters, generated(sem, letters)))
+    return sem._last_generated[1]
+
+
 def _generating(sem: FiniteSemigroup, gens, members, what: str) -> Generated:
-    """``generated(sem, gens)``, which must reach exactly ``members``;
+    """``_generated(sem, gens)``, which must reach exactly ``members``;
     ``NotGenerating`` naming ``what`` otherwise."""
-    over = generated(sem, gens)
+    over = _generated(sem, gens)
     if over.members != frozenset(members):
         raise NotGenerating(f"the given set does not generate {what}")
     return over
@@ -361,7 +365,7 @@ def _generating(sem: FiniteSemigroup, gens, members, what: str) -> Generated:
 
 def closure(sem: FiniteSemigroup, gens: Iterable[int]) -> SubSemigroup:
     """Smallest subsemigroup of ``sem`` containing ``gens``."""
-    return SubSemigroup(parent=sem, members=generated(sem, gens).members)
+    return SubSemigroup(parent=sem, members=_generated(sem, gens).members)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from .core import (
     SubSemigroup,
     _check_index,
     _first_witnesses,
-    generated,
+    _generated,
+    _generating,
 )
 from .errors import BudgetExceeded, HypothesisFails, InputError
 
@@ -37,10 +38,9 @@ def _words(sem: FiniteSemigroup, gens) -> dict[int, tuple[int, ...]]:
     """The shortlex words of what the S^1 indices ``gens`` generate, the
     adjoined identity left out since it moves no ball (``OutOfRange`` for
     an index outside S^1)."""
-    for g in gens:
-        _check_index(g, sem.order + 1, "generator")
-    letters = [g for g in gens if g != sem.order]
-    return generated(sem, letters).words if letters else {}
+    letters = [g for g in gens
+               if _check_index(g, sem.order + 1, "generator") != sem.order]
+    return _generated(sem, letters).words if letters else {}
 
 
 def _series(words: dict, m_max: int) -> GrowthSeries:
@@ -148,7 +148,7 @@ def domination_check(
     if m_max < 0:
         raise InputError("m_max must be nonnegative")
     n = sub._checked_parent(sem).order
-    over_b = sub._generated_by(sorted(set(b_gens)))
+    over_b = _generating(sem, b_gens, sub.members, "T")
     for r in r_set:
         if isinstance(r, bool) or not isinstance(r, int):
             raise InputError(f"R element {r!r} is not an S^1 index")
@@ -167,9 +167,7 @@ def domination_check(
         if s not in decomposition:
             raise HypothesisFails(f"element {s} has no decomposition r * t")
 
-    a_gens = sorted(set(b_gens) | set(r_sorted))
-    # A without the adjoined identity is B itself when R adds nothing else
-    a_letters = tuple(g for g in a_gens if g != n)
+    a_letters = sorted((set(b_gens) | set(r_sorted)) - {n})
 
     # a1 * a2 over A x A: the letters and their products, since n is in A
     products = set(a_letters)
@@ -180,8 +178,7 @@ def domination_check(
     k1 = len(r_sorted)
     k2 = max([1] + [len(over_b.word(mu)) for mu in
                     {decomposition[p][1] for p in products} - {n}])
-    over_a = over_b if a_letters == over_b.gens else generated(sem, a_letters)
-    g_s = _series(over_a.words, m_max)
+    g_s = _series(_generated(sem, a_letters).words, m_max)
     g_t = _series(over_b.words, k2 * m_max)
     rows = []
     holds = True

@@ -28,8 +28,8 @@ from .core import (
     Generated,
     SubSemigroup,
     _check_index,
+    _generated,
     _target_domain,
-    generated,
 )
 from .errors import (
     BadInputPresentation,
@@ -493,10 +493,8 @@ def _spelling(
     word with every generator written as its least letter.  Every letter
     must be assigned an element index of ``sem``."""
     _check_assignment(pres, assignment, sem.order)
-    letter_of: dict[int, str] = {}
-    for a in sorted(pres.alphabet):
-        letter_of.setdefault(assignment[a], a)
-    over = generated(sem, sorted(letter_of))
+    letter_of = {assignment[a]: a for a in sorted(pres.alphabet, reverse=True)}
+    over = _generated(sem, letter_of)
     tree: dict[int, Word] = {sem.order: ()}
     for x, word in over.words.items():
         tree[x] = tuple([letter_of[e] for e in word])
@@ -578,15 +576,14 @@ def build_schutz_packs(
 
 
 def _check_dagger(green: GreenData, packs: Mapping[int, ClassPack]) -> None:
-    idx = range(1, green.class_count)
-    for i in idx:
+    for i in range(1, green.class_count):
         if i not in packs:
             raise BadInputPresentation(f"missing pack for class {i}")
-    for i in idx:
-        for j in range(i + 1, green.class_count):
+    l_ids = [green.l_id[r] for r in green.reps]  # class i's at i - 1
+    for i, l_i in enumerate(l_ids, 1):
+        for j, l_j in enumerate(l_ids[i:], i + 1):
             pi, pj = packs[i], packs[j]
-            related = green.l_id[green.rep_of(i)] == green.l_id[green.rep_of(j)]
-            if related:
+            if l_i == l_j:
                 if (pi.presentation.alphabet != pj.presentation.alphabet
                         or pi.presentation.relations != pj.presentation.relations):
                     raise DaggerViolation(

@@ -127,7 +127,7 @@ def schreier_generators(
     """
     green._check_built_from(sub, sem, conn)
     n = sem.order
-    over_a = _generating(sem, sorted(set(gens)), sem.elements, "S")
+    over_a = _generating(sem, gens, sem.elements, "S")
     # _schreier_value over every j, a and i: the columns of right_factor
     # at the distinct left factors
     cols = list(zip(*conn.right_factor))
@@ -152,7 +152,7 @@ def extended_generators(
 ) -> frozenset[int]:
     """Generators of S from generators of T: adjoin the complement class
     representatives."""
-    green.sub._generated_by(b_gens)
+    _generating(green.sub.parent, b_gens, green.sub.members, "T")
     return frozenset(b_gens) | set(green.reps)
 
 

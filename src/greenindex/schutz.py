@@ -16,6 +16,7 @@ from .core import (
     FiniteSemigroup,
     SubSemigroup,
     _first_witnesses,
+    _generating,
     _right_generators,
     is_group,
     validate_table,
@@ -207,7 +208,7 @@ def schutz_generators(
     generator's translation through the class-connecting witnesses.  Returns
     group element indices; ``NotAnHClass`` for another class's group."""
     sem = family.sem
-    family.sub._generated_by(b_gens)
+    _generating(family.sub.parent, b_gens, family.sub.members, "T")
     if grp.h_class != family.classes[family.base_pos]:
         raise NotAnHClass("the group is not that of the family's base class")
     out = set()

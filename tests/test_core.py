@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenindex import core, factories, growth, relgreen, rewrite, schutz
+from greenindex import (
+    automatic,
+    core,
+    factories,
+    growth,
+    present,
+    relgreen,
+    rewrite,
+    schutz,
+)
 from greenindex.errors import (
     DomainMismatch,
     EmptyGenerators,
@@ -31,6 +40,7 @@ from helpers import (
     random_pairs,
     reference_closure,
     reference_not_closed,
+    reference_shortlex_forms,
     reference_validate_table,
     small_pool,
     small_tables,
@@ -439,9 +449,16 @@ def _t3_ideal_classes():
     return sem, sub, green, class_pairs(sem, sub, green)
 
 
+def _check_t(sub, gens):
+    """T's generation check over ``gens``: what the extended and
+    Schutzenberger generators and domination run."""
+    return core._generating(sub.parent, gens, sub.members, "T")
+
+
 def test_one_generation_check_of_t_per_rung(monkeypatch):
     # certify's order: the extended generators, every class's harvest,
-    # then domination, all over the one B
+    # then domination, all over the one B; domination adds the BFS of S
+    # over A = B u R
     sem, sub, green, classes = _t3_ideal_classes()
     conn = relgreen.connectors(green)
     b_gens = sorted(rewrite.schreier_generators(
@@ -452,66 +469,140 @@ def test_one_generation_check_of_t_per_rung(monkeypatch):
     for fam, grp in classes:
         schutz.schutz_generators(b_gens, fam, grp)
     growth.domination_check(sem, sub, r_set, b_gens, 4)
-    assert len(classes) == 6 and calls == [b_gens]
+    a_letters = sorted(set(b_gens) | set(green.reps))
+    assert len(classes) == 6 and calls == [b_gens, a_letters]
 
 
 def test_generation_memo_keeps_answers_and_no_failure(monkeypatch):
     sem, sub, green, classes = _t3_ideal_classes()
     r_set = sorted(set(green.reps) | {sem.order})
     sets = [list(sub._t_gens), list(sub.sorted_members())]
-    fresh = [growth.domination_check(
-        sem, core.SubSemigroup(parent=sem, members=sub.members), r_set, b, 5)
-        for b in sets]
+    fresh = []
+    for b in sets:  # each over its own copy of S, with an empty memo
+        other = dataclasses.replace(sem)
+        fresh.append(growth.domination_check(
+            other, core.SubSemigroup(parent=other, members=sub.members),
+            r_set, b, 5))
     assert fresh[0] != fresh[1]
     for k in range(6):  # alternating two generating sets
         b = sets[k % 2]
-        assert sub._generated_by(b) == core.generated(sem, b)
+        assert _check_t(sub, b) == core.generated(sem, sorted(b))
         assert growth.domination_check(sem, sub, r_set, b, 5) == fresh[k % 2]
         assert rewrite.extended_generators(b, green) == frozenset(b) | set(green.reps)
-    bad = [min(sub.members)]
     fam, grp = classes[0]
-    for _ in range(3):  # a failure is never kept, before or after a pass
+    calls = _count_generated(monkeypatch)
+    # letters that do not generate T are an answer, kept like any other,
+    # and the check refuses them each time
+    bad = [min(sub.members)]
+    for _ in range(3):
         for call in (lambda: rewrite.extended_generators(bad, green),
                      lambda: schutz.schutz_generators(bad, fam, grp),
                      lambda: growth.domination_check(sem, sub, r_set, bad, 3)):
             with pytest.raises(NotGenerating, match="does not generate T"):
                 call()
-        assert sub._t_check[0] == tuple(sets[1])
-    calls = _count_generated(monkeypatch)
-    sub._generated_by(sets[1])
+    assert calls == [bad] and sem._last_generated[0] == tuple(bad)
+    _check_t(sub, sets[1])
+    kept = sem._last_generated
+    # refused letters are never kept, before or after a pass
+    for refused in ([], [-1], [sem.order], [True], [0.0], [*sets[1], True]):
+        for call in (lambda: rewrite.extended_generators(refused, green),
+                     lambda: schutz.schutz_generators(refused, fam, grp),
+                     lambda: growth.domination_check(sem, sub, r_set, refused, 3),
+                     lambda: core._generated(sem, refused)):
+            with pytest.raises((EmptyGenerators, OutOfRange)):
+                call()
+            assert sem._last_generated is kept
+    # no letters at all reach the public BFS, which refuses them
+    assert [c for c in calls if c] == [bad, sorted(sets[1])]
+    calls.clear()
+    _check_t(sub, reversed(sets[1]))  # the same letters in another order
     assert calls == []
     # a bool equals its int, but is refused as a generator every time
     z6 = factories.zmod(6)
     whole = core.SubSemigroup(parent=z6, members=frozenset(z6.elements))
     growth.domination_check(z6, whole, [z6.order], [1], 2)
-    with pytest.raises(OutOfRange):
-        growth.domination_check(z6, whole, [z6.order], [True], 2)
+    for b in ([True], [1.0]):
+        with pytest.raises(OutOfRange):
+            growth.domination_check(z6, whole, [z6.order], b, 2)
 
 
-def test_generation_memo_is_per_subsemigroup(monkeypatch):
+def test_generation_memo_is_per_semigroup(monkeypatch):
     sem, sub = nonperm_ideal(3)
     b_gens = list(sub._t_gens)
-    sub._generated_by(b_gens)
+    _check_t(sub, b_gens)
     twin = core.SubSemigroup(parent=sem, members=sub.members)
     calls = _count_generated(monkeypatch)
-    assert twin._generated_by(b_gens) == sub._generated_by(b_gens)
-    assert calls == [b_gens]
+    # a twin T shares its parent, and so the parent's memo
+    assert _check_t(twin, b_gens) == _check_t(sub, b_gens)
+    assert calls == []
+    # an equal semigroup is another object, with a memo of its own
+    other = dataclasses.replace(sem)
+    assert other == sem
+    assert _check_t(core.SubSemigroup(parent=other, members=sub.members),
+                    b_gens) == _check_t(sub, b_gens)
+    assert calls == [sorted(b_gens)]
     consts = core.SubSemigroup(parent=sem, members=frozenset(
         i for i, m in enumerate(sem.names) if len(set(m)) == 1))
     with pytest.raises(NotGenerating):
-        consts._generated_by(b_gens)
+        _check_t(consts, b_gens)
+    assert calls == [sorted(b_gens)]
 
 
 def test_generation_memo_leaves_the_dataclass_as_it_was():
     sem, sub = nonperm_ideal(3)
-    twin = core.SubSemigroup(parent=sem, members=sub.members)
-    before = repr(sub), hash(sub)
-    sub._generated_by(sub._t_gens)
-    assert (repr(sub), hash(sub)) == before
+    twin_sem = dataclasses.replace(sem)
+    twin = core.SubSemigroup(parent=twin_sem, members=sub.members)
+    before = [(repr(x), hash(x)) for x in (sem, sub)]
+    _check_t(sub, sub._t_gens)
+    assert [(repr(x), hash(x)) for x in (sem, sub)] == before
+    assert sem == twin_sem and hash(sem) == hash(twin_sem)
     assert sub == twin and hash(sub) == hash(twin)
+    assert [f.name for f in dataclasses.fields(sem)] == [
+        "order", "table", "identity", "names"]
     assert [f.name for f in dataclasses.fields(sub)] == ["parent", "members"]
     for clone in (copy.copy(sub), copy.deepcopy(sub),
                   pickle.loads(pickle.dumps(sub))):
         assert clone == sub and hash(clone) == hash(sub)
         assert repr(clone) == repr(sub) and clone.t_one() == sub.t_one()
-        assert clone._generated_by(sub._t_gens).members == sub.members
+        assert _check_t(clone, sub._t_gens).members == sub.members
+    for clone in (copy.copy(sem), copy.deepcopy(sem),
+                  pickle.loads(pickle.dumps(sem))):
+        assert clone == sem and hash(clone) == hash(sem)
+        assert repr(clone) == repr(sem)
+        assert core._generated(clone, sub._t_gens).members == sub.members
+
+
+def test_generation_memo_agrees_with_the_reference_bfs():
+    # two letter sets alternate over each pair, so every caller meets the
+    # memo both holding its letters and holding the other set
+    for sem, sub in random_pairs(25):
+        n = sem.order
+        letter_sets = [sub.sorted_members(), schutz.find_generating_set(sem)]
+        for k in range(6):
+            gens = list(letter_sets[k % 2])
+            if k >= 2:
+                gens.reverse()  # the order is not part of the key
+            want = reference_shortlex_forms(sem, sorted(set(gens)))
+            # the caller owns what the public BFS gives, and may change it
+            core.generated(sem, gens).words.clear()
+            assert core._generated(sem, gens).words == want
+            kept = sem._last_generated
+            for refused in ([], [n], [*gens, True], [gens[0] + 0.0]):
+                with pytest.raises((EmptyGenerators, OutOfRange)):
+                    core._generated(sem, refused)
+                assert sem._last_generated is kept
+            assert growth._words(sem, [n, *gens]) == want
+            assert growth.growth_function(sem, gens, 4) == tuple(
+                1 + sum(len(w) <= m for w in want.values()) for m in range(5))
+            pres = present.Presentation(
+                tuple(f"x{g}" for g in gens), ())
+            assign = {f"x{g}": g for g in gens}
+            _over, tree = present._spelling(pres, sem, assign)
+            assert tree == {n: (), **{x: tuple(f"x{g}" for g in w)
+                                      for x, w in want.items()}}
+            if set(want) == set(sem.elements):
+                st = automatic.structure_for_finite(sem, gens)
+                assert set(st.acceptor.iter_words()) == {
+                    tuple(f"a{g}" for g in w) for w in want.values()}
+            if set(want) == sub.members:
+                assert _check_t(sub, gens).words == want

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import re
 
@@ -697,6 +698,42 @@ def test_dagger_violation_detected():
         present.synthesize_presentation(
             q, qa, forged, green, conn
         )
+
+
+def test_dagger_violations_name_the_first_pair():
+    # S3 over <(12)>: classes 1 and 3 are L-related, and so are 2 and 4
+    s3 = factories.symmetric_group(3)
+    sub = core.closure(s3, [2])
+    green = relgreen.relative_green(s3, sub)
+    q, qa = present.sub_table_presentation(s3, sub)
+    packs = present.build_schutz_packs(s3, sub, green, q, qa)
+    assert [green.l_id[green.rep_of(i)] for i in range(1, 5)] == [1, 2, 1, 2]
+    present._check_dagger(green, packs)
+
+    def forged(*classes, **changes):
+        return {**packs, **{i: dataclasses.replace(packs[i], **changes)
+                            for i in classes}}
+
+    renamed = present.Presentation(
+        tuple(a + "_rogue" for a in packs[3].presentation.alphabet), ())
+    other_lift = {a: w + w for a, w in packs[3].lift.items()}
+    # pairs in order (1, 2), (1, 3), (1, 4), (2, 3), ...: class 4 taking
+    # class 1's letters breaks (1, 4) before (2, 4), and classes 2 and 4
+    # taking them break (1, 2) first
+    for bad, message in (
+            (forged(3, presentation=renamed),
+             "L-related classes 1, 3 must share alphabet and relations"),
+            (forged(3, lift=other_lift),
+             "L-related classes 1, 3 must share letter lifts"),
+            (forged(4, presentation=packs[1].presentation),
+             "unrelated classes 1, 4 must use disjoint alphabets"),
+            (forged(2, 4, presentation=packs[1].presentation),
+             "unrelated classes 1, 2 must use disjoint alphabets")):
+        with pytest.raises(DaggerViolation, match=f"^{message}$"):
+            present._check_dagger(green, bad)
+    missing = {i: p for i, p in packs.items() if i != 2}
+    with pytest.raises(BadInputPresentation, match="^missing pack for class 2$"):
+        present._check_dagger(green, missing)
 
 
 def test_pack_lifts_are_congruent(instances):

@@ -3,6 +3,7 @@ two-sided closure and the shortlex forms it replaces, refuses what is not an
 element index, and the layers that check generation and factor many
 elements run one BFS per generator tuple."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -115,6 +116,25 @@ def test_generators_must_be_element_indices(z6, bad):
     assert growth.growth_function(z6, [1, n], 3) == (1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("twin", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("first", [False, True], ids=["int_first", "twin_first"])
+def test_each_letter_is_checked_before_deduplication(z6, t03, twin, first):
+    # a bool or float equals its int: deduplicating first accepted
+    # [1, True] but refused [True, 1], and [1, 1.0] ended in a TypeError
+    def both(x):
+        return [twin, x] if first else [x, twin]
+
+    refused = rf"^generator {twin!r} not in \[0, 6\)$"
+    green = relgreen.relative_green(z6, t03)
+    conn = relgreen.connectors(green)
+    with pytest.raises(OutOfRange, match=refused):
+        rewrite.schreier_generators(z6, both(1), t03, green, conn)
+    with pytest.raises(OutOfRange, match=refused):
+        automatic.structure_for_finite(z6, both(1))
+    with pytest.raises(OutOfRange, match=refused):
+        growth.domination_check(z6, t03, sorted({*green.reps, 6}), both(3), 2)
+
+
 @pytest.fixture()
 def bfs_calls(monkeypatch):
     """Counts ``core.generated`` calls by (semigroup, generator tuple), in
@@ -134,7 +154,12 @@ def bfs_calls(monkeypatch):
 
 
 def _cases(instances):
-    out = [(sem, sub) for _n, sem, sub, _a, _b in instances]
+    """Each instance over a fresh copy of its semigroup, whose generation
+    memo holds nothing that an earlier test left there."""
+    out = []
+    for _n, sem, sub, _a, _b in instances:
+        fresh = dataclasses.replace(sem)
+        out.append((fresh, core.SubSemigroup(parent=fresh, members=sub.members)))
     out.append(_t3_ideal())
     return out
 
@@ -156,16 +181,16 @@ def test_growth_derives_forms_once(instances, bfs_calls):
     for sem, sub in _cases(instances):
         n = sem.order
         gens = sub.sorted_members()
-        for call in (lambda: growth.growth_function(sem, [*gens, n, gens[0]], 6),
-                     lambda: growth.out_ball(sem, [n, *gens], n - 1, 3)):
-            bfs_calls.clear()
-            call()
-            assert _once_each(bfs_calls)
+        bfs_calls.clear()
+        # the ball reads the series' BFS: the same letters, n left out
+        growth.growth_function(sem, [*gens, n, gens[0]], 6)
+        growth.out_ball(sem, [n, *gens], n - 1, 3)
+        assert bfs_calls == {(id(sem), tuple(gens)): 1}
         # R adds nothing beyond B, so A's BFS is B's
         whole = core.SubSemigroup(parent=sem, members=frozenset(sem.elements))
         bfs_calls.clear()
         growth.domination_check(sem, whole, [n], list(sem.elements), 3)
-        assert _once_each(bfs_calls)
+        assert bfs_calls == {(id(sem), tuple(sem.elements)): 1}
 
 
 def test_presentation_layers_derive_forms_once(instances, bfs_calls):
@@ -175,12 +200,12 @@ def test_presentation_layers_derive_forms_once(instances, bfs_calls):
         q_pres, q_assign = present.sub_table_presentation(sem, sub)
         bfs_calls.clear()
         packs = present.build_schutz_packs(sem, sub, green, q_pres, q_assign)
-        assert _once_each(bfs_calls)
-        # the base letters' BFS is the generation check of T's presentation
-        # and each class group is verified over its own letters
-        bfs_calls.clear()
+        base = (id(sem), tuple(sorted(set(q_assign.values()))))
+        assert bfs_calls == {base: 1}
+        # synthesis reads the packs' BFS of the base letters, and verifies
+        # each class group over its own letters
         present.synthesize_presentation(q_pres, q_assign, packs, green, conn)
-        assert _once_each(bfs_calls)
+        assert _once_each(bfs_calls) and len(bfs_calls) > 1
 
 
 def test_verification_derives_forms_once(instances, bfs_calls):
