@@ -43,8 +43,10 @@ class FiniteSemigroup:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # ``_generated``'s last letters and BFS, set as SubSemigroup sets T^1
+        # ``_generated``'s last letters and BFS, and validate_table's |x*S|
+        # for each x, set as SubSemigroup sets T^1
         object.__setattr__(self, "_last_generated", (None, None))
+        object.__setattr__(self, "_row_sizes", None)
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -116,10 +118,12 @@ def validate_table(
 
     Light's test certifies associativity in n^2 * |A| steps: the a with
     (x*a)*y = x*(a*y) for all x, y are closed under products, so checking
-    each a in a generating set A proves the table.  Detects a two-sided
-    identity if one exists.  Raises ``InputError`` unless the table is a
-    square list (or tuple) of lists of ints, so a bool, float or string
-    entry is refused; ``OutOfRange`` for an entry outside [0, n); and
+    each a in a generating set A proves the table.  A is the greedy walk
+    over S in ``_rank_order``, which reads |x*S| off the row sets that also
+    check the range; those sizes are kept on the result for T's B.  Detects
+    a two-sided identity if one exists.  Raises ``InputError`` unless the
+    table is a square list (or tuple) of lists of ints, so a bool, float or
+    string entry is refused; ``OutOfRange`` for an entry outside [0, n); and
     ``NotAssociative`` with the first witness (x, y, z) in that order."""
     if not isinstance(table, (list, tuple)):
         raise InputError("table is not a list of rows")
@@ -133,17 +137,22 @@ def validate_table(
             raise InputError("table is not square")
     rows = tuple(map(tuple, table))
     # checked in C; the scan names the first bad entry or passes int subclasses
-    if not (set(map(type, chain.from_iterable(rows))) <= {int}
-            and set(chain.from_iterable(rows)).issubset(range(n))):
+    sizes, seen = [], set()  # |x*S| for each x, one row set at a time
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        for row in map(set, rows):
+            sizes.append(len(row))
+            seen |= row
+    if not sizes or not seen.issubset(range(n)):
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise InputError(f"entry table[{i}][{j}] = {v!r} is not an integer")
                 if not 0 <= v < n:
                     raise OutOfRange(f"entry table[{i}][{j}] = {v} not in [0, {n})")
+        sizes = [len(set(row)) for row in rows]  # int subclasses passed
     if names is not None and len(names) != n:
         raise InputError("names length != order")
-    if n > 1 and not _light_associative(rows):
+    if n > 1 and not _light_associative(rows, sizes):
         # the first witness in (x, y, z) order, not the first Light failure
         for x in range(n):
             rx = rows[x]
@@ -157,28 +166,50 @@ def validate_table(
         if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
             identity = e
             break
-    return FiniteSemigroup(order=n, table=rows, identity=identity, names=names)
+    sem = FiniteSemigroup(order=n, table=rows, identity=identity, names=names)
+    object.__setattr__(sem, "_row_sizes", tuple(sizes))
+    return sem
 
 
-def _light_associative(rows) -> bool:
-    """Light's test: (x*a)*y = x*(a*y) for all x, y and every a in
-    ``_right_generators(rows)[0]``.  Needs n > 1: itemgetter of a single
-    index returns an entry, not a tuple."""
-    for a in _right_generators(rows)[0]:
+def _light_associative(rows, sizes) -> bool:
+    """Light's test: (x*a)*y = x*(a*y) for all x, y and every a of the
+    greedy walk over S in ``_rank_order``.  Needs n > 1: itemgetter of a
+    single index returns an entry, not a tuple."""
+    for a in _right_generators(rows, _rank_order(rows, range(len(rows)), sizes))[0]:
         a_then = itemgetter(*rows[a])  # row of x -> (x*(a*y) for y in S)
         if any(rows[rx[a]] != a_then(rx) for rx in rows):
             return False
     return True
 
 
+def _rank_order(rows, xs, sizes=None) -> list[int]:
+    """``xs`` by decreasing |x*S|, then by decreasing |<x>|, then by index:
+    the candidate order of Light's test and of T's B, which gives T_k its
+    rank of 3 letters.  ``sizes`` are the |x*S| that validate_table keeps,
+    counted here when not given.  The walk x, x^2, ... stops after
+    n.bit_length() + 1 distinct powers, where larger <x> tie, so a cyclic
+    group costs n log n steps rather than n^2."""
+    cap = len(rows).bit_length() + 1
+
+    def key(x):
+        seen, p = {x}, rows[x][x]
+        while p not in seen and len(seen) < cap:
+            seen.add(p)
+            p = rows[p][x]
+        size = len(set(rows[x])) if sizes is None else sizes[x]
+        return -size, -len(seen), x
+
+    return sorted(xs, key=key)
+
+
 def _right_generators(rows, candidates=None):
-    """(A, reached): ``candidates`` in order (by default by decreasing
-    |x*S|, ties by index), each added to A if not yet reached.  Adding e
+    """(A, reached): ``candidates`` in order (by default all of S in
+    ``_rank_order``), each added to A if not yet reached.  Adding e
     reaches e and x*e for each x reached so far; each newly reached y then
     reaches y*a for every a in A.  So reached is <A>, holding every
     candidate."""
     if candidates is None:
-        candidates = sorted(range(len(rows)), key=lambda x: -len(set(rows[x])))
+        candidates = _rank_order(rows, range(len(rows)))
     reached: dict[int, None] = {}  # insertion-ordered set
     gens: list[int] = []
     for e in candidates:
@@ -196,12 +227,15 @@ def _right_generators(rows, candidates=None):
 
 @dataclass(frozen=True)
 class SubSemigroup:
-    """A nonempty multiplicatively closed subset of a parent semigroup."""
+    """A nonempty multiplicatively closed subset of a parent semigroup;
+    ``members`` may be any iterable, and is kept as a frozenset.  T's
+    generators B are the greedy walk over the members in ``_rank_order``."""
 
     parent: FiniteSemigroup
     members: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "members", frozenset(self.members))
         if not self.members:
             raise NotClosed("subsemigroup is empty")
         tab = self.parent.table
@@ -210,7 +244,8 @@ class SubSemigroup:
         members = self.sorted_members()
         # the greedy walk reaches <B>, which holds every member of T; T is
         # closed exactly when <B> is T
-        gens, reached = _right_generators(tab, members)
+        gens, reached = _right_generators(
+            tab, _rank_order(tab, members, self.parent._row_sizes))
         if len(reached) != len(members):
             for x in self.members:
                 for y in self.members:

@@ -352,6 +352,20 @@ def reference_find_generating_set(sem):
     return tuple(gens)
 
 
+def reference_size_order_generators(sem, candidates):
+    """The greedy generating set in the order Light's test and T's B used
+    before ties in |x*S| were broken by |<x>|: ``candidates`` by
+    decreasing |x*S|, ties by index, each kept unless ``core.generated``
+    of the set so far reaches it."""
+    gens: list[int] = []
+    have: frozenset[int] = frozenset()
+    for x in sorted(candidates, key=lambda x: (-len(set(sem.table[x])), x)):
+        if x not in have:
+            gens.append(x)
+            have = core.generated(sem, gens).members
+    return tuple(gens)
+
+
 def reference_shortlex_forms(sem, gens):
     """The words of ``core.generated`` by a BFS over (element, word) pairs:
     letter order is the order of ``gens``, and each element keeps the first

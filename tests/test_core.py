@@ -40,7 +40,9 @@ from helpers import (
     random_pairs,
     reference_closure,
     reference_not_closed,
+    reference_relative_green,
     reference_shortlex_forms,
+    reference_size_order_generators,
     reference_validate_table,
     small_pool,
     small_tables,
@@ -101,8 +103,9 @@ def _verdict(validate, table):
 
 
 def _zero_tables(n):
-    """The left-zero, right-zero and null tables of order n: no proper
-    subset generates them by right multiplication."""
+    """The left-zero, right-zero and null tables of order n.  Only all of S
+    generates the first two; every product in the null table is 0, so its
+    n - 1 nonzero elements generate it when n >= 2."""
     return (
         [[x] * n for x in range(n)],
         [list(range(n)) for _ in range(n)],
@@ -195,11 +198,51 @@ def test_validate_accepts_int_subclass_entries():
 def test_light_generators_on_t4_and_zero_tables():
     t4 = factories.full_transformation_monoid(4)
     gens = core._right_generators(t4.table)[0]
-    assert len(gens) <= 5
+    assert len(gens) == 3  # the rank of T_4
     assert core.generated(t4, gens).members == frozenset(t4.elements)
     for n in range(1, 9):
-        for table in _zero_tables(n):
-            assert sorted(core._right_generators(table)[0]) == list(range(n))
+        left, right, null = _zero_tables(n)
+        assert sorted(core._right_generators(left)[0]) == list(range(n))
+        assert sorted(core._right_generators(right)[0]) == list(range(n))
+        assert sorted(core._right_generators(null)[0]) == (
+            list(range(1, n)) if n >= 2 else [0])
+
+
+def _check_rank_order(sem, sub):
+    """Light's A generates S and T's B generates exactly T, both from the
+    |x*S| that validate_table keeps, and the Green ids are those of the
+    definition; A and its size-then-index reference."""
+    rows = sem.table
+    kept = core._rank_order(rows, sem.elements, sem._row_sizes)
+    assert kept == core._rank_order(rows, sem.elements)
+    gens = core._right_generators(rows, kept)[0]
+    assert core.generated(sem, gens).members == frozenset(sem.elements)
+    assert core.generated(sem, sub._t_gens).members == sub.members
+    green = relgreen.relative_green(sem, sub)
+    assert (green.r_id, green.l_id, green.h_id) == \
+        reference_relative_green(sem, sub)
+    return gens, reference_size_order_generators(sem, sem.elements)
+
+
+def test_rank_order_on_the_ladder_and_random_pairs():
+    for sem, sub in ladder_pairs():
+        gens, ref = _check_rank_order(sem, sub)
+        assert len(gens) <= len(ref)
+    for sem, sub in random_pairs(40):
+        _check_rank_order(sem, sub)
+
+
+def test_rank_order_pins_t3_t4_and_a_cyclic_group():
+    for k, b_size in ((3, 4), (4, 8)):
+        tk, ideal = nonperm_ideal(k)
+        assert len(core._right_generators(tk.table)[0]) == 3
+        assert len(ideal._t_gens) == b_size
+    z64 = factories.zmod(64)
+    assert core._right_generators(z64.table)[0] == [1]
+    assert reference_size_order_generators(z64, z64.elements) == (0, 1)
+    # every element of order at least 8 = 64.bit_length() + 1 ties with 1,
+    # so 2 (order 32) comes before 3 (order 64)
+    assert core._rank_order(z64.table, z64.elements)[:3] == [1, 2, 3]
 
 
 def test_subsemigroup_refuses_members_that_are_not_indices(z6):
@@ -244,6 +287,24 @@ def test_subsemigroup_validation(z6):
     sub = core.SubSemigroup(parent=z6, members=frozenset({0, 3}))
     assert core._target_domain(sub) == (z6, [0, 3])
     assert core._target_domain(z6) == (z6, list(range(6)))
+
+
+def test_subsemigroup_keeps_any_iterable_of_members_as_a_frozenset(z6):
+    def packs_and_verdict(sub):
+        q, qa = present.sub_table_presentation(z6, sub)
+        green = relgreen.relative_green(z6, sub)
+        packs = present.build_schutz_packs(z6, sub, green, q, qa)
+        return packs, present.verify_presentation(q, sub, qa)
+
+    want = core.SubSemigroup(parent=z6, members=frozenset({0, 3}))
+    for members in ([0, 3], (0, 3), {0, 3}, [3, 0, 3]):
+        sub = core.SubSemigroup(parent=z6, members=members)
+        assert type(sub.members) is frozenset
+        assert sub == want and hash(sub) == hash(want)
+        assert repr(sub) == repr(want)
+        assert sub.complement() == want.complement() == {1, 2, 4, 5}
+        assert packs_and_verdict(sub) == packs_and_verdict(want)
+    assert packs_and_verdict(want)[1] is True
 
 
 def _walk(sem, members):
