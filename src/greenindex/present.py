@@ -2,13 +2,16 @@
 verification, and synthesis of a presentation for S out of presentations for
 T and the complement Schutzenberger groups.
 
-Verification certifies a presentation whose relations contain the rules of
-its letters (Froidure and Pin's rules: each letter, and each shortlex tree
-word times each letter, equals a tree word) with no enumeration.  Every
-table presentation is of this kind.  A relation that is a rule holds by
-construction, so only the other relations are evaluated.  Any other
-presentation is enumerated, and only such a presentation can hit the
-enumerator's bound.
+Verification certifies a presentation with no enumeration when its
+relations give the rules of its letters (Froidure and Pin's rules: each
+letter, and each shortlex tree word times each letter, equals a tree
+word): each rule is a relation, or derives in one pass from a relation
+and the rules walked before it.  Every table presentation lists its rules,
+and the synthesized presentations of the benchmark ladder derive the ones
+they do not list.  A relation that is a rule holds by construction, so
+only the other relations are evaluated.  Only a presentation with a rule
+that does not derive is enumerated, and only such a presentation can hit
+the enumerator's bound.
 
 The enumerator is an HLT-style coset table on the right Cayley graph of the
 free monoid.  A sweep traces the relations from each node in turn until the
@@ -410,14 +413,15 @@ def verify_presentation(
     whole target, and the presented semigroup has exactly as many elements
     as the target, mapped bijectively.  A relation that is a rule of the
     letters (see :func:`_presents`) holds by construction; only the others
-    are evaluated.  When the relations contain every rule, as every table
-    presentation's do, the count needs no enumeration either; otherwise the
-    enumerated quotient is counted.  The default class bound grows with the
-    target's size.  Raises ``InvalidLetter`` for an unassigned letter,
-    ``InputError`` for an index outside the (parent) semigroup or a
-    ``max_classes`` that is not an int of at least 1, checked first, and
-    ``BoundExceeded`` when a presentation without the rules cannot be
-    enumerated within ``max_classes`` classes.
+    are evaluated.  When every rule is a relation or derives from one, as
+    in every table presentation and in the synthesized presentations of
+    the benchmark ladder, the count needs no enumeration either; otherwise
+    the enumerated quotient is counted.  The default class bound grows
+    with the target's size.  Raises ``InvalidLetter`` for an unassigned
+    letter, ``InputError`` for an index outside the (parent) semigroup or
+    a ``max_classes`` that is not an int of at least 1, checked first, and
+    ``BoundExceeded`` when a presentation with a rule that does not derive
+    cannot be enumerated within ``max_classes`` classes.
     """
     if max_classes is not None:
         _check_max_classes(max_classes)
@@ -437,22 +441,26 @@ def _presents(
 ) -> bool:
     """:func:`verify_presentation` once the letters are known to generate
     the target, the elements of ``tree`` but the adjoined identity: every
-    relation holds, and the presented semigroup has as many elements as
+    relation holds, and the presented semigroup P has as many elements as
     the target.
 
     With w(x) the tree word of x in T^1 and s the element of a letter a,
     the rules of the letters pair w(x)a with w(xs); for the identity, whose
-    word is empty, that is (a) with w(s).  A rule holds by construction:
-    w(x) is the shortlex BFS word of x, so w(x)a and w(xs) both give xs.
-    The rules are walked up to the first that is neither one word nor a
-    relation: each pops itself, or else its reverse, from a dict of the
-    relations.  None is popped twice: distinct (x, a) give distinct words
-    w(x)a, and w(x)a is a tree word only in a trivial rule, so a reversed
-    pop meets no other rule's key.  The relations left are evaluated.  With
-    every rule present, every word rewrites to a tree word, so there are
-    at most |target| classes; the relations hold and the letters generate,
-    so the induced map is onto and hence a bijection.  A presentation
-    without all of them is enumerated: its quotient must close within
+    word is empty, that is (a) with w(s).  A rule holds in the target by
+    construction: w(x) is the shortlex BFS word of x, so w(x)a and w(xs)
+    both give xs.  Every rule is walked, and each pops itself, or else its
+    reverse, from a dict of the relations.  None is popped twice: distinct
+    (x, a) give distinct words w(x)a, and w(x)a is a tree word only in a
+    trivial rule, so a reversed pop meets no other rule's key.  A rule
+    that is neither one word nor a relation is missing.  The relations
+    left in the dict are evaluated first, and a false one refutes.
+
+    Then one pass over the missing rules, in walk order, derives what it
+    can (:func:`_derived`).  When it derives them all, every rule holds in
+    P, so every word equals a tree word in P and |P| <= |target|; the
+    relations hold and the letters generate, so the induced map is onto
+    and hence a bijection.  At the first rule that does not derive the
+    presentation is enumerated: its quotient must close within
     ``max_classes`` with as many classes as the target, mapped
     bijectively, and only then can the bound be hit.
     """
@@ -460,21 +468,18 @@ def _presents(
     pop = unruled.pop
     letters = [((a,), assignment[a]) for a in pres.alphabet]
     rows = (*sem.table, sem.elements)  # the adjoined identity's row last
-    missing = False
+    missing = []  # (x, w(x)a) in walk order
     for x, w in tree.items():
         row = rows[x]
         for a, s in letters:
             u, v = w + a, tree[row[s]]
             # a present key pops its value None; an absent one gives 1
             if pop((u, v), 1) and pop((v, u), 1) and u != v:
-                missing = True
-                break
-        if missing:
-            break
+                missing.append((x, u))
     for u, v in unruled:
         if evaluate_word(sem, assignment, u) != evaluate_word(sem, assignment, v):
             return False
-    if not missing:
+    if not missing or _derived(pres, assignment, rows, tree, missing):
         return True
     size = len(tree) - 1
     result = enumerate_presentation(pres, max_classes or max(4 * size, 64))
@@ -483,6 +488,55 @@ def _presents(
     if result.size != size:
         return False
     return len({evaluate_word(sem, assignment, w) for w in result.reps}) == size
+
+
+def _derived(
+    pres: Presentation,
+    assignment: Mapping[str, int],
+    rows: Sequence[Sequence[int]],
+    tree: Mapping[int, Word],
+    missing: Sequence[tuple[int, Word]],
+) -> bool:
+    """Whether one pass, in walk order, derives every missing rule of
+    :func:`_presents` from the relations, which all hold in the target.
+
+    A rule is known when it is trivial, a relation, or derived earlier in
+    the pass.  The rule (x, a), with u = w(x)a, is derived when a suffix p
+    of u is a side of a relation p = q and q, read from the element y of
+    the prefix before p, steps only through known rules.  That prefix is a
+    tree word, since the spelled tree is prefix-closed.  In P, u = w(y)p =
+    w(y)q, and each step w(z)b = w(zb) is a known rule, so u = w(z') for
+    the end z' of the reading; since p = q holds in the target, z' = xs
+    and the rule holds in P.
+    """
+    sides: dict[Word, list[Word]] = {}
+    for u, v in pres.relations:
+        sides.setdefault(u, []).append(v)
+        sides.setdefault(v, []).append(u)
+    lengths = sorted({len(p) for p in sides})
+    element = {w: x for x, w in tree.items()}
+    unknown = {(x, u[-1]) for x, u in missing}
+
+    def derives(u: Word) -> bool:
+        n = len(u)
+        for k in lengths:
+            if k > n:
+                return False
+            for q in sides.get(u[n - k:], ()):
+                y = element[u[:n - k]]
+                for b in q:
+                    if (y, b) in unknown:
+                        break
+                    y = rows[y][assignment[b]]
+                else:
+                    return True
+        return False
+
+    for x, u in missing:
+        if not derives(u):
+            return False
+        unknown.remove((x, u[-1]))
+    return True
 
 
 def _spelling(

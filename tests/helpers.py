@@ -1182,12 +1182,18 @@ def reference_verify_by_enumeration(pres, target, assignment, max_classes):
 
 
 def reference_presents(pres, sem, assignment, max_classes):
-    """``present._presents`` in its old order: evaluate every relation,
-    then look each rule of the letters up among the relations, read either
-    way, and enumerate when one is missing.  The rules pair (a) with w(s)
-    for every letter a of element s, and w(x)a with w(xs) for every
+    """``present._presents`` by its definition: evaluate every relation,
+    then walk the rules of the letters, derive in one pass each one that
+    is not a relation, read either way, and enumerate when one does not
+    derive.  The rules pair w(x)a with w(xs) for every letter a of element
+    s, for the adjoined identity x (whose word is empty) and then every
     element x, where w spells the shortlex words of ``core.generated`` over
-    the least letter of each element."""
+    the least letter of each element.  A rule is known when its two words
+    are equal, when it is a relation, or when it was derived earlier in
+    walk order; w(x)a is derived when some suffix of it, at any position,
+    is a side of some relation whose other side, read letter by letter
+    from the element of the prefix before that suffix, steps only through
+    known rules."""
     if max_classes is not None and max_classes <= 0:
         raise InputError("max_classes must be positive")
 
@@ -1200,18 +1206,41 @@ def reference_presents(pres, sem, assignment, max_classes):
     for a in sorted(pres.alphabet):
         letter_of.setdefault(assignment[a], a)
     over = core.generated(sem, sorted(letter_of))
-    tree = {x: tuple(letter_of[g] for g in w) for x, w in over.words.items()}
+    tree = {sem.order: ()}
+    tree.update((x, tuple(letter_of[g] for g in w))
+                for x, w in over.words.items())
+    element = {w: x for x, w in tree.items()}
     rels = set(pres.relations)
+    sides = list(pres.relations) + [(v, u) for u, v in pres.relations]
+
+    def step(x, a):
+        return sem.mul1(x, assignment[a])
 
     def holds(u, v):
         return u == v or (u, v) in rels or (v, u) in rels
 
-    letters = [(a, assignment[a]) for a in pres.alphabet]
-    if all(holds((a,), tree[s]) for a, s in letters) and all(
-            holds(w + (a,), tree[sem.mul(x, s)])
-            for x, w in tree.items() for a, s in letters):
+    walk = [(x, a) for x in tree for a in pres.alphabet]
+    known = {(x, a) for x, a in walk
+             if holds(tree[x] + (a,), tree[step(x, a)])}
+
+    def reads_known(y, word):
+        for b in word:
+            if (y, b) not in known:
+                return False
+            y = step(y, b)
         return True
-    size = len(tree)
+
+    for x, a in walk:
+        if (x, a) in known:
+            continue
+        u = tree[x] + (a,)
+        if not any(u[i:] == p and reads_known(element[u[:i]], q)
+                   for i in range(len(u)) for p, q in sides):
+            break
+        known.add((x, a))
+    else:
+        return True
+    size = len(tree) - 1
     if max_classes is None:
         max_classes = max(4 * size, 64)
     result = present.enumerate_presentation(pres, max_classes)

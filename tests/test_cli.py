@@ -219,6 +219,23 @@ def test_present_pipeline(files, capsys, tmp_path):
     assert json.loads(out)["violated_relation"] is not None
 
 
+def test_present_verify_certifies_a_synthesis_without_enumerating(
+        files, capsys, monkeypatch):
+    sem_path, sub_path, tmp_path = files
+    code, out = run(capsys, "present", "synth", "--semigroup", sem_path,
+                    "--sub", sub_path)
+    synth_path = tmp_path / "synth.json"
+    synth_path.write_text(out)
+
+    def no_enumeration(pres, max_classes):
+        raise AssertionError("enumerate_presentation was called")
+
+    monkeypatch.setattr(present, "enumerate_presentation", no_enumeration)
+    code, out = run(capsys, "present", "verify", "--presentation",
+                    str(synth_path), "--semigroup", sem_path)
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
 @pytest.mark.parametrize("command", ["verify", "synth"])
 def test_present_refuses_a_class_bound_below_one(files, capsys, z6, command):
     # Z6's table presentation certifies by its rules without enumerating,

@@ -490,9 +490,10 @@ def _against_enumerator(pres, target, assign, enumerations):
 
 def _check_rules_against_enumerator(cases, enumerations) -> int:
     """Every case verifies, each table presentation without enumerating;
-    on targets of at most 32 elements, a dropped rule and a second letter
-    fall through to the enumerator, reversed or duplicated relations
-    change nothing, a false relation beside the rules is refused without
+    on targets of at most 32 elements, a dropped rule certifies when it
+    derives and enumerates otherwise, a second letter falls through to the
+    enumerator and is refused, reversed or duplicated relations change
+    nothing, a false relation beside the rules is refused without
     enumerating, and every near miss gets its verdict.  Returns how many
     cases certified by their rules."""
     recognized = 0
@@ -507,10 +508,12 @@ def _check_rules_against_enumerator(cases, enumerations) -> int:
                                                     is_table):
             near_got, near_enumerated = _against_enumerator(
                 near, target, near_assign, enumerations)
-            if kind in ("dropped", "second letter"):
-                assert near_enumerated
+            # a dropped rule enumerates exactly when the reference's
+            # derivation stops, as _against_enumerator asserts
+            if kind == "dropped" and not near_enumerated:
+                assert near_got is True
             if kind == "second letter":
-                assert near_got is False
+                assert (near_got, near_enumerated) == (False, True)
             if kind in ("reversed", "duplicated"):
                 assert (near_got, near_enumerated) == (True, enumerated)
             if kind == "false extra":
@@ -519,35 +522,50 @@ def _check_rules_against_enumerator(cases, enumerations) -> int:
 
 
 def _walk_edge_cases():
-    """(name, presentation, expected outcome, whether it enumerates) over
-    Z3 with a and b both assigned 1.  The tree spells 1, 2, 0 as a, aa,
-    aaa; every rule but aaaa = a and those of b is trivial, and the walk
-    meets b = a, ab = aa, aab = aaa, aaaa = a, aaab = a in that order."""
+    """(name, presentation, expected outcome, whether it enumerates, b's
+    element) over Z3 with a assigned 1.  With b also 1 the tree spells
+    1, 2, 0 as a, aa, aaa; every rule but aaaa = a and those of b is
+    trivial, and the walk meets b = a, ab = aa, aab = aaa, aaaa = a,
+    aaab = a in that order.  With b assigned 2 the tree spells 1, 2, 0 as
+    a, b, ab, and the walk meets aa = b, ba = ab, bb = a, aba = a,
+    abb = b."""
     a, b = ("a",), ("b",)
     rules = ((b, a), (a + b, a * 2), (a * 2 + b, a * 3), (a * 4, a),
              (a * 3 + b, a))
-    yield "two letters for one element", rules, True, False
+    yield "two letters for one element", rules, True, False, 1
     yield "with its reverse", rules[:2] + ((a * 2, a + b),) + rules[2:], \
-        True, False
-    yield "duplicated", rules[:3] + rules[2:], True, False
-    yield "trivial", ((a, a),) + rules + ((a + b, a + b),), True, False
-    yield "only reversed", rules[:4] + ((a, a * 3 + b),), True, False
-    # ab = aa is missing: the relations after it, rules among them, are
-    # evaluated, and a false one refutes without enumerating
-    yield "missing mid-walk", rules[:1] + rules[2:], True, True
+        True, False, 1
+    yield "duplicated", rules[:3] + rules[2:], True, False, 1
+    yield "trivial", ((a, a),) + rules + ((a + b, a + b),), True, False, 1
+    yield "only reversed", rules[:4] + ((a, a * 3 + b),), True, False, 1
+    # ab = aa is missing, and derives: its suffix b is a side of b = a,
+    # and a read from a steps through the trivial rule aa = aa
+    yield "missing mid-walk", rules[:1] + rules[2:], True, False, 1
+    # the relations after it, rules among them, are evaluated first, and a
+    # false one refutes without enumerating
     yield "missing mid-walk, false after", \
-        rules[:1] + rules[2:] + ((a * 2 + b, a),), False, False
+        rules[:1] + rules[2:] + ((a * 2 + b, a),), False, False, 1
     # without b = a, b is a fourth class
     yield "b = a missing", rules[1:] + ((b * 2, a * 2), (b + a, a * 2)), \
-        False, True
+        False, True, 1
+    # ba = ab derives from ba = abab through the rule aba = a, and then
+    # bb = a from b = aa through ba = ab, derived just before it
+    kept = ((a * 2, b), (a + b + a, a), (a + b * 2, b))
+    yield "derived from a derived rule", kept + ((b + a, (a + b) * 2),), \
+        True, False, 2
+    # ba = ab derives only through bb = a, which the walk meets later: one
+    # pass stops there and enumerates, although bb = a derives from
+    # bb = ababa
+    yield "derivable only from a later rule", \
+        kept + ((b + a, b * 3), (b * 2, (a + b) * 2 + a)), True, True, 2
 
 
 @pytest.mark.parametrize("case", list(_walk_edge_cases()),
                          ids=lambda case: case[0])
 def test_rule_walk_edge_cases_agree_with_the_references(enumerations, case):
-    _name, rels, verdict, enumerates = case
+    _name, rels, verdict, enumerates, b_value = case
     pres = present.Presentation(("a", "b"), rels)
-    got = _against_enumerator(pres, factories.zmod(3), {"a": 1, "b": 1},
+    got = _against_enumerator(pres, factories.zmod(3), {"a": 1, "b": b_value},
                               enumerations)
     assert got == (verdict, enumerates)
 
@@ -566,10 +584,8 @@ def test_ladder_tables_verify_without_evaluating_or_enumerating(
 def test_rules_agree_with_the_enumerator(enumerations):
     cases = list(_rule_cases())
     recognized = _check_rules_against_enumerator(cases, enumerations)
-    # the synthesized S presentations of T3 over its ideal and over its
-    # constants, and of T3 x Z_m, certify by their rules too
-    tables = sum(is_table for *_case, is_table in cases)
-    assert recognized >= tables + 4
+    # every synthesized S presentation derives the rules it does not list
+    assert recognized == len(cases)
 
 
 # the fixture's count is cleared before each verification
@@ -588,8 +604,10 @@ def test_rules_agree_with_the_enumerator_on_drawn_semigroups(
     sub = core.closure(sem, gens)
     pres, assign = present.presentation_from_table(sem)
     q, qa = present.sub_table_presentation(sem, sub)
-    cases = [(pres, sem, assign, True), (q, sub, qa, True)]
-    assert _check_rules_against_enumerator(cases, enumerations) == 2
+    s_pres, s_assign = synth(sem, sub, q, qa)
+    cases = [(pres, sem, assign, True), (q, sub, qa, True),
+             (s_pres, sem, s_assign, False)]
+    assert _check_rules_against_enumerator(cases, enumerations) >= 2
 
 
 def test_the_ladder_certifies_exactly_under_default_bounds():
@@ -602,6 +620,32 @@ def test_the_ladder_certifies_exactly_under_default_bounds():
     for sem, sub in ladder_pairs()[-2:]:
         pres, assign = synth(sem, sub)
         assert present.verify_presentation(pres, sem, assign)
+
+
+def _no_enumeration(pres, max_classes):
+    raise AssertionError("enumerate_presentation was called")
+
+
+def test_synthesized_presentations_verify_without_the_enumerator(monkeypatch):
+    # every rule the synthesis does not list derives in one pass, on the
+    # four small instances and S4 over <(12)> as on the rest
+    monkeypatch.setattr(present, "enumerate_presentation", _no_enumeration)
+    for sem, sub in ladder_pairs():
+        pres, assign = synth(sem, sub)
+        assert present.verify_presentation(pres, sem, assign) is True
+
+
+def test_a_derivation_that_stops_enumerates_long_words(enumerations):
+    # <b | b^203 = b^3> holds in Z_200 with b -> 1, and the only missing
+    # rule is b^201 = b.  Its one suffix that is a relation side is b^3,
+    # and b^203 read from b^198 steps through that rule itself, so the
+    # derivation stops and the enumerator finds the 202 classes
+    # b, ..., b^202
+    z200 = factories.zmod(200)
+    pres = present.Presentation(("b",), ((("b",) * 203, ("b",) * 3),))
+    assert present.verify_presentation(pres, z200, {"b": 1}) is False
+    assert len(enumerations) == 1
+    assert present.enumerate_presentation(pres, 800).size == 202
 
 
 def test_compact_subsemigroup_presentation(z6, t03):
