@@ -50,9 +50,31 @@ Word = tuple[str, ...]
 Assignment = dict[str, int]
 
 
+def _check_words(letters: set[str], relations) -> None:
+    """Refuse the first relation that is not a pair or has an empty word
+    (``InputError``) or a letter not in ``letters`` (``InvalidLetter``)."""
+    for rel in relations:
+        try:
+            u, v = rel
+        except (TypeError, ValueError):
+            raise InputError("each relation must be a pair of words") from None
+        for w in (u, v):
+            if not w:
+                raise InputError("relation words must be nonempty")
+            for a in w:
+                if a not in letters:
+                    raise InvalidLetter(f"relation uses unknown letter {a!r}")
+
+
 @dataclass(frozen=True)
 class Presentation:
-    """An alphabet together with pairs of nonempty words declared equal."""
+    """An alphabet together with pairs of nonempty words declared equal.
+
+    The constructor is the input boundary: it refuses a repeated letter
+    and, by ``_check_words``, a bad relation.  The library's builders,
+    whose words are nonempty and over their alphabet by construction,
+    build through ``_of_letters``, which does not re-read them.
+    """
 
     alphabet: tuple[str, ...]
     relations: tuple[tuple[Word, Word], ...]
@@ -61,16 +83,16 @@ class Presentation:
         letters = set(self.alphabet)
         if len(letters) != len(self.alphabet):
             raise InputError("duplicate letters in alphabet")
-        if all(u and v for u, v in self.relations) and letters.issuperset(
-                chain.from_iterable(chain.from_iterable(self.relations))):
-            return  # otherwise the loop below names the first bad word
-        for u, v in self.relations:
-            for w in (u, v):
-                if not w:
-                    raise InputError("relation words must be nonempty")
-                for a in w:
-                    if a not in letters:
-                        raise InvalidLetter(f"relation uses unknown letter {a!r}")
+        _check_words(letters, self.relations)
+
+    @classmethod
+    def _of_letters(cls, alphabet: tuple[str, ...],
+                    relations: tuple[tuple[Word, Word], ...]) -> "Presentation":
+        """Unchecked: the caller's letters are distinct and its words
+        nonempty and over them by construction."""
+        pres = object.__new__(cls)
+        pres.__dict__.update(alphabet=alphabet, relations=relations)
+        return pres
 
     def _word_encoder(self) -> Callable[[Word], str | list]:
         """Words as JSON: joined strings when every letter is one character,
@@ -166,14 +188,18 @@ def _table_presentation(
 ) -> tuple[Presentation, Assignment]:
     """One letter ``<prefix><e>`` per element e of the closed set ``elems``,
     one relation per cell of their table in row-major order, and the
-    assignment of each letter to its element."""
+    assignment of each letter to its element.
+
+    Built unchecked: distinct elements give distinct letters, and every
+    relation is (a, b) = (c,) for the letters of e, f and e·f in ``elems``.
+    """
     letters = {e: f"{prefix}{e}" for e in elems}
     ends = {e: (a,) for e, a in letters.items()}
     rels: list[tuple[Word, Word]] = []
     for e, a in letters.items():
         row = sem.table[e]
         rels += [((a, b), ends[row[f]]) for f, b in letters.items()]
-    return Presentation(alphabet=tuple(letters.values()), relations=tuple(rels)), {
+    return Presentation._of_letters(tuple(letters.values()), tuple(rels)), {
         a: e for e, a in letters.items()
     }
 
@@ -671,6 +697,15 @@ def synthesize_presentation(
     base presentation, every group presentation and every letter lift are
     verified first (``BadInputPresentation`` otherwise), after the base's
     class bound ``max_classes``.
+
+    The result is built unchecked save for the group relations.  The base
+    relations are ``q_pres``'s; the d letters are distinct and a collision
+    with the base is refused; a transport word is ``a d_i``, or ``d_i`` and
+    a spelled tree word (over the base letters) in either order, and names
+    an element of S, so it is not empty.  The group relations are ``d_i``
+    and the packs' lifts, which are caller input: a lift letter assigned in
+    ``q_assign`` but not a base letter passes the lift check, so they are
+    word-checked (``InvalidLetter``).
     """
     if max_classes is not None:
         _check_max_classes(max_classes)
@@ -718,6 +753,7 @@ def synthesize_presentation(
             rhs = tree[conn.right_factor[i][t]] + d_words[conn.right_class[i][t]]
             if lhs != rhs:
                 rels.append((lhs, rhs))
+    group_start = len(rels)
     for i in range(1, k + 1):
         lift = packs[i].lift
         for u, v in packs[i].presentation.relations:
@@ -725,9 +761,10 @@ def synthesize_presentation(
             rhs = d_words[i] + tuple(chain.from_iterable([lift[c] for c in v]))
             if lhs != rhs:
                 rels.append((lhs, rhs))
+    _check_words(set(alphabet), rels[group_start:])
 
     unique = tuple(dict.fromkeys(rels))
-    return Presentation(alphabet=alphabet, relations=unique), assignment
+    return Presentation._of_letters(alphabet, unique), assignment
 
 
 def word_problem_context(

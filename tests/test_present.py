@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import functools
+import pickle
 import re
 
 import pytest
@@ -75,6 +77,15 @@ def test_presentation_names_its_first_bad_word(at):
         assert info.type is error
     with pytest.raises(InputError, match="^duplicate letters in alphabet$"):
         present.Presentation(("a", "b", "a"), (ok,))
+
+
+@pytest.mark.parametrize("rel", [(("a",), ("a",), ("a",)), (("a",),), None])
+def test_a_relation_that_is_not_a_pair_is_refused(rel):
+    for rels in ((rel,), ((("a",), ("a",)), rel)):
+        with pytest.raises(InputError,
+                           match="^each relation must be a pair of words$") as info:
+            present.Presentation(("a",), rels)
+        assert info.type is InputError
 
 
 def test_json_round_trip():
@@ -794,6 +805,65 @@ def test_pack_lifts_are_congruent(instances):
                 assert pack.schutz.quotient_index(elt) == pack.letter_to_group[a]
 
 
+def test_a_lift_off_the_base_alphabet_is_refused(z6, t03):
+    # z is assigned 3, as t3 is, so the lift passes the congruence check;
+    # the word check of the group relations finds that z is not a letter
+    green = relgreen.relative_green(z6, t03)
+    q, qa = present.sub_table_presentation(z6, t03)
+    packs = present.build_schutz_packs(z6, t03, green, q, qa)
+    off = {i: dataclasses.replace(pack, lift={
+               a: ("z",) if w == ("t3",) else w for a, w in pack.lift.items()})
+           for i, pack in packs.items()}
+    with pytest.raises(InvalidLetter,
+                       match="^relation uses unknown letter 'z'$"):
+        present.synthesize_presentation(
+            q, {**qa, "z": 3}, off, green, relgreen.connectors(green))
+
+
+def _recording_unchecked(monkeypatch) -> list:
+    """Every presentation built through ``Presentation._of_letters`` from
+    now on, in order."""
+    built = []
+    real = present.Presentation._of_letters.__func__
+
+    def recording(cls, alphabet, relations):
+        built.append(real(cls, alphabet, relations))
+        return built[-1]
+
+    monkeypatch.setattr(present.Presentation, "_of_letters",
+                        classmethod(recording))
+    return built
+
+
+def test_library_presentations_equal_their_checked_reconstructions(monkeypatch):
+    # every table, pack and synthesized presentation, built unchecked,
+    # passes the constructor's checks and is indistinguishable from the
+    # presentation that the constructor builds from its fields
+    built = _recording_unchecked(monkeypatch)
+    pairs = ladder_pairs() + random_pairs(40, seed=11)
+    for n in (1, 6, 32, 64):
+        z = factories.zmod(n)
+        pairs.append((z, core.closure(z, [n // 2])))
+    expected = 0
+    for sem, sub in pairs:
+        present.presentation_from_table(sem)
+        green = relgreen.relative_green(sem, sub)
+        q, qa = present.sub_table_presentation(sem, sub)
+        packs = present.build_schutz_packs(sem, sub, green, q, qa)
+        present.synthesize_presentation(q, qa, packs, green,
+                                        relgreen.connectors(green))
+        expected += 3 + len({p.leader for p in packs.values()})
+    assert len(built) == expected
+    for pres in built:
+        checked = present.Presentation(pres.alphabet, pres.relations)
+        for again in (pres, copy.copy(pres), copy.deepcopy(pres),
+                      pickle.loads(pickle.dumps(pres))):
+            assert type(again) is present.Presentation
+            assert vars(again) == vars(checked)
+            assert again == checked and hash(again) == hash(checked)
+            assert repr(again) == repr(checked)
+
+
 def test_synthesized_relations_hold(z6, t03):
     pres, assign = synth(z6, t03)
     for u, v in pres.relations:
@@ -871,7 +941,8 @@ def test_word_problem_context_refuses_other_green_data(z6, t03):
 
 
 def test_word_problem_context_builds_no_presentation(instances, monkeypatch):
-    built = []
+    # counts the presentations built checked and those built unchecked
+    built = _recording_unchecked(monkeypatch)
     real = present.Presentation.__post_init__
 
     def counting(self):
