@@ -9,12 +9,15 @@ A pair alphabet is never listed: ``PairAlphabet`` holds the two track
 alphabets and answers iteration, length, membership and rank from them.
 Each automaton looks up the rank of each symbol it uses once.  A trie
 (``nfa_from_words``, ``PaddedRelationNfa.from_pairs``) states what it
-knows when it is built: every state is useful, and each state's out-edges,
-so listing it derives neither.
+knows when it is built: every state is useful, each state's out-edges, and
+its word count, so listing it derives no fact.
 
 Transfer reads structures with a finite acceptor language over a finite
 semigroup, so it first checks its input exactly: every multiplier then
 accepts exactly the pairs of acceptor words its evaluations prescribe.
+The check, shared with verification, certifies a trie multiplier by
+walking its semantic pairs and counting them, and lists an automaton only
+when it states no count (read from JSON) or to name the first failure.
 The paper's conjugation of each multiplier through the rewriting relation
 is read off those evaluations, and no relation is composed as an
 automaton.  A transferred structure keeps only the letters that occur in
@@ -62,6 +65,8 @@ class Nfa:
     transitions: tuple  # ((src, symbol, dst), ...)
     initial: frozenset
     accepting: frozenset
+    # the number of accepted words, which only a trie states (:func:`_trie`)
+    _word_count = None
 
     @cached_property
     def _outgoing(self) -> list[dict]:
@@ -185,7 +190,8 @@ def _trie(alphabet, words: list) -> Nfa:
     acceptance and has one target per symbol, so the Nfa is given its
     useful states and its out-edges, each target as a one-tuple, rather
     than deriving them (unless a symbol is None, an epsilon move its first
-    read must refuse)."""
+    read must refuse).  Each accepting state ends one distinct word, so its
+    word count is stated too: an int, not the words."""
     out: list[dict] = [{}]
     trans = []
     accepting = set()
@@ -209,7 +215,8 @@ def _trie(alphabet, words: list) -> Nfa:
         accepting=frozenset(accepting),
     )
     if all(None not in edges for edges in out):
-        nfa.__dict__.update(_outgoing=out, _coaccessible=frozenset(range(len(out))))
+        nfa.__dict__.update(_outgoing=out, _coaccessible=frozenset(range(len(out))),
+                            _word_count=len(accepting))
     return nfa
 
 
@@ -311,26 +318,22 @@ class PaddedRelationNfa:
     def from_pairs(left_alphabet, right_alphabet, pairs) -> "PaddedRelationNfa":
         """The trie relation of a finite set of word pairs; ``AlphabetMismatch``
         names the first pair symbol not in the padded pair alphabet, in
-        shortlex order of the convolutions."""
-        return _relation(PairAlphabet(left_alphabet, right_alphabet), pairs)
-
-
-def _relation(alpha: PairAlphabet, pairs) -> PaddedRelationNfa:
-    """:meth:`PaddedRelationNfa.from_pairs` over a built pair alphabet.  The
-    letters are checked once per track; only a failing check scans the
-    convolutions symbol by symbol, so a letter that is the pad symbol still
-    passes where its pair symbol is in the alphabet."""
-    pairs = list(pairs)
-    words = sorted((convolve(u, v) for u, v in pairs), key=_shortlex)
-    try:
-        known = (set().union(*(u for u, _v in pairs)) <= set(alpha.left)
-                 and set().union(*(v for _u, v in pairs)) <= set(alpha.right))
-    except TypeError:  # an unhashable letter
-        known = False
-    if not known:
-        _first_stray(alpha, words)
-    return PaddedRelationNfa(left_alphabet=alpha.left, right_alphabet=alpha.right,
-                             nfa=_trie(alpha, words))
+        shortlex order of the convolutions.  The letters are checked once
+        per track; only a failing check scans the convolutions symbol by
+        symbol, so a letter that is the pad symbol still passes where its
+        pair symbol is in the alphabet."""
+        alpha = PairAlphabet(left_alphabet, right_alphabet)
+        pairs = list(pairs)
+        words = sorted((convolve(u, v) for u, v in pairs), key=_shortlex)
+        try:
+            known = (set().union(*(u for u, _v in pairs)) <= set(alpha.left)
+                     and set().union(*(v for _u, v in pairs)) <= set(alpha.right))
+        except TypeError:  # an unhashable letter
+            known = False
+        if not known:
+            _first_stray(alpha, words)
+        return PaddedRelationNfa(left_alphabet=alpha.left,
+                                 right_alphabet=alpha.right, nfa=_trie(alpha, words))
 
 
 def _epsilon_free(alphabet, n_states, transitions, initial, accepting) -> Nfa:
@@ -453,12 +456,17 @@ def _semantic_failure(st, sem, elems, words):
     The words must evaluate onto ``elems``, and each multiplier must accept
     exactly the convolutions of its semantic pairs: the (u, v) of acceptor
     words whose evaluations satisfy eval(v) = eval(u)·a for key a, or
-    eval(v) = eval(u) for key "".  A multiplier is listed up to its first
-    string longer than the longest acceptor word, which cannot be a pair of
-    acceptor words, so any other string it accepts is seen.  Keys are
-    checked in order and each distinct automaton is listed once.  Returns
-    the first failure's message, or None, and the evaluation of each
-    word."""
+    eval(v) = eval(u) for key "".  Keys are checked in order.  A trie
+    stating at most ``_LANGUAGE_BOUND`` words passes, when no letter is the
+    pad symbol, if each semantic pair's convolution walks to acceptance and
+    the pairs are as many as its words: the pairs are distinct and
+    ``convolve`` is then injective, so the language is exactly their
+    convolutions, and a listing would find no other string, no missing pair
+    and no bound.  Any other multiplier is listed, once per automaton, up
+    to its first string longer than the longest acceptor word, which cannot
+    be a pair of acceptor words, so any other string it accepts is seen and
+    the first failure named.  Returns the first failure's message, or None,
+    and the evaluation of each word."""
     evals = {w: st.eval_word(sem, w) for w in words}
     elem_set = set(elems)
     for w, e in evals.items():
@@ -472,13 +480,15 @@ def _semantic_failure(st, sem, elems, words):
     by_eval: dict[int, list] = {}
     for w, e in evals.items():
         by_eval.setdefault(e, []).append(w)
+    injective = PAD not in st.alphabet
     strings: dict[int, list] = {}  # by id(nfa): letters may share one
     for key, rel in sorted(st.multipliers.items()):
         factor = st.letter_eval[key] if key else sem.order
-        semantic = {
-            (u, v) for u, e in evals.items()
-            for v in by_eval.get(sem.mul1(e, factor), ())
-        }
+        partners = [(u, by_eval.get(sem.mul1(e, factor), ()))
+                    for u, e in evals.items()]
+        if injective and _walks_and_counts(rel.nfa, partners):
+            continue
+        semantic = {(u, v) for u, vs in partners for v in vs}
         # one listing gives the accepted pairs and the first stray string
         accepted = set()
         stray = None
@@ -509,6 +519,27 @@ def _semantic_failure(st, sem, elems, words):
         if stray is not None:
             return stray, evals
     return None, evals
+
+
+def _walks_and_counts(nfa: Nfa, partners) -> bool:
+    """Whether the trie ``nfa`` states at most ``_LANGUAGE_BOUND`` words, as
+    many as the pairs (u, v) of ``partners``' (u, vs), and accepts each."""
+    count = nfa._word_count
+    if count is None or count > _LANGUAGE_BOUND or count != sum(
+            len(vs) for _u, vs in partners):
+        return False
+    out, accepting = nfa._outgoing, nfa.accepting
+    for u, vs in partners:
+        for v in vs:
+            q = 0
+            for sym in zip_longest(u, v, fillvalue=PAD):
+                dst = out[q].get(sym)
+                if dst is None:
+                    return False
+                (q,) = dst
+            if q not in accepting:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -607,10 +638,13 @@ def transfer_details(
         partners_of.setdefault(evals[u], []).append(ru)
     kept_pairs = PairAlphabet(kept, kept)
 
+    # the R-words are over ``kept``, checked by building ``restricted``, so
+    # each conjugate is built as a trie with no letter check
     def conjugate(factor):
-        return _relation(kept_pairs, [
-            (ru, rv) for u, ru in pairs
-            for rv in partners_of.get(sem.mul1(evals[u], factor), ())])
+        return PaddedRelationNfa(kept, kept, _trie(kept_pairs, sorted(
+            (convolve(ru, rv) for u, ru in pairs
+             for rv in partners_of.get(sem.mul1(evals[u], factor), ())),
+            key=_shortlex)))
 
     letter_eval = {b: letters.evals[b] for b in kept}
     by_eval = {e: conjugate(e) for e in set(letter_eval.values())}

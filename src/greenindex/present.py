@@ -51,8 +51,9 @@ Assignment = dict[str, int]
 
 
 def _check_words(letters: set[str], relations) -> None:
-    """Refuse the first relation that is not a pair or has an empty word
-    (``InputError``) or a letter not in ``letters`` (``InvalidLetter``)."""
+    """Refuse the first relation that is not a pair or has a word that is
+    empty or a string (``InputError``) or a letter not in ``letters``
+    (``InvalidLetter``)."""
     for rel in relations:
         try:
             u, v = rel
@@ -61,6 +62,9 @@ def _check_words(letters: set[str], relations) -> None:
         for w in (u, v):
             if not w:
                 raise InputError("relation words must be nonempty")
+            if isinstance(w, str):
+                raise InputError(
+                    f"relation word {w!r} is a string, not a sequence of letters")
             for a in w:
                 if a not in letters:
                     raise InvalidLetter(f"relation uses unknown letter {a!r}")
@@ -71,19 +75,25 @@ class Presentation:
     """An alphabet together with pairs of nonempty words declared equal.
 
     The constructor is the input boundary: it refuses a repeated letter
-    and, by ``_check_words``, a bad relation.  The library's builders,
-    whose words are nonempty and over their alphabet by construction,
-    build through ``_of_letters``, which does not re-read them.
+    and, by ``_check_words``, a bad relation, and stores the alphabet as a
+    tuple and the relations as a tuple of pairs of tuples, however they
+    were given.  The library's builders, whose words are nonempty tuples
+    over their alphabet by construction, build through ``_of_letters``,
+    which does not re-read them.
     """
 
     alphabet: tuple[str, ...]
     relations: tuple[tuple[Word, Word], ...]
 
     def __post_init__(self):
-        letters = set(self.alphabet)
-        if len(letters) != len(self.alphabet):
+        alphabet, relations = tuple(self.alphabet), tuple(self.relations)
+        letters = set(alphabet)
+        if len(letters) != len(alphabet):
             raise InputError("duplicate letters in alphabet")
-        _check_words(letters, self.relations)
+        _check_words(letters, relations)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "relations", tuple(
+            (tuple(u), tuple(v)) for u, v in relations))
 
     @classmethod
     def _of_letters(cls, alphabet: tuple[str, ...],

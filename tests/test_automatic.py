@@ -1069,13 +1069,16 @@ def test_tries_state_the_facts_their_transitions_give(t3_transfer):
         assert [{sym: set(dsts) for sym, dsts in edges.items()}
                 for edges in nfa._outgoing] == derived._outgoing, name
         assert enumerate_words(nfa, 12) == enumerate_words(derived, 12), name
+        assert nfa._word_count == len(enumerate_words(nfa, 12)), name
     fresh = au.nfa_from_words(("a", "b"), [("a", "b"), ("b",)])
     assert {"_outgoing", "_coaccessible"} <= set(vars(fresh))
 
 
 def test_listing_a_transfer_derives_no_trie_facts(monkeypatch):
     # the tries state their useful states and out-edges when built, so no
-    # reverse search or transition scan runs on any of them
+    # reverse search or transition scan runs on any of them; they state
+    # their word counts too, so every multiplier is certified by walk and
+    # count, and only the two acceptors are listed
     derived = []
     for name in ("_coaccessible", "_outgoing"):
         real = getattr(au.Nfa, name).func
@@ -1100,8 +1103,164 @@ def test_listing_a_transfer_derives_no_trie_facts(monkeypatch):
     struct, green, conn = transfer_setup(t3, ideal, gens)
     res = au.transfer_details(struct, ideal, green, conn)
     assert au.verify_structure_report(res.structure, ideal, 3) == (True, "ok")
-    assert len(listed) > 10
+    assert listed == [struct.acceptor, res.structure.acceptor]
     assert derived == []
+
+
+def _altered_multipliers(struct):
+    """(key, alteration, structure): the structure with multiplier ``key``
+    rebuilt by ``from_pairs`` from its pairs with one dropped, with a pair
+    whose left word is outside the acceptor added, with a pair longer than
+    the longest acceptor word added, with the last pair's right word
+    redirected, or with a semantically wrong pair added."""
+    alpha = struct.alphabet
+    words = au._finite_language(struct.acceptor)
+    longest = len(words[-1])
+    outside = next(w for w in words_upto(alpha, longest)
+                   if w and w not in set(words))
+    for key, rel in sorted(struct.multipliers.items()):
+        pairs = relation_pairs(rel, longest)
+        u, v = pairs[-1]
+        wrong = next((x, y) for x in words for y in words
+                     if (x, y) not in set(pairs))
+        alterations = {
+            "dropped": pairs[1:],
+            "outside": pairs + [(outside, words[0])],
+            "long": pairs + [((alpha[0],) * (longest + 1), words[0])],
+            "redirected": pairs[:-1] + [(u, next(w for w in words if w != v))],
+            "wrong": pairs + [wrong],
+        }
+        for name, altered in alterations.items():
+            rel = au.PaddedRelationNfa.from_pairs(alpha, alpha, altered)
+            yield key, name, replace(
+                struct, multipliers={**struct.multipliers, key: rel})
+
+
+def _listed_only(struct):
+    """The structure with every multiplier's automaton stating nothing, so
+    that the comparison lists each one."""
+    return replace(struct, multipliers={
+        key: replace(rel, nfa=_derived(rel.nfa))
+        for key, rel in struct.multipliers.items()})
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (BoundExceeded, InputError) as exc:
+        return type(exc), str(exc)
+
+
+def _bench_t3_structures():
+    """T3, its ideal, their Green data and connectors, and for each bench
+    generating set the structure for T3 and its transfer to the ideal."""
+    t3, ideal = nonperm_ideal(3)
+    green = relgreen.relative_green(t3, ideal)
+    conn = relgreen.connectors(green)
+    out = []
+    for names in BENCH_T3_SETS:
+        st = au.structure_for_finite(t3, [t3.names.index(m) for m in names])
+        out.append((st, au.transfer_details(st, ideal, green, conn).structure))
+    return t3, ideal, green, conn, out
+
+
+def test_certified_multipliers_fail_as_listed_ones_do():
+    # a multiplier certified by walk and count, or refused by the listing
+    # it then falls back to, gets the verdict and message of the reference
+    # and of a listing of every multiplier
+    t3, ideal, green, conn, structures = _bench_t3_structures()
+    cases = 0
+    for st, tr in structures:
+        for struct, target in ((st, t3), (tr, ideal)):
+            max_len = len(au._finite_language(struct.acceptor)[-1]) + 1
+            for key, name, bad in _altered_multipliers(struct):
+                got = au.verify_structure_report(bad, target, max_len)
+                want = reference_verify_structure_report(bad, target, max_len)
+                assert not got[0] and got == want, (key, name)
+                assert au.verify_structure_report(
+                    _listed_only(bad), target, max_len) == got, (key, name)
+                cases += 1
+                if struct is not st:
+                    continue
+                refusal = (InputError,
+                           f"structure does not verify against S: {got[1]}")
+                for variant in (bad, _listed_only(bad)):
+                    assert _outcome(lambda: au.transfer_details(
+                        variant, ideal, green, conn)) == refusal, (key, name)
+                cases += 1
+    assert cases == 5 * (2 * (4 + 5 + 6) + 19 + 19 + 13)
+
+
+def test_a_multiplier_past_the_language_bound_is_named(monkeypatch):
+    # a trie with more words than the bound is not certified: its listing
+    # names it in the BoundExceeded a listing of every multiplier raises
+    t3, ideal, green, conn, structures = _bench_t3_structures()
+    st, tr = structures[0]
+    for struct, target in ((st, t3), (tr, ideal)):
+        words = au._finite_language(struct.acceptor)
+        monkeypatch.setattr(au, "_LANGUAGE_BOUND", len(words))
+        max_len = len(words[-1])
+        for key, name, bad in _altered_multipliers(struct):
+            if name != "wrong":
+                continue
+            assert bad.multipliers[key].nfa._word_count > len(words)
+            want = (BoundExceeded, f"multiplier {key!r} language exceeds the"
+                    f" bound of {len(words)} listed words")
+            for variant in (bad, _listed_only(bad)):
+                assert _outcome(lambda: au.verify_structure_report(
+                    variant, target, max_len)) == want, key
+                if struct is st:
+                    assert _outcome(lambda: au.transfer_details(
+                        variant, ideal, green, conn)) == want, key
+        monkeypatch.undo()
+
+
+def test_a_pad_letter_is_never_certified():
+    # with the letter "$", the four pairs of ($) and ($, $) convolve to
+    # two strings, so a trie of those two and two strays has as many words
+    # as pairs and accepts each pair's walk: only a listing refuses it
+    pad = au.PAD
+    sem = core.validate_table([[0]])
+    trie = au.nfa_from_words(((pad, pad), ("x", "x")), [
+        ((pad, pad),), ((pad, pad), (pad, pad)),
+        (("x", "x"),), (("x", "x"), ("x", "x"))])
+    rel = au.PaddedRelationNfa((pad,), (pad,), trie)
+    st = au.AutomaticStructure(
+        alphabet=(pad,), letter_eval={pad: 0},
+        acceptor=au.nfa_from_words((pad,), [(pad,), (pad, pad)]),
+        multipliers={"": rel, pad: rel})
+    assert au.verify_structure_report(st, sem, 2) == \
+        au.verify_structure_report(_listed_only(st), sem, 2) == (
+            False, "multiplier '' disagrees on pair (('$',), ('$',)):"
+            " semantic=True accepted=False")
+
+
+def test_an_exact_multiplier_past_the_language_bound_is_named(
+        z6, t03, monkeypatch):
+    # two acceptor words per element of Z6, so each exact multiplier has
+    # 24 pairs against 12 acceptor words: under a bound of 12 its walk and
+    # count would pass, yet a listing names it, so it is listed
+    st = au.structure_for_finite(z6, [1])
+    words = [("a1",) * k for k in range(1, 13)]
+    evals = {w: st.eval_word(z6, w) for w in words}
+    multipliers = {
+        key: au.PaddedRelationNfa.from_pairs(st.alphabet, st.alphabet, [
+            (u, v) for u in words for v in words
+            if z6.mul1(evals[u], factor) == evals[v]])
+        for key, factor in (("", z6.order), ("a1", 1))}
+    doubled = replace(st, acceptor=au.nfa_from_words(st.alphabet, words),
+                      multipliers=multipliers)
+    assert au.verify_structure_report(doubled, z6, 12) == (True, "ok")
+    green = relgreen.relative_green(z6, t03)
+    conn = relgreen.connectors(green)
+    monkeypatch.setattr(au, "_LANGUAGE_BOUND", 12)
+    want = (BoundExceeded,
+            "multiplier '' language exceeds the bound of 12 listed words")
+    for variant in (doubled, _listed_only(doubled)):
+        assert _outcome(lambda: au.verify_structure_report(
+            variant, z6, 12)) == want
+        assert _outcome(lambda: au.transfer_details(
+            variant, t03, green, conn)) == want
 
 
 def _automaton(alphabet, n, trans, initial, accepting):

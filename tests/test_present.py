@@ -88,6 +88,20 @@ def test_a_relation_that_is_not_a_pair_is_refused(rel):
         assert info.type is InputError
 
 
+def test_presentation_stores_tuples_and_refuses_string_words():
+    # lists are stored as tuples, so the presentation equals and hashes as
+    # the tuple-built one; a string word is refused, not read letter by letter
+    built = present.Presentation(("a",), ((("a", "a"), ("a",)),))
+    for alphabet, rels in ((("a",), [(("a", "a"), ("a",))]),
+                           (["a"], [[["a", "a"], ["a"]]])):
+        pres = present.Presentation(alphabet, rels)
+        assert pres == built and hash(pres) == hash(built)
+        assert pres.alphabet == ("a",) and pres.relations == built.relations
+    for rel in (("ab", "a"), (("a", "b"), "a")):
+        with pytest.raises(InputError, match="is a string, not a sequence"):
+            present.Presentation(("a", "b"), [rel])
+
+
 def test_json_round_trip():
     pres = present.Presentation(
         ("b", "d1"), ((("b", "b", "b"), ("b",)), (("d1", "b"), ("b", "d1")))
