@@ -35,6 +35,7 @@ from typing import Iterable, Iterator, Sequence
 from .core import (
     FiniteSemigroup,
     SubSemigroup,
+    _check_count,
     _check_index,
     _generating,
     _target_domain,
@@ -114,12 +115,16 @@ class Nfa:
 
     @cached_property
     def _rank(self) -> dict:
-        """Each symbol on a transition, by its position in the alphabet."""
-        symbols = set().union(*self._outgoing)
-        if isinstance(self.alphabet, PairAlphabet):
-            return {sym: self.alphabet.rank(sym) for sym in symbols}
-        pos = {sym: i for i, sym in enumerate(self.alphabet)}
-        return {sym: pos.get(sym) for sym in symbols}
+        """Each symbol on a transition, by its position in the alphabet;
+        ``InputError`` names the first transition symbol outside it."""
+        alpha = self.alphabet
+        rank = alpha.rank if isinstance(alpha, PairAlphabet) else {
+            sym: i for i, sym in enumerate(alpha)}.__getitem__
+        try:
+            return {sym: rank(sym) for sym in set().union(*self._outgoing)}
+        except (KeyError, ValueError):
+            stray = next(s for _, s, _ in self.transitions if s not in alpha)
+            raise InputError(f"transition uses unknown symbol {stray!r}") from None
 
     def iter_words(self) -> Iterator[tuple]:
         """Accepted words in shortlex order (alphabet order as given);
@@ -284,25 +289,14 @@ def convolve(u: Sequence[str], v: Sequence[str]) -> tuple:
 
 
 def deconvolve(word: Sequence) -> tuple[tuple, tuple]:
-    """Inverse of convolve; raises InputError on malformed padding."""
-    u, v = [], []
-    u_done = v_done = False
-    for x, y in word:
-        if x == PAD and y == PAD:
-            raise InputError("pair symbol ($,$) is not allowed")
-        if x == PAD:
-            u_done = True
-        elif u_done:
-            raise InputError("left track resumes after padding")
-        else:
-            u.append(x)
-        if y == PAD:
-            v_done = True
-        elif v_done:
-            raise InputError("right track resumes after padding")
-        else:
-            v.append(y)
-    return tuple(u), tuple(v)
+    """Inverse of convolve: the tracks stripped of their pads, the (u, v)
+    that ``word`` is convolve(u, v) of, or else ``InputError``."""
+    word = tuple(word)
+    u = tuple(x for x, _y in word if x != PAD)
+    v = tuple(y for _x, y in word if y != PAD)
+    if convolve(u, v) != word:
+        raise InputError(f"{word} is not a convolution of two words")
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -373,9 +367,13 @@ def _epsilon_free(alphabet, n_states, transitions, initial, accepting) -> Nfa:
 @dataclass(frozen=True)
 class AutomaticStructure:
     """A word acceptor onto a semigroup plus one multiplier relation per
-    letter and one for the empty word (key "").  Every letter must have an
-    evaluation and a multiplier, and no other key may occur
-    (``InputError`` otherwise)."""
+    letter and one for the empty word (key "").  It checks its parts when
+    built (``InputError`` otherwise): the letters are distinct and none is
+    the pad symbol, so ``convolve`` is injective over them; each letter has
+    an evaluation and a multiplier, and no other key occurs; each acceptor
+    symbol is a letter, each multiplier symbol in the letters' padded pair
+    alphabet.  Symbols are scanned only in an automaton whose alphabet is
+    not the letters or their ``PairAlphabet``, as the builders give."""
 
     alphabet: tuple[str, ...]
     letter_eval: dict[str, int]
@@ -384,10 +382,23 @@ class AutomaticStructure:
 
     def __post_init__(self):
         letters = set(self.alphabet)
+        if len(letters) != len(self.alphabet) or PAD in letters:
+            raise InputError("track letters must be distinct and differ from"
+                             f" the pad symbol {PAD!r}")
         if set(self.letter_eval) != letters:
             raise InputError("letter_eval keys must be exactly the alphabet")
         if set(self.multipliers) != letters | {""}:
             raise InputError('multiplier keys must be exactly "" and the alphabet')
+        if self.acceptor.alphabet != self.alphabet:
+            _check_symbols(self.acceptor.alphabet, self.alphabet, "acceptor")
+        # multipliers share alphabets: a transfer's all share one
+        alphabets = {id(r.nfa.alphabet): r.nfa.alphabet
+                     for r in self.multipliers.values()}
+        for alpha in alphabets.values():
+            if not (isinstance(alpha, PairAlphabet)
+                    and alpha.left == alpha.right == self.alphabet):
+                pairs = PairAlphabet(self.alphabet, self.alphabet)
+                _check_symbols(alpha, pairs, "multiplier")
 
     def eval_word(self, sem: FiniteSemigroup, word: Sequence[str]) -> int:
         return sem.prod1(self.letter_eval[a] for a in word)
@@ -396,6 +407,14 @@ class AutomaticStructure:
         """``OutOfRange`` unless every letter evaluates into ``sem``."""
         for v in self.letter_eval.values():
             _check_index(v, sem.order, "letter_eval entry")
+
+
+def _check_symbols(alphabet, symbols, what: str) -> None:
+    """``InputError`` naming the first symbol of ``alphabet`` not in ``symbols``."""
+    for sym in alphabet:
+        if sym not in symbols:
+            raise InputError(
+                f"{what} symbol {sym!r} is not over the structure's letters")
 
 
 def structure_for_finite(sem: FiniteSemigroup, gens: Sequence[int]) -> AutomaticStructure:
@@ -436,11 +455,11 @@ def verify_structure_report(
     semantic pairs and no other string (:func:`_semantic_failure`).  An
     acceptor word longer than max_len, as in any infinite language, is
     ``BoundExceeded``; a letter evaluating outside the semigroup is
-    ``OutOfRange`` and a negative ``max_len`` an ``InputError``."""
+    ``OutOfRange``, and a ``max_len`` not an int of at least 0 an
+    ``InputError``; the structure checked its own parts when built."""
     sem, elems = _target_domain(target)
     st._check_letter_evals(sem)
-    if max_len < 0:
-        raise InputError(f"max_len {max_len} is negative")
+    _check_count(max_len, "max_len")
     words = list(_listed(st.acceptor, max_len))
     if words and len(words[-1]) > max_len:
         raise BoundExceeded(
@@ -457,10 +476,10 @@ def _semantic_failure(st, sem, elems, words):
     exactly the convolutions of its semantic pairs: the (u, v) of acceptor
     words whose evaluations satisfy eval(v) = eval(u)·a for key a, or
     eval(v) = eval(u) for key "".  Keys are checked in order.  A trie
-    stating at most ``_LANGUAGE_BOUND`` words passes, when no letter is the
-    pad symbol, if each semantic pair's convolution walks to acceptance and
-    the pairs are as many as its words: the pairs are distinct and
-    ``convolve`` is then injective, so the language is exactly their
+    stating at most ``_LANGUAGE_BOUND`` words passes if each semantic
+    pair's convolution walks to acceptance and the pairs are as many as its
+    words: the pairs are distinct and ``convolve`` is injective, since no
+    letter is the pad symbol, so the language is exactly their
     convolutions, and a listing would find no other string, no missing pair
     and no bound.  Any other multiplier is listed, once per automaton, up
     to its first string longer than the longest acceptor word, which cannot
@@ -480,13 +499,12 @@ def _semantic_failure(st, sem, elems, words):
     by_eval: dict[int, list] = {}
     for w, e in evals.items():
         by_eval.setdefault(e, []).append(w)
-    injective = PAD not in st.alphabet
     strings: dict[int, list] = {}  # by id(nfa): letters may share one
     for key, rel in sorted(st.multipliers.items()):
         factor = st.letter_eval[key] if key else sem.order
         partners = [(u, by_eval.get(sem.mul1(e, factor), ()))
                     for u, e in evals.items()]
-        if injective and _walks_and_counts(rel.nfa, partners):
+        if _walks_and_counts(rel.nfa, partners):
             continue
         semantic = {(u, v) for u, vs in partners for v in vs}
         # one listing gives the accepted pairs and the first stray string
@@ -746,10 +764,8 @@ def nfa_from_json(data: dict) -> Nfa:
     ``states`` at most one more than the largest state id that occurs, the
     alphabet, transitions, initial and accepting states lists, and every
     other symbol a string or a two-string pair."""
-    n = data.get("states") if isinstance(data, dict) else None
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise InputError(
-            f"automaton 'states' {n!r} is not a nonnegative integer")
+    n = _check_count(data.get("states") if isinstance(data, dict) else None,
+                     "automaton 'states'")
     alphabet = tuple(
         _symbol(s) for s in _field(data, "alphabet", list, "automaton"))
     known = set(alphabet)
@@ -790,39 +806,23 @@ def structure_to_json(st: AutomaticStructure) -> dict:
     }
 
 
-def _nfa_over(data, symbols, what: str) -> Nfa:
-    """:func:`nfa_from_json`, refusing a symbol not in ``symbols``."""
-    nfa = nfa_from_json(data)
-    stray = [sym for sym in nfa.alphabet if sym not in symbols]
-    if stray:
-        raise InputError(f"{what} symbol {stray[0]!r} is not over the structure's letters")
-    return nfa
-
-
 def structure_from_json(data: dict) -> AutomaticStructure:
     """Read a structure written by :func:`structure_to_json`; the letters
-    must be distinct strings other than the pad symbol, their evaluations
-    ints, every acceptor symbol a letter and every multiplier symbol in
-    the padded pair alphabet of the letters (``InputError`` otherwise, also
-    for any automaton :func:`nfa_from_json` refuses)."""
+    must be strings (``InputError`` otherwise, also for any automaton
+    :func:`nfa_from_json` refuses and any part :class:`AutomaticStructure`
+    refuses)."""
     alphabet = tuple(_field(data, "alphabet", list, "structure"))
     if not all(isinstance(a, str) for a in alphabet):
         raise InputError("structure letters must be strings")
-    pairs = PairAlphabet(alphabet, alphabet)
     letter_eval = dict(_field(data, "letter_eval", dict, "structure"))
-    if any(isinstance(v, bool) or not isinstance(v, int)
-           for v in letter_eval.values()):
-        raise InputError("letter_eval values must be integers")
-    acceptor = _nfa_over(_field(data, "acceptor", dict, "structure"),
-                         alphabet, "acceptor")
+    acceptor = nfa_from_json(_field(data, "acceptor", dict, "structure"))
     multipliers = {}
     # multipliers with equal JSON share one relation, as after transfer
     loaded: list[tuple[dict, PaddedRelationNfa]] = []
     for key, sub in _field(data, "multipliers", dict, "structure").items():
         rel = next((r for seen, r in loaded if seen == sub), None)
         if rel is None:
-            rel = PaddedRelationNfa(left_alphabet=alphabet, right_alphabet=alphabet,
-                                    nfa=_nfa_over(sub, pairs, "multiplier"))
+            rel = PaddedRelationNfa(alphabet, alphabet, nfa_from_json(sub))
             loaded.append((sub, rel))
         multipliers[key] = rel
     return AutomaticStructure(alphabet=alphabet, letter_eval=letter_eval,

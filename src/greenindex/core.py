@@ -313,11 +313,21 @@ def _first_witnesses(sem, sub, xs, *, left: bool = False) -> list[dict[int, int]
     return [dict(zip(products(x), rev)) for x in xs]
 
 
-def _check_index(x, limit: int, what: str) -> int:
-    """``x`` if it is an int (not a bool) in [0, limit), else
+def _check_index(x, limit: int, what: str, least: int = 0) -> int:
+    """``x`` if it is an int (not a bool) in [least, limit), else
     ``OutOfRange``: a negative index would silently wrap."""
-    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < limit:
-        raise OutOfRange(f"{what} {x!r} not in [0, {limit})")
+    if isinstance(x, bool) or not isinstance(x, int) or not least <= x < limit:
+        raise OutOfRange(f"{what} {x!r} not in [{least}, {limit})")
+    return x
+
+
+def _check_count(x, what: str, least: int = 0) -> int:
+    """``x`` if it is an int (not a bool) of at least ``least``, 0 or 1,
+    else ``InputError``: a float or a bool would pass a comparison."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} must be an integer, not {x!r}")
+    if x < least:
+        raise InputError(f"{what} must be {'positive' if least else 'nonnegative'}")
     return x
 
 

@@ -12,6 +12,7 @@ from .core import (
     BlackBoxSemigroup,
     FiniteSemigroup,
     SubSemigroup,
+    _check_count,
     _check_index,
     _first_witnesses,
     _generated,
@@ -93,8 +94,7 @@ def out_ball(sem, gens, start, radius: int, budget: int = DEFAULT_BUDGET):
     tuple of distinct elements in discovery order; exploring more than
     ``budget`` of them raises BudgetExceeded.
     """
-    if radius < 0:
-        raise InputError("radius must be nonnegative")
+    _check_count(radius, "radius")
     if isinstance(sem, FiniteSemigroup):
         words = _words(sem, gens)
         _check_index(start, sem.order + 1, "start")
@@ -108,8 +108,7 @@ def growth_function(sem, gens, m_max: int, budget: int = DEFAULT_BUDGET) -> Grow
     """Ball sizes around the adjoined identity for radii 0..m_max: read off
     the shortlex word lengths for a FiniteSemigroup, off one BFS level by
     level for a BlackBoxSemigroup."""
-    if m_max < 0:
-        raise InputError("m_max must be nonnegative")
+    _check_count(m_max, "m_max")
     if isinstance(sem, FiniteSemigroup):
         return _series(_words(sem, gens), m_max)
     return tuple(
@@ -145,8 +144,7 @@ def domination_check(
     generate T (NotGenerating otherwise; ``OutOfRange`` for an index that is
     not an element); a negative ``m_max`` or T of another S is an ``InputError``.
     """
-    if m_max < 0:
-        raise InputError("m_max must be nonnegative")
+    _check_count(m_max, "m_max")
     n = sub._checked_parent(sem).order
     over_b = _generating(sem, b_gens, sub.members, "T")
     for r in r_set:

@@ -30,6 +30,7 @@ from .core import (
     FiniteSemigroup,
     Generated,
     SubSemigroup,
+    _check_count,
     _check_index,
     _generated,
     _target_domain,
@@ -344,7 +345,7 @@ def enumerate_presentation(
     definition was due after max(64, 8 * ``max_classes``) nodes besides
     the root, or the quotient closed with over ``max_classes`` classes.
     """
-    _check_max_classes(max_classes)
+    _check_count(max_classes, "max_classes", 1)
     letter_pos = {a: i for i, a in enumerate(pres.alphabet)}
     rels = [
         (tuple(letter_pos[a] for a in u), tuple(letter_pos[a] for a in v))
@@ -415,15 +416,6 @@ def evaluate_word(sem: FiniteSemigroup, assignment: Mapping[str, int], word: Wor
     return sem.prod1([assignment[a] for a in word])
 
 
-def _check_max_classes(max_classes) -> None:
-    """A class bound is an int, not a bool, of at least 1 (``InputError``
-    otherwise), checked before any other work."""
-    if isinstance(max_classes, bool) or not isinstance(max_classes, int):
-        raise InputError(f"max_classes must be an integer, not {max_classes!r}")
-    if max_classes <= 0:
-        raise InputError("max_classes must be positive")
-
-
 def _check_assignment(
     pres: Presentation, assignment: Mapping[str, int], n: int
 ) -> None:
@@ -460,7 +452,7 @@ def verify_presentation(
     cannot be enumerated within ``max_classes`` classes.
     """
     if max_classes is not None:
-        _check_max_classes(max_classes)
+        _check_count(max_classes, "max_classes", 1)
     sem, elems = _target_domain(target)
     over, tree = _spelling(pres, sem, assignment)
     if over.members != frozenset(elems):
@@ -718,7 +710,7 @@ def synthesize_presentation(
     word-checked (``InvalidLetter``).
     """
     if max_classes is not None:
-        _check_max_classes(max_classes)
+        _check_count(max_classes, "max_classes", 1)
     green._check_built_from(conn=conn)
     sem = green.sem
     tree = _letter_factorizer(green.sub, q_pres, q_assign)

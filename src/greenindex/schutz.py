@@ -15,6 +15,7 @@ from typing import Sequence
 from .core import (
     FiniteSemigroup,
     SubSemigroup,
+    _check_index,
     _first_witnesses,
     _generating,
     _right_generators,
@@ -25,7 +26,6 @@ from .errors import (
     InternalInconsistency,
     NotAnHClass,
     NotComparable,
-    OutOfRange,
 )
 from .relgreen import GreenData, _witness
 
@@ -130,8 +130,7 @@ def class_group(green: GreenData, i: int) -> SchutzGroup:
     """The Schutzenberger group of complement class i, based at the class
     representative: :func:`schutz_group`'s, read straight from its cache
     once built, since a class index names a valid H-class."""
-    if not 1 <= i < green.class_count:
-        raise OutOfRange(f"complement class {i} not in [1, {green.class_count})")
+    _check_index(i, green.class_count, "complement class", 1)
     rep = green.reps[i - 1]
     built = green._group_cache.get(rep)
     return built or schutz_group(green.sem, green.sub,

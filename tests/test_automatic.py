@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from functools import cached_property
 from itertools import product
@@ -116,6 +117,37 @@ def test_padding_validity():
         ),
     )
     assert not is_padding_valid(bad)
+
+
+def test_deconvolve_accepts_exactly_the_convolutions():
+    # by its definition: a string is accepted exactly when it is
+    # convolve(u, v) of some pair of words, and gives back that pair
+    letters = ("a", "b")
+    pairs = {au.convolve(u, v): (u, v) for u in words_upto(letters, 3)
+             for v in words_upto(letters, 3)}
+    assert len(pairs) == 15 * 15  # convolve is injective
+    alpha = au.PairAlphabet(letters, letters)
+    for s in words_upto(tuple(alpha), 3):
+        if s in pairs:
+            assert au.deconvolve(s) == pairs[s]
+        else:
+            with pytest.raises(InputError, match="is not a convolution"):
+                au.deconvolve(s)
+
+
+@pytest.mark.parametrize("alphabet, stray", [
+    (("a",), "b"),
+    (au.PairAlphabet(("a",), ("a",)), ("b", "a")),
+])
+def test_a_transition_symbol_outside_the_alphabet_is_refused(alphabet, stray):
+    # listing a hand-built automaton used to end in a TypeError (a tuple
+    # alphabet) or a bare ValueError (a pair alphabet)
+    nfa = au.Nfa(alphabet=alphabet, n_states=3,
+                 transitions=((0, next(iter(alphabet)), 1), (0, stray, 2)),
+                 initial=frozenset({0}), accepting=frozenset({1, 2}))
+    with pytest.raises(InputError, match="^transition uses unknown symbol"
+                       f" {re.escape(repr(stray))}$"):
+        list(nfa.iter_words())
 
 
 def _epsilon_parts(extra=(), accepting=(2,)):
@@ -1164,6 +1196,25 @@ def _bench_t3_structures():
     return t3, ideal, green, conn, out
 
 
+def test_bench_structures_construct_without_scanning_a_symbol(monkeypatch):
+    # the builders give every automaton the letters or their PairAlphabet,
+    # so the constructor compares tracks and scans no symbol; a scan, made
+    # here, finds every symbol over the letters
+    def no_scan(*args):
+        raise AssertionError("a bench structure's symbols were scanned")
+
+    monkeypatch.setattr(au, "_check_symbols", no_scan)
+    structures = [replace(struct) for pair in _bench_t3_structures()[-1]
+                  for struct in pair]
+    monkeypatch.undo()
+    assert len(structures) == 2 * len(BENCH_T3_SETS)
+    for struct in structures:
+        au._check_symbols(struct.acceptor.alphabet, struct.alphabet, "acceptor")
+        pairs = au.PairAlphabet(struct.alphabet, struct.alphabet)
+        for rel in struct.multipliers.values():
+            au._check_symbols(rel.nfa.alphabet, pairs, "multiplier")
+
+
 def test_certified_multipliers_fail_as_listed_ones_do():
     # a multiplier certified by walk and count, or refused by the listing
     # it then falls back to, gets the verdict and message of the reference
@@ -1217,22 +1268,22 @@ def test_a_multiplier_past_the_language_bound_is_named(monkeypatch):
 
 def test_a_pad_letter_is_never_certified():
     # with the letter "$", the four pairs of ($) and ($, $) convolve to
-    # two strings, so a trie of those two and two strays has as many words
-    # as pairs and accepts each pair's walk: only a listing refuses it
+    # two strings, so a trie of those two and two strays would have as many
+    # words as pairs and accept each pair's walk; the walk and count is
+    # sound because no structure has such a letter: the constructor
+    # refuses it, as the reader does
     pad = au.PAD
-    sem = core.validate_table([[0]])
     trie = au.nfa_from_words(((pad, pad), ("x", "x")), [
         ((pad, pad),), ((pad, pad), (pad, pad)),
         (("x", "x"),), (("x", "x"), ("x", "x"))])
     rel = au.PaddedRelationNfa((pad,), (pad,), trie)
-    st = au.AutomaticStructure(
-        alphabet=(pad,), letter_eval={pad: 0},
-        acceptor=au.nfa_from_words((pad,), [(pad,), (pad, pad)]),
-        multipliers={"": rel, pad: rel})
-    assert au.verify_structure_report(st, sem, 2) == \
-        au.verify_structure_report(_listed_only(st), sem, 2) == (
-            False, "multiplier '' disagrees on pair (('$',), ('$',)):"
-            " semantic=True accepted=False")
+    with pytest.raises(InputError, match=re.escape(
+            "track letters must be distinct and differ from the pad symbol"
+            " '$'")):
+        au.AutomaticStructure(
+            alphabet=(pad,), letter_eval={pad: 0},
+            acceptor=au.nfa_from_words((pad,), [(pad,), (pad, pad)]),
+            multipliers={"": rel, pad: rel})
 
 
 def test_an_exact_multiplier_past_the_language_bound_is_named(

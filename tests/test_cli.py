@@ -6,6 +6,7 @@ import json
 import pathlib
 import resource
 import shlex
+from dataclasses import replace
 
 import pytest
 from helpers import invalid_transfer_inputs, nonperm_ideal
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenindex import automatic, cli, core, factories, present
+from greenindex.errors import InputError
 
 
 @pytest.fixture()
@@ -676,6 +678,55 @@ def test_auto_refuses_symbols_outside_the_letters(files, capsys, command, case):
     assert captured.err == f"input error: {message}\n"
 
 
+def _relabelled(nfa, symbol):
+    """``nfa`` with every symbol replaced by ``symbol``, as :func:`_over`
+    edits its JSON."""
+    return replace(nfa, alphabet=(symbol,), transitions=tuple(
+        (s, symbol, d) for s, _sym, d in nfa.transitions))
+
+
+def _multiplier_over(symbol):
+    def edit(struct):
+        rel = struct.multipliers["a1"]
+        rel = replace(rel, nfa=_relabelled(rel.nfa, symbol))
+        return replace(struct, multipliers={**struct.multipliers, "a1": rel})
+    return edit
+
+
+# the hand-built twin of each FOREIGN_SYMBOLS edit
+HAND_BUILT = {
+    "multiplier-x": _multiplier_over("x"),
+    "multiplier-a1": _multiplier_over("a1"),
+    "acceptor-zz": lambda struct: replace(
+        struct, acceptor=_relabelled(struct.acceptor, "zz")),
+    "acceptor-pair": lambda struct: replace(
+        struct, acceptor=_relabelled(struct.acceptor, ("a1", "a1"))),
+    "duplicate-letter": lambda struct: replace(
+        struct, alphabet=struct.alphabet + ("a1",)),
+    "pad-letter": lambda struct: replace(
+        struct, alphabet=struct.alphabet + ("$",),
+        letter_eval={**struct.letter_eval, "$": 1},
+        multipliers={**struct.multipliers, "$": struct.multipliers["a1"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_SYMBOLS))
+def test_hand_built_structures_are_refused_as_read_ones_are(files, capsys, z6,
+                                                            case):
+    # the structure checks its own parts, so a hand-built one gets the
+    # message the CLI prints for its file; the acceptor "zz" used to end
+    # in a KeyError and the duplicate letter to verify
+    sem_path, _, _ = files
+    code, out = run(capsys, "auto", "build", "--semigroup", sem_path,
+                    "--gens", "1")
+    struct = automatic.structure_for_finite(z6, [1])
+    assert code == 0 and automatic.structure_to_json(struct) == json.loads(out)
+    assert HAND_BUILT.keys() == FOREIGN_SYMBOLS.keys()
+    with pytest.raises(InputError) as info:
+        HAND_BUILT[case](struct)
+    assert str(info.value) == FOREIGN_SYMBOLS[case][1]
+
+
 def test_auto_verify_names_a_max_len_that_is_too_small(files, capsys):
     # the longest accepted word is a1^6; --max-len 5 used to print
     # "verified: false" with a missing element
@@ -693,7 +744,7 @@ def test_auto_verify_names_a_max_len_that_is_too_small(files, capsys):
     code = cli.main(argv + ["-1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "input error: max_len -1 is negative\n"
+    assert captured.err == "input error: max_len must be nonnegative\n"
     code, out = run(capsys, *argv, "6")
     assert code == 0 and json.loads(out) == {"verified": True, "reason": "ok"}
 

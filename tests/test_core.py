@@ -253,6 +253,50 @@ def test_subsemigroup_refuses_members_that_are_not_indices(z6):
         core.SubSemigroup(parent=z6, members=frozenset({6}))
 
 
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, -1])
+def test_every_count_and_bound_is_an_int_of_at_least_its_least(z6, t03, value):
+    # True used to count as 1 and 6.5 or 1.5 to pass a comparison; 2.0
+    # ended in a TypeError
+    struct = automatic.structure_for_finite(z6, [1])
+    pres, assign = present.presentation_from_table(z6)
+    q, qa = present.sub_table_presentation(z6, t03)
+    green = relgreen.relative_green(z6, t03)
+    packs = present.build_schutz_packs(z6, t03, green, q, qa)
+    calls = [
+        ("max_len", lambda x: automatic.verify_structure_report(struct, z6, x)),
+        ("m_max", lambda x: growth.growth_function(z6, [1], x)),
+        ("m_max", lambda x: growth.domination_check(z6, t03, [6], [3], x)),
+        ("radius", lambda x: growth.out_ball(z6, [1], 0, radius=x)),
+        ("max_classes", lambda x: present.verify_presentation(
+            pres, z6, assign, max_classes=x)),
+        ("max_classes", lambda x: present.enumerate_presentation(pres, x)),
+        ("max_classes", lambda x: present.synthesize_presentation(
+            q, qa, packs, green, relgreen.connectors(green), max_classes=x)),
+    ]
+    for what, call in calls:
+        if value == -1:
+            least = "positive" if what == "max_classes" else "nonnegative"
+            message = f"{what} must be {least}"
+        else:
+            message = f"{what} must be an integer, not {value!r}"
+        with pytest.raises(InputError) as info:
+            call(value)
+        assert str(info.value) == message, what
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_a_class_index_is_an_int_not_a_bool_or_a_float(z6, t03, value):
+    # True used to name class 1, and 1.0 ended in a TypeError
+    green = relgreen.relative_green(z6, t03)
+    message = f"complement class {value!r} not in [1, {green.class_count})"
+    for call in (lambda: schutz.class_group(green, value),
+                 lambda: schutz.check_L_R_transport(green, value, 1),
+                 lambda: schutz.check_L_R_transport(green, 1, value)):
+        with pytest.raises(OutOfRange) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_closure_examples(z6):
     assert core.closure(z6, [2]).members == {0, 2, 4}
     assert core.closure(z6, [3]).members == {0, 3}
