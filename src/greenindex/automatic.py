@@ -12,17 +12,18 @@ Each automaton looks up the rank of each symbol it uses once.  A trie
 knows when it is built: every state is useful, each state's out-edges, and
 its word count, so listing it derives no fact.
 
+Every structure the library builds is the structure of a word map, each
+acceptor word to its evaluation, and one builder, ``_structure_of``, makes
+it: the acceptor is the trie of the words and each multiplier the trie of
+its semantic pairs, M_f = {(u, v) : eval(v) = eval(u)·f}.  The canonical
+structure of a finite semigroup maps its shortlex words; a transfer maps
+each transferred word to the evaluation of the word it rewrites.
 Transfer reads structures with a finite acceptor language over a finite
-semigroup, so it first checks its input exactly: every multiplier then
-accepts exactly the pairs of acceptor words its evaluations prescribe.
-The check, shared with verification, certifies a trie multiplier by
+semigroup, so it first checks its input exactly against the same pairs:
+the check, shared with verification, certifies a trie multiplier by
 walking its semantic pairs and counting them, and lists an automaton only
 when it states no count (read from JSON) or to name the first failure.
-The paper's conjugation of each multiplier through the rewriting relation
-is read off those evaluations, and no relation is composed as an
-automaton.  A transferred structure keeps only the letters that occur in
-some transferred word, and every letter with one evaluation shares one
-multiplier.
+No relation is composed as an automaton.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ _LANGUAGE_BOUND = 10_000_000  # the most words _listed lists
 class Nfa:
     """A nondeterministic finite automaton without epsilon moves.  The
     alphabet is a tuple of symbols or, for relations, a PairAlphabet.
-    The reader removes epsilon moves (:func:`nfa_from_json`); a transition
-    whose symbol is None is refused with ``InputError`` by the first
-    operation that reads the transitions."""
+    The constructor refuses an ``n_states`` that is not a count
+    (``InputError``) and a state id not an int in [0, n_states)
+    (``OutOfRange``), for the reader too (:func:`nfa_from_json`, which also
+    removes epsilon moves); a transition whose symbol is None is refused
+    with ``InputError`` by the first read of the transitions."""
 
     alphabet: tuple | PairAlphabet
     n_states: int
@@ -68,6 +71,15 @@ class Nfa:
     accepting: frozenset
     # the number of accepted words, which only a trie states (:func:`_trie`)
     _word_count = None
+
+    def __post_init__(self):
+        n = _check_count(self.n_states, "automaton 'states'")
+        for src, _sym, dst in self.transitions:
+            _check_index(src, n, "transition source")
+            _check_index(dst, n, "transition target")
+        for key in ("initial", "accepting"):
+            object.__setattr__(self, key, frozenset(
+                _check_index(q, n, f"{key} state") for q in getattr(self, key)))
 
     @cached_property
     def _outgoing(self) -> list[dict]:
@@ -196,7 +208,8 @@ def _trie(alphabet, words: list) -> Nfa:
     useful states and its out-edges, each target as a one-tuple, rather
     than deriving them (unless a symbol is None, an epsilon move its first
     read must refuse).  Each accepting state ends one distinct word, so its
-    word count is stated too: an int, not the words."""
+    word count is stated too: an int, not the words.  Its state ids are in
+    range by construction, so it is built without the constructor's check."""
     out: list[dict] = [{}]
     trans = []
     accepting = set()
@@ -212,13 +225,10 @@ def _trie(alphabet, words: list) -> Nfa:
                 q = len(out)
                 out.append({})
         accepting.add(q)
-    nfa = Nfa(
-        alphabet=alphabet,
-        n_states=len(out),
-        transitions=tuple(trans),
-        initial=frozenset({0}),
-        accepting=frozenset(accepting),
-    )
+    nfa = object.__new__(Nfa)
+    nfa.__dict__.update(alphabet=alphabet, n_states=len(out),
+                        transitions=tuple(trans), initial=frozenset({0}),
+                        accepting=frozenset(accepting))
     if all(None not in edges for edges in out):
         nfa.__dict__.update(_outgoing=out, _coaccessible=frozenset(range(len(out))),
                             _word_count=len(accepting))
@@ -419,31 +429,48 @@ def _check_symbols(alphabet, symbols, what: str) -> None:
 
 def structure_for_finite(sem: FiniteSemigroup, gens: Sequence[int]) -> AutomaticStructure:
     """The canonical automatic structure of a finite semigroup: shortlex
-    normal forms as the word acceptor, multiplier relations listed pair by
-    pair."""
+    normal forms as the word acceptor, one letter a<g> per generator g."""
     over = _generating(sem, gens, sem.elements, "the semigroup")
-    gens, forms = over.gens, over.words
-    letters = {g: f"a{g}" for g in gens}
-    alphabet = tuple(letters[g] for g in gens)
-    rep = {
-        elt: tuple(letters[g] for g in word) for elt, word in forms.items()
-    }
-    acceptor = nfa_from_words(alphabet, rep.values())
-    multipliers: dict[str, PaddedRelationNfa] = {}
-    multipliers[""] = PaddedRelationNfa.from_pairs(
-        alphabet, alphabet, [(w, w) for w in rep.values()]
-    )
-    for g in gens:
-        pairs = [(rep[x], rep[sem.mul(x, g)]) for x in sorted(rep)]
-        multipliers[letters[g]] = PaddedRelationNfa.from_pairs(
-            alphabet, alphabet, pairs
-        )
+    return _structure_of(sem, {f"a{g}": g for g in over.gens}, {
+        tuple(f"a{g}" for g in w): e for e, w in over.words.items()})
+
+
+def _structure_of(sem, letter_eval: dict, words: dict) -> AutomaticStructure:
+    """The structure of the word map ``words``, each acceptor word (over
+    the letters of ``letter_eval``, by construction) to its evaluation: the
+    acceptor is the trie of the words, and each multiplier the trie of its
+    semantic pairs (:func:`_partners`), one trie per distinct factor, so
+    letters with one evaluation share one."""
+    alphabet = tuple(letter_eval)
+    pair_alphabet = PairAlphabet(alphabet, alphabet)
+    by_eval = _by_eval(words)
+    tries: dict[int, PaddedRelationNfa] = {}
+    for factor in (sem.order, *letter_eval.values()):
+        if factor not in tries:
+            tries[factor] = PaddedRelationNfa(alphabet, alphabet, _trie(
+                pair_alphabet, sorted((convolve(u, v) for u, v in _partners(
+                    sem, words, factor, by_eval)), key=_shortlex)))
     return AutomaticStructure(
-        alphabet=alphabet,
-        letter_eval={letters[g]: g for g in gens},
-        acceptor=acceptor,
-        multipliers=multipliers,
-    )
+        alphabet=alphabet, letter_eval=letter_eval,
+        acceptor=_trie(alphabet, sorted(words, key=_shortlex)),
+        multipliers={"": tries[sem.order],
+                     **{a: tries[e] for a, e in letter_eval.items()}})
+
+
+def _by_eval(words: dict) -> dict[int, list]:
+    """The words of each evaluation, in the order of ``words``."""
+    by_eval: dict[int, list] = {}
+    for w, e in words.items():
+        by_eval.setdefault(e, []).append(w)
+    return by_eval
+
+
+def _partners(sem, words: dict, factor: int, by_eval: dict) -> list[tuple]:
+    """The semantic pairs of a multiplier over the word map ``words``: every
+    (u, v) with eval(v) = eval(u)·factor, where the factor ``sem.order`` is
+    the adjoined identity (the key "")."""
+    return [(u, v) for u, e in words.items()
+            for v in by_eval.get(sem.mul1(e, factor), ())]
 
 
 def verify_structure_report(
@@ -496,17 +523,14 @@ def _semantic_failure(st, sem, elems, words):
         return f"acceptor is not onto; missing elements {missing}", evals
     longest = max(map(len, words), default=0)
     position = {w: i for i, w in enumerate(evals)}
-    by_eval: dict[int, list] = {}
-    for w, e in evals.items():
-        by_eval.setdefault(e, []).append(w)
+    by_eval = _by_eval(evals)
     strings: dict[int, list] = {}  # by id(nfa): letters may share one
     for key, rel in sorted(st.multipliers.items()):
         factor = st.letter_eval[key] if key else sem.order
-        partners = [(u, by_eval.get(sem.mul1(e, factor), ()))
-                    for u, e in evals.items()]
-        if _walks_and_counts(rel.nfa, partners):
+        pairs = _partners(sem, evals, factor, by_eval)
+        if _walks_and_counts(rel.nfa, pairs):
             continue
-        semantic = {(u, v) for u, vs in partners for v in vs}
+        semantic = set(pairs)
         # one listing gives the accepted pairs and the first stray string
         accepted = set()
         stray = None
@@ -539,24 +563,22 @@ def _semantic_failure(st, sem, elems, words):
     return None, evals
 
 
-def _walks_and_counts(nfa: Nfa, partners) -> bool:
+def _walks_and_counts(nfa: Nfa, pairs: list) -> bool:
     """Whether the trie ``nfa`` states at most ``_LANGUAGE_BOUND`` words, as
-    many as the pairs (u, v) of ``partners``' (u, vs), and accepts each."""
+    many as the distinct ``pairs`` (u, v), and accepts each."""
     count = nfa._word_count
-    if count is None or count > _LANGUAGE_BOUND or count != sum(
-            len(vs) for _u, vs in partners):
+    if count is None or count > _LANGUAGE_BOUND or count != len(pairs):
         return False
     out, accepting = nfa._outgoing, nfa.accepting
-    for u, vs in partners:
-        for v in vs:
-            q = 0
-            for sym in zip_longest(u, v, fillvalue=PAD):
-                dst = out[q].get(sym)
-                if dst is None:
-                    return False
-                (q,) = dst
-            if q not in accepting:
+    for u, v in pairs:
+        q = 0
+        for sym in zip_longest(u, v, fillvalue=PAD):
+            dst = out[q].get(sym)
+            if dst is None:
                 return False
+            (q,) = dst
+        if q not in accepting:
+            return False
     return True
 
 
@@ -621,13 +643,11 @@ def transfer_details(
     with its unique transferred word, named by the two-pass push, with
     letters evaluating to the adjoined identity dropped; it is built pair
     by pair.  The structure keeps the letters that occur in some transferred
-    word, and its acceptor lists the transferred words.  The multiplier of
-    a letter b is R⁻¹ ∘ M_w ∘ R, for w an acceptor word of b's evaluation.
-    The check proves each M_a exact and the acceptor onto S, so M_w(u) is
-    every acceptor word v with eval(v) = eval(u)·eval(b), and the multiplier
-    is read off the evaluations: every (R(u), R(v)) with u and v in the
-    domain of R and eval(v) = eval(u)·eval(b), the adjoined identity for the
-    key "".  Letters with one evaluation share one multiplier.
+    word.  The multiplier of a letter b is R⁻¹ ∘ M_w ∘ R, for w an acceptor
+    word of b's evaluation.  The check proves each M_a exact and the
+    acceptor onto S, so M_w(u) is every acceptor word v with eval(v) =
+    eval(u)·eval(b), and the structure is that of the word map R(u) ↦
+    eval(u) (:func:`_structure_of`).
     """
     sem = green.sem
     st._check_letter_evals(sem)
@@ -647,38 +667,11 @@ def transfer_details(
             pairs.append(pair)
     used = {b for _u, v in pairs for b in v}
     kept = tuple(a for a in letters.names if a in used)
-    restricted = PaddedRelationNfa.from_pairs(st.alphabet, kept, pairs)
-
-    # the partners of each evaluation; conjugate(factor) pairs R(u) with
-    # the partner of every v in T with eval(v) = eval(u)·factor
-    partners_of: dict[int, list] = {}
-    for u, ru in pairs:
-        partners_of.setdefault(evals[u], []).append(ru)
-    kept_pairs = PairAlphabet(kept, kept)
-
-    # the R-words are over ``kept``, checked by building ``restricted``, so
-    # each conjugate is built as a trie with no letter check
-    def conjugate(factor):
-        return PaddedRelationNfa(kept, kept, _trie(kept_pairs, sorted(
-            (convolve(ru, rv) for u, ru in pairs
-             for rv in partners_of.get(sem.mul1(evals[u], factor), ())),
-            key=_shortlex)))
-
-    letter_eval = {b: letters.evals[b] for b in kept}
-    by_eval = {e: conjugate(e) for e in set(letter_eval.values())}
-    multipliers = {"": conjugate(sem.order)}
-    multipliers.update((b, by_eval[e]) for b, e in letter_eval.items())
-    structure = AutomaticStructure(
-        alphabet=kept,
-        letter_eval=letter_eval,
-        acceptor=nfa_from_words(kept, (ru for _u, ru in pairs)),
-        multipliers=multipliers,
-    )
     return TransferResult(
         letters=letters,
-        restricted_relation=restricted,
-        structure=structure,
-    )
+        restricted_relation=PaddedRelationNfa.from_pairs(st.alphabet, kept, pairs),
+        structure=_structure_of(sem, {b: letters.evals[b] for b in kept},
+                                {ru: evals[u] for u, ru in pairs}))
 
 
 def _rewrite_pair(st, conn, u, value):
@@ -764,8 +757,6 @@ def nfa_from_json(data: dict) -> Nfa:
     ``states`` at most one more than the largest state id that occurs, the
     alphabet, transitions, initial and accepting states lists, and every
     other symbol a string or a two-string pair."""
-    n = _check_count(data.get("states") if isinstance(data, dict) else None,
-                     "automaton 'states'")
     alphabet = tuple(
         _symbol(s) for s in _field(data, "alphabet", list, "automaton"))
     known = set(alphabet)
@@ -778,21 +769,21 @@ def nfa_from_json(data: dict) -> Nfa:
         sym = None if sym is None else _symbol(sym)
         if sym is not None and sym not in known:
             raise InputError(f"transition uses unknown symbol {sym!r}")
-        trans.append((_check_index(src, n, "transition source"), sym,
-                      _check_index(dst, n, "transition target")))
-
-    def states(key):
-        return frozenset(_check_index(q, n, f"{key} state")
-                         for q in _field(data, key, list, "automaton"))
-
-    initial, accepting = states("initial"), states("accepting")
+        trans.append((src, sym, dst))
+    # the constructor checks the count and every state id before the count
+    # of used states and the epsilon closure read them
+    nfa = Nfa(alphabet, data.get("states"), tuple(trans),
+              *(_field(data, key, list, "automaton")
+                for key in ("initial", "accepting")))
     # a state no id names is never used, and each one costs memory
+    n = nfa.n_states
     used = 1 + max([q for s, _sym, d in trans for q in (s, d)]
-                   + [*initial, *accepting], default=-1)
+                   + [*nfa.initial, *nfa.accepting], default=-1)
     if n > used:
         raise InputError(
             f"automaton 'states' {n} is more than the {used} its state ids use")
-    return _epsilon_free(alphabet, n, tuple(trans), initial, accepting)
+    return _epsilon_free(alphabet, n, nfa.transitions, nfa.initial,
+                         nfa.accepting)
 
 
 def structure_to_json(st: AutomaticStructure) -> dict:

@@ -80,7 +80,7 @@ class BoundExceeded(GreenIndexError):
 
 
 class AlphabetMismatch(GreenIndexError):
-    """Two automata were combined over different alphabets."""
+    """A word given to a trie builder has a symbol outside its alphabet."""
 
 
 # Nothing raises this since composition needs no bound; perfbench imports it.

@@ -51,6 +51,12 @@ Word = tuple[str, ...]
 Assignment = dict[str, int]
 
 
+def _check_letters(alphabet: tuple) -> None:
+    """``InputError`` unless every letter is a nonempty string."""
+    if not all(isinstance(a, str) and a for a in alphabet):
+        raise InputError("presentation letters must be nonempty strings")
+
+
 def _check_words(letters: set[str], relations) -> None:
     """Refuse the first relation that is not a pair or has a word that is
     empty or a string (``InputError``) or a letter not in ``letters``
@@ -75,12 +81,13 @@ def _check_words(letters: set[str], relations) -> None:
 class Presentation:
     """An alphabet together with pairs of nonempty words declared equal.
 
-    The constructor is the input boundary: it refuses a repeated letter
-    and, by ``_check_words``, a bad relation, and stores the alphabet as a
-    tuple and the relations as a tuple of pairs of tuples, however they
-    were given.  The library's builders, whose words are nonempty tuples
-    over their alphabet by construction, build through ``_of_letters``,
-    which does not re-read them.
+    The constructor is the input boundary: it refuses a letter that is not
+    a nonempty string (``_check_letters``) or is repeated and, by
+    ``_check_words``, a bad relation, and stores the alphabet as a tuple
+    and the relations as a tuple of pairs of tuples, however given.  The
+    library's builders, whose words are nonempty tuples over their
+    alphabet by construction, build through ``_of_letters``, which does
+    not re-read them.
     """
 
     alphabet: tuple[str, ...]
@@ -88,6 +95,7 @@ class Presentation:
 
     def __post_init__(self):
         alphabet, relations = tuple(self.alphabet), tuple(self.relations)
+        _check_letters(alphabet)
         letters = set(alphabet)
         if len(letters) != len(alphabet):
             raise InputError("duplicate letters in alphabet")
@@ -134,8 +142,7 @@ class Presentation:
             raise InputError(
                 "presentation JSON needs 'alphabet' and 'relations' lists")
         alphabet = tuple(data["alphabet"])
-        if not all(isinstance(a, str) and a for a in alphabet):
-            raise InputError("presentation letters must be nonempty strings")
+        _check_letters(alphabet)
         rels = []
         for pair in data["relations"]:
             if not isinstance(pair, list) or len(pair) != 2:

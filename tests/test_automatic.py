@@ -138,16 +138,20 @@ def test_deconvolve_accepts_exactly_the_convolutions():
 @pytest.mark.parametrize("alphabet, stray", [
     (("a",), "b"),
     (au.PairAlphabet(("a",), ("a",)), ("b", "a")),
+    (("a",), "zz"),
 ])
 def test_a_transition_symbol_outside_the_alphabet_is_refused(alphabet, stray):
     # listing a hand-built automaton used to end in a TypeError (a tuple
-    # alphabet) or a bare ValueError (a pair alphabet)
+    # alphabet) or a bare ValueError (a pair alphabet); the reader refuses
+    # the same automaton with the same message
     nfa = au.Nfa(alphabet=alphabet, n_states=3,
                  transitions=((0, next(iter(alphabet)), 1), (0, stray, 2)),
                  initial=frozenset({0}), accepting=frozenset({1, 2}))
-    with pytest.raises(InputError, match="^transition uses unknown symbol"
-                       f" {re.escape(repr(stray))}$"):
+    message = f"^transition uses unknown symbol {re.escape(repr(stray))}$"
+    with pytest.raises(InputError, match=message):
         list(nfa.iter_words())
+    with pytest.raises(InputError, match=message):
+        au.nfa_from_json(au.nfa_to_json(nfa))
 
 
 def _epsilon_parts(extra=(), accepting=(2,)):
@@ -350,7 +354,7 @@ def test_structure_for_z6(z6):
         au.structure_for_finite(z6, [2])
 
 
-def test_verify_structure_detects_defects(z6):
+def test_verify_structure_detects_defects(z6, t03):
     st = au.structure_for_finite(z6, [1])
     # drop one multiplier pair
     pairs = relation_pairs(st.multipliers["a1"], 8)
@@ -375,6 +379,55 @@ def test_verify_structure_detects_defects(z6):
     )
     ok2, reason2 = au.verify_structure_report(small, z6, 8)
     assert not ok2 and "onto" in reason2
+    # Z6's structure against T = {0, 3}
+    assert au.verify_structure_report(st, t03, 6) == (
+        False, "acceptor word ('a1',) evaluates outside the target")
+
+
+def test_transfer_refuses_an_acceptor_with_a_loop(z6, t03):
+    st = au.structure_for_finite(z6, [1])
+    loop = au.Nfa(alphabet=st.alphabet, n_states=1,
+                  transitions=((0, "a1", 0),), initial=frozenset({0}),
+                  accepting=frozenset({0}))
+    green = relgreen.relative_green(z6, t03)
+    with pytest.raises(InputError, match="^word acceptor language is not"
+                                         " finite$"):
+        au.transfer_details(replace(st, acceptor=loop), t03, green,
+                            relgreen.connectors(green))
+
+
+def test_a_hand_built_nfa_is_refused_as_a_read_one_is():
+    # an initial state of 7 of 2 used to list [] and a target of 5 raise a
+    # bare IndexError; the constructor refuses every bad count or state id
+    # with the message the reader gives
+    parts = {"alphabet": ("a",), "n_states": 2,
+             "transitions": ((0, "a", 1),), "initial": frozenset({0}),
+             "accepting": frozenset({1})}
+    for change, want in [
+            ({"initial": {7}}, (OutOfRange, "initial state 7 not in [0, 2)")),
+            ({"transitions": ((0, "a", 5),)},
+             (OutOfRange, "transition target 5 not in [0, 2)")),
+            ({"transitions": ((-1, "a", 1),)},
+             (OutOfRange, "transition source -1 not in [0, 2)")),
+            ({"accepting": {True}},
+             (OutOfRange, "accepting state True not in [0, 2)")),
+            ({"initial": {1.0}},
+             (OutOfRange, "initial state 1.0 not in [0, 2)")),
+            ({"n_states": 2.0},
+             (InputError, "automaton 'states' must be an integer, not 2.0")),
+            ({"n_states": -1},
+             (InputError, "automaton 'states' must be nonnegative"))]:
+        bad = {**parts, **change}
+        assert _outcome(lambda: au.Nfa(**bad)) == want, change
+        data = {"states": bad["n_states"], "alphabet": ["a"],
+                "transitions": [list(t) for t in bad["transitions"]],
+                "initial": list(bad["initial"]),
+                "accepting": list(bad["accepting"])}
+        assert _outcome(lambda: au.nfa_from_json(data)) == want, change
+    # the state sets are stored as frozensets, however given
+    nfa = au.Nfa(**{**parts, "initial": [0], "accepting": (1,)})
+    assert nfa.initial == frozenset({0}) and nfa.accepting == frozenset({1})
+    assert nfa == au.Nfa(**parts)
 
 
 def transfer_setup(sem, sub, gens):

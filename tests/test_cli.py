@@ -46,6 +46,15 @@ def test_validate(files, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_validate_reports_an_entry_out_of_range(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"order": 2, "table": [[0, 99], [1, 1]]}))
+    code, out = run(capsys, "validate", "--semigroup", str(bad))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "entry table[0][1] = 99 not in [0, 2)", "valid": False}
+
+
 def test_validate_reports_the_first_witness_exactly(capsys, tmp_path):
     # Z3 with 2*0 changed to 0: the first failing triple in (x, y, z) order
     # is (1, 1, 0), while a scan over a generating set meets (2, 0, 1) first

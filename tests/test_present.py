@@ -732,6 +732,52 @@ def test_synthesis_rejects_bad_base_presentation(z6, t03):
         synth(z6, t03, bad, {"b": 3})
 
 
+def test_synthesis_refuses_a_bad_group_presentation_lift_or_base_letter(
+        z6, t03):
+    green = relgreen.relative_green(z6, t03)
+    conn = relgreen.connectors(green)
+    q, qa = present.sub_table_presentation(z6, t03)
+    packs = present.build_schutz_packs(z6, t03, green, q, qa)
+    pack = packs[1]
+    # c1_1 = c1_0 presents the trivial group, not Z2
+    trivial = present.Presentation(pack.presentation.alphabet,
+                                   ((("c1_1",), ("c1_0",)),))
+    # t0 evaluates to 0, which is not c1_1's group element 1
+    off_lift = {**pack.lift, "c1_1": ("t0",)}
+    for changes, message in (
+            ({"presentation": trivial},
+             "class 1: group presentation fails verification"),
+            ({"lift": off_lift},
+             "class 1: lift of 'c1_1' is not congruent to its image")):
+        bad = {**packs, 1: dataclasses.replace(pack, **changes)}
+        with pytest.raises(BadInputPresentation, match=f"^{message}$"):
+            present.synthesize_presentation(q, qa, bad, green, conn)
+    # the base letter t3 renamed d1, the first class letter
+    rename = {"t0": "t0", "t3": "d1"}
+    d_base = present.Presentation(
+        tuple(rename[a] for a in q.alphabet),
+        tuple(tuple(tuple(rename[a] for a in w) for w in rel)
+              for rel in q.relations))
+    d_assign = {rename[a]: e for a, e in qa.items()}
+    d_packs = present.build_schutz_packs(z6, t03, green, d_base, d_assign)
+    with pytest.raises(BadInputPresentation,
+                       match="^base alphabet collides with class letters$"):
+        present.synthesize_presentation(d_base, d_assign, d_packs, green, conn)
+
+
+@pytest.mark.parametrize("alphabet", [(1, 2), ("",), ("a", ""), (["a"],)])
+def test_presentation_letters_must_be_nonempty_strings(alphabet):
+    # (1, 2) used to be accepted and fail with a TypeError when written;
+    # ("",) was written and then refused by the reader
+    with pytest.raises(InputError,
+                       match="^presentation letters must be nonempty strings$"):
+        present.Presentation(alphabet, ())
+    with pytest.raises(InputError,
+                       match="^presentation letters must be nonempty strings$"):
+        present.Presentation.from_json_dict(
+            {"alphabet": list(alphabet), "relations": [[["x"], ["x"]]]})
+
+
 def test_dagger_violation_detected():
     s3 = factories.symmetric_group(3)
     sub = core.closure(s3, [2])
