@@ -54,15 +54,27 @@ PAD = "$"
 _LANGUAGE_BOUND = 10_000_000  # the most words _listed lists
 
 
+def _collection(value, key: str):
+    """An iterator over an automaton's ``key`` part; ``InputError`` if it is
+    not a collection."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise InputError(
+            f"automaton {key!r} {value!r} is not a collection") from None
+
+
 @dataclass(frozen=True)
 class Nfa:
     """A nondeterministic finite automaton without epsilon moves.  The
     alphabet is a tuple of symbols or, for relations, a PairAlphabet.
-    The constructor refuses an ``n_states`` that is not a count
-    (``InputError``) and a state id not an int in [0, n_states)
-    (``OutOfRange``), for the reader too (:func:`nfa_from_json`, which also
-    removes epsilon moves); a transition whose symbol is None is refused
-    with ``InputError`` by the first read of the transitions."""
+    The constructor refuses an ``n_states`` that is not a count, a
+    transition that is not a (source, symbol, target) triple and state sets
+    or transitions that are not collections (``InputError``), and a state
+    id not an int in [0, n_states) (``OutOfRange``), for the reader too
+    (:func:`nfa_from_json`, which also removes epsilon moves); a transition
+    whose symbol is None is refused with ``InputError`` by the first read
+    of the transitions."""
 
     alphabet: tuple | PairAlphabet
     n_states: int
@@ -74,12 +86,19 @@ class Nfa:
 
     def __post_init__(self):
         n = _check_count(self.n_states, "automaton 'states'")
-        for src, _sym, dst in self.transitions:
+        for t in _collection(self.transitions, "transitions"):
+            try:
+                src, _sym, dst = t
+            except (TypeError, ValueError):
+                raise InputError(
+                    f"transition {t!r} is not a (source, symbol, target) triple"
+                ) from None
             _check_index(src, n, "transition source")
             _check_index(dst, n, "transition target")
         for key in ("initial", "accepting"):
             object.__setattr__(self, key, frozenset(
-                _check_index(q, n, f"{key} state") for q in getattr(self, key)))
+                _check_index(q, n, f"{key} state")
+                for q in _collection(getattr(self, key), key)))
 
     @cached_property
     def _outgoing(self) -> list[dict]:

@@ -1,6 +1,11 @@
 """Pushing class representatives through products, and what that buys:
 Schreier-style generators for the subsemigroup, the converse extension of
 generating sets, and a decision procedure for word equality.
+
+The decision rests on the stabilizer argument (Gray & Ruskuc 2008): a word
+valued in a complement H-class H_K is h_K * r, with h_K the class
+representative and r in the stabilizer of H_K in T^1, so only the residual
+r depends on the word, and only two words in one class are pushed for it.
 """
 
 from __future__ import annotations
@@ -164,11 +169,14 @@ class WordProblemContext:
     representatives); ``OutOfRange`` otherwise.  It is held as a read-only
     copy, a ``mappingproxy`` in the repr (copies and pickles rebuild from a
     dict); ``conn`` must be built from ``green``, ``InputError`` otherwise.
+    Each word's value and signature are cached on the context.
     """
 
     green: GreenData
     conn: ConnectorTables
     letter_eval: Mapping[str, int]
+    _value_cache: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False)
     _sig_cache: dict = field(
         default_factory=dict, init=False, compare=False, repr=False)
     _rows: tuple = field(init=False, compare=False, repr=False)
@@ -194,19 +202,18 @@ class WordVerdict:
     detail: str
 
 
-def _signature(word: tuple[str, ...], ctx: WordProblemContext):
-    cached = ctx._sig_cache.get(word)
-    if cached is not None:
-        return cached
-    sem, conn, n = ctx.green.sem, ctx.conn, ctx.green.sem.order
+def _value(word: tuple[str, ...], ctx: WordProblemContext) -> int:
+    """The value of ``word`` in S^1, the adjoined identity n for the empty
+    word: a fold right to left through each letter's table row (the table
+    is associative), cached per word.  ``InvalidLetter`` names the leftmost
+    unknown letter, and nothing is cached then."""
+    value = ctx._value_cache.get(word)
+    if value is not None:
+        return value
     if not word:
-        sig = ("empty", n)
+        value = ctx.green.sem.order
     else:
-        # Fold right to left through each letter's row (the table is
-        # associative).  The pushes end in class 0 exactly when the value is
-        # in T, and their output then folds to it; so only other words are
-        # pushed, dropping the adjoined identity n, which keeps the class.
-        (rows, factor, klass), letters = ctx._rows, reversed(word)
+        rows, letters = ctx._rows[0], reversed(word)
         try:
             value = ctx.letter_eval[next(letters)]
             for a in letters:
@@ -214,16 +221,37 @@ def _signature(word: tuple[str, ...], ctx: WordProblemContext):
         except KeyError:
             bad = next(a for a in word if a not in ctx.letter_eval)
             raise InvalidLetter(f"unknown letter {bad!r}") from None
-        if value in ctx.green.sub.members:
-            sig = ("sub", value)
-        else:
-            i, first = _left_ends(IDENTITY_CLASS, word, factor, klass, n)
-            out, right = _scan_right(i, reversed(first), conn)
-            if right[-1] == IDENTITY_CLASS:
-                raise InternalInconsistency(
-                    f"a word valued {value} outside T was pushed into T")
-            k, back = _left_ends(right[-1], out, conn.left_factor, conn.left_class, n)
-            sig = ("class", k, sem.prod1(reversed(back)))
+    ctx._value_cache[word] = value
+    return value
+
+
+def _signature(word: tuple[str, ...], ctx: WordProblemContext):
+    cached = ctx._sig_cache.get(word)
+    if cached is not None:
+        return cached
+    sem, conn, n = ctx.green.sem, ctx.conn, ctx.green.sem.order
+    value = _value(word, ctx)
+    if not word:
+        sig = ("empty", n)
+    elif value in ctx.green.sub.members:
+        # the pushes end in class 0 exactly when the value is in T, and
+        # their output then folds to it, so such a word is not pushed
+        sig = ("sub", value)
+    else:
+        # push left, right, then back, dropping the adjoined identity n,
+        # which keeps the class; the pushes end in the value's class
+        _, factor, klass = ctx._rows
+        i, first = _left_ends(IDENTITY_CLASS, word, factor, klass, n)
+        out, right = _scan_right(i, reversed(first), conn)
+        if right[-1] == IDENTITY_CLASS:
+            raise InternalInconsistency(
+                f"a word valued {value} outside T was pushed into T")
+        k, back = _left_ends(right[-1], out, conn.left_factor, conn.left_class, n)
+        if k != (expected := ctx.green.class_of(value)):
+            raise InternalInconsistency(
+                f"a word valued {value} in class {expected} was pushed"
+                f" to class {k}")
+        sig = ("class", k, sem.prod1(reversed(back)))
     ctx._sig_cache[word] = sig
     return sig
 
@@ -233,31 +261,33 @@ def word_equality_report(
 ) -> WordVerdict:
     """Decide whether two words over B u {d_i} represent the same element.
 
-    A word valued in T is evaluated, any other pushed to the form (final
-    class, T-word).  If both words land in T their values are compared; if
-    exactly one does they differ; otherwise the class indices are compared
-    and then the Schutzenberger-group images of the residual words.
+    Both words are folded to their values.  A word valued in the
+    complement H-class H_K is h_K * r with r in the stabilizer of H_K, so
+    its class is its value's, and the values decide every pair but two
+    words in one complement class: those are pushed to (class, residual r),
+    checked to end in that class, and their residuals, which the detail
+    names, compared through the class's Schutzenberger group.
     """
-    s1 = _signature(tuple(w1), ctx)
-    s2 = _signature(tuple(w2), ctx)
-    if s1[0] != s2[0]:
-        if {"sub", "class"} == {s1[0], s2[0]}:
-            return WordVerdict(False, "mixed", "one word lands in T, the other outside")
-        return WordVerdict(False, "mixed", "only one word is empty")
-    if s1[0] == "empty":
+    w1, w2 = tuple(w1), tuple(w2)
+    v1, v2 = _value(w1, ctx), _value(w2, ctx)
+    if not (w1 and w2):
+        if w1 or w2:
+            return WordVerdict(False, "mixed", "only one word is empty")
         return WordVerdict(True, "empty", "both words are empty")
-    if s1[0] == "sub":
-        eq = s1[1] == s2[1]
-        return WordVerdict(eq, "both_in_sub", f"compared {s1[1]} and {s2[1]} in T")
-    if s1[1] != s2[1]:
+    k1, k2 = ctx.green._class_index[v1], ctx.green._class_index[v2]
+    if (k1 == IDENTITY_CLASS) != (k2 == IDENTITY_CLASS):
+        return WordVerdict(False, "mixed", "one word lands in T, the other outside")
+    if k1 == IDENTITY_CLASS:
+        return WordVerdict(v1 == v2, "both_in_sub", f"compared {v1} and {v2} in T")
+    if k1 != k2:
         return WordVerdict(
-            False, "both_outside", f"distinct complement classes {s1[1]} != {s2[1]}"
+            False, "both_outside", f"distinct complement classes {k1} != {k2}"
         )
-    grp = class_group(ctx.green, s1[1])
-    eq = grp.quotient_index(s1[2]) == grp.quotient_index(s2[2])
+    (_, _, r1), (_, _, r2) = _signature(w1, ctx), _signature(w2, ctx)
+    grp = class_group(ctx.green, k1)
+    eq = grp.quotient_index(r1) == grp.quotient_index(r2)
     return WordVerdict(
         eq,
         "both_outside",
-        f"class {s1[1]}, stabilizer residuals {s1[2]} and {s2[2]}",
+        f"class {k1}, stabilizer residuals {r1} and {r2}",
     )
-

@@ -8,7 +8,7 @@ import random
 from dataclasses import replace
 
 from greenindex import (
-    automatic, core, factories, growth, present, relgreen, schutz,
+    automatic, core, factories, growth, present, relgreen, rewrite, schutz,
 )
 from greenindex.automatic import (
     PAD,
@@ -1092,6 +1092,32 @@ def reference_signature(word, ctx):
             sig = ("class", k, fold(back))
     ctx._sig_cache[word] = sig
     return sig
+
+
+def reference_word_equality_report(w1, w2, ctx):
+    """``rewrite.word_equality_report`` by the decision on signatures alone:
+    both words go through ``reference_signature``, so every word valued
+    outside T is pushed, and the verdict is read off the two signatures."""
+    s1 = reference_signature(tuple(w1), ctx)
+    s2 = reference_signature(tuple(w2), ctx)
+    if s1[0] != s2[0]:
+        detail = ("one word lands in T, the other outside"
+                  if {s1[0], s2[0]} == {"sub", "class"}
+                  else "only one word is empty")
+        return rewrite.WordVerdict(False, "mixed", detail)
+    if s1[0] == "empty":
+        return rewrite.WordVerdict(True, "empty", "both words are empty")
+    if s1[0] == "sub":
+        return rewrite.WordVerdict(s1[1] == s2[1], "both_in_sub",
+                                   f"compared {s1[1]} and {s2[1]} in T")
+    if s1[1] != s2[1]:
+        return rewrite.WordVerdict(
+            False, "both_outside",
+            f"distinct complement classes {s1[1]} != {s2[1]}")
+    grp = schutz.class_group(ctx.green, s1[1])
+    return rewrite.WordVerdict(
+        grp.quotient_index(s1[2]) == grp.quotient_index(s2[2]), "both_outside",
+        f"class {s1[1]}, stabilizer residuals {s1[2]} and {s2[2]}")
 
 
 def reference_rewrite_pair(st, green, conn, letters, u):

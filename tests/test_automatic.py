@@ -430,6 +430,26 @@ def test_a_hand_built_nfa_is_refused_as_a_read_one_is():
     assert nfa == au.Nfa(**parts)
 
 
+def test_a_hand_built_nfa_refuses_parts_of_the_wrong_shape():
+    # a two-element transition used to end in a bare ValueError, and state
+    # sets that are no collections in a bare TypeError
+    parts = {"alphabet": ("a",), "n_states": 2,
+             "transitions": ((0, "a", 1),), "initial": frozenset({0}),
+             "accepting": frozenset({1})}
+    for change, message in [
+            ({"transitions": ((0, "a"),)},
+             "transition (0, 'a') is not a (source, symbol, target) triple"),
+            ({"transitions": (5,)},
+             "transition 5 is not a (source, symbol, target) triple"),
+            ({"transitions": None},
+             "automaton 'transitions' None is not a collection"),
+            ({"initial": 0}, "automaton 'initial' 0 is not a collection"),
+            ({"accepting": None},
+             "automaton 'accepting' None is not a collection")]:
+        assert _outcome(lambda: au.Nfa(**{**parts, **change})) == \
+            (InputError, message), change
+
+
 def transfer_setup(sem, sub, gens):
     green = relgreen.relative_green(sem, sub)
     conn = relgreen.connectors(green)

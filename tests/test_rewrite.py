@@ -17,6 +17,7 @@ from helpers import (
     reference_schreier_set,
     reference_signature,
     reference_two_pass,
+    reference_word_equality_report,
     wp_context,
 )
 from hypothesis import given, settings
@@ -240,18 +241,17 @@ def test_schreier_generators_refuses_other_green_data(z6, t03):
 
 
 def _assert_matches_reference(sem, sub, words):
-    """Each word's signature and the full verdict on each pair of words
-    agree with ``reference_signature``, which gets a context of its own."""
+    """Each word's signature agrees with ``reference_signature``, and the
+    verdict on each pair of words with ``reference_word_equality_report``,
+    which pushes every word valued outside T; the references get a context
+    of their own, and the decider one that no signature call has filled."""
     ctx, ref_ctx = wp_context(sem, sub), wp_context(sem, sub)
     pairs = list(product(words, repeat=2))
+    verdicts = [rewrite.word_equality_report(a, b, ctx) for a, b in pairs]
+    assert verdicts == [reference_word_equality_report(a, b, ref_ctx)
+                        for a, b in pairs]
     for w in words:
         assert rewrite._signature(w, ctx) == reference_signature(w, ref_ctx)
-    verdicts = [rewrite.word_equality_report(a, b, ctx) for a, b in pairs]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rewrite, "_signature", reference_signature)
-        expected = [rewrite.word_equality_report(a, b, ref_ctx)
-                    for a, b in pairs]
-    assert verdicts == expected
 
 
 @pytest.mark.parametrize("inst", fixed_instances(), ids=lambda inst: inst[0])
@@ -371,7 +371,56 @@ def test_unknown_letter_is_named_and_not_cached(z6, t03):
         with pytest.raises(InvalidLetter, match=f"^unknown letter '{name}'$"):
             rewrite.word_equality_report(word, ("t3",), ctx)
         assert word not in ctx._sig_cache
+    assert ctx._sig_cache == {} and ctx._value_cache == {}
+
+
+def test_only_words_outside_t_in_one_class_are_pushed(z6, t03):
+    # Z6 over {0, 3}: d1 and d2 lie in the complement classes 1 and 2
+    ctx = wp_context(z6, t03)
+
+    def no_push(*args):
+        raise AssertionError("a word was pushed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrite, "_left_ends", no_push)
+        assert rewrite.word_equality_report(("d1",), ("d2",), ctx) == \
+            rewrite.WordVerdict(False, "both_outside",
+                                "distinct complement classes 1 != 2")
+        assert rewrite.word_equality_report(("t3", "t3"), ("d1", "d1"), ctx) == \
+            rewrite.WordVerdict(False, "mixed",
+                                "one word lands in T, the other outside")
+        assert rewrite.word_equality_report((), ("d1",), ctx) == \
+            rewrite.WordVerdict(False, "mixed", "only one word is empty")
+        with pytest.raises(AssertionError, match="^a word was pushed$"):
+            rewrite.word_equality_report(("d1", "t3"), ("d1",), ctx)
     assert ctx._sig_cache == {}
+    assert ctx._value_cache == {("d1",): 1, ("d2",): 2, ("t3", "t3"): 0,
+                                ("d1", "d1"): 2, (): z6.order, ("d1", "t3"): 4}
+    assert rewrite.word_equality_report(("d1", "t3"), ("d1",), ctx) == \
+        rewrite.WordVerdict(False, "both_outside",
+                            "class 1, stabilizer residuals 3 and 0")
+
+
+def test_pushes_end_in_the_class_of_the_value():
+    # the stabilizer argument: a word valued outside T is h_K * r with r
+    # in the stabilizer of H_K, so its pushes end in the class of its value
+    rng = random.Random(29)
+    pushed = 0
+    for sem, sub in ladder_pairs() + [nonperm_ideal(4)] + random_pairs(25):
+        ctx, ref_ctx = wp_context(sem, sub), wp_context(sem, sub)
+        letters = sorted(ctx.letter_eval)
+        class_letters = [a for a in letters
+                         if ctx.letter_eval[a] not in sub.members] or letters
+        for pool in (letters, class_letters) * 15:
+            word = tuple(rng.choices(pool, k=rng.randrange(1, 40)))
+            value = sem.prod1(ctx.letter_eval[a] for a in word)
+            if value in sub.members:
+                continue
+            klass = ctx.green.class_of(value)
+            assert reference_signature(word, ref_ctx)[1] == klass
+            assert rewrite._signature(word, ctx)[1] == klass
+            pushed += 1
+    assert pushed > 400  # of 1,050 words
 
 
 def test_pushes_land_in_t_exactly_when_the_value_does_on_random_pairs():
@@ -423,6 +472,25 @@ def test_pushes_that_land_in_t_for_a_word_outside_t_raise(z6, t03):
     # a word valued in T is still decided by its value alone
     assert rewrite.word_equality_report(("t3", "t3"), ("t0",), broken) == \
         rewrite.WordVerdict(True, "both_in_sub", "compared 0 and 0 in T")
+
+
+def test_pushes_that_end_in_another_class_raise(z6, t03):
+    # left pushes that swap the classes 1 and 2 of Z6 over {0, 3}
+    ctx = wp_context(z6, t03)
+    swap = (0, 2, 1)
+    broken = rewrite.WordProblemContext(ctx.green, dataclasses.replace(
+        ctx.conn, left_class=tuple(tuple(swap[c] for c in row)
+                                   for row in ctx.conn.left_class)),
+        ctx.letter_eval)
+    word = ("d1", "t3")
+    with pytest.raises(InternalInconsistency, match="^a word valued 4 in"
+                       " class 1 was pushed to class 2$"):
+        rewrite.word_equality_report(word, word, broken)
+    assert word not in broken._sig_cache
+    # words in distinct classes are told apart by their values alone
+    assert rewrite.word_equality_report(word, ("d2",), broken) == \
+        rewrite.WordVerdict(False, "both_outside",
+                            "distinct complement classes 1 != 2")
 
 
 def test_letter_eval_is_a_read_only_copy(z6, t03):
